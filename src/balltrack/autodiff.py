@@ -14,8 +14,6 @@ of the chosen branch only, i.e. subgradient semantics at the kink.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -280,14 +278,3 @@ def softplus(x):
     """log(1 + exp(x)) in a form stable for large |x| and dual-friendly."""
     return relu(x) + log1p(exp(-absolute(x)))
 
-
-def _fd_scalar(f, x, h=1e-6):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-if __name__ == "__main__":  # tiny smoke check
-    d = Dual(3.0, 1.0)
-    out = d * d
-    assert out.value == 9.0 and out.tangent == 6.0
-    assert math.isclose(_fd_scalar(lambda t: t * t, 3.0), 6.0, rel_tol=1e-8)
-    print("dual smoke ok")

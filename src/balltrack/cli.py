@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
 import time
 from pathlib import Path
@@ -40,9 +39,8 @@ from .sim import SimConfig, SimulationError
 from .tracker import METRICS, evaluate, evaluate_sequences, metrics_to_csv, track_sequence
 from .video import (
     DatasetError,
-    FORMAT_VERSION,
-    MAGIC,
     SPLITS,
+    _write_record,
     generate_split,
     read_dataset,
     write_dataset,
@@ -190,11 +188,7 @@ def _write_predictions(path: Path, per_sequence) -> None:
                 stacked = np.stack([
                     np.stack([getattr(w, attr) for w in seq[scale]]) for seq in per_sequence
                 ])
-                data = np.ascontiguousarray(stacked.astype(dtype))
-                fh.write(MAGIC)
-                fh.write(struct.pack("<II", FORMAT_VERSION, data.ndim))
-                fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-                fh.write(data.tobytes())
+                _write_record(fh, stacked, dtype)
 
 
 def cmd_selfcheck(args) -> int:

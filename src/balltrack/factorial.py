@@ -7,7 +7,10 @@ Effects use {-1, +1} contrast coding: the estimate for a term (any
 non-empty subset of factors) is the mean response where the term's contrast
 is +1 minus the mean where it is -1, so a negative effect means the high
 level reduces the response.  With n replicates each main effect averages
-over n * 32 runs at either level.
+over n * 32 runs at either level.  In this balanced design all 63 effects
+are one product, effects = S^T ybar / 32, where S is the 64 x 63 matrix of
++-1 contrasts (column = term, row = configuration) and ybar the 64 cell
+means over replicates (Yates 1937).
 
 Two aggregate responses summarize the nine tracking errors: the encoder
 average (mean of the three 56-scale metrics) and the decoder average (mean
@@ -116,10 +119,15 @@ def contrast_sign(config: FactorConfig, term: str) -> int:
 
 def all_terms() -> list[str]:
     """The 63 non-empty factor subsets, as sorted letter strings."""
-    terms = []
-    for k in range(1, len(FACTORS) + 1):
-        terms.extend("".join(c) for c in combinations(FACTORS, k))
-    return terms
+    return ["".join(c) for k in range(1, len(FACTORS) + 1) for c in combinations(FACTORS, k)]
+
+
+_LABELS = [config.label for config in enumerate_configs()]
+# S (64 x 63): column k is the contrast of all_terms()[k]; bit f of a row index is factor f
+_TERMS = all_terms()
+_LEVELS = 2 * ((np.arange(N_CONFIGS)[:, None] >> np.arange(len(FACTORS))) & 1) - 1
+_IN_TERM = np.array([[f in term for f in FACTORS] for term in _TERMS])
+_CONTRASTS = np.where(_IN_TERM, _LEVELS[:, None, :], 1).prod(axis=2)
 
 
 class ResponseTable:
@@ -154,25 +162,23 @@ class ResponseTable:
         return self._cells[(label, replicate)][metric]
 
     def missing_cells(self, metric: str) -> list[tuple[str, int]]:
-        missing = []
-        for config in enumerate_configs():
-            for rep in self.replicates:
-                cell = self._cells.get((config.label, rep))
-                if cell is None or metric not in cell:
-                    missing.append((config.label, rep))
-        return missing
+        reps = self.replicates
+        return [(label, rep) for label in _LABELS for rep in reps
+                if metric not in self._cells.get((label, rep), ())]
 
     def responses(self, metric: str) -> np.ndarray:
         """(64, n_replicates) response matrix in row-index order."""
-        missing = self.missing_cells(metric)
-        if missing:
-            raise MissingCellsError(metric, missing)
+        return self._stack([metric])[:, :, 0]
+
+    def _stack(self, metrics: list[str]) -> np.ndarray:
+        """(64, n_replicates, n_metrics) responses; raises on the first metric with gaps."""
+        for metric in metrics:
+            missing = self.missing_cells(metric)
+            if missing:
+                raise MissingCellsError(metric, missing)
         reps = self.replicates
-        out = np.empty((N_CONFIGS, len(reps)))
-        for config in enumerate_configs():
-            for j, rep in enumerate(reps):
-                out[config.index, j] = self._cells[(config.label, rep)][metric]
-        return out
+        values = [self._cells[(label, r)][m] for label in _LABELS for r in reps for m in metrics]
+        return np.array(values, dtype=float).reshape(N_CONFIGS, len(reps), len(metrics))
 
     def add_aggregates(self) -> None:
         """Derive enc_avg / dec_avg for every cell that has all nine metrics."""
@@ -185,11 +191,8 @@ class ResponseTable:
 
 def effect_estimate(table: ResponseTable, term: str, metric: str) -> EffectEstimate:
     """Contrast-coded effect: mean at the high level minus at the low level."""
-    y = table.responses(metric)
-    signs = np.array([contrast_sign(c, term) for c in enumerate_configs()])
-    high = y[signs == 1].mean()
-    low = y[signs == -1].mean()
-    return EffectEstimate(term=term, metric=metric, value=float(high - low))
+    value = compute_all_effects(table, [metric])[term][metric]
+    return EffectEstimate(term=term, metric=metric, value=value)
 
 
 def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:
@@ -208,17 +211,12 @@ def rank_effects(effects: dict[str, dict[str, float]], group: tuple[str, ...]) -
     ``effects`` maps term -> metric -> effect value.  Ties break by term
     in lexicographic order.  Returns (term, group-average effect) pairs.
     """
-    rows = []
-    for term, per_metric in effects.items():
-        avg = float(np.mean([per_metric[m] for m in group]))
-        rows.append((term, avg))
-    rows.sort(key=lambda tv: (-abs(tv[1]), tv[0]))
-    return rows
+    rows = [(term, float(np.mean([per_metric[m] for m in group])))
+            for term, per_metric in effects.items()]
+    return sorted(rows, key=lambda tv: (-abs(tv[1]), tv[0]))
 
 
 def compute_all_effects(table: ResponseTable, metrics: list[str]) -> dict[str, dict[str, float]]:
-    """Effect values for all 63 terms on each requested metric."""
-    out: dict[str, dict[str, float]] = {}
-    for term in all_terms():
-        out[term] = {m: effect_estimate(table, term, m).value for m in metrics}
-    return out
+    """Effect values for all 63 terms on each requested metric: S^T ybar / 32."""
+    effects = _CONTRASTS.T @ table._stack(metrics).mean(axis=1) / (N_CONFIGS // 2)
+    return {term: dict(zip(metrics, map(float, row))) for term, row in zip(_TERMS, effects)}

@@ -85,7 +85,7 @@ class RandomStream:
     # ---- distributions -------------------------------------------------
     def random(self, n: int | None = None):
         """Uniform doubles in [0, 1) with 53 random bits."""
-        block = (self._raw_block(n or 1) >> np.uint64(11)).astype(np.float64)
+        block = (self._raw_block(1 if n is None else n) >> np.uint64(11)).astype(np.float64)
         out = block * (1.0 / (1 << 53))
         return float(out[0]) if n is None else out
 
@@ -94,7 +94,7 @@ class RandomStream:
 
     def normal(self, n: int | None = None, sigma: float = 1.0):
         """Gaussian draws via Box-Muller (two uniforms per pair)."""
-        m = n or 1
+        m = 1 if n is None else n
         pairs = (m + 1) // 2
         u1 = 1.0 - self.random(pairs)  # (0, 1]: keeps log finite
         u2 = self.random(pairs)

@@ -19,9 +19,11 @@ record's position in the file, listed above.
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,14 +131,23 @@ def generate_split(cfg: SimConfig, split: str, n: int | None = None) -> list[Vid
 
 
 def _write_record(fh, array: np.ndarray, dtype: str) -> None:
-    data = np.ascontiguousarray(array.astype(dtype))
+    data = array.astype(dtype, order="C")  # keeps 0-d shapes, unlike ascontiguousarray
     fh.write(MAGIC)
     fh.write(struct.pack("<II", FORMAT_VERSION, data.ndim))
     fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
     fh.write(data.tobytes())
 
 
+def _bytes_left(fh) -> int:
+    here = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
 def _read_record(fh, dtype: str, path) -> np.ndarray:
+    """Inverse of :func:`_write_record`; header sizes are checked against the
+    bytes left in ``fh`` before anything is allocated."""
     head = fh.read(12)
     if len(head) < 12:
         raise TruncatedFileError(f"{path}: truncated record header")
@@ -145,39 +156,35 @@ def _read_record(fh, dtype: str, path) -> np.ndarray:
     version, ndim = struct.unpack("<II", head[4:12])
     if version != FORMAT_VERSION:
         raise FormatVersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    raw_shape = fh.read(8 * ndim)
-    if len(raw_shape) < 8 * ndim:
+    if 8 * ndim > _bytes_left(fh):
         raise TruncatedFileError(f"{path}: truncated shape header")
-    shape = struct.unpack(f"<{ndim}Q", raw_shape)
-    count = int(np.prod(shape)) if ndim else 1
-    payload = fh.read(count * np.dtype(dtype).itemsize)
-    if len(payload) < count * np.dtype(dtype).itemsize:
+    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize  # Python ints: no wrap-around
+    if nbytes > _bytes_left(fh):
         raise TruncatedFileError(f"{path}: truncated payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-
-
-def _config_dict(cfg: SimConfig) -> dict:
-    return {
-        "image_size": cfg.image_size,
-        "scale": cfg.scale,
-        "dt": cfg.dt,
-        "gravity": cfg.gravity,
-        "restitution": cfg.restitution,
-        "radius_px": cfg.radius_px,
-        "v_max": cfg.v_max,
-        "frames_per_video": cfg.frames_per_video,
-        "noise_sigma": cfg.noise_sigma,
-        "n_train": cfg.n_train,
-        "n_val": cfg.n_val,
-        "n_test": cfg.n_test,
-        "seed": cfg.seed,
-    }
+    try:
+        return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+    except ValueError as err:  # numpy's limits on rank and extent
+        raise ShapeMismatchError(f"{path}: unsupported record shape {shape}") from err
 
 
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
-    """Persist one split; the manifest is (re)written with every call."""
+    """Persist one split; the manifest is (re)written with every call.
+
+    An existing manifest is checked before any split file is opened, so a
+    rejected write leaves the directory as it was.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    config = asdict(cfg)
+    manifest = {}
+    if (path / "meta.json").exists():
+        manifest = read_manifest(path)
+        if manifest.get("config") != config:
+            raise DatasetError(
+                f"{path}: directory already holds a dataset with a different "
+                "configuration; splits of one dataset must share it"
+            )
 
     frames = np.stack([seq.frames for seq in sequences])
     positions = np.stack([seq.trajectory.positions_px for seq in sequences])
@@ -191,21 +198,10 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
         _write_record(fh, velocities, "<f8")
         _write_record(fh, bounces.astype(np.uint8), "<u1")
 
-    manifest_path = path / "meta.json"
-    manifest = {"format_version": FORMAT_VERSION, "config": _config_dict(cfg), "splits": {}}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise FormatVersionError(f"{manifest_path}: incompatible manifest version")
-        if manifest.get("config") != _config_dict(cfg):
-            raise DatasetError(
-                f"{path}: directory already holds a dataset with a different "
-                "configuration; splits of one dataset must share it"
-            )
     manifest["format_version"] = FORMAT_VERSION
-    manifest["config"] = _config_dict(cfg)
+    manifest["config"] = config
     manifest.setdefault("splits", {})[split] = len(sequences)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (path / "meta.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> dict:

@@ -1,11 +1,14 @@
-import json
 import filecmp
+import json
+import re
 
+import numpy as np
 import pytest
 
 from balltrack.cli import main
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.tracker import METRICS
+from balltrack.video import _read_record
 
 
 GEN_SMALL = ["--train", "2", "--val", "1", "--test", "2", "--frames", "10"]
@@ -86,6 +89,23 @@ class TestTrack:
         assert (out / "predictions.bin").exists()
         assert (out / "track_manifest.json").exists()
 
+    def test_predictions_file_reads_back_as_records(self, small_dataset, tmp_path):
+        out = tmp_path / "res"
+        assert main(["track", "--data", str(small_dataset), "--out", str(out)]) == 0
+        path = out / "predictions.bin"
+        records = []
+        with open(path, "rb") as fh:
+            for _scale in (56, 112, 224):
+                for dtype in ("<f8", "<f8", "<f8", "<f8", "<u1"):
+                    records.append(_read_record(fh, dtype, path))
+            assert fh.read() == b""
+        n, windows = 2, 10 - 2  # GEN_SMALL: 2 test sequences of 10 frames
+        assert len(records) == 15
+        for i, rec in enumerate(records):
+            assert rec.shape == ((n, windows, 3) if i % 5 == 4 else (n, windows, 3, 2))
+            assert np.all(np.isfinite(rec))
+        assert set(np.unique(records[4])) <= {0, 1}
+
     def test_temporal_mean_flag(self, small_dataset, tmp_path):
         out = tmp_path / "res2"
         assert main(["track", "--data", str(small_dataset), "--split", "test",
@@ -116,6 +136,14 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "g_frame=0.7848" in out
         assert "FAIL" not in out
+
+    def test_loss_gradient_checks_evaluate_probes(self, capsys):
+        assert main(["selfcheck", "--trials", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for loss in ("consistency", "supervised"):
+            line = next(ln for ln in lines if f"physics {loss} loss" in ln)
+            match = re.search(r": (\d+) probes,", line)
+            assert match and int(match.group(1)) > 0, line
 
     def test_broken_kernel_fails(self, capsys):
         assert main(["selfcheck", "--trials", "4", "--inject-broken-kernel"]) == 1

@@ -144,6 +144,60 @@ class TestEffectEstimate:
         assert err.value.missing == [("A0B0C0D0E0F0", 1)]
 
 
+def _loop_effect(table, term, metric):
+    """Per-term reference: mean response at the high contrast minus at the low."""
+    configs = enumerate_configs()
+    y = np.array([[table.value(c.label, r, metric) for r in table.replicates] for c in configs])
+    signs = np.array([contrast_sign(c, term) for c in configs])
+    return y[signs == 1].mean() - y[signs == -1].mean()
+
+
+class TestContrastProduct:
+    def test_matches_per_term_loop_on_random_table(self):
+        rng = np.random.default_rng(2604)
+        metrics = ["m0", "m1", "m2", "m3"]
+        table = ResponseTable()
+        for config in enumerate_configs():
+            for rep in range(3):
+                for m in metrics:
+                    table.add(config, rep, m, rng.normal(2.0, 5.0))
+        effects = compute_all_effects(table, metrics)
+        assert list(effects) == all_terms()
+        for term in all_terms():
+            assert list(effects[term]) == metrics
+            for m in metrics:
+                assert abs(effects[term][m] - _loop_effect(table, term, m)) <= 1e-12
+
+    def test_responses_and_effect_estimate_are_views(self):
+        table = _planted_table(n_reps=3, coefficients={"AB": 0.7, "F": -0.3})
+        y = table.responses("err")
+        assert y.shape == (64, 3)
+        for config in enumerate_configs():
+            for rep in range(3):
+                assert y[config.index, rep] == table.value(config.label, rep, "err")
+        effects = compute_all_effects(table, ["err"])
+        for term in ("AB", "F", "CDE"):
+            assert effect_estimate(table, term, "err").value == effects[term]["err"]
+
+    def test_first_incomplete_metric_in_request_order_named(self):
+        table = ResponseTable()
+        for config in enumerate_configs():
+            for rep in range(2):
+                for m in ("a", "b", "c"):
+                    table.add(config, rep, m, 1.0)
+        del table._cells[("A1B0C0D0E0F0", 0)]["b"]
+        del table._cells[("A0B1C0D0E0F0", 1)]["c"]
+        del table._cells[("A1B1C1D1E1F1", 0)]["c"]
+        with pytest.raises(MissingCellsError) as err:
+            compute_all_effects(table, ["a", "c", "b"])
+        assert err.value.metric == "c"
+        assert err.value.missing == [("A0B1C0D0E0F0", 1), ("A1B1C1D1E1F1", 0)]
+        with pytest.raises(MissingCellsError) as err:
+            compute_all_effects(table, ["a", "b", "c"])
+        assert err.value.metric == "b"
+        assert err.value.missing == [("A1B0C0D0E0F0", 0)]
+
+
 class TestAggregates:
     def test_encoder_average_of_equal_metrics(self):
         metrics = {m: 1.14 for m in ENCODER_METRICS}

@@ -71,3 +71,11 @@ def test_normal_sigma_scaling():
 def test_mix64_is_bijective_on_samples():
     outs = {mix64(i) for i in range(10_000)}
     assert len(outs) == 10_000
+
+
+def test_zero_count_draws_are_empty():
+    s = RandomStream.from_seed(17)
+    for draws in (s.random(0), s.normal(0), s.uniform(-1.0, 1.0, 0)):
+        assert isinstance(draws, np.ndarray)
+        assert draws.shape == (0,)
+    assert s.counter == 0

@@ -1,9 +1,19 @@
+import io
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig
 from balltrack.video import (
+    FORMAT_VERSION,
+    MAGIC,
+    DatasetError,
     FormatVersionError,
     ShapeMismatchError,
     TruncatedFileError,
@@ -12,6 +22,8 @@ from balltrack.video import (
     make_noise_image,
     read_dataset,
     render_frame,
+    _read_record,
+    _write_record,
     split_stream,
     write_dataset,
 )
@@ -182,9 +194,66 @@ class TestDatasetIO:
             assert a.frames.tobytes() == b.frames.tobytes()
 
     def test_mixed_configs_in_one_directory_rejected(self, tmp_path, small_cfg):
-        from balltrack.video import DatasetError
-
         write_dataset(tmp_path, "train", generate_split(small_cfg, "train"), small_cfg)
         other = SimConfig(**{**small_cfg.__dict__, "noise_sigma": 1.0})
         with pytest.raises(DatasetError):
             write_dataset(tmp_path, "val", generate_split(other, "val"), other)
+
+    def test_rejected_write_leaves_dataset_intact(self, tmp_path):
+        clean = SimConfig(frames_per_video=6, n_test=2, noise_sigma=0.0)
+        noisy = replace(clean, noise_sigma=1.0)
+        write_dataset(tmp_path, "test", generate_split(clean, "test"), clean)
+        before = [seq.frames.tobytes() for seq in read_dataset(tmp_path, "test")[0]]
+        with pytest.raises(DatasetError):
+            write_dataset(tmp_path, "test", generate_split(noisy, "test"), noisy)
+        after, cfg_back = read_dataset(tmp_path, "test")
+        assert cfg_back == clean
+        assert [seq.frames.tobytes() for seq in after] == before
+
+    def test_oversized_header_is_truncated_file(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 1)
+                         + struct.pack("<Q", 1 << 62) + bytes(16))
+        with open(path, "rb") as fh, pytest.raises(TruncatedFileError):
+            _read_record(fh, "<f4", path)
+
+
+_RECORD_DTYPES = ("<f4", "<f8", "<u1")
+
+
+class TestRecordCodec:
+    @settings(deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from(_RECORD_DTYPES))
+    def test_round_trip(self, data, dtype):
+        shapes = array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5)
+        records = data.draw(st.lists(arrays(np.dtype(dtype), shapes), min_size=1, max_size=3))
+        fh = io.BytesIO()
+        for array in records:
+            _write_record(fh, array, dtype)
+        fh.seek(0)
+        for array in records:
+            back = _read_record(fh, dtype, "round-trip")
+            assert back.dtype == np.dtype(dtype)
+            assert back.shape == array.shape
+            assert back.tobytes() == array.tobytes()
+        assert fh.read() == b""
+
+    @settings(deadline=None)
+    @given(
+        tail=st.one_of(
+            st.binary(max_size=64),
+            st.builds(lambda ndim, rest: struct.pack("<II", FORMAT_VERSION, ndim) + rest,
+                      st.integers(0, 2**32 - 1), st.binary(max_size=64)),
+            st.builds(lambda dims, rest: struct.pack("<II", FORMAT_VERSION, len(dims))
+                      + struct.pack(f"<{len(dims)}Q", *dims) + rest,
+                      st.lists(st.integers(0, 2**64 - 1), max_size=5), st.binary(max_size=64)),
+        ),
+        dtype=st.sampled_from(_RECORD_DTYPES),
+    )
+    def test_header_fuzz_parses_or_raises_dataset_error(self, tail, dtype):
+        fh = io.BytesIO(MAGIC + tail)
+        try:
+            record = _read_record(fh, dtype, "fuzz")
+        except DatasetError:
+            return
+        assert record.dtype == np.dtype(dtype)
