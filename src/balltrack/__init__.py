@@ -22,7 +22,6 @@ from .heatmaps import (
 )
 from .physics import (
     FrameUnitParams,
-    WindowPrediction,
     physics_refine_window,
     to_frame_units,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "biquadratic_expectation",
     "bicubic_expectation",
     "FrameUnitParams",
-    "WindowPrediction",
     "to_frame_units",
     "physics_refine_window",
     "LossWeights",

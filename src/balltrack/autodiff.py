@@ -158,7 +158,13 @@ def tangent(x):
 
 
 def where(cond, a, b):
-    """Select ``a`` where ``cond`` else ``b``; tangent follows the winner."""
+    """Select ``a`` where ``cond`` else ``b``; tangent follows the winner.
+
+    A scalar ``cond`` returns ``a`` or ``b`` itself, without a trip through
+    ``np.where``.
+    """
+    if isinstance(cond, (bool, np.bool_)):
+        return a if cond else b
     if isinstance(a, Dual) or isinstance(b, Dual):
         av, at = _parts(a)
         bv, bt = _parts(b)
@@ -182,10 +188,12 @@ def absolute(x):
 
 
 def asum(x):
+    # np.add.reduce is what np.sum runs, minus its Python dispatch layer
     if isinstance(x, Dual):
         t = x.tangent
-        return Dual(np.sum(x.value), np.sum(t) if isinstance(t, np.ndarray) else t * np.size(x.value))
-    return np.sum(x)
+        return Dual(np.add.reduce(x.value, axis=None),
+                    np.add.reduce(t, axis=None) if isinstance(t, np.ndarray) else t * np.size(x.value))
+    return np.add.reduce(x, axis=None)
 
 
 def amean(x):

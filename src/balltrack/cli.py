@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ ENV_OUT_ROOT = "BALLTRACK_OUT"
 
 
 class _OutputLock:
-    """Single-writer lock per output directory."""
+    """Single-writer lock per output directory; the file holds the owner's PID."""
 
     def __init__(self, directory: Path):
         self.path = Path(directory) / ".balltrack.lock"
@@ -60,46 +61,48 @@ class _OutputLock:
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise SystemExit(f"output directory is locked by {self.path}; "
+            try:
+                owner = self.path.read_text().strip() or "unknown"
+            except OSError:
+                owner = "unknown"
+            raise SystemExit(f"output directory is locked by {self.path} (pid {owner}); "
                              "remove the file if no other run is active")
-        os.close(fd)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         return self
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
 
 
+# gen flag -> SimConfig field; types and defaults come from the field
+_SIM_FLAGS = {
+    "--image-size": ("image_size", None),
+    "--scale": ("scale", "meters per pixel"),
+    "--dt": ("dt", "seconds per frame"),
+    "--gravity": ("gravity", None),
+    "--restitution": ("restitution", None),
+    "--radius": ("radius_px", "ball radius [px]"),
+    "--vmax": ("v_max", "max |v0| component [m/s]"),
+    "--frames": ("frames_per_video", None),
+    "--seed": ("seed", None),
+    "--train": ("n_train", "training sequences"),
+    "--val": ("n_val", "validation sequences"),
+    "--test": ("n_test", "test sequences"),
+}
+
+
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--image-size", type=int, default=224)
-    parser.add_argument("--scale", type=float, default=0.02, help="meters per pixel")
-    parser.add_argument("--dt", type=float, default=0.04, help="seconds per frame")
-    parser.add_argument("--gravity", type=float, default=9.81)
-    parser.add_argument("--restitution", type=float, default=0.75)
-    parser.add_argument("--radius", type=float, default=2.0, help="ball radius [px]")
-    parser.add_argument("--vmax", type=float, default=11.1, help="max |v0| component [m/s]")
-    parser.add_argument("--frames", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--train", type=int, default=100, help="training sequences")
-    parser.add_argument("--val", type=int, default=50, help="validation sequences")
-    parser.add_argument("--test", type=int, default=100, help="test sequences")
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    for flag, (name, help_text) in _SIM_FLAGS.items():
+        parser.add_argument(flag, type=type(defaults[name]), default=defaults[name],
+                            help=help_text)
 
 
 def _config_from_args(args, sigma: float) -> SimConfig:
-    return SimConfig(
-        image_size=args.image_size,
-        scale=args.scale,
-        dt=args.dt,
-        gravity=args.gravity,
-        restitution=args.restitution,
-        radius_px=args.radius,
-        v_max=args.vmax,
-        frames_per_video=args.frames,
-        noise_sigma=sigma,
-        n_train=args.train,
-        n_val=args.val,
-        n_test=args.test,
-        seed=args.seed,
-    )
+    # argparse's dest for "--image-size" is "image_size"
+    return SimConfig(noise_sigma=sigma, **{name: getattr(args, flag[2:].replace("-", "_"))
+                                           for flag, (name, _) in _SIM_FLAGS.items()})
 
 
 def _resolve_out(args, default_name: str) -> Path:
@@ -180,15 +183,11 @@ def cmd_track(args) -> int:
 def _write_predictions(path: Path, per_sequence) -> None:
     """Binary dump of every window prediction (record scheme of the dataset
     files; per scale: B/H/P positions, velocities f64, bounce flags u8)."""
-    scales = sorted(per_sequence[0].keys())
     with open(path, "wb") as fh:
-        for scale in scales:
-            for attr, dtype in (("p_bilinear", "<f8"), ("p_argmax", "<f8"),
-                                ("p_physics", "<f8"), ("v", "<f8"), ("b", "<u1")):
-                stacked = np.stack([
-                    np.stack([getattr(w, attr) for w in seq[scale]]) for seq in per_sequence
-                ])
-                _write_record(fh, stacked, dtype)
+        for scale in sorted(per_sequence[0]):
+            for key, dtype in (("B", "<f8"), ("H", "<f8"), ("P", "<f8"),
+                               ("V", "<f8"), ("bounce", "<u1")):
+                _write_record(fh, np.stack([seq[scale][key] for seq in per_sequence]), dtype)
 
 
 def cmd_selfcheck(args) -> int:

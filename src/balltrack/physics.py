@@ -11,9 +11,12 @@ velocity by forward difference, advances twice with a velocity-Verlet step
 that mirrors wall overshoots and rescales the reflected velocity component
 by -e, and records per-step bounce indicators.  Windows with no detected
 bounce are replaced by the exact constant-gravity parabola through the two
-endpoint landmarks.  Every branch selects by value, so derivatives follow
-the branch actually taken; all outputs are differentiable in the input
-landmarks.
+endpoint landmarks.
+
+Every coordinate may be a float, a dual or an ``(N,)`` array (a batch of N
+windows), and one code path serves all three: branches select by value
+with :func:`~balltrack.autodiff.where`, so derivatives follow the branch
+actually taken and all outputs are differentiable in the input landmarks.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from .sim import SimConfig
 __all__ = [
     "FrameUnitParams",
     "PhysicsWindow",
-    "WindowPrediction",
     "to_frame_units",
     "init_velocity",
     "verlet_step_with_bounce",
     "smooth_correction",
     "physics_refine_window",
+    "window_arrays",
 ]
 
 
@@ -55,24 +58,13 @@ class PhysicsWindow:
     """Physics outputs for one 3-frame window (frame-unit px, px/frame).
 
     positions/velocities are 3-tuples of (x, y) pairs; bounced[0] is always
-    False because no step precedes the first frame.
+    False because no step precedes the first frame.  For a batch of windows
+    every component and the other two flags are ``(N,)`` arrays.
     """
 
     positions: tuple
     velocities: tuple
     bounced: tuple
-
-
-@dataclass
-class WindowPrediction:
-    """All per-window tracker outputs at one scale, in image coordinates."""
-
-    scale: int
-    p_bilinear: np.ndarray   # (3, 2)
-    p_argmax: np.ndarray     # (3, 2)
-    p_physics: np.ndarray    # (3, 2)
-    v: np.ndarray            # (3, 2) px/frame
-    b: np.ndarray            # (3,) bool
 
 
 def to_frame_units(cfg: SimConfig) -> FrameUnitParams:
@@ -101,21 +93,9 @@ def init_velocity(p_prev, p_cur):
 def _mirror(raw, v, lo, hi, e):
     """Value-select reflection: mirror position overshoot, scale v by -e."""
     low = ad.value(raw) < lo
-    high = ad.value(raw) > hi
-    bounced = bool(low or high)
-    if low:
-        return 2.0 * lo - raw, -e * v, bounced
-    if high:
-        return 2.0 * hi - raw, -e * v, bounced
-    return raw, v, bounced
-
-
-def _clamp(p, lo, hi):
-    if ad.value(p) < lo:
-        return lo + 0.0 * p
-    if ad.value(p) > hi:
-        return hi + 0.0 * p
-    return p
+    bounced = low | (ad.value(raw) > hi)
+    wall = ad.where(low, lo, hi)
+    return ad.where(bounced, 2.0 * wall - raw, raw), ad.where(bounced, -e * v, v), bounced
 
 
 def verlet_step_with_bounce(p, v, params: FrameUnitParams):
@@ -138,8 +118,8 @@ def verlet_step_with_bounce(p, v, params: FrameUnitParams):
     y_new, vy_half, by = _mirror(y_raw, vy_half, params.y_min, params.y_max, e)
     vy_new = vy_half + 0.5 * g
 
-    x_new = _clamp(x_new, params.x_min, params.x_max)
-    y_new = _clamp(y_new, params.y_min, params.y_max)
+    x_new = ad.clip(x_new, params.x_min, params.x_max)
+    y_new = ad.clip(y_new, params.y_min, params.y_max)
     return (x_new, y_new), (vx_new, vy_new), (bx, by)
 
 
@@ -169,39 +149,36 @@ def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
     """Refine three landmark positions into a physically consistent window.
 
     ``landmarks`` is a sequence of three (x, y) pairs in image-scale pixel
-    coordinates (floats or duals).  The first position passes through
-    unchanged; the other two come from the integrator, or from the exact
-    parabola when neither step detected a bounce.
+    coordinates; each coordinate is a float, a dual or an ``(N,)`` array,
+    so an ``(3, 2, N)`` array refines N windows at once.  The first position
+    passes through unchanged; the other two come from the integrator, or
+    from the exact parabola when neither step detected a bounce.
     """
-    p0 = (landmarks[0][0], landmarks[0][1])
-    p1_in = (landmarks[1][0], landmarks[1][1])
-    p2_in = (landmarks[2][0], landmarks[2][1])
-
+    p0, p1_in, p2_in = ((lm[0], lm[1]) for lm in landmarks)
     v0 = init_velocity(p0, p1_in)
     p1, v1, (bx1, by1) = verlet_step_with_bounce(p0, v0, params)
     p2, v2, (bx2, by2) = verlet_step_with_bounce(p1, v1, params)
-    b1 = bx1 or by1
-    b2 = bx2 or by2
+    b1, b2 = bx1 | by1, bx2 | by2
+    either = b1 | b2
+    smooth_pos, smooth_vel = smooth_correction(p0, p2_in, params)
 
-    if b1 or b2:
-        positions = (p0, p1, p2)
-        velocities = (v0, v1, v2)
-    else:
-        positions, velocities = smooth_correction(p0, p2_in, params)
+    def pick(integrated, smooth):
+        return ad.where(either, integrated, smooth)
 
-    positions = tuple(
-        (
-            _clamp(px, params.x_min, params.x_max),
-            _clamp(py, params.y_min, params.y_max),
-        )
-        for px, py in positions
-    )
+    positions = tuple((ad.clip(pick(p[0], s[0]), params.x_min, params.x_max),
+                       ad.clip(pick(p[1], s[1]), params.y_min, params.y_max))
+                      for p, s in zip((p0, p1, p2), smooth_pos))
+    velocities = tuple((pick(v[0], s[0]), pick(v[1], s[1]))
+                       for v, s in zip((v0, v1, v2), smooth_vel))
     return PhysicsWindow(positions=positions, velocities=velocities, bounced=(False, b1, b2))
 
 
 def window_arrays(win: PhysicsWindow):
-    """Plain float arrays (positions (3,2), velocities (3,2), flags (3,))."""
-    pos = np.array([[ad.value(c) for c in p] for p in win.positions], dtype=float)
-    vel = np.array([[ad.value(c) for c in v] for v in win.velocities], dtype=float)
-    flags = np.array(win.bounced, dtype=bool)
-    return pos, vel, flags
+    """Plain arrays: positions (..., 3, 2), velocities (..., 3, 2), flags (..., 3)."""
+    def stack(components, tail, dtype):
+        out = np.stack(np.broadcast_arrays(*[ad.value(c) for c in components]), axis=-1)
+        return out.reshape(out.shape[:-1] + tail).astype(dtype)
+
+    return (stack([c for p in win.positions for c in p], (3, 2), float),
+            stack([c for v in win.velocities for c in v], (3, 2), float),
+            stack(win.bounced, (3,), bool))

@@ -20,7 +20,7 @@ from .heatmaps import (
     gaussian_target,
 )
 from .losses import physics_consistency_loss, physics_supervised_loss
-from .physics import physics_refine_window, to_frame_units
+from .physics import physics_refine_window, to_frame_units, window_arrays
 from .rng import RandomStream
 from .sim import SimConfig, simulate_trajectory, trajectory_windows
 
@@ -135,8 +135,7 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 
     """Exact ballistic windows must be fixed points of the refinement."""
     cfg = cfg or SimConfig()
     params = to_frame_units(cfg)
-    worst = 0.0
-    count = 0
+    windows = []
     for i in range(n_sequences):
         traj = simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
         for _, pos, _, flags in trajectory_windows(traj):
@@ -144,12 +143,12 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 
                 continue
             if np.max(pos[:, 1]) > params.y_max - params.g_frame:
                 continue  # integrator overshoot could graze the floor
-            win = physics_window(tuple(map(tuple, pos)), params)
-            refined = np.array([[c for c in p] for p in win.positions])
-            worst = max(worst, float(np.max(np.abs(refined - pos))))
-            count += 1
-    passed = count > 0 and worst < 1e-9
-    return ("parabola fixed point", passed, f"{count} windows, worst |err| {worst:.3e}")
+            windows.append(pos)
+    pos = np.array(windows).reshape(-1, 3, 2)
+    refined, _, _ = window_arrays(physics_window(pos.transpose(1, 2, 0), params))
+    worst = float(np.max(np.abs(refined - pos), initial=0.0))
+    passed = len(pos) > 0 and worst < 1e-9
+    return ("parabola fixed point", passed, f"{len(pos)} windows, worst |err| {worst:.3e}")
 
 
 def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
@@ -228,15 +227,10 @@ def check_unit_scaling(cfg: SimConfig | None = None, physics_window=physics_refi
     params2 = to_frame_units(replace(cfg, scale=cfg.scale * 2))
 
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-units")
-    worst = 0.0
-    for x in interior_probe_windows(params, 50, rng):
-        lms = tuple(map(tuple, x.reshape(3, 2)))
-        half = tuple((px / 2, py / 2) for px, py in lms)
-        w1 = physics_window(lms, params)
-        w2 = physics_window(half, params2)
-        p1 = np.array(w1.positions, dtype=float)
-        p2 = np.array(w2.positions, dtype=float)
-        worst = max(worst, float(np.max(np.abs(p2 - p1 / 2))))
+    lms = np.array(interior_probe_windows(params, 50, rng)).reshape(-1, 3, 2).transpose(1, 2, 0)
+    p1, _, _ = window_arrays(physics_window(lms, params))
+    p2, _, _ = window_arrays(physics_window(lms / 2, params2))
+    worst = float(np.max(np.abs(p2 - p1 / 2)))
     passed = worst < 1e-9
     return ("unit scaling consistency", passed, f"worst |err| {worst:.3e}")
 

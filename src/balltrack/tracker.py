@@ -4,28 +4,28 @@ The detector is a zero-normalized cross-correlation against a disk
 template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
-at full resolution and average-pooled to the 112 and 56 grids, mirroring a
-three-scale pyramid.
+as a (T, H, W) stack and average-pooled to the 112 and 56 grids, mirroring
+a three-scale pyramid.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (differentiable expectation operator for that scale), H (hard argmax) and
-P (physics-refined B), plus velocities and bounce indicators from the
-physics window.  Metrics are mean L1 errors in full-resolution image
-coordinates; each frame's prediction is taken from the window in which it
-is the center frame (sequence endpoints use the only covering window).
+P (physics-refined B, all windows in one physics call), plus velocities V
+and bounce indicators, each as one array over the windows.  Metrics are
+mean L1 errors in full-resolution image coordinates; each frame's
+prediction is taken from the window in which it is the center frame
+(sequence endpoints use the only covering window).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from io import StringIO
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .heatmaps import expectation_for_scale, hard_argmax
-from .physics import WindowPrediction, physics_refine_window, to_frame_units, window_arrays
+from .physics import physics_refine_window, to_frame_units, window_arrays
 from .sim import SimConfig, Trajectory
 from .video import VideoSequence
 
@@ -105,10 +105,10 @@ def ncc_heatmap(frame: np.ndarray, template: np.ndarray) -> np.ndarray:
 
 
 def downscale_heatmap(hm224: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average-pool a full-resolution heatmap to the 112 and 56 grids."""
-    h, w = hm224.shape
-    hm112 = hm224.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-    hm56 = hm224.reshape(h // 4, 4, w // 4, 4).mean(axis=(1, 3))
+    """Average-pool full-resolution heatmaps (..., H, W) to the 112 and 56 grids."""
+    *lead, h, w = hm224.shape
+    hm112 = hm224.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+    hm56 = hm224.reshape(*lead, h // 4, 4, w // 4, 4).mean(axis=(-3, -1))
     return hm112, hm56
 
 
@@ -124,20 +124,21 @@ def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
     work = np.asarray(frames, dtype=np.float64)
     if not temporal_mean:
         return work
-    out = np.empty_like(work)
-    n = len(work)
-    for t in range(n):
-        lo, hi = max(0, t - 1), min(n, t + 2)
-        out[t] = np.maximum(work[t] - work[lo:hi].mean(axis=0), 0.0)
-    return out
+    out = work.copy()  # neighborhood sums in the order (previous + own) + next
+    out[1:] += work[:-1]
+    out[:-1] += work[1:]
+    out /= np.r_[2.0, np.full(len(work) - 2, 3.0), 2.0][:, None, None]
+    return np.maximum(np.subtract(work, out, out=out), 0.0, out=out)
 
 
 def track_sequence(video: VideoSequence, cfg: SimConfig,
-                   temporal_mean: bool = False) -> dict[int, list[WindowPrediction]]:
-    """Track one sequence; returns per-scale window predictions.
+                   temporal_mean: bool = False) -> dict[int, dict[str, np.ndarray]]:
+    """Track one sequence; returns per-scale window arrays.
 
-    Windows are independent of each other: each one sees only its own three
-    frames, so there is no rollout and no error accumulation.
+    ``{scale: {"B", "H", "P", "V": (T-2, 3, 2), "bounce": (T-2, 3)}}`` with
+    the estimates named in the module docstring.  Windows are independent of
+    each other: each one sees only its own three frames, so there is no
+    rollout and no error accumulation.
     """
     n_frames = len(video.frames)
     if n_frames < 3:
@@ -149,58 +150,43 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     params = to_frame_units(cfg)
     work = _detector_frames(video.frames, temporal_mean)
 
-    heatmaps = {s: [] for s in SCALES}
-    for t in range(n_frames):
-        hm224 = ncc_heatmap(work[t], template)
-        hm112, hm56 = downscale_heatmap(hm224)
-        heatmaps[224].append(hm224)
-        heatmaps[112].append(hm112)
-        heatmaps[56].append(hm56)
+    hm224 = np.empty(work.shape)
+    for t, frame in enumerate(work):
+        hm224[t] = ncc_heatmap(frame, template)
+    hm112, hm56 = downscale_heatmap(hm224)
 
-    # per-frame landmarks at every scale, in heatmap coordinates
-    soft = {s: [expectation_for_scale(s)(hm) for hm in heatmaps[s]] for s in SCALES}
-    hard = {s: [hard_argmax(hm) for hm in heatmaps[s]] for s in SCALES}
-
-    predictions: dict[int, list[WindowPrediction]] = {s: [] for s in SCALES}
-    for t in range(1, n_frames - 1):
-        for s in SCALES:
-            a = 224 // s
-            p_b = a * np.array([soft[s][u] for u in (t - 1, t, t + 1)], dtype=float)
-            p_h = a * np.array([hard[s][u] for u in (t - 1, t, t + 1)], dtype=float)
-            win = physics_refine_window(tuple(map(tuple, p_b)), params)
-            pos, vel, flags = window_arrays(win)
-            predictions[s].append(
-                WindowPrediction(scale=s, p_bilinear=p_b, p_argmax=p_h,
-                                 p_physics=pos, v=vel, b=flags)
-            )
+    windows = np.arange(n_frames - 2)[:, None] + np.arange(3)  # (T-2, 3) frame indices
+    predictions = {}
+    for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
+        a = 224 // s
+        op = expectation_for_scale(s)
+        b = a * np.array([op(hm) for hm in heatmaps], dtype=float)[windows]
+        h = a * np.array([hard_argmax(hm) for hm in heatmaps], dtype=float)[windows]
+        # (T-2, 3, 2) -> three (x, y) pairs of (T-2,) arrays: one physics call
+        p, v, bounce = window_arrays(physics_refine_window(b.transpose(1, 2, 0), params))
+        predictions[s] = {"B": b, "H": h, "P": p, "V": v, "bounce": bounce}
     return predictions
 
 
-def _per_frame(windows: list[WindowPrediction], attr: str, n_frames: int) -> np.ndarray:
-    """Assemble per-frame values using the middle-frame convention."""
-    sample = getattr(windows[0], attr)
-    out = np.empty((n_frames,) + sample.shape[1:], dtype=sample.dtype)
-    out[0] = getattr(windows[0], attr)[0]
-    out[n_frames - 1] = getattr(windows[-1], attr)[2]
-    for t in range(1, n_frames - 1):
-        out[t] = getattr(windows[t - 1], attr)[1]
-    return out
+def _per_frame(windows: np.ndarray) -> np.ndarray:
+    """(T-2, 3, ...) window values -> (T, ...) by the middle-frame convention."""
+    return np.concatenate([windows[:1, 0], windows[:, 1], windows[-1:, 2]])
 
 
-def evaluate(predictions: dict[int, list[WindowPrediction]], gt: Trajectory) -> dict[str, float]:
+def evaluate(predictions: dict[int, dict[str, np.ndarray]], gt: Trajectory) -> dict[str, float]:
     """Per-sequence mean metrics (L1 position/velocity, bounce mismatch)."""
     n_frames = len(gt)
-    if any(len(w) != n_frames - 2 for w in predictions.values()):
+    if any(len(w) != n_frames - 2 for arrays in predictions.values() for w in arrays.values()):
         raise ValueError("window count does not match trajectory length")
 
     out: dict[str, float] = {}
-    for s, windows in predictions.items():
-        for name, attr in (("B", "p_bilinear"), ("H", "p_argmax"), ("P", "p_physics")):
-            pred = _per_frame(windows, attr, n_frames)
+    for s, arrays in predictions.items():
+        for name in "BHP":
+            pred = _per_frame(arrays[name])
             out[f"{name}{s}"] = float(np.mean(np.sum(np.abs(pred - gt.positions_px), axis=1)))
-        v_pred = _per_frame(windows, "v", n_frames)
+        v_pred = _per_frame(arrays["V"])
         out[f"V{s}"] = float(np.mean(np.sum(np.abs(v_pred - gt.velocities_fu), axis=1)))
-        b_pred = _per_frame(windows, "b", n_frames)
+        b_pred = _per_frame(arrays["bounce"])
         out[f"bounce{s}"] = float(np.mean(b_pred != gt.bounce_flags))
     return out
 
@@ -232,6 +218,3 @@ def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
         rows.append((config, int(replicate), metric, float(val)))
     return rows
 
-
-def save_metrics(path, table: MetricTable, config_label: str, replicate: int) -> None:
-    Path(path).write_text(metrics_to_csv(table, config_label, replicate))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -172,7 +173,10 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     """Persist one split; the manifest is (re)written with every call.
 
     An existing manifest is checked before any split file is opened, so a
-    rejected write leaves the directory as it was.
+    rejected write leaves the directory as it was.  The split files and the
+    manifest are written under temporary names in the same directory and
+    then renamed over the old ones, so a write that fails part-way leaves
+    the previous files whole and no temporary file behind.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -190,18 +194,25 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     positions = np.stack([seq.trajectory.positions_px for seq in sequences])
     velocities = np.stack([seq.trajectory.velocities_fu for seq in sequences])
     bounces = np.stack([seq.trajectory.bounce_flags for seq in sequences])
-
-    with open(path / f"{split}_frames.bin", "wb") as fh:
-        _write_record(fh, frames, "<f4")
-    with open(path / f"{split}_truth.bin", "wb") as fh:
-        _write_record(fh, positions, "<f8")
-        _write_record(fh, velocities, "<f8")
-        _write_record(fh, bounces.astype(np.uint8), "<u1")
-
     manifest["format_version"] = FORMAT_VERSION
     manifest["config"] = config
     manifest.setdefault("splits", {})[split] = len(sequences)
-    (path / "meta.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    staged = {name: path / f".{name}.tmp"
+              for name in (f"{split}_frames.bin", f"{split}_truth.bin", "meta.json")}
+    try:
+        with open(staged[f"{split}_frames.bin"], "wb") as fh:
+            _write_record(fh, frames, "<f4")
+        with open(staged[f"{split}_truth.bin"], "wb") as fh:
+            _write_record(fh, positions, "<f8")
+            _write_record(fh, velocities, "<f8")
+            _write_record(fh, bounces.astype(np.uint8), "<u1")
+        staged["meta.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for name, tmp in staged.items():
+            os.replace(tmp, path / name)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
 
 
 def read_manifest(path) -> dict:

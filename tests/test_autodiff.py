@@ -192,6 +192,25 @@ class TestHelpers:
         assert ad.clip(ad.Dual(2.0, 1.0), 0.0, 1.0).tangent == 0.0
         assert ad.clip(ad.Dual(0.5, 1.0), 0.0, 1.0).tangent == 1.0
 
+    def test_where_scalar_condition_returns_the_chosen_object(self):
+        a, b = ad.Dual(1.0, 2.0), ad.Dual(3.0, 4.0)
+        assert ad.where(True, a, b) is a
+        assert ad.where(np.bool_(False), a, b) is b
+        assert ad.where(np.float64(2.0) > 1.0, 5.0, 6.0) == 5.0
+
+    def test_where_array_condition_selects_tangents(self):
+        cond = np.array([True, False])
+        out = ad.where(cond, ad.Dual(np.array([1.0, 2.0]), 1.0), np.array([7.0, 8.0]))
+        assert np.array_equal(out.value, [1.0, 8.0])
+        assert np.array_equal(out.tangent, [1.0, 0.0])
+
+    def test_asum_matches_np_sum_bitwise(self, rng_np):
+        x = rng_np.normal(size=(37, 53))
+        assert ad.asum(x) == np.sum(x)
+        d = ad.asum(ad.Dual(x, 2.0 * x))
+        assert d.value == np.sum(x) and d.tangent == np.sum(2.0 * x)
+        assert ad.asum(ad.Dual(x, 0.5)).tangent == 0.5 * x.size
+
     def test_max_relative_error_scaling(self):
         a = np.array([[100.0, 0.1]])
         b = np.array([[101.0, 0.2]])

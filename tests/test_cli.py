@@ -1,12 +1,15 @@
 import filecmp
 import json
+import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from balltrack.cli import main
+from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, build_parser, main
 from balltrack.factorial import contrast_sign, enumerate_configs
+from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS
 from balltrack.video import _read_record
 
@@ -67,6 +70,43 @@ class TestGen:
         (out / ".balltrack.lock").touch()
         with pytest.raises(SystemExit):
             _gen(out)
+
+
+    def test_lock_conflict_names_the_owner_pid(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / ".balltrack.lock").write_text("4242\n")
+        with pytest.raises(SystemExit, match="pid 4242"):
+            _gen(out)
+
+    def test_lock_file_holds_own_pid(self, tmp_path):
+        with _OutputLock(tmp_path) as lock:
+            assert lock.path.read_text().strip() == str(os.getpid())
+        assert not lock.path.exists()
+
+
+# one valid non-default value per gen flag
+_FLAG_VALUES = {"--image-size": "128", "--scale": "0.03", "--dt": "0.05", "--gravity": "9.0",
+                "--restitution": "0.5", "--radius": "3.0", "--vmax": "10.0", "--frames": "20",
+                "--seed": "7", "--train": "3", "--val": "4", "--test": "5"}
+
+
+class TestSimFlags:
+    def test_every_flag_has_a_value(self):
+        assert set(_FLAG_VALUES) == set(_SIM_FLAGS)
+
+    @pytest.mark.parametrize("flag", sorted(_FLAG_VALUES))
+    def test_flag_sets_its_field(self, flag):
+        args = build_parser().parse_args(["gen", flag, _FLAG_VALUES[flag]])
+        cfg = _config_from_args(args, 0.5)
+        name = _SIM_FLAGS[flag][0]
+        assert getattr(cfg, name) == type(getattr(SimConfig(), name))(_FLAG_VALUES[flag])
+        assert cfg == replace(SimConfig(noise_sigma=0.5), **{name: getattr(cfg, name)})
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_no_flags_give_default_config(self, sigma):
+        args = build_parser().parse_args(["gen"])
+        assert _config_from_args(args, sigma) == SimConfig(noise_sigma=sigma)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -47,9 +49,7 @@ class TestFrameUnits:
 
 
 def _kw(cfg):
-    return {f: getattr(cfg, f) for f in (
-        "image_size", "scale", "dt", "gravity", "restitution", "radius_px",
-        "v_max", "frames_per_video", "noise_sigma", "n_train", "n_val", "n_test", "seed")}
+    return asdict(cfg)
 
 
 class TestInitVelocity:
@@ -204,3 +204,48 @@ class TestRefineWindow:
         w2 = physics_refine_window(tuple((x / 2, y / 2) for x, y in lms), params2)
         assert np.allclose(np.array(w2.positions), np.array(w1.positions) / 2, atol=1e-12)
         assert np.allclose(np.array(w2.velocities), np.array(w1.velocities) / 2, atol=1e-12)
+
+
+class TestBatchedWindow:
+    """One call on (N,) components must equal N scalar calls, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def landmarks(self, cfg):
+        # ground-truth windows (both branches) plus out-of-region fuzz
+        pos = [w[0] for w in _gt_windows(cfg, n_sequences=5)]
+        rng = RandomStream.from_seed(23, "batch-fuzz")
+        pos += [rng.uniform(-5.0, 228.0, 6).reshape(3, 2) for _ in range(40)]
+        return np.array(pos)
+
+    def test_matches_scalar_windows(self, landmarks, params):
+        pos, vel, flags = window_arrays(physics_refine_window(landmarks.transpose(1, 2, 0), params))
+        assert pos.shape == vel.shape == landmarks.shape
+        assert flags.shape == landmarks.shape[:2]
+        assert flags[:, 1:].any() and not flags[:, 1:].all()  # both branches taken
+        for k, lms in enumerate(landmarks):
+            p, v, b = window_arrays(physics_refine_window(tuple(map(tuple, lms)), params))
+            assert p.tobytes() == pos[k].tobytes()
+            assert v.tobytes() == vel[k].tobytes()
+            assert np.array_equal(b, flags[k])
+
+    def test_scalar_window_arrays_shapes(self, params):
+        pos, vel, flags = window_arrays(physics_refine_window(
+            ((10.0, 20.0), (12.0, 21.0), (14.0, 22.5)), params))
+        assert pos.shape == vel.shape == (3, 2) and flags.shape == (3,)
+        assert flags.dtype == bool and pos.dtype == vel.dtype == np.float64
+
+    def test_dual_components_follow_branch(self, landmarks, params):
+        import balltrack.autodiff as ad
+
+        lms = landmarks.transpose(1, 2, 0)
+        seeded = [[ad.Dual(lms[t, c], np.ones(len(landmarks)) * (t == 2 and c == 0))
+                   for c in range(2)] for t in range(3)]
+        win = physics_refine_window(seeded, params)
+        plain, _, flags = window_arrays(physics_refine_window(lms, params))
+        assert np.array_equal(window_arrays(win)[0], plain)
+        # x2 only enters the parabola branch: d x1 / d x2_landmark = 1/2 there
+        smooth = ~(flags[:, 1] | flags[:, 2]) & (plain[:, 1, 0] > params.x_min) \
+            & (plain[:, 1, 0] < params.x_max)
+        assert smooth.any()
+        assert np.all(win.positions[1][0].tangent[smooth] == 0.5)
+        assert np.all(win.positions[1][0].tangent[flags[:, 1] | flags[:, 2]] == 0.0)

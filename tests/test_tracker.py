@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from balltrack.physics import physics_refine_window, to_frame_units, window_arrays
-from balltrack.physics import WindowPrediction
 from balltrack.rng import RandomStream
 from balltrack.sim import simulate_trajectory, trajectory_windows
 from balltrack.tracker import (
     METRICS,
+    _detector_frames,
     disk_template,
     downscale_heatmap,
     evaluate,
@@ -124,12 +124,30 @@ class TestPooling:
         assert np.unravel_index(np.argmax(h56), h56.shape) == (25, 14)
 
 
+class TestStacks:
+    def test_pooling_a_stack_equals_pooling_each_frame(self, rng_np):
+        stack = rng_np.uniform(size=(3, 224, 224))
+        h112, h56 = downscale_heatmap(stack)
+        for t in range(3):
+            f112, f56 = downscale_heatmap(stack[t])
+            assert h112[t].tobytes() == f112.tobytes() and h56[t].tobytes() == f56.tobytes()
+
+    def test_temporal_mean_matches_per_frame_definition(self, rng_np):
+        frames = rng_np.normal(size=(5, 16, 16)).astype(np.float32)
+        out = _detector_frames(frames, temporal_mean=True)
+        work = frames.astype(np.float64)
+        for t in range(5):
+            lo, hi = max(0, t - 1), min(5, t + 2)
+            ref = np.maximum(work[t] - work[lo:hi].mean(axis=0), 0.0)
+            assert out[t].tobytes() == ref.tobytes()
+
+
 class TestTrackSequence:
     def test_window_count(self, clean_seq, cfg):
         preds = track_sequence(clean_seq, cfg)
         assert set(preds) == {56, 112, 224}
         for s in preds:
-            assert len(preds[s]) == cfg.frames_per_video - 2 == 38
+            assert len(preds[s]["B"]) == cfg.frames_per_video - 2 == 38
 
     def test_too_short_sequence_rejected(self, cfg, clean_seq):
         import dataclasses
@@ -151,10 +169,9 @@ class TestTrackSequence:
         a = track_sequence(clean_seq, cfg)
         b = track_sequence(clean_seq, cfg)
         for s in a:
-            for wa, wb in zip(a[s], b[s]):
-                assert np.array_equal(wa.p_physics, wb.p_physics)
-                assert np.array_equal(wa.v, wb.v)
-                assert np.array_equal(wa.b, wb.b)
+            assert np.array_equal(a[s]["P"], b[s]["P"])
+            assert np.array_equal(a[s]["V"], b[s]["V"])
+            assert np.array_equal(a[s]["bounce"], b[s]["bounce"])
 
     def test_clean_interior_windows_track_within_one_px(self, cfg):
         # interior windows: bounce-free and clear of the detector border
@@ -173,8 +190,8 @@ class TestTrackSequence:
                     continue
                 if pos.min() < 8 or pos.max() > 215:
                     continue
-                w = preds[224][t - 1]
-                err = np.abs(w.p_physics[1] - gt.positions_px[t]).sum()
+                p_physics = preds[224]["P"][t - 1]
+                err = np.abs(p_physics[1] - gt.positions_px[t]).sum()
                 assert err < 1.0
                 checked += 1
         assert checked > 100
@@ -183,22 +200,18 @@ class TestTrackSequence:
         preds = track_sequence(clean_seq, cfg)
         gt = clean_seq.trajectory.positions_px
         for s in (56, 112, 224):
-            mid = np.array([w.p_bilinear[1] for w in preds[s]])
+            mid = preds[s]["B"][:, 1]
             err = np.abs(mid - gt[1:-1]).mean()
             assert err < 6.0  # image-scale pixels at every scale
 
 
 def _exact_predictions(traj, params):
-    """WindowPredictions built from ground-truth landmarks."""
+    """Window arrays built from ground-truth landmarks, one window at a time."""
     windows = []
     for _, pos, _, _ in trajectory_windows(traj):
         win = physics_refine_window(tuple(map(tuple, pos)), params)
-        p, v, b = window_arrays(win)
-        windows.append(
-            WindowPrediction(scale=224, p_bilinear=pos.copy(), p_argmax=np.round(pos),
-                             p_physics=p, v=v, b=b)
-        )
-    return {224: windows}
+        windows.append((pos.copy(), np.round(pos), *window_arrays(win)))
+    return {224: dict(zip(("B", "H", "P", "V", "bounce"), map(np.array, zip(*windows))))}
 
 
 class TestEvaluate:
@@ -212,8 +225,7 @@ class TestEvaluate:
         params = to_frame_units(cfg)
         traj = simulate_trajectory(cfg, RandomStream.from_seed(1, "eval", 1))
         preds = _exact_predictions(traj, params)
-        for w in preds[224]:
-            w.p_bilinear = w.p_bilinear + np.array([1.0, 0.0])
+        preds[224]["B"] = preds[224]["B"] + np.array([1.0, 0.0])
         table = evaluate(preds, traj)
         assert table["B224"] == pytest.approx(1.0, abs=1e-12)
 
@@ -235,7 +247,7 @@ class TestEvaluate:
         params = to_frame_units(cfg)
         traj = simulate_trajectory(cfg, RandomStream.from_seed(1, "eval", 2))
         preds = _exact_predictions(traj, params)
-        preds[224] = preds[224][:-1]
+        preds[224] = {key: w[:-1] for key, w in preds[224].items()}
         with pytest.raises(ValueError):
             evaluate(preds, traj)
 

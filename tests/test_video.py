@@ -210,6 +210,29 @@ class TestDatasetIO:
         assert cfg_back == clean
         assert [seq.frames.tobytes() for seq in after] == before
 
+    def test_failed_write_keeps_previous_split(self, tmp_path, small_cfg, monkeypatch):
+        import balltrack.video as video
+
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+
+        def failing_record(fh, array, dtype):
+            calls.append(dtype)
+            if len(calls) == 3:  # the second truth record, after the frames
+                raise OSError("disk full")
+            fh.write(b"partial")
+
+        monkeypatch.setattr(video, "_write_record", failing_record)
+        other = generate_split(small_cfg, "val")
+        with pytest.raises(OSError):
+            write_dataset(tmp_path, "test", other, small_cfg)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        loaded, _ = read_dataset(tmp_path, "test")
+        for a, b in zip(generate_split(small_cfg, "test"), loaded):
+            assert a.frames.tobytes() == b.frames.tobytes()
+
     def test_oversized_header_is_truncated_file(self, tmp_path):
         path = tmp_path / "huge.bin"
         path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 1)
