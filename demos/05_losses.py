@@ -20,7 +20,7 @@ from balltrack.losses import (
     ramp_weight,
     total_loss,
 )
-from balltrack.physics import physics_refine_window, window_arrays
+from balltrack.physics import physics_refine_window
 
 cfg = SimConfig()
 params = to_frame_units(cfg)
@@ -37,16 +37,15 @@ print(f"focal, sharp peak   : {focal_heatmap_loss(np.clip(hm, 0, 1), target):.4f
 print(f"focal, uniform 0.5  : {focal_heatmap_loss(np.full_like(target, 0.5), target):.4f}")
 print(f"cone, exact recon   : {cone_loss(target, target, (23, 30), cfg.radius_px):.4f}")
 
-exact = tuple((100.0 + 4 * t, 80.0 + 3 * t + 0.5 * g * t * t) for t in range(3))
-print(f"\nconsistency loss on exact parabola : {float(physics_consistency_loss(exact, params, 1.0)):.2e}")
+exact = np.array([(100.0 + 4 * t, 80.0 + 3 * t + 0.5 * g * t * t) for t in range(3)])
+win = physics_refine_window(exact, params)
+print(f"\nconsistency loss on exact parabola : {float(physics_consistency_loss(win, exact)):.2e}")
 for delta in (0.25, 0.5, 1.0):
-    bumped = (exact[0], (exact[1][0], exact[1][1] + delta), exact[2])
-    val = float(physics_consistency_loss(bumped, params, 1.0))
+    bumped = exact + np.array([(0.0, 0.0), (0.0, delta), (0.0, 0.0)])
+    val = float(physics_consistency_loss(physics_refine_window(bumped, params), bumped))
     print(f"  middle frame bumped {delta:4.2f} px in y -> {val:.4f}")
 
-win = physics_refine_window(exact, params)
-pos, vel, _ = window_arrays(win)
-sup = physics_supervised_loss(win, pos + 1.0, vel, np.zeros(3))
+sup = physics_supervised_loss(win, win.positions + 1.0, win.velocities, np.zeros(3))
 print(f"supervised loss, 1 px offset everywhere: {float(sup):.4f}")
 
 print("\nramp schedules (consistency: floor 0.01 over 10 epochs; "

@@ -5,6 +5,10 @@ Both slots may hold scalars or numpy arrays of matching shape, so a whole
 heatmap can be pushed through an operator as a single dual with one seeded
 tangent direction.
 
+Array code in the package follows one contract: leading axes are a batch,
+trailing axes are the event.  The jacobians below rely on it to seed every
+requested column in one batched call of ``f``.
+
 Numerical code elsewhere in the package is written against the small helper
 functions below (``where``, ``relu``, ``asum`` ...) which dispatch on the
 input type: plain floats/arrays take the fast numpy path, duals propagate
@@ -187,18 +191,17 @@ def absolute(x):
     return abs(x) if isinstance(x, Dual) else np.abs(x)
 
 
-def asum(x):
+def asum(x, axis=None):
     # np.add.reduce is what np.sum runs, minus its Python dispatch layer
     if isinstance(x, Dual):
-        t = x.tangent
-        return Dual(np.add.reduce(x.value, axis=None),
-                    np.add.reduce(t, axis=None) if isinstance(t, np.ndarray) else t * np.size(x.value))
-    return np.add.reduce(x, axis=None)
+        t = np.broadcast_to(x.tangent, np.shape(x.value))
+        return Dual(np.add.reduce(x.value, axis=axis), np.add.reduce(t, axis=axis))
+    return np.add.reduce(x, axis=axis)
 
 
-def amean(x):
-    n = np.size(value(x))
-    return asum(x) / n
+def amean(x, axis=None):
+    total = asum(x, axis)
+    return total / (np.size(value(x)) // np.size(value(total)))
 
 
 def exp(x):
@@ -218,60 +221,52 @@ def sqrt(x):
 
 
 def stack(xs):
-    """Stack scalars (possibly duals) into a vector, dual iff any input is."""
-    if any(isinstance(x, Dual) for x in xs):
-        vals = np.array([value(x) for x in xs], dtype=float)
-        tans = np.array([float(tangent(x)) for x in xs])
-        return Dual(vals, tans)
-    return np.array([float(x) for x in xs])
+    """Stack same-shape values along a new last axis; a dual iff any input is."""
+    vals = np.array([value(x) for x in xs], dtype=float)
+    last = (*range(1, vals.ndim), 0)
+    if not any(isinstance(x, Dual) for x in xs):
+        return vals.transpose(last)
+    tans = np.empty_like(vals)
+    for i, x in enumerate(xs):
+        tans[i] = tangent(x)
+    return Dual(vals.transpose(last), tans.transpose(last))
 
 
 # ---- jacobians ---------------------------------------------------------
 
 
-def jacobian_forward(f, x, cols=None):
-    """Jacobian of ``f`` at ``x`` by forward-mode propagation.
+def _seeds(n, cols):
+    """(k, n) unit rows of the identity, one per requested input index."""
+    return np.eye(n) if cols is None else np.eye(n)[list(cols)]
 
-    ``f`` maps a length-n vector (array or array-valued dual) to a length-m
-    vector.  Column ``j`` is obtained by seeding a unit tangent on input
-    ``j``.  ``cols`` restricts evaluation to a subset of input indices
-    (useful for sampling pixels of large heatmap inputs).
+
+def jacobian_forward(f, x, cols=None):
+    """Jacobian of ``f`` at ``x`` by forward-mode propagation, shape (m, k).
+
+    ``f`` maps ``(..., n)`` to ``(..., m)``, leading axes a batch.  The k
+    columns come from one call on a dual holding k copies of ``x``, each
+    seeded with one unit tangent.  ``cols`` restricts evaluation to a subset
+    of input indices (useful for sampling pixels of large heatmap inputs).
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if cols is None:
-        cols = range(n)
-    cols = list(cols)
-    columns = []
-    for j in cols:
-        seed = np.zeros(n)
-        seed[j] = 1.0
-        out = f(Dual(x.copy(), seed))
-        columns.append(np.atleast_1d(np.asarray(out.tangent, dtype=float)))
-    return np.stack(columns, axis=1)
+    seeds = _seeds(x.size, cols)
+    out = f(Dual(np.tile(x, (len(seeds), 1)), seeds))
+    return np.array(np.broadcast_to(tangent(out), np.shape(value(out))), dtype=float).T
 
 
 def jacobian_fd(f, x, h=1e-4, cols=None):
-    """Central finite-difference Jacobian, the oracle for forward mode.
+    """Central finite-difference Jacobian (m, k), the oracle for forward mode.
 
+    ``f`` maps ``(..., n)`` to ``(..., m)``; the k stencils take two batched
+    calls, on ``x + h*E`` and ``x - h*E`` for the (k, n) unit rows ``E``.
     Truncation error is O(h^2); keep probe points at least ``h`` away from
     any branch boundary or the stencil straddles the kink.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if cols is None:
-        cols = range(n)
-    cols = list(cols)
-    columns = []
-    for j in cols:
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        columns.append((fp - fm) / (2.0 * h))
-    return np.stack(columns, axis=1)
+    step = h * _seeds(x.size, cols)
+    fp = np.asarray(f(x + step), dtype=float)
+    fm = np.asarray(f(x - step), dtype=float)
+    return ((fp - fm) / (2.0 * h)).T
 
 
 def max_relative_error(j_ref, j_test):

@@ -12,10 +12,11 @@ support:
   falloff kernel
 * ``bicubic_expectation``    two-pass centroid with separable cubic kernels
 
-Operators accept a plain 2-D array or an array-valued
-:class:`~balltrack.autodiff.Dual`, in which case tangents propagate through
-everything except the detached argmax.  Returned coordinates are
-(x, y) in heatmap pixel units.
+Operators take a map or a stack of maps, ``(..., H, W)``: leading axes are
+a batch and each map reduces on its own, so the (x, y) coordinates they
+return are ``(...)``-shaped, in heatmap pixel units.  Input may be an array
+or an array-valued :class:`~balltrack.autodiff.Dual`, in which case tangents
+propagate through everything except the detached argmax.
 """
 
 from __future__ import annotations
@@ -51,24 +52,24 @@ def gaussian_target(center, size: int, sigma: float) -> np.ndarray:
     return np.exp(-((jj - cx) ** 2 + (ii - cy) ** 2) / (2.0 * sigma * sigma))
 
 
-def hard_argmax(hm) -> tuple[int, int]:
-    """Integer (x, y) of the maximum; ties go to the smallest flat index."""
+def hard_argmax(hm):
+    """Integer (x, y) of the maximum of each map; ties go to the smallest flat index."""
     values = np.asarray(ad.value(hm))
-    k = int(np.argmax(values))
-    w = values.shape[1]
+    *lead, h, w = values.shape
+    k = np.argmax(values.reshape(*lead, h * w), axis=-1)
     return k % w, k // w
 
 
 def _grids(shape):
-    ii = np.arange(shape[0], dtype=float)[:, None]
-    jj = np.arange(shape[1], dtype=float)[None, :]
+    ii = np.arange(shape[-2], dtype=float)[:, None]
+    jj = np.arange(shape[-1], dtype=float)[None, :]
     return ii, jj
 
 
 def _centroid(weights, ii, jj):
-    total = ad.asum(weights) + EPS
-    x = ad.asum(weights * jj) / total
-    y = ad.asum(weights * ii) / total
+    total = ad.asum(weights, axis=(-2, -1)) + EPS
+    x = ad.asum(weights * jj, axis=(-2, -1)) / total
+    y = ad.asum(weights * ii, axis=(-2, -1)) / total
     return x, y
 
 
@@ -83,17 +84,14 @@ def coarse_to_fine_expectation(hm, window_radius: int = 3):
     """Centroid restricted to a window around the (detached) peak.
 
     The argmax step carries no derivative; gradients flow through the local
-    centroid only.  Windows are clipped at the grid border.
+    centroid only.  The window is a mask, so it is clipped at the grid border.
     """
     hm = ad.relu(hm)
-    h, w = np.shape(ad.value(hm))
+    ii, jj = _grids(np.shape(ad.value(hm)))
     xc, yc = hard_argmax(hm)
-    i0, i1 = max(0, yc - window_radius), min(h, yc + window_radius + 1)
-    j0, j1 = max(0, xc - window_radius), min(w, xc + window_radius + 1)
-    patch = hm[i0:i1, j0:j1]
-    ii = np.arange(i0, i1, dtype=float)[:, None]
-    jj = np.arange(j0, j1, dtype=float)[None, :]
-    return _centroid(patch, ii, jj)
+    inside = ((np.abs(ii - yc[..., None, None]) <= window_radius)
+              & (np.abs(jj - xc[..., None, None]) <= window_radius))
+    return _centroid(ad.where(inside, hm, 0.0), ii, jj)
 
 
 def biquadratic_expectation(hm):
@@ -101,8 +99,8 @@ def biquadratic_expectation(hm):
     hm = ad.relu(hm)
     ii, jj = _grids(np.shape(ad.value(hm)))
     xbar, ybar = _centroid(hm, ii, jj)
-    dx = jj - xbar
-    dy = ii - ybar
+    dx = jj - xbar[..., None, None]
+    dy = ii - ybar[..., None, None]
     w = ad.relu(1.0 - (dx * dx + dy * dy) / 4.0)
     return _centroid(w * hm, ii, jj)
 
@@ -112,8 +110,8 @@ def bicubic_expectation(hm):
     hm = ad.relu(hm)
     ii, jj = _grids(np.shape(ad.value(hm)))
     xbar, ybar = _centroid(hm, ii, jj)
-    wx = ad.relu(1.0 - ad.absolute(jj - xbar) ** 3 / 8.0)
-    wy = ad.relu(1.0 - ad.absolute(ii - ybar) ** 3 / 8.0)
+    wx = ad.relu(1.0 - ad.absolute(jj - xbar[..., None, None]) ** 3 / 8.0)
+    wy = ad.relu(1.0 - ad.absolute(ii - ybar[..., None, None]) ** 3 / 8.0)
     return _centroid(wx * wy * hm, ii, jj)
 
 

@@ -7,9 +7,11 @@ their physics-refined counterparts, and a supervised term comparing physics
 outputs to simulator ground truth.  Physics losses are typically ramped in
 over the first epochs; ``ramp_weight`` gives the schedule.
 
-All losses accept duals (see :mod:`balltrack.autodiff`) wherever the
-quantity is differentiable, and every loss is zero on its exact-match input
-(up to the focal clamping tolerance).
+Image losses take ``(..., H, W)`` maps and physics losses ``(..., 3, 2)``
+windows; leading axes are a batch and each returns one value per map or
+window.  All losses accept duals (see :mod:`balltrack.autodiff`) wherever
+the quantity is differentiable, and every loss is zero on its exact-match
+input (up to the focal clamping tolerance).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .physics import FrameUnitParams, physics_refine_window
+from .physics import PhysicsWindow
 
 __all__ = [
     "LossWeights",
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 _FOCAL_CLAMP = 1e-6
+_MAP = (-2, -1)  # the event axes of a map and of a window
 
 
 @dataclass(frozen=True)
@@ -67,17 +70,18 @@ class LossComponents:
 
 
 def _check_shapes(a, b, name):
-    if np.shape(ad.value(a)) != np.shape(ad.value(b)):
-        raise ValueError(f"{name}: shape mismatch {np.shape(ad.value(a))} vs {np.shape(ad.value(b))}")
+    sa, sb = np.shape(ad.value(a))[-2:], np.shape(ad.value(b))[-2:]
+    if sa != sb:
+        raise ValueError(f"{name}: map shape mismatch {sa} vs {sb}")
 
 
 def bce_reconstruction(logits, target):
-    """Mean binary cross-entropy with the prediction in logit space.
+    """Per-map mean binary cross-entropy with the prediction in logit space.
 
     Uses the max/softplus form, stable for large |logit|.
     """
     _check_shapes(logits, target, "bce_reconstruction")
-    return ad.amean(ad.relu(logits) - logits * target + ad.softplus(-ad.absolute(logits)))
+    return ad.amean(ad.relu(logits) - logits * target + ad.softplus(-ad.absolute(logits)), _MAP)
 
 
 def cone_mask(shape, center, radius_px: float) -> np.ndarray:
@@ -90,87 +94,68 @@ def cone_mask(shape, center, radius_px: float) -> np.ndarray:
 
 
 def cone_loss(recon, target, center, radius_px: float):
-    """Mean absolute error weighted by a Gaussian mask around the ball.
+    """Per-map mean absolute error weighted by a Gaussian mask around the ball.
 
     ``center`` is the predicted ball location when unsupervised, the ground
     truth when supervision is available; either way it is treated as a
     constant (no derivative is taken through the mask).
     """
     _check_shapes(recon, target, "cone_loss")
-    mask = cone_mask(np.shape(ad.value(recon)), center, radius_px)
-    return ad.amean(ad.absolute(recon - target) * mask)
+    mask = cone_mask(np.shape(ad.value(recon))[-2:], center, radius_px)
+    return ad.amean(ad.absolute(recon - target) * mask, _MAP)
 
 
 def focal_heatmap_loss(hm, target):
-    """Focal loss that sharpens heatmap peaks and suppresses background.
+    """Per-map focal loss that sharpens peaks and suppresses background.
 
-    Positive pixels are those with target > 0.5; the loss is normalized by
-    their count (floored at one for empty targets).  Predictions are clamped
-    to [1e-6, 1 - 1e-6] before the logs.
+    Positive pixels are those with target > 0.5; each map's loss is
+    normalized by its count (floored at one for empty targets).
+    Predictions are clamped to [1e-6, 1 - 1e-6] before the logs.
     """
     h = ad.clip(hm, _FOCAL_CLAMP, 1.0 - _FOCAL_CLAMP)
     target = np.asarray(target, dtype=float)
     positive = target > 0.5
-    n_pos = max(int(np.count_nonzero(positive)), 1)
+    n_pos = np.maximum(np.count_nonzero(positive, axis=_MAP), 1)
 
     pos_term = ad.where(positive, (1.0 - h) ** 2 * ad.log(h), 0.0 * h)
     neg_term = (1.0 - target) ** 4 * h * h * ad.log(1.0 - h)
-    return -(ad.asum(pos_term) + ad.asum(neg_term)) / n_pos
+    return -(ad.asum(pos_term, _MAP) + ad.asum(neg_term, _MAP)) / n_pos
 
 
-def _l1(a, b):
-    return ad.absolute(a - b)
-
-
-def physics_consistency_loss(landmarks, params: FrameUnitParams, scale_factor: float,
-                             last_frame_only: bool = False):
+def physics_consistency_loss(window: PhysicsWindow, landmarks, last_frame_only: bool = False):
     """Unsupervised physics loss: landmarks vs. their refined counterparts.
 
-    ``landmarks`` are three (x, y) pairs in heatmap coordinates;
-    ``scale_factor`` maps them to image coordinates (4, 2 or 1 for the 56,
-    112 and 224 grids).  The loss is the L1 gap between the scaled landmarks
-    and the physics-refined window, averaged over the window frames; with
+    ``window`` is the physics refinement of ``landmarks``, an ``(..., 3, 2)``
+    array or dual in image coordinates (heatmap landmarks scaled by 4, 2 or
+    1 for the 56, 112 and 224 grids).  Per window, the loss is the L1 gap
+    between refined positions and landmarks, averaged over the frames; with
     ``last_frame_only`` just the final frame contributes, a cheaper variant
     that skips the frames the integrator interpolates exactly.
     """
-    scaled = tuple((scale_factor * p[0], scale_factor * p[1]) for p in landmarks)
-    refined = physics_refine_window(scaled, params)
-    frames = (2,) if last_frame_only else (0, 1, 2)
-    total = 0.0
-    for t in frames:
-        total = total + _l1(refined.positions[t][0], scaled[t][0]) + _l1(
-            refined.positions[t][1], scaled[t][1]
-        )
-    return total / len(frames)
+    gap = ad.absolute(window.positions - landmarks)
+    if last_frame_only:
+        gap = gap[..., 2:, :]
+    return ad.asum(gap, _MAP) / gap.shape[-2]
 
 
-def physics_supervised_loss(window, gt_positions, gt_velocities, gt_bounces,
+def physics_supervised_loss(window: PhysicsWindow, gt_positions, gt_velocities, gt_bounces,
                             bounce_weight: float = 0.01, bounce_bce: bool = False):
-    """Supervised physics loss against simulator ground truth.
+    """Supervised physics loss of each window against simulator ground truth.
 
-    Position and velocity terms are mean absolute errors over all window
-    entries and coordinates; the bounce term compares indicators as 0/1
-    values, either as a weighted L1 (default) or as a clamped BCE.
+    Position and velocity terms are mean absolute errors over the (3, 2)
+    window entries; the bounce term compares indicators as 0/1 values,
+    either as a weighted L1 (default) or as a clamped BCE.
     """
-    gt_positions = np.asarray(gt_positions, dtype=float)
-    gt_velocities = np.asarray(gt_velocities, dtype=float)
     gt_bounces = np.asarray(gt_bounces, dtype=float)
+    pos = ad.asum(ad.absolute(window.positions - np.asarray(gt_positions, dtype=float)), _MAP) / 6.0
+    vel = ad.asum(ad.absolute(window.velocities - np.asarray(gt_velocities, dtype=float)), _MAP) / 6.0
 
-    pos = 0.0
-    vel = 0.0
-    for t in range(3):
-        for c in range(2):
-            pos = pos + _l1(window.positions[t][c], gt_positions[t, c])
-            vel = vel + _l1(window.velocities[t][c], gt_velocities[t, c])
-    pos = pos / 6.0
-    vel = vel / 6.0
-
-    b_pred = np.array([1.0 if flag else 0.0 for flag in window.bounced])
+    b_pred = np.asarray(window.bounced, dtype=float)
     if bounce_bce:
         p = np.clip(b_pred, _FOCAL_CLAMP, 1.0 - _FOCAL_CLAMP)
-        bounce = float(np.mean(-(gt_bounces * np.log(p) + (1.0 - gt_bounces) * np.log(1.0 - p))))
+        bounce = np.mean(-(gt_bounces * np.log(p) + (1.0 - gt_bounces) * np.log(1.0 - p)), axis=-1)
     else:
-        bounce = float(np.mean(np.abs(b_pred - gt_bounces)))
+        bounce = np.mean(np.abs(b_pred - gt_bounces), axis=-1)
     return pos + vel + bounce_weight * bounce
 
 

@@ -13,9 +13,10 @@ by -e, and records per-step bounce indicators.  Windows with no detected
 bounce are replaced by the exact constant-gravity parabola through the two
 endpoint landmarks.
 
-Every coordinate may be a float, a dual or an ``(N,)`` array (a batch of N
-windows), and one code path serves all three: branches select by value
-with :func:`~balltrack.autodiff.where`, so derivatives follow the branch
+A window is an ``(..., 3, 2)`` array or dual of (x, y) landmarks: leading
+axes are a batch, the trailing ``(3, 2)`` is the event.  One code path
+serves windows, batches and their duals: branches select by value with
+:func:`~balltrack.autodiff.where`, so derivatives follow the branch
 actually taken and all outputs are differentiable in the input landmarks.
 """
 
@@ -36,7 +37,6 @@ __all__ = [
     "verlet_step_with_bounce",
     "smooth_correction",
     "physics_refine_window",
-    "window_arrays",
 ]
 
 
@@ -55,16 +55,16 @@ class FrameUnitParams:
 
 @dataclass
 class PhysicsWindow:
-    """Physics outputs for one 3-frame window (frame-unit px, px/frame).
+    """Physics outputs for 3-frame windows (frame-unit px, px/frame).
 
-    positions/velocities are 3-tuples of (x, y) pairs; bounced[0] is always
-    False because no step precedes the first frame.  For a batch of windows
-    every component and the other two flags are ``(N,)`` arrays.
+    positions/velocities are ``(..., 3, 2)`` arrays (duals for dual input);
+    bounced is ``(..., 3)`` bool, and ``bounced[..., 0]`` is always False
+    because no step precedes the first frame.
     """
 
-    positions: tuple
-    velocities: tuple
-    bounced: tuple
+    positions: np.ndarray
+    velocities: np.ndarray
+    bounced: np.ndarray
 
 
 def to_frame_units(cfg: SimConfig) -> FrameUnitParams:
@@ -146,15 +146,14 @@ def smooth_correction(p_tm1, p_tp1, params: FrameUnitParams):
 
 
 def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
-    """Refine three landmark positions into a physically consistent window.
+    """Refine landmark windows into physically consistent ones.
 
-    ``landmarks`` is a sequence of three (x, y) pairs in image-scale pixel
-    coordinates; each coordinate is a float, a dual or an ``(N,)`` array,
-    so an ``(3, 2, N)`` array refines N windows at once.  The first position
-    passes through unchanged; the other two come from the integrator, or
-    from the exact parabola when neither step detected a bounce.
+    ``landmarks`` is an ``(..., 3, 2)`` array or dual of (x, y) positions in
+    image-scale pixel coordinates.  The first position passes through
+    unchanged; the other two come from the integrator, or from the exact
+    parabola when neither step detected a bounce.
     """
-    p0, p1_in, p2_in = ((lm[0], lm[1]) for lm in landmarks)
+    p0, p1_in, p2_in = ((landmarks[..., t, 0], landmarks[..., t, 1]) for t in range(3))
     v0 = init_velocity(p0, p1_in)
     p1, v1, (bx1, by1) = verlet_step_with_bounce(p0, v0, params)
     p2, v2, (bx2, by2) = verlet_step_with_bounce(p1, v1, params)
@@ -165,20 +164,10 @@ def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
     def pick(integrated, smooth):
         return ad.where(either, integrated, smooth)
 
-    positions = tuple((ad.clip(pick(p[0], s[0]), params.x_min, params.x_max),
-                       ad.clip(pick(p[1], s[1]), params.y_min, params.y_max))
-                      for p, s in zip((p0, p1, p2), smooth_pos))
-    velocities = tuple((pick(v[0], s[0]), pick(v[1], s[1]))
-                       for v, s in zip((v0, v1, v2), smooth_vel))
-    return PhysicsWindow(positions=positions, velocities=velocities, bounced=(False, b1, b2))
-
-
-def window_arrays(win: PhysicsWindow):
-    """Plain arrays: positions (..., 3, 2), velocities (..., 3, 2), flags (..., 3)."""
-    def stack(components, tail, dtype):
-        out = np.stack(np.broadcast_arrays(*[ad.value(c) for c in components]), axis=-1)
-        return out.reshape(out.shape[:-1] + tail).astype(dtype)
-
-    return (stack([c for p in win.positions for c in p], (3, 2), float),
-            stack([c for v in win.velocities for c in v], (3, 2), float),
-            stack(win.bounced, (3,), bool))
+    positions = [c for p, s in zip((p0, p1, p2), smooth_pos)
+                 for c in (ad.clip(pick(p[0], s[0]), params.x_min, params.x_max),
+                           ad.clip(pick(p[1], s[1]), params.y_min, params.y_max))]
+    velocities = [pick(c, sc) for v, s in zip((v0, v1, v2), smooth_vel) for c, sc in zip(v, s)]
+    return PhysicsWindow(positions=ad.stack(positions).reshape(landmarks.shape),
+                         velocities=ad.stack(velocities).reshape(landmarks.shape),
+                         bounced=ad.stack([np.zeros_like(b1), b1, b2]).astype(bool))

@@ -20,7 +20,7 @@ from .heatmaps import (
     gaussian_target,
 )
 from .losses import physics_consistency_loss, physics_supervised_loss
-from .physics import physics_refine_window, to_frame_units, window_arrays
+from .physics import physics_refine_window, to_frame_units
 from .rng import RandomStream
 from .sim import SimConfig, simulate_trajectory, trajectory_windows
 
@@ -29,11 +29,11 @@ FD_STEP = 1e-4
 
 
 def _window_fn(params, physics_window=physics_refine_window):
+    """(..., 6) landmarks -> (..., 12) refined positions then velocities."""
     def f(x):
-        landmarks = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
-        win = physics_window(landmarks, params)
-        outs = [c for p in win.positions for c in p] + [c for v in win.velocities for c in v]
-        return ad.stack(outs)
+        win = physics_window(x.reshape(*x.shape[:-1], 3, 2), params)
+        return ad.stack([out[..., t, c] for out in (win.positions, win.velocities)
+                         for t in range(3) for c in range(2)])
 
     return f
 
@@ -68,17 +68,14 @@ def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
     """
     probes = []
     g = params.g_frame
+    t = np.arange(3.0)
     while len(probes) < n:
         x0 = rng.uniform(params.x_min + 25, params.x_max - 25)
         y0 = rng.uniform(params.y_min + 25, params.y_max - 25)
         vx = rng.uniform(-6, 6)
         vy = rng.uniform(-6, 6)
         jitter = rng.uniform(-0.45, 0.45, 6)
-        pts = np.empty((3, 2))
-        for t in range(3):
-            pts[t, 0] = x0 + vx * t + jitter[2 * t]
-            pts[t, 1] = y0 + vy * t + 0.5 * g * t * t + jitter[2 * t + 1]
-        x = pts.ravel()
+        x = np.stack([x0 + vx * t, y0 + vy * t + 0.5 * g * t * t], axis=-1).ravel() + jitter
         if _branch_margin(x, params) >= margin:
             probes.append(x)
     return probes
@@ -94,11 +91,10 @@ def _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window) -> float:
     parabola branch, which ends at the last landmark.
     """
     lms = np.asarray(x, dtype=float).reshape(3, 2)
-    win = physics_window(tuple(map(tuple, lms)), params)
-    pos = np.array(win.positions, dtype=float)
-    vel = np.array(win.velocities, dtype=float)
+    win = physics_window(lms, params)
     moved = slice(1, 3) if win.bounced[1] or win.bounced[2] else slice(1, 2)
-    gaps = [np.abs(pos[moved] - lms[moved]), np.abs(pos - gt_pos), np.abs(vel - gt_vel)]
+    gaps = [np.abs(win.positions[moved] - lms[moved]), np.abs(win.positions - gt_pos),
+            np.abs(win.velocities - gt_vel)]
     return float(min(np.min(g) for g in gaps))
 
 
@@ -145,7 +141,7 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 
                 continue  # integrator overshoot could graze the floor
             windows.append(pos)
     pos = np.array(windows).reshape(-1, 3, 2)
-    refined, _, _ = window_arrays(physics_window(pos.transpose(1, 2, 0), params))
+    refined = physics_window(pos, params).positions
     worst = float(np.max(np.abs(refined - pos), initial=0.0))
     passed = len(pos) > 0 and worst < 1e-9
     return ("parabola fixed point", passed, f"{len(pos)} windows, worst |err| {worst:.3e}")
@@ -180,8 +176,7 @@ def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
             hm = gaussian_target((cx, cy), size_hm, 2.0)
 
             def g(flat, op=op, size_hm=size_hm):
-                out = op(flat.reshape(size_hm, size_hm))
-                return ad.stack(out)
+                return ad.stack(op(flat.reshape(*flat.shape[:-1], size_hm, size_hm)))
 
             # keep probed pixels clear of the rectifier kink (value >> fd step)
             candidates = np.flatnonzero(hm.ravel() > 1e-3)
@@ -201,12 +196,11 @@ def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
         gt_b = np.array([0.0, 0.0, 1.0])
 
         def fc(z):
-            landmarks = ((z[0], z[1]), (z[2], z[3]), (z[4], z[5]))
-            return ad.stack([physics_consistency_loss(landmarks, params, 1.0)])
+            landmarks = z.reshape(*z.shape[:-1], 3, 2)
+            return ad.stack([physics_consistency_loss(physics_window(landmarks, params), landmarks)])
 
         def fs(z):
-            landmarks = ((z[0], z[1]), (z[2], z[3]), (z[4], z[5]))
-            win = physics_window(landmarks, params)
+            win = physics_window(z.reshape(*z.shape[:-1], 3, 2), params)
             return ad.stack([physics_supervised_loss(win, gt_pos, gt_vel, gt_b)])
 
         if _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window) < 10 * FD_STEP:
@@ -227,9 +221,9 @@ def check_unit_scaling(cfg: SimConfig | None = None, physics_window=physics_refi
     params2 = to_frame_units(replace(cfg, scale=cfg.scale * 2))
 
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-units")
-    lms = np.array(interior_probe_windows(params, 50, rng)).reshape(-1, 3, 2).transpose(1, 2, 0)
-    p1, _, _ = window_arrays(physics_window(lms, params))
-    p2, _, _ = window_arrays(physics_window(lms / 2, params2))
+    lms = np.array(interior_probe_windows(params, 50, rng)).reshape(-1, 3, 2)
+    p1 = physics_window(lms, params).positions
+    p2 = physics_window(lms / 2, params2).positions
     worst = float(np.max(np.abs(p2 - p1 / 2)))
     passed = worst < 1e-9
     return ("unit scaling consistency", passed, f"worst |err| {worst:.3e}")

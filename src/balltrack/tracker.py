@@ -25,7 +25,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .heatmaps import expectation_for_scale, hard_argmax
-from .physics import physics_refine_window, to_frame_units, window_arrays
+from .physics import physics_refine_window, to_frame_units
 from .sim import SimConfig, Trajectory
 from .video import VideoSequence
 
@@ -104,12 +104,19 @@ def ncc_heatmap(frame: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _avg_pool(hm: np.ndarray, k: int) -> np.ndarray:
+    """k x k mean of (..., H, W) by output-sized strided sums: each block row
+    left to right, then the rows top to bottom, as ``reshape().mean()`` rounds."""
+    out = sum((hm[..., 0::k, j::k] for j in range(1, k)), hm[..., 0::k, ::k])
+    for i in range(1, k):
+        out += sum((hm[..., i::k, j::k] for j in range(1, k)), hm[..., i::k, ::k])
+    out /= k * k
+    return out
+
+
 def downscale_heatmap(hm224: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average-pool full-resolution heatmaps (..., H, W) to the 112 and 56 grids."""
-    *lead, h, w = hm224.shape
-    hm112 = hm224.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
-    hm56 = hm224.reshape(*lead, h // 4, 4, w // 4, 4).mean(axis=(-3, -1))
-    return hm112, hm56
+    return _avg_pool(hm224, 2), _avg_pool(hm224, 4)
 
 
 def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
@@ -160,11 +167,12 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
         a = 224 // s
         op = expectation_for_scale(s)
+        # per frame: on a (40, 224, 224) stack the operator temporaries add ~46 MB of peak memory
         b = a * np.array([op(hm) for hm in heatmaps], dtype=float)[windows]
-        h = a * np.array([hard_argmax(hm) for hm in heatmaps], dtype=float)[windows]
-        # (T-2, 3, 2) -> three (x, y) pairs of (T-2,) arrays: one physics call
-        p, v, bounce = window_arrays(physics_refine_window(b.transpose(1, 2, 0), params))
-        predictions[s] = {"B": b, "H": h, "P": p, "V": v, "bounce": bounce}
+        h = a * np.array(hard_argmax(heatmaps), dtype=float).T[windows]
+        win = physics_refine_window(b, params)
+        predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,
+                          "bounce": win.bounced}
     return predictions
 
 

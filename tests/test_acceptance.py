@@ -25,7 +25,7 @@ from balltrack.heatmaps import (
     gaussian_target,
 )
 from balltrack.losses import physics_consistency_loss
-from balltrack.physics import physics_refine_window, to_frame_units, window_arrays
+from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.selfcheck import check_frame_units, check_gradients
 from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
@@ -90,11 +90,10 @@ def test_criterion_2_parabola_fixed_point(params, test_trajectories):
                 continue
             if pos[:, 1].max() > params.y_max - params.g_frame:
                 continue
-            win = physics_refine_window(tuple(map(tuple, pos)), params)
-            refined, _, _ = window_arrays(win)
+            win = physics_refine_window(pos, params)
+            refined = win.positions
             worst_pos = max(worst_pos, float(np.max(np.abs(refined - pos))))
-            worst_loss = max(worst_loss, float(physics_consistency_loss(
-                tuple(map(tuple, pos)), params, 1.0)))
+            worst_loss = max(worst_loss, float(physics_consistency_loss(win, pos)))
             n += 1
     assert n >= 1000
     assert worst_pos < 1e-9
@@ -119,7 +118,7 @@ def test_criterion_3_bounce_oracle(params, test_trajectories):
             n_bounce = int(flags[1]) + int(flags[2])
             if n_bounce != 1:
                 continue
-            win = physics_refine_window(tuple(map(tuple, pos)), params)
+            win = physics_refine_window(pos, params)
             pair_ok = (win.bounced[1] == bool(flags[1])) and (win.bounced[2] == bool(flags[2]))
             any_total += 1
             any_ok += int(pair_ok)

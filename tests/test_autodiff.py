@@ -64,7 +64,7 @@ class TestDualArithmetic:
 class TestJacobians:
     def test_forward_matches_fd_on_polynomial(self):
         def f(x):
-            return ad.stack([x[0] ** 2 + x[1], x[0] * x[1]])
+            return ad.stack([x[..., 0] ** 2 + x[..., 1], x[..., 0] * x[..., 1]])
 
         x = np.array([3.0, 5.0])
         j_fwd = ad.jacobian_forward(f, x)
@@ -75,9 +75,8 @@ class TestJacobians:
     def test_init_velocity_constant_pattern(self, params):
         # d v0 / d landmarks is the fixed +-1 differencing stencil
         def f(x):
-            lms = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
-            win = physics_refine_window(lms, params)
-            return ad.stack(list(win.velocities[0]))
+            win = physics_refine_window(x.reshape(*x.shape[:-1], 3, 2), params)
+            return ad.stack([win.velocities[..., 0, 0], win.velocities[..., 0, 1]])
 
         x = np.array([100.0, 80.0, 104.0, 83.5, 108.0, 88.0])
         j = ad.jacobian_forward(f, x)
@@ -91,7 +90,8 @@ class TestJacobians:
 
     def test_verlet_dy_dvy_is_one(self, params):
         def f(z):
-            (x, y), (vx, vy), _ = verlet_step_with_bounce((z[0], z[1]), (z[2], z[3]), params)
+            (x, y), (vx, vy), _ = verlet_step_with_bounce((z[..., 0], z[..., 1]),
+                                                          (z[..., 2], z[..., 3]), params)
             return ad.stack([x, y, vx, vy])
 
         x = np.array([100.0, 90.0, 2.0, 1.5])
@@ -113,7 +113,7 @@ class TestJacobians:
         # branch borders: derivatives of the chosen (bounce) branch
         x = np.array([100.0, 210.0, 100.0, 217.0, 100.0, 212.0])
         f = _window_fn(params)
-        win = physics_refine_window(((x[0], x[1]), (x[2], x[3]), (x[4], x[5])), params)
+        win = physics_refine_window(x.reshape(3, 2), params)
         assert win.bounced[1] or win.bounced[2]
         err = ad.max_relative_error(ad.jacobian_fd(f, x), ad.jacobian_forward(f, x))
         assert err < 1e-4
@@ -125,7 +125,8 @@ class TestJacobians:
         g = params.g_frame
 
         def f(z):
-            (x, y), _, _ = verlet_step_with_bounce((z[0], z[1]), (z[2], z[3]), params)
+            (x, y), _, _ = verlet_step_with_bounce((z[..., 0], z[..., 1]),
+                                                   (z[..., 2], z[..., 3]), params)
             return ad.stack([x, y])
 
         y0 = params.y_max - 1.0
@@ -134,6 +135,50 @@ class TestJacobians:
         j_fwd = ad.jacobian_forward(f, x)
         j_fd = ad.jacobian_fd(f, x, h=1e-4)
         assert np.max(np.abs(j_fwd - j_fd)) > 0.5
+
+
+class TestBatchedJacobians:
+    """One batched call must give what one call per column gives, bit for bit."""
+
+    @staticmethod
+    def _per_column(f, x, cols, h=1e-4):
+        fwd, fd = [], []
+        for j in cols:
+            seed = np.zeros(x.size)
+            seed[j] = 1.0
+            fwd.append(f(ad.Dual(x.copy(), seed)).tangent)
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fd.append((f(xp) - f(xm)) / (2.0 * h))
+        return np.stack(fwd, axis=1), np.stack(fd, axis=1)
+
+    def test_window_function(self, params):
+        f = _window_fn(params)
+        for x in interior_probe_windows(params, 5, RandomStream.from_seed(5, "batched-jac")):
+            fwd, fd = self._per_column(f, x, range(6))
+            assert ad.jacobian_forward(f, x).tobytes() == fwd.tobytes()
+            assert ad.jacobian_fd(f, x).tobytes() == fd.tobytes()
+
+    def test_operator_on_sampled_pixels(self):
+        from balltrack.heatmaps import bicubic_expectation, coarse_to_fine_expectation, gaussian_target
+
+        hm = gaussian_target((11.3, 12.6), 24, 2.0).ravel()
+        cols = [300, 5, 277, 300, 301, 13]  # repeats and off-blob pixels too
+        for op in (bicubic_expectation, coarse_to_fine_expectation):
+            def g(flat, op=op):
+                return ad.stack(op(flat.reshape(*flat.shape[:-1], 24, 24)))
+
+            fwd, fd = self._per_column(g, hm, cols)
+            j_fwd = ad.jacobian_forward(g, hm, cols=cols)
+            assert j_fwd.shape == (2, len(cols)) and j_fwd.tobytes() == fwd.tobytes()
+            assert ad.jacobian_fd(g, hm, cols=cols).tobytes() == fd.tobytes()
+
+    def test_constant_output_has_zero_jacobian(self):
+        def f(x):
+            return np.ones((*x.shape[:-1], 2))
+
+        assert np.array_equal(ad.jacobian_forward(f, np.arange(3.0)), np.zeros((2, 3)))
 
 
 class TestImageLossGradients:
@@ -152,7 +197,7 @@ class TestImageLossGradients:
         logits = rng_np.normal(size=(12, 12))
 
         def f(flat):
-            return ad.stack([bce_reconstruction(flat.reshape(12, 12), target)])
+            return ad.stack([bce_reconstruction(flat.reshape(*flat.shape[:-1], 12, 12), target)])
 
         cols = rng_np.integers(0, 144, 24)
         self._column_check(f, logits.ravel(), cols)
@@ -164,7 +209,7 @@ class TestImageLossGradients:
         recon = target + rng_np.normal(size=(12, 12))  # errors well off zero
 
         def f(flat):
-            return ad.stack([cone_loss(flat.reshape(12, 12), target, (6, 6), 2.0)])
+            return ad.stack([cone_loss(flat.reshape(*flat.shape[:-1], 12, 12), target, (6, 6), 2.0)])
 
         cols = rng_np.integers(0, 144, 24)
         self._column_check(f, recon.ravel(), cols)
@@ -177,7 +222,7 @@ class TestImageLossGradients:
         pred = rng_np.uniform(0.1, 0.9, size=(12, 12))  # inside the clamp
 
         def f(flat):
-            return ad.stack([focal_heatmap_loss(flat.reshape(12, 12), target)])
+            return ad.stack([focal_heatmap_loss(flat.reshape(*flat.shape[:-1], 12, 12), target)])
 
         cols = rng_np.integers(0, 144, 24)
         self._column_check(f, pred.ravel(), cols)
@@ -210,6 +255,21 @@ class TestHelpers:
         d = ad.asum(ad.Dual(x, 2.0 * x))
         assert d.value == np.sum(x) and d.tangent == np.sum(2.0 * x)
         assert ad.asum(ad.Dual(x, 0.5)).tangent == 0.5 * x.size
+
+    def test_stack_appends_an_axis_and_zero_tangents(self):
+        a = ad.Dual(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+        out = ad.stack([a, np.array([5.0, 6.0]), 2.0 * a])
+        assert np.array_equal(out.value, [[1.0, 5.0, 2.0], [2.0, 6.0, 4.0]])
+        assert np.array_equal(out.tangent, [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(ad.stack([1.0, np.float64(2.0)]), [1.0, 2.0])
+
+    def test_asum_over_map_axes(self, rng_np):
+        x = rng_np.normal(size=(4, 6, 7))
+        d = ad.asum(ad.Dual(x, 2.0 * x), axis=(-2, -1))
+        for k in range(4):
+            assert d.value[k] == ad.asum(x[k]) and d.tangent[k] == ad.asum(2.0 * x[k])
+        assert np.array_equal(ad.asum(ad.Dual(x, 0.5), axis=(-2, -1)).tangent, np.full(4, 0.5 * 42))
+        assert np.array_equal(ad.amean(x, axis=(-2, -1)), [ad.amean(m) for m in x])
 
     def test_max_relative_error_scaling(self):
         a = np.array([[100.0, 0.1]])

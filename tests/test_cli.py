@@ -189,6 +189,22 @@ class TestSelfcheck:
         assert main(["selfcheck", "--trials", "4", "--inject-broken-kernel"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_consistency_check_uses_the_given_kernel(self):
+        # right values, no derivatives: every check that differentiates
+        # through the kernel must notice, the consistency loss included
+        from balltrack import autodiff as ad
+        from balltrack.physics import physics_refine_window
+        from balltrack.selfcheck import check_gradients
+
+        def flat_kernel(landmarks, params):
+            return physics_refine_window(ad.value(landmarks), params)
+
+        results = {name: passed for name, passed, _ in
+                   check_gradients(trials=4, physics_window=flat_kernel)}
+        assert not results["gradients: physics consistency loss"]
+        assert not results["gradients: physics window"]
+        assert results["gradients: bilinear expectation"]
+
 
 class TestEffects:
     def test_planted_model_recovered(self, tmp_path, capsys):

@@ -206,3 +206,44 @@ def test_outputs_within_grid_bounds(op):
         hm = rng.random(31 * 31).reshape(31, 31) - 0.4
         x, y = op(hm)
         assert 0 <= x <= 30 and 0 <= y <= 30
+
+
+class TestStacks:
+    """A (K, H, W) stack must give what K separate 2-D calls give."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        # blobs anywhere, peaks on every border and corner, clutter, an empty map
+        rng = RandomStream.from_seed(8, "hm-stack")
+        maps = [_sampled_blob((rng.uniform(0, 23), rng.uniform(0, 23)), 24, 1.5)
+                + 0.3 * rng.random(24 * 24).reshape(24, 24) - 0.1 for _ in range(12)]
+        for cx, cy in ((0, 0), (23, 0), (0, 23), (23, 23), (11, 0), (0, 14), (23, 9), (5, 23)):
+            maps.append(_sampled_blob((cx, cy), 24, 1.0))
+        maps.append(np.zeros((24, 24)))
+        return np.array(maps)
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
+    def test_stack_matches_single_maps_bitwise(self, stack, op):
+        xs, ys = op(stack)
+        assert xs.shape == ys.shape == (len(stack),)
+        for k, hm in enumerate(stack):
+            x, y = op(hm)
+            assert (xs[k], ys[k]) == (x, y)
+
+    def test_hard_argmax_stack(self, stack):
+        xs, ys = hard_argmax(stack)
+        assert [hard_argmax(hm) for hm in stack] == list(zip(xs, ys))
+        assert hard_argmax(stack.reshape(3, 7, 24, 24))[0].shape == (3, 7)
+
+    def test_coarse_to_fine_matches_windowed_slice(self, stack):
+        # reference: the centroid of the 7x7 slice around the argmax, cut at
+        # the border; the operator masks instead, which only reorders sums
+        xs, ys = coarse_to_fine_expectation(stack)
+        for k, hm in enumerate(np.maximum(stack, 0.0)):
+            xc, yc = hard_argmax(hm)
+            i0, j0 = max(0, yc - 3), max(0, xc - 3)
+            patch = hm[i0:yc + 4, j0:xc + 4]
+            ii, jj = np.mgrid[i0:i0 + patch.shape[0], j0:j0 + patch.shape[1]]
+            total = patch.sum() + 1e-8
+            assert abs(xs[k] - (patch * jj).sum() / total) <= 1e-12
+            assert abs(ys[k] - (patch * ii).sum() / total) <= 1e-12

@@ -23,9 +23,14 @@ def params(cfg):
 
 def _parabola_landmarks(params, x0=100.0, y0=80.0, vx=4.0, vy=3.0):
     g = params.g_frame
-    return tuple(
+    return np.array([
         (x0 + vx * t, y0 + vy * t + 0.5 * g * t * t) for t in range(3)
-    )
+    ])
+
+
+def _consistency(landmarks, params, **kwargs):
+    """Consistency loss of landmarks against their own physics refinement."""
+    return physics_consistency_loss(physics_refine_window(landmarks, params), landmarks, **kwargs)
 
 
 class TestBce:
@@ -115,34 +120,71 @@ class TestFocalLoss:
 class TestConsistencyLoss:
     def test_zero_on_exact_parabola(self, params):
         lms = _parabola_landmarks(params)
-        assert physics_consistency_loss(lms, params, 1.0) < 1e-12
+        assert _consistency(lms, params) < 1e-12
 
     def test_scale_factor_maps_heatmap_coords(self, params):
         # landmarks on a 56-grid describe an image-scale parabola when
         # multiplied by 4; with a=4 the loss vanishes, with a=1 it does not
         img = _parabola_landmarks(params)
-        hm56 = tuple((x / 4, y / 4) for x, y in img)
-        assert physics_consistency_loss(hm56, params, 4.0) < 1e-12
-        assert physics_consistency_loss(hm56, params, 1.0) > 1e-3
+        hm56 = img / 4
+        assert _consistency(4.0 * hm56, params) < 1e-12
+        assert _consistency(1.0 * hm56, params) > 1e-3
 
     def test_increasing_in_small_perturbations(self, params):
         lms = _parabola_landmarks(params)
         losses = []
         for delta in (0.0, 0.25, 0.5, 1.0):
-            bumped = (lms[0], (lms[1][0], lms[1][1] + delta), lms[2])
-            losses.append(float(physics_consistency_loss(bumped, params, 1.0)))
+            bumped = lms + np.array([(0.0, 0.0), (0.0, delta), (0.0, 0.0)])
+            losses.append(float(_consistency(bumped, params)))
         assert losses[0] < 1e-12
         assert losses[1] < losses[2] < losses[3]
 
     def test_last_frame_only_variant(self, params):
         lms = _parabola_landmarks(params)
-        bumped = ((lms[0][0], lms[0][1]), (lms[1][0], lms[1][1] + 0.5), lms[2])
-        full = float(physics_consistency_loss(bumped, params, 1.0))
-        last = float(physics_consistency_loss(bumped, params, 1.0, last_frame_only=True))
+        bumped = lms + np.array([(0.0, 0.0), (0.0, 0.5), (0.0, 0.0)])
+        full = float(_consistency(bumped, params))
+        last = float(_consistency(bumped, params, last_frame_only=True))
         assert full > 0
         # the bump sits on the middle frame; the final frame's refined
         # position still matches its landmark on the smooth branch
         assert last < full
+
+
+class TestBatchedPhysicsLosses:
+    """A batch of windows must give the per-window losses, bit for bit."""
+
+    def test_batch_matches_single_windows(self, params):
+        rng = np.random.default_rng(11)
+        lms = _parabola_landmarks(params) + rng.normal(scale=0.7, size=(16, 3, 2))
+        lms[:4, :, 1] += 135.0  # near the floor: bounce branch
+        gt_pos = lms + 0.5
+        gt_vel = rng.normal(size=(16, 3, 2))
+        gt_b = rng.integers(0, 2, size=(16, 3))
+        win = physics_refine_window(lms, params)
+        assert win.bounced[:, 1:].any() and not win.bounced[:, 1:].all()
+        values = {
+            "full": physics_consistency_loss(win, lms),
+            "last": physics_consistency_loss(win, lms, last_frame_only=True),
+            "sup": physics_supervised_loss(win, gt_pos, gt_vel, gt_b),
+            "bce": physics_supervised_loss(win, gt_pos, gt_vel, gt_b, bounce_bce=True),
+        }
+        assert all(v.shape == (16,) for v in values.values())
+        for k in range(16):
+            one = physics_refine_window(lms[k], params)
+            assert values["full"][k] == physics_consistency_loss(one, lms[k])
+            assert values["last"][k] == physics_consistency_loss(one, lms[k], last_frame_only=True)
+            assert values["sup"][k] == physics_supervised_loss(one, gt_pos[k], gt_vel[k], gt_b[k])
+            assert values["bce"][k] == physics_supervised_loss(one, gt_pos[k], gt_vel[k], gt_b[k],
+                                                               bounce_bce=True)
+
+    def test_image_losses_reduce_per_map(self, rng_np):
+        maps = rng_np.uniform(0.05, 0.95, size=(5, 12, 12))
+        target = rng_np.uniform(size=(5, 12, 12))
+        target[:, 4, 4] = 1.0
+        for loss in (bce_reconstruction, focal_heatmap_loss,
+                     lambda a, b: cone_loss(a, b, (6, 6), 2.0)):
+            batch = loss(maps, target)
+            assert np.array_equal(batch, [loss(m, t) for m, t in zip(maps, target)])
 
 
 class TestSupervisedLoss:

@@ -10,7 +10,6 @@ from balltrack.physics import (
     smooth_correction,
     to_frame_units,
     verlet_step_with_bounce,
-    window_arrays,
 )
 from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
@@ -62,12 +61,12 @@ class TestInitVelocity:
     def test_collision_detection_blind_to_third_frame(self, params):
         # the velocity estimate uses frames (t-1, t) only, so the bounce
         # flags cannot depend on where the third landmark sits
-        lms_a = ((100.0, 100.0), (103.0, 99.0), (106.0, 98.5))
-        lms_b = ((100.0, 100.0), (103.0, 99.0), (120.0, 50.0))
+        lms_a = np.array([(100.0, 100.0), (103.0, 99.0), (106.0, 98.5)])
+        lms_b = np.array([(100.0, 100.0), (103.0, 99.0), (120.0, 50.0)])
         assert init_velocity(lms_a[0], lms_a[1]) == init_velocity(lms_b[0], lms_b[1])
         wa = physics_refine_window(lms_a, params)
         wb = physics_refine_window(lms_b, params)
-        assert wa.bounced == wb.bounced
+        assert np.array_equal(wa.bounced, wb.bounced)
 
 
 class TestVerletStep:
@@ -136,8 +135,8 @@ class TestRefineWindow:
         for pos, _, _ in _gt_windows(cfg, bounce=False)[:500]:
             if pos[:, 1].max() > params.y_max - params.g_frame:
                 continue  # integrator overshoot would graze the floor
-            win = physics_refine_window(tuple(map(tuple, pos)), params)
-            refined, _, flags = window_arrays(win)
+            win = physics_refine_window(pos, params)
+            refined, flags = win.positions, win.bounced
             assert np.max(np.abs(refined - pos)) < 1e-9
             assert not flags.any()
             checked += 1
@@ -145,8 +144,8 @@ class TestRefineWindow:
 
     def test_first_flag_always_false(self, cfg, params):
         for pos, _, _ in _gt_windows(cfg)[:50]:
-            win = physics_refine_window(tuple(map(tuple, pos)), params)
-            assert win.bounced[0] is False
+            win = physics_refine_window(pos, params)
+            assert win.bounced[0] == False  # noqa: E712  (a numpy bool now)
 
     def test_bounce_detected_when_straddling_forward_step(self, cfg, params):
         # windows whose only bounce is in the step the integrator predicts
@@ -155,7 +154,7 @@ class TestRefineWindow:
         for pos, _, flags in _gt_windows(cfg, bounce=True):
             if not (flags[2] and not flags[1]):
                 continue
-            win = physics_refine_window(tuple(map(tuple, pos)), params)
+            win = physics_refine_window(pos, params)
             total += 1
             hits += int(win.bounced[2])
         assert total > 20
@@ -166,32 +165,30 @@ class TestRefineWindow:
         p0 = (100.0, 100.0)
         p1 = (104.0, 103.0 + 0.5 * g)
         p2 = (108.0, 106.0 + 2.0 * g)
-        exact = physics_refine_window((p0, p1, p2), params)
+        exact = physics_refine_window(np.array([p0, p1, p2]), params)
         assert np.allclose(np.array(exact.positions), [p0, p1, p2], atol=1e-12)
-        bumped = ((p0[0], p0[1]), (p1[0], p1[1] + 1.0), (p2[0], p2[1]))
+        bumped = np.array([(p0[0], p0[1]), (p1[0], p1[1] + 1.0), (p2[0], p2[1])])
         win = physics_refine_window(bumped, params)
         # the refined middle frame ignores the bump: it stays on the
         # parabola through the endpoints
         assert win.positions[1][1] == pytest.approx(p1[1], abs=1e-12)
 
     def test_positions_within_bounds_after_clamping(self, params):
-        lms = ((3.0, 220.5), (2.5, 220.9), (2.1, 220.99))
+        lms = np.array([(3.0, 220.5), (2.5, 220.9), (2.1, 220.99)])
         win = physics_refine_window(lms, params)
-        pos, _, _ = window_arrays(win)
+        pos = win.positions
         assert pos.min() >= params.x_min and pos.max() <= params.x_max
 
     def test_degenerate_and_out_of_region_landmarks_stay_finite(self, params):
         # all-zero heatmaps yield origin landmarks; border argmaxes can land
         # outside the valid center region; refinement must clamp, not blow up
         rng = RandomStream.from_seed(17, "fuzz")
-        cases = [((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
-                 ((223.0, 223.0), (223.0, 223.0), (223.0, 223.0))]
+        cases = [np.zeros((3, 2)), np.full((3, 2), 223.0)]
         for _ in range(50):
-            pts = rng.uniform(0.0, 223.0, 6)
-            cases.append(tuple((pts[2 * t], pts[2 * t + 1]) for t in range(3)))
+            cases.append(rng.uniform(0.0, 223.0, 6).reshape(3, 2))
         for lms in cases:
             win = physics_refine_window(lms, params)
-            pos, vel, flags = window_arrays(win)
+            pos, vel, flags = win.positions, win.velocities, win.bounced
             assert np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))
             assert pos.min() >= params.x_min and pos.max() <= params.x_max
             assert flags[0] == False  # noqa: E712  (first frame has no step)
@@ -199,15 +196,15 @@ class TestRefineWindow:
     def test_scale_consistency(self, cfg, params):
         half_cfg = SimConfig(**{**_kw(cfg), "scale": 2 * cfg.scale})
         params2 = to_frame_units(half_cfg)
-        lms = ((60.0, 80.0), (64.0, 83.2), (68.0, 87.1))
+        lms = np.array([(60.0, 80.0), (64.0, 83.2), (68.0, 87.1)])
         w1 = physics_refine_window(lms, params)
-        w2 = physics_refine_window(tuple((x / 2, y / 2) for x, y in lms), params2)
+        w2 = physics_refine_window(lms / 2, params2)
         assert np.allclose(np.array(w2.positions), np.array(w1.positions) / 2, atol=1e-12)
         assert np.allclose(np.array(w2.velocities), np.array(w1.velocities) / 2, atol=1e-12)
 
 
 class TestBatchedWindow:
-    """One call on (N,) components must equal N scalar calls, bit for bit."""
+    """One call on an (N, 3, 2) batch must equal N single-window calls, bit for bit."""
 
     @pytest.fixture(scope="class")
     def landmarks(self, cfg):
@@ -218,34 +215,36 @@ class TestBatchedWindow:
         return np.array(pos)
 
     def test_matches_scalar_windows(self, landmarks, params):
-        pos, vel, flags = window_arrays(physics_refine_window(landmarks.transpose(1, 2, 0), params))
+        win = physics_refine_window(landmarks, params)
+        pos, vel, flags = win.positions, win.velocities, win.bounced
         assert pos.shape == vel.shape == landmarks.shape
         assert flags.shape == landmarks.shape[:2]
         assert flags[:, 1:].any() and not flags[:, 1:].all()  # both branches taken
         for k, lms in enumerate(landmarks):
-            p, v, b = window_arrays(physics_refine_window(tuple(map(tuple, lms)), params))
+            one = physics_refine_window(lms, params)
+            p, v, b = one.positions, one.velocities, one.bounced
             assert p.tobytes() == pos[k].tobytes()
             assert v.tobytes() == vel[k].tobytes()
             assert np.array_equal(b, flags[k])
 
     def test_scalar_window_arrays_shapes(self, params):
-        pos, vel, flags = window_arrays(physics_refine_window(
-            ((10.0, 20.0), (12.0, 21.0), (14.0, 22.5)), params))
+        win = physics_refine_window(np.array([(10.0, 20.0), (12.0, 21.0), (14.0, 22.5)]), params)
+        pos, vel, flags = win.positions, win.velocities, win.bounced
         assert pos.shape == vel.shape == (3, 2) and flags.shape == (3,)
         assert flags.dtype == bool and pos.dtype == vel.dtype == np.float64
 
     def test_dual_components_follow_branch(self, landmarks, params):
         import balltrack.autodiff as ad
 
-        lms = landmarks.transpose(1, 2, 0)
-        seeded = [[ad.Dual(lms[t, c], np.ones(len(landmarks)) * (t == 2 and c == 0))
-                   for c in range(2)] for t in range(3)]
-        win = physics_refine_window(seeded, params)
-        plain, _, flags = window_arrays(physics_refine_window(lms, params))
-        assert np.array_equal(window_arrays(win)[0], plain)
+        seed = np.zeros_like(landmarks)
+        seed[:, 2, 0] = 1.0
+        win = physics_refine_window(ad.Dual(landmarks, seed), params)
+        ref = physics_refine_window(landmarks, params)
+        plain, flags = ref.positions, ref.bounced
+        assert np.array_equal(win.positions.value, plain)
         # x2 only enters the parabola branch: d x1 / d x2_landmark = 1/2 there
         smooth = ~(flags[:, 1] | flags[:, 2]) & (plain[:, 1, 0] > params.x_min) \
             & (plain[:, 1, 0] < params.x_max)
         assert smooth.any()
-        assert np.all(win.positions[1][0].tangent[smooth] == 0.5)
-        assert np.all(win.positions[1][0].tangent[flags[:, 1] | flags[:, 2]] == 0.0)
+        assert np.all(win.positions[:, 1, 0].tangent[smooth] == 0.5)
+        assert np.all(win.positions[:, 1, 0].tangent[flags[:, 1] | flags[:, 2]] == 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balltrack.physics import physics_refine_window, to_frame_units, window_arrays
+from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.sim import simulate_trajectory, trajectory_windows
 from balltrack.tracker import (
@@ -125,6 +125,13 @@ class TestPooling:
 
 
 class TestStacks:
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_strided_pooling_is_bitwise_reshape_mean(self, rng_np, k):
+        stack = rng_np.uniform(size=(6, 224, 224)) * (rng_np.random((6, 224, 224)) > 0.3)
+        pooled = downscale_heatmap(stack)[k // 4]
+        reference = stack.reshape(6, 224 // k, k, 224 // k, k).mean(axis=(-3, -1))
+        assert pooled.tobytes() == reference.tobytes()
+
     def test_pooling_a_stack_equals_pooling_each_frame(self, rng_np):
         stack = rng_np.uniform(size=(3, 224, 224))
         h112, h56 = downscale_heatmap(stack)
@@ -209,8 +216,8 @@ def _exact_predictions(traj, params):
     """Window arrays built from ground-truth landmarks, one window at a time."""
     windows = []
     for _, pos, _, _ in trajectory_windows(traj):
-        win = physics_refine_window(tuple(map(tuple, pos)), params)
-        windows.append((pos.copy(), np.round(pos), *window_arrays(win)))
+        win = physics_refine_window(pos, params)
+        windows.append((pos.copy(), np.round(pos), win.positions, win.velocities, win.bounced))
     return {224: dict(zip(("B", "H", "P", "V", "bounce"), map(np.array, zip(*windows))))}
 
 
