@@ -73,6 +73,8 @@ class SimConfig:
             raise SimulationError("need at least 3 frames per video")
         if self.noise_sigma < 0:
             raise SimulationError("noise_sigma must be non-negative")
+        if min(self.n_train, self.n_val, self.n_test) < 1:
+            raise SimulationError("n_train, n_val and n_test must each be at least 1")
         if self.v_max * self.dt > self.domain_width_m:
             raise SimulationError(
                 "v_max*dt exceeds the domain width; a step could cross both walls"

@@ -4,8 +4,9 @@ The detector is a zero-normalized cross-correlation against a disk
 template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
-as a (T, H, W) stack and average-pooled to the 112 and 56 grids, mirroring
-a three-scale pyramid.
+as a (T, H, W) stack by one correlator call (the template spectra are
+computed once per call, and each frame costs 5 FFTs) and average-pooled to
+the 112 and 56 grids, mirroring a three-scale pyramid.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (differentiable expectation operator for that scale), H (hard argmax) and
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.signal import fftconvolve  # noqa: F401  (unused; kept for bench/spans.py's FFT counter)
 
 from .heatmaps import expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
@@ -72,36 +74,49 @@ def disk_template(radius: float) -> np.ndarray:
     return disk - disk.mean()
 
 
-def ncc_heatmap(frame: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Zero-normalized cross-correlation heatmap, negatives suppressed.
+def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Zero-normalized cross-correlation heatmaps of (..., H, W) frames,
+    negatives suppressed.
 
     Border pixels whose template window would leave the frame are zero, as
-    are windows with (near-)zero variance.
+    are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
+    the flipped template and of the all-ones window are taken once per call
+    and each frame costs 5 transforms: its spectrum, its square's, and the
+    inverses giving the numerator, sum and sum of squares.  Transform shape,
+    products and "same" slice are those of ``fftconvolve``, so each map has
+    the bits of three ``fftconvolve`` calls.
     """
-    frame = np.asarray(frame, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     t0 = template - template.mean()
     t_norm = np.sqrt(np.sum(t0 * t0))
     n = template.size
 
-    flipped = t0[::-1, ::-1]
-    num = fftconvolve(frame, flipped, mode="same")
-    ones = np.ones_like(template)
-    s1 = fftconvolve(frame, ones, mode="same")
-    s2 = fftconvolve(frame * frame, ones, mode="same")
-    var = np.maximum(s2 - s1 * s1 / n, 0.0)
-    den = t_norm * np.sqrt(var)
+    (h, w), (kh, kw) = frames.shape[-2:], template.shape
+    fshape = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
+    same = (slice((kh - 1) // 2, (kh - 1) // 2 + h), slice((kw - 1) // 2, (kw - 1) // 2 + w))
+    flipped_spec = rfft2(t0[::-1, ::-1], fshape)
+    ones_spec = rfft2(np.ones_like(template), fshape)
 
-    # windows with no meaningful structure (near-zero variance, absolutely
-    # or relative to the liveliest window) would normalize rounding residue
-    # up to O(1) correlations; treat them as empty instead
-    cutoff = max(1e-9, 1e-4 * float(den.max()))
-    out = np.where(den > cutoff, num / (den + 1e-12), 0.0)
+    out = np.empty(frames.shape)
+    for frame, hm in zip(frames.reshape(-1, h, w), out.reshape(-1, h, w)):
+        spec = rfft2(frame, fshape)
+        num = irfft2(spec * flipped_spec, fshape)[same]
+        s1 = irfft2(spec * ones_spec, fshape)[same]
+        s2 = irfft2(rfft2(frame * frame, fshape) * ones_spec, fshape)[same]
+        var = np.maximum(s2 - s1 * s1 / n, 0.0)
+        den = t_norm * np.sqrt(var)
+
+        # windows with no meaningful structure (near-zero variance, absolutely
+        # or relative to the liveliest window) would normalize rounding residue
+        # up to O(1) correlations; treat them as empty instead
+        cutoff = max(1e-9, 1e-4 * float(den.max()))
+        hm[...] = np.where(den > cutoff, num / (den + 1e-12), 0.0)
     margin = template.shape[0] // 2
-    out[:margin, :] = 0.0
-    out[-margin:, :] = 0.0
-    out[:, :margin] = 0.0
-    out[:, -margin:] = 0.0
-    return np.maximum(out, 0.0)
+    out[..., :margin, :] = 0.0
+    out[..., -margin:, :] = 0.0
+    out[..., :, :margin] = 0.0
+    out[..., :, -margin:] = 0.0
+    return np.maximum(out, 0.0, out=out)
 
 
 def _avg_pool(hm: np.ndarray, k: int) -> np.ndarray:
@@ -157,9 +172,7 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     params = to_frame_units(cfg)
     work = _detector_frames(video.frames, temporal_mean)
 
-    hm224 = np.empty(work.shape)
-    for t, frame in enumerate(work):
-        hm224[t] = ncc_heatmap(frame, template)
+    hm224 = ncc_heatmap(work, template)
     hm112, hm56 = downscale_heatmap(hm224)
 
     windows = np.arange(n_frames - 2)[:, None] + np.arange(3)  # (T-2, 3) frame indices

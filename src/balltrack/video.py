@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import RandomStream
-from .sim import SimConfig, Trajectory, simulate_trajectory
+from .sim import SimConfig, SimulationError, Trajectory, simulate_trajectory
 
 __all__ = [
     "VideoSequence",
@@ -172,12 +172,15 @@ def _read_record(fh, dtype: str, path) -> np.ndarray:
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An existing manifest is checked before any split file is opened, so a
+    An empty split is rejected before the directory is touched, and an
+    existing manifest is checked before any split file is opened, so a
     rejected write leaves the directory as it was.  The split files and the
     manifest are written under temporary names in the same directory and
     then renamed over the old ones, so a write that fails part-way leaves
     the previous files whole and no temporary file behind.
     """
+    if not sequences:
+        raise DatasetError(f"{path}: no sequences to write for split {split!r}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     config = asdict(cfg)
@@ -226,14 +229,27 @@ def read_manifest(path) -> dict:
 
 
 def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
-    """Load one split; inverse of :func:`write_dataset` (noise not stored)."""
+    """Load one split; inverse of :func:`write_dataset` (noise not stored).
+
+    A manifest configuration that :class:`SimConfig` rejects, or a split
+    whose files are absent, raises :class:`DatasetError`; the latter names
+    the splits the manifest lists.
+    """
     path = Path(path)
     manifest = read_manifest(path)
-    cfg = SimConfig(**manifest["config"])
+    try:
+        cfg = SimConfig(**manifest["config"])
+    except (TypeError, SimulationError) as err:  # unknown fields, or values the simulator rejects
+        raise DatasetError(f"{path}: the manifest holds an invalid configuration: {err}") from err
 
-    with open(path / f"{split}_frames.bin", "rb") as fh:
-        frames = _read_record(fh, "<f4", path / f"{split}_frames.bin")
-    truth_path = path / f"{split}_truth.bin"
+    frames_path, truth_path = path / f"{split}_frames.bin", path / f"{split}_truth.bin"
+    missing = [p.name for p in (frames_path, truth_path) if not p.is_file()]
+    if missing:
+        listed = ", ".join(manifest.get("splits", {})) or "none"
+        raise DatasetError(f"{path}: no {split!r} split ({', '.join(missing)} missing); "
+                           f"the manifest lists: {listed}")
+    with open(frames_path, "rb") as fh:
+        frames = _read_record(fh, "<f4", frames_path)
     with open(truth_path, "rb") as fh:
         positions = _read_record(fh, "<f8", truth_path)
         velocities = _read_record(fh, "<f8", truth_path)

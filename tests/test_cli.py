@@ -11,7 +11,7 @@ from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, build_pars
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS
-from balltrack.video import _read_record
+from balltrack.video import _read_record, generate_split, write_dataset
 
 
 GEN_SMALL = ["--train", "2", "--val", "1", "--test", "2", "--frames", "10"]
@@ -63,6 +63,12 @@ class TestGen:
     def test_two_frames_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--frames", "2"])
+
+    @pytest.mark.parametrize("flag", ["--train", "--val", "--test"])
+    def test_empty_split_rejected_before_writing(self, tmp_path, flag):
+        with pytest.raises(SystemExit, match="invalid configuration"):
+            _gen(tmp_path / "d", flag, "0")  # argparse keeps the last value
+        assert not (tmp_path / "d" / "sigma_0").exists()
 
     def test_lock_file_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "d"
@@ -156,6 +162,13 @@ class TestTrack:
         with pytest.raises(SystemExit) as err:
             main(["track", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert "manifest" in str(err.value)
+
+    def test_missing_split_reported(self, tmp_path, small_cfg):
+        data = tmp_path / "partial"
+        for split in ("train", "val"):
+            write_dataset(data, split, generate_split(small_cfg, split), small_cfg)
+        with pytest.raises(SystemExit, match=r"^error: .*no 'test' split.*lists: train, val"):
+            main(["track", "--data", str(data), "--out", str(tmp_path / "o")])
 
     def test_version_mismatch_reported(self, small_dataset, tmp_path):
         import shutil

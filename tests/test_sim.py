@@ -47,6 +47,9 @@ class TestConfig:
             {"v_max": 0.0},
             {"frames_per_video": 2},
             {"noise_sigma": -1.0},
+            {"n_train": 0},
+            {"n_val": -1},
+            {"n_test": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
-from balltrack.sim import simulate_trajectory, trajectory_windows
+from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
 from balltrack.tracker import (
     METRICS,
     _detector_frames,
@@ -101,6 +102,66 @@ class TestNcc:
         tmpl = disk_template(cfg.radius_px)
         hm = ncc_heatmap(rng_np.normal(size=(64, 64)), tmpl)
         assert hm.min() >= 0.0
+
+
+def _ncc_reference(frame, template):
+    """The per-frame definition by three ``fftconvolve`` calls."""
+    frame = np.asarray(frame, dtype=np.float64)
+    t0 = template - template.mean()
+    t_norm = np.sqrt(np.sum(t0 * t0))
+    n = template.size
+    num = fftconvolve(frame, t0[::-1, ::-1], mode="same")
+    ones = np.ones_like(template)
+    s1 = fftconvolve(frame, ones, mode="same")
+    s2 = fftconvolve(frame * frame, ones, mode="same")
+    var = np.maximum(s2 - s1 * s1 / n, 0.0)
+    den = t_norm * np.sqrt(var)
+    cutoff = max(1e-9, 1e-4 * float(den.max()))
+    out = np.where(den > cutoff, num / (den + 1e-12), 0.0)
+    margin = template.shape[0] // 2
+    out[:margin, :] = 0.0
+    out[-margin:, :] = 0.0
+    out[:, :margin] = 0.0
+    out[:, -margin:] = 0.0
+    return np.maximum(out, 0.0)
+
+
+class TestNccStack:
+    """A stack shares the template spectra; every frame keeps its bits."""
+
+    @staticmethod
+    def _assert_bitwise(stack, template):
+        got = ncc_heatmap(stack, template)
+        assert got.shape == stack.shape
+        for frame, hm in zip(stack, got):
+            assert hm.tobytes() == _ncc_reference(frame, template).tobytes()
+
+    def test_clean_frames_at_tie_phases(self, cfg):
+        centers = [(100.5, 80.5), (60.5, 120.0), (33.0, 47.5), (150.25, 150.75), (100.0, 80.0)]
+        stack = np.array([render_frame(c, cfg) for c in centers])
+        self._assert_bitwise(stack, disk_template(cfg.radius_px))
+
+    @pytest.mark.parametrize("temporal_mean", [False, True])
+    def test_textured_frames(self, temporal_mean):
+        noisy = SimConfig(noise_sigma=1.0, frames_per_video=5)
+        seq = generate_sequence(noisy, split_stream(noisy, "ncc-stack", 0))
+        stack = _detector_frames(seq.frames, temporal_mean)
+        self._assert_bitwise(stack, disk_template(noisy.radius_px))
+
+    def test_constant_frame(self):
+        stack = np.full((2, 64, 64), 3.3)
+        self._assert_bitwise(stack, disk_template(2.0))
+
+    def test_non_square_frames(self, rng_np):
+        stack = rng_np.normal(size=(3, 48, 80))
+        stack[1, 20:25, 40:45] += 4.0
+        self._assert_bitwise(stack, disk_template(2.0))
+
+    def test_single_frame_keeps_its_shape(self, rng_np):
+        frame = rng_np.normal(size=(48, 80))
+        hm = ncc_heatmap(frame, disk_template(3.0))
+        assert hm.shape == (48, 80)
+        assert hm.tobytes() == _ncc_reference(frame, disk_template(3.0)).tobytes()
 
 
 class TestPooling:

@@ -233,6 +233,29 @@ class TestDatasetIO:
         for a, b in zip(generate_split(small_cfg, "test"), loaded):
             assert a.frames.tobytes() == b.frames.tobytes()
 
+    def test_missing_split_names_the_listed_splits(self, tmp_path, small_cfg):
+        for split in ("train", "val"):
+            write_dataset(tmp_path, split, generate_split(small_cfg, split), small_cfg)
+        with pytest.raises(DatasetError, match=r"no 'test' split.*lists: train, val"):
+            read_dataset(tmp_path, "test")
+
+    @pytest.mark.parametrize("change", [{"n_test": 0}, {"colour": 1}])
+    def test_invalid_manifest_config_is_dataset_error(self, tmp_path, small_cfg, change):
+        import json
+
+        write_dataset(tmp_path, "train", generate_split(small_cfg, "train"), small_cfg)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["config"].update(change)
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match="invalid configuration"):
+            read_dataset(tmp_path, "train")
+
+    def test_empty_split_rejected_before_touching_the_directory(self, tmp_path, small_cfg):
+        target = tmp_path / "d"
+        with pytest.raises(DatasetError, match="no sequences"):
+            write_dataset(target, "test", [], small_cfg)
+        assert not target.exists()
+
     def test_oversized_header_is_truncated_file(self, tmp_path):
         path = tmp_path / "huge.bin"
         path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, 1)
