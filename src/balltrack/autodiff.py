@@ -7,7 +7,7 @@ tangent direction.
 
 Array code in the package follows one contract: leading axes are a batch,
 trailing axes are the event.  The jacobians below rely on it to seed every
-requested column in one batched call of ``f``.
+requested column at every given point in one batched call of ``f``.
 
 Numerical code elsewhere in the package is written against the small helper
 functions below (``where``, ``relu``, ``asum`` ...) which dispatch on the
@@ -241,40 +241,41 @@ def _seeds(n, cols):
 
 
 def jacobian_forward(f, x, cols=None):
-    """Jacobian of ``f`` at ``x`` by forward-mode propagation, shape (m, k).
+    """Jacobians of ``f`` at the points ``x`` by forward mode, shape (..., m, k).
 
-    ``f`` maps ``(..., n)`` to ``(..., m)``, leading axes a batch.  The k
-    columns come from one call on a dual holding k copies of ``x``, each
-    seeded with one unit tangent.  ``cols`` restricts evaluation to a subset
-    of input indices (useful for sampling pixels of large heatmap inputs).
+    ``f`` maps ``(..., n)`` to ``(..., m)`` and ``x`` is ``(..., n)``, leading
+    axes a batch.  One call on a dual holding k C-ordered copies of each
+    point, each seeded with one unit tangent, gives all k columns.  ``cols``
+    picks the input indices (useful for sampling pixels of large heatmaps).
     """
     x = np.asarray(x, dtype=float)
-    seeds = _seeds(x.size, cols)
-    out = f(Dual(np.tile(x, (len(seeds), 1)), seeds))
-    return np.array(np.broadcast_to(tangent(out), np.shape(value(out))), dtype=float).T
+    seeds = _seeds(x.shape[-1], cols)
+    copies = np.repeat(x[..., None, :], len(seeds), axis=-2)
+    out = f(Dual(copies, np.broadcast_to(seeds, copies.shape).copy()))
+    return np.array(np.broadcast_to(tangent(out), np.shape(value(out))), dtype=float).swapaxes(-1, -2)
 
 
 def jacobian_fd(f, x, h=1e-4, cols=None):
-    """Central finite-difference Jacobian (m, k), the oracle for forward mode.
+    """Central finite-difference Jacobians (..., m, k), the oracle for forward mode.
 
-    ``f`` maps ``(..., n)`` to ``(..., m)``; the k stencils take two batched
-    calls, on ``x + h*E`` and ``x - h*E`` for the (k, n) unit rows ``E``.
-    Truncation error is O(h^2); keep probe points at least ``h`` away from
-    any branch boundary or the stencil straddles the kink.
+    ``f`` and ``x`` are as above; the k stencils at all points take two calls,
+    on ``x + h*E`` and ``x - h*E`` for the (k, n) unit rows ``E``.  Truncation
+    error is O(h^2); keep probe points at least ``h`` away from any branch
+    boundary or the stencil straddles the kink.
     """
-    x = np.asarray(x, dtype=float)
-    step = h * _seeds(x.size, cols)
+    x = np.asarray(x, dtype=float)[..., None, :]
+    step = h * _seeds(x.shape[-1], cols)
     fp = np.asarray(f(x + step), dtype=float)
     fm = np.asarray(f(x - step), dtype=float)
-    return ((fp - fm) / (2.0 * h)).T
+    return ((fp - fm) / (2.0 * h)).swapaxes(-1, -2)
 
 
 def max_relative_error(j_ref, j_test):
-    """max |a-b| / max(1, |a|) over entries; the acceptance comparator."""
+    """max |a-b| / max(1, |a|) per Jacobian (last two axes); the acceptance comparator."""
     j_ref = np.asarray(j_ref, dtype=float)
     j_test = np.asarray(j_test, dtype=float)
     denom = np.maximum(1.0, np.abs(j_ref))
-    return float(np.max(np.abs(j_ref - j_test) / denom))
+    return np.max(np.abs(j_ref - j_test) / denom, axis=(-2, -1))
 
 
 def softplus(x):

@@ -35,9 +35,10 @@ from .factorial import (
     ENCODER_METRICS,
     DECODER_METRICS,
 )
+from .physics import physics_refine_window
 from .selfcheck import broken_kernel, run_all
 from .sim import SimConfig, SimulationError
-from .tracker import METRICS, evaluate, evaluate_sequences, metrics_to_csv, track_sequence
+from .tracker import METRICS, evaluate, evaluate_sequences, metrics_from_csv, metrics_to_csv, track_sequence
 from .video import (
     DatasetError,
     SPLITS,
@@ -191,11 +192,8 @@ def _write_predictions(path: Path, per_sequence) -> None:
 
 
 def cmd_selfcheck(args) -> int:
-    kernel = broken_kernel if args.inject_broken_kernel else None
-    kwargs = {"trials": args.trials}
-    if kernel is not None:
-        kwargs["physics_window"] = kernel
-    checks = run_all(**kwargs)
+    checks = run_all(trials=args.trials,
+                     physics_window=broken_kernel if args.inject_broken_kernel else physics_refine_window)
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
@@ -208,10 +206,12 @@ def cmd_selfcheck(args) -> int:
 def cmd_effects(args) -> int:
     out = _resolve_out(args, "effects")
     started = time.time()
-    text = Path(args.results).read_text()
-    from .tracker import metrics_from_csv
-
-    table = ResponseTable.from_rows(metrics_from_csv(text))
+    try:
+        table = ResponseTable.from_rows(metrics_from_csv(Path(args.results).read_text()))
+    except OSError as err:
+        raise SystemExit(f"error: {args.results}: {err.strerror}")
+    except ValueError as err:  # malformed rows or config labels
+        raise SystemExit(f"error: {args.results}: {err}")
     table.add_aggregates()
     metrics = table.metrics()
     try:

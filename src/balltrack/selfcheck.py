@@ -59,7 +59,7 @@ def _branch_margin(x, params) -> float:
 
 
 def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
-    """Random landmark windows at least ``margin`` px from branch borders.
+    """(n, 6) random landmark windows at least ``margin`` px from branch borders.
 
     Jittered ballistic triples are drawn and kept only if the replayed
     integration (see :func:`_branch_margin`) stays ``margin`` px away from
@@ -78,31 +78,40 @@ def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
         x = np.stack([x0 + vx * t, y0 + vy * t + 0.5 * g * t * t], axis=-1).ravel() + jitter
         if _branch_margin(x, params) >= margin:
             probes.append(x)
-    return probes
+    return np.array(probes).reshape(-1, 6)
 
 
-def _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window) -> float:
-    """Smallest |argument| among the L1 terms of both physics losses.
+def _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window):
+    """Per window, the smallest |argument| among the L1 terms of both losses.
 
     The losses are differentiable except where an L1 argument crosses zero.
     Consistency terms of frames that the branch taken passes through
     unchanged are identically zero (both derivative methods agree there by
     symmetry), so they are excluded: frame 0 always, and frame 2 on the
-    parabola branch, which ends at the last landmark.
+    parabola branch, which ends at the last landmark.  ``x`` is ``(P, 6)``,
+    the ground truth ``(P, 1, 3, 2)``; the result is ``(P,)``.
     """
-    lms = np.asarray(x, dtype=float).reshape(3, 2)
+    lms = x.reshape(gt_pos.shape)
     win = physics_window(lms, params)
-    moved = slice(1, 3) if win.bounced[1] or win.bounced[2] else slice(1, 2)
-    gaps = [np.abs(win.positions[moved] - lms[moved]), np.abs(win.positions - gt_pos),
-            np.abs(win.velocities - gt_vel)]
-    return float(min(np.min(g) for g in gaps))
+    bounced = win.bounced[..., 1] | win.bounced[..., 2]
+    moved = np.stack([np.zeros_like(bounced), np.ones_like(bounced), bounced], axis=-1)
+    gaps = np.concatenate([np.where(moved[..., None], np.abs(win.positions - lms), np.inf),
+                           np.abs(win.positions - gt_pos), np.abs(win.velocities - gt_vel)], axis=-2)
+    return np.min(gaps, axis=(-3, -2, -1))
 
 
-def _gradient_result(name: str, errors: list[float]):
+def _jacobian_errors(f, x, cols=None):
+    """Forward mode against central differences, one error per point of ``x``."""
+    return ad.max_relative_error(ad.jacobian_fd(f, x, h=FD_STEP, cols=cols),
+                                 ad.jacobian_forward(f, x, cols=cols))
+
+
+def _gradient_result(name: str, errors):
     """PASS needs at least one evaluated probe and every error below GRAD_TOL."""
-    worst = max(errors, default=0.0)
-    return (f"gradients: {name}", len(errors) > 0 and worst < GRAD_TOL,
-            f"{len(errors)} probes, max rel err {worst:.3e}")
+    errors = np.asarray(errors, dtype=float)
+    worst = float(np.max(errors, initial=0.0))
+    return (f"gradients: {name}", errors.size > 0 and worst < GRAD_TOL,
+            f"{errors.size} probes, max rel err {worst:.3e}")
 
 
 def check_frame_units(cfg: SimConfig | None = None):
@@ -149,68 +158,55 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 
 
 def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
                     physics_window=physics_refine_window):
-    """Forward-mode vs central-difference jacobians on interior probes."""
+    """Forward-mode vs central-difference jacobians on interior probes.
+
+    The physics window and both losses check all their probes in one
+    batched Jacobian pair each; the operators take one pair per probe map.
+    """
     cfg = cfg or SimConfig()
     params = to_frame_units(cfg)
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-grad")
     results = []
 
+    x = interior_probe_windows(params, trials, rng.spawn("window"))
     f = _window_fn(params, physics_window)
-    errors = [ad.max_relative_error(ad.jacobian_fd(f, x, h=FD_STEP), ad.jacobian_forward(f, x))
-              for x in interior_probe_windows(params, trials, rng.spawn("window"))]
-    results.append(_gradient_result("physics window", errors))
+    results.append(_gradient_result("physics window", _jacobian_errors(f, x)))
 
-    operators = {
-        "bilinear": (bilinear_expectation, 24),
-        "coarse-to-fine": (coarse_to_fine_expectation, 24),
-        "biquadratic": (biquadratic_expectation, 24),
-        "bicubic": (bicubic_expectation, 24),
-    }
     op_rng = rng.spawn("operators")
-    n_cols = 32
-    for name, (op, size_hm) in operators.items():
+    for name, op in (("bilinear", bilinear_expectation),
+                     ("coarse-to-fine", coarse_to_fine_expectation),
+                     ("biquadratic", biquadratic_expectation),
+                     ("bicubic", bicubic_expectation)):
+        def g(flat, op=op):
+            return ad.stack(op(flat.reshape(*flat.shape[:-1], 24, 24)))
+
         errors = []
         for _ in range(trials):
-            cx = op_rng.uniform(10, size_hm - 10)
-            cy = op_rng.uniform(10, size_hm - 10)
-            hm = gaussian_target((cx, cy), size_hm, 2.0)
-
-            def g(flat, op=op, size_hm=size_hm):
-                return ad.stack(op(flat.reshape(*flat.shape[:-1], size_hm, size_hm)))
-
+            hm = gaussian_target((op_rng.uniform(10, 14), op_rng.uniform(10, 14)), 24, 2.0).ravel()
             # keep probed pixels clear of the rectifier kink (value >> fd step)
-            candidates = np.flatnonzero(hm.ravel() > 1e-3)
-            picks = (op_rng.random(n_cols) * len(candidates)).astype(int)
-            cols = candidates[picks]
-            j_fwd = ad.jacobian_forward(g, hm.ravel(), cols=cols)
-            j_fd = ad.jacobian_fd(g, hm.ravel(), h=FD_STEP, cols=cols)
-            errors.append(ad.max_relative_error(j_fd, j_fwd))
+            candidates = np.flatnonzero(hm > 1e-3)
+            cols = candidates[(op_rng.random(32) * len(candidates)).astype(int)]
+            errors.append(_jacobian_errors(g, hm, cols))
         results.append(_gradient_result(f"{name} expectation", errors))
 
-    loss_rng = rng.spawn("losses")
-    errors_c = []
-    errors_s = []
-    for x in interior_probe_windows(params, trials, loss_rng):
-        gt_pos = x.reshape(3, 2) + 0.5
-        gt_vel = np.diff(gt_pos, axis=0, prepend=gt_pos[:1]) + 0.2
-        gt_b = np.array([0.0, 0.0, 1.0])
+    x = interior_probe_windows(params, trials, rng.spawn("losses"))
+    gt_pos = x.reshape(-1, 1, 3, 2) + 0.5
+    gt_vel = np.diff(gt_pos, axis=-2, prepend=gt_pos[..., :1, :]) + 0.2
+    gt_b = np.array([0.0, 0.0, 1.0])
+    # |.| arguments too close to zero for a clean stencil drop their probe
+    keep = _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window) >= 10 * FD_STEP
+    x, gt_pos, gt_vel = x[keep], gt_pos[keep], gt_vel[keep]
 
-        def fc(z):
-            landmarks = z.reshape(*z.shape[:-1], 3, 2)
-            return ad.stack([physics_consistency_loss(physics_window(landmarks, params), landmarks)])
+    def fc(z):
+        landmarks = z.reshape(*z.shape[:-1], 3, 2)
+        return ad.stack([physics_consistency_loss(physics_window(landmarks, params), landmarks)])
 
-        def fs(z):
-            win = physics_window(z.reshape(*z.shape[:-1], 3, 2), params)
-            return ad.stack([physics_supervised_loss(win, gt_pos, gt_vel, gt_b)])
+    def fs(z):
+        win = physics_window(z.reshape(*z.shape[:-1], 3, 2), params)
+        return ad.stack([physics_supervised_loss(win, gt_pos, gt_vel, gt_b)])
 
-        if _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window) < 10 * FD_STEP:
-            continue  # |.| argument too close to zero for a clean stencil
-        errors_c.append(ad.max_relative_error(
-            ad.jacobian_fd(fc, x, h=FD_STEP), ad.jacobian_forward(fc, x)))
-        errors_s.append(ad.max_relative_error(
-            ad.jacobian_fd(fs, x, h=FD_STEP), ad.jacobian_forward(fs, x)))
-    results.append(_gradient_result("physics consistency loss", errors_c))
-    results.append(_gradient_result("physics supervised loss", errors_s))
+    for name, fn in (("physics consistency loss", fc), ("physics supervised loss", fs)):
+        results.append(_gradient_result(name, _jacobian_errors(fn, x)))
     return results
 
 
@@ -221,7 +217,7 @@ def check_unit_scaling(cfg: SimConfig | None = None, physics_window=physics_refi
     params2 = to_frame_units(replace(cfg, scale=cfg.scale * 2))
 
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-units")
-    lms = np.array(interior_probe_windows(params, 50, rng)).reshape(-1, 3, 2)
+    lms = interior_probe_windows(params, 50, rng).reshape(-1, 3, 2)
     p1 = physics_window(lms, params).positions
     p2 = physics_window(lms / 2, params2).positions
     worst = float(np.max(np.abs(p2 - p1 / 2)))

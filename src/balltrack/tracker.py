@@ -229,13 +229,24 @@ def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str
 
 
 def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
-    """Parse rows written by :func:`metrics_to_csv` (or compatible files)."""
+    """Parse rows written by :func:`metrics_to_csv` (or compatible files).
+
+    Blank lines are skipped; a malformed row raises ``ValueError`` naming its
+    line number.
+    """
     rows = []
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip().lower() != "config,replicate,metric,value":
-        raise ValueError("results CSV must start with 'config,replicate,metric,value'")
-    for ln in lines[1:]:
-        config, replicate, metric, val = ln.split(",")
-        rows.append((config, int(replicate), metric, float(val)))
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1].strip().lower() != "config,replicate,metric,value":
+        first = lines[0][0] if lines else 1
+        raise ValueError(f"line {first}: results CSV must start with 'config,replicate,metric,value'")
+    for i, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"line {i}: expected 4 fields (config,replicate,metric,value), "
+                             f"found {len(fields)}")
+        try:
+            rows.append((fields[0], int(fields[1]), fields[2], float(fields[3])))
+        except ValueError as err:
+            raise ValueError(f"line {i}: {err}") from None
     return rows
 

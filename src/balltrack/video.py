@@ -148,7 +148,8 @@ def _bytes_left(fh) -> int:
 
 def _read_record(fh, dtype: str, path) -> np.ndarray:
     """Inverse of :func:`_write_record`; header sizes are checked against the
-    bytes left in ``fh`` before anything is allocated."""
+    bytes left in ``fh`` before anything is allocated, and the payload is
+    read straight into the returned array."""
     head = fh.read(12)
     if len(head) < 12:
         raise TruncatedFileError(f"{path}: truncated record header")
@@ -164,9 +165,12 @@ def _read_record(fh, dtype: str, path) -> np.ndarray:
     if nbytes > _bytes_left(fh):
         raise TruncatedFileError(f"{path}: truncated payload")
     try:
-        return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+        array = np.empty(shape, dtype=dtype)
     except ValueError as err:  # numpy's limits on rank and extent
         raise ShapeMismatchError(f"{path}: unsupported record shape {shape}") from err
+    if fh.readinto(array.reshape(-1).view(np.uint8)) != nbytes:
+        raise TruncatedFileError(f"{path}: truncated payload")
+    return array
 
 
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
@@ -222,9 +226,18 @@ def read_manifest(path) -> dict:
     manifest_path = Path(path) / "meta.json"
     if not manifest_path.exists():
         raise DatasetError(f"{manifest_path}: no manifest found")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as err:  # undecodable bytes or malformed JSON
+        raise DatasetError(f"{manifest_path}: the manifest is not valid JSON: {err}") from err
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{manifest_path}: the manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatVersionError(f"{manifest_path}: incompatible manifest version")
+    if not isinstance(manifest.get("config"), dict):
+        raise DatasetError(f"{manifest_path}: the manifest holds no configuration object")
+    if not isinstance(manifest.get("splits", {}), dict):
+        raise DatasetError(f"{manifest_path}: the manifest's splits are not an object")
     return manifest
 
 
@@ -255,7 +268,7 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
         velocities = _read_record(fh, "<f8", truth_path)
         bounces = _read_record(fh, "<u1", truth_path)
 
-    n = manifest["splits"].get(split)
+    n = manifest.get("splits", {}).get(split)
     if n is not None and frames.shape[0] != n:
         raise ShapeMismatchError(f"{path}: manifest lists {n} sequences, file has {frames.shape[0]}")
     if frames.ndim != 4 or positions.shape[-1] != 2 or velocities.shape[-1] != 2:

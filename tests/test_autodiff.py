@@ -174,6 +174,19 @@ class TestBatchedJacobians:
             assert j_fwd.shape == (2, len(cols)) and j_fwd.tobytes() == fwd.tobytes()
             assert ad.jacobian_fd(g, hm, cols=cols).tobytes() == fd.tobytes()
 
+    def test_probe_stack_matches_single_probes(self, params):
+        f = _window_fn(params)
+        x = interior_probe_windows(params, 5, RandomStream.from_seed(6, "batched-jac"))
+        assert x.shape == (5, 6)
+        j_fwd, j_fd = ad.jacobian_forward(f, x), ad.jacobian_fd(f, x)
+        assert j_fwd.shape == j_fd.shape == (5, 12, 6)
+        errors = ad.max_relative_error(j_fd, j_fwd)
+        assert errors.shape == (5,)
+        for p in range(5):
+            assert j_fwd[p].tobytes() == ad.jacobian_forward(f, x[p]).tobytes()
+            assert j_fd[p].tobytes() == ad.jacobian_fd(f, x[p]).tobytes()
+            assert errors[p] == ad.max_relative_error(j_fd[p], j_fwd[p])
+
     def test_constant_output_has_zero_jacobian(self):
         def f(x):
             return np.ones((*x.shape[:-1], 2))

@@ -182,6 +182,19 @@ class TestTrack:
             main(["track", "--data", str(broken), "--out", str(tmp_path / "o")])
         assert "version" in str(err.value)
 
+    @pytest.mark.parametrize("manifest", ['{"format_version": 1, "conf', "[]",
+                                          '{"format_version": 1}'],
+                             ids=["truncated", "list", "no-config"])
+    def test_corrupt_manifest_reported(self, small_dataset, tmp_path, manifest):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(small_dataset, broken)
+        (broken / "meta.json").write_text(manifest)
+        with pytest.raises(SystemExit, match=r"^error: .*meta.json"):
+            main(["track", "--data", str(broken), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
 
 class TestSelfcheck:
     def test_passes_and_prints_constant_check(self, capsys):
@@ -197,6 +210,27 @@ class TestSelfcheck:
             line = next(ln for ln in lines if f"physics {loss} loss" in ln)
             match = re.search(r": (\d+) probes,", line)
             assert match and int(match.group(1)) > 0, line
+
+    def test_zero_trials_fail_every_gradient_check(self, capsys):
+        assert main(["selfcheck", "--trials", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        gradients = [ln for ln in lines if "gradients:" in ln]
+        assert len(gradients) == 7
+        assert all(ln.startswith("[FAIL]") and ln.endswith(": 0 probes, max rel err 0.000e+00")
+                   for ln in gradients)
+        assert lines[-1] == "3/10 checks passed"
+
+    def test_loss_checks_fail_when_every_probe_sits_on_a_kink(self, monkeypatch):
+        from balltrack import selfcheck
+
+        monkeypatch.setattr(selfcheck, "_l1_kink_margin",
+                            lambda x, *rest: np.zeros(len(x)))
+        results = {name: (passed, detail) for name, passed, detail in
+                   selfcheck.check_gradients(trials=4)}
+        for loss in ("consistency", "supervised"):
+            passed, detail = results[f"gradients: physics {loss} loss"]
+            assert not passed and detail == "0 probes, max rel err 0.000e+00"
+        assert results["gradients: physics window"][0]
 
     def test_broken_kernel_fails(self, capsys):
         assert main(["selfcheck", "--trials", "4", "--inject-broken-kernel"]) == 1
@@ -251,3 +285,17 @@ class TestEffects:
         with pytest.raises(SystemExit) as err:
             main(["effects", "--results", str(csv), "--out", str(tmp_path / "fx")])
         assert "A1B0C1D0E0F1" in str(err.value)
+
+    @pytest.mark.parametrize("text", [None, "a,b,c,d\n",
+                                      "config,replicate,metric,value\nA0B0C0D0E0F0,0,B56\n",
+                                      "config,replicate,metric,value\nA0B0C0D0E0F0,x,B56,1.0\n",
+                                      "config,replicate,metric,value\nZZ,0,B56,1.0\n"],
+                             ids=["missing", "header", "three-fields", "replicate", "label"])
+    def test_bad_results_file_reported_before_writing(self, tmp_path, text):
+        csv = tmp_path / "results.csv"
+        if text is not None:
+            csv.write_text(text)
+        out = tmp_path / "fx"
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: "):
+            main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()

@@ -334,3 +334,13 @@ class TestMetricsCsv:
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             metrics_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("A0B0C0D0E0F0,0,B56", r"line 4: expected 4 fields"),
+        ("A0B0C0D0E0F0,one,B56,1.0", r"line 4: invalid literal for int"),
+        ("A0B0C0D0E0F0,0,B56,x", r"line 4: could not convert"),
+    ])
+    def test_bad_row_names_its_line(self, bad_row, message):
+        text = f"config,replicate,metric,value\nA0B0C0D0E0F0,0,B56,1.0\n\n{bad_row}\n"
+        with pytest.raises(ValueError, match=message):
+            metrics_from_csv(text)

@@ -250,6 +250,28 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="invalid configuration"):
             read_dataset(tmp_path, "train")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[: len(text) // 2],                     # truncated JSON
+        lambda text: "[]",                                        # not an object
+        lambda text: '{"format_version": 1}',                     # no config
+        lambda text: text.replace('"splits": {', '"splits": [{').replace("}\n}", "}]\n}"),
+    ], ids=["truncated", "list", "no-config", "list-splits"])
+    def test_corrupt_manifest_is_dataset_error(self, tmp_path, small_cfg, corrupt):
+        write_dataset(tmp_path, "train", generate_split(small_cfg, "train"), small_cfg)
+        meta = tmp_path / "meta.json"
+        meta.write_text(corrupt(meta.read_text()))
+        with pytest.raises(DatasetError, match="meta.json"):
+            read_dataset(tmp_path, "train")
+
+    def test_manifest_without_splits_still_loads(self, tmp_path, small_cfg):
+        import json
+
+        write_dataset(tmp_path, "train", generate_split(small_cfg, "train"), small_cfg)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        del meta["splits"]
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        assert len(read_dataset(tmp_path, "train")[0]) == small_cfg.n_train
+
     def test_empty_split_rejected_before_touching_the_directory(self, tmp_path, small_cfg):
         target = tmp_path / "d"
         with pytest.raises(DatasetError, match="no sequences"):
@@ -262,6 +284,16 @@ class TestDatasetIO:
                          + struct.pack("<Q", 1 << 62) + bytes(16))
         with open(path, "rb") as fh, pytest.raises(TruncatedFileError):
             _read_record(fh, "<f4", path)
+
+    def test_short_read_is_truncated_file(self):
+        class ShortReads(io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[: len(buffer) // 2])
+
+        fh = io.BytesIO()
+        _write_record(fh, np.arange(12.0), "<f8")
+        with pytest.raises(TruncatedFileError, match="truncated payload"):
+            _read_record(ShortReads(fh.getvalue()), "<f8", "short")
 
 
 _RECORD_DTYPES = ("<f4", "<f8", "<u1")
@@ -280,7 +312,7 @@ class TestRecordCodec:
         for array in records:
             back = _read_record(fh, dtype, "round-trip")
             assert back.dtype == np.dtype(dtype)
-            assert back.shape == array.shape
+            assert back.shape == array.shape and back.flags.writeable
             assert back.tobytes() == array.tobytes()
         assert fh.read() == b""
 
