@@ -16,7 +16,7 @@ params = to_frame_units(cfg)
 print(f"gravity in frame units : {params.g_frame} px/frame^2")
 print(f"per-frame displacement : {0.5 * params.g_frame} px (from rest)")
 print(f"max initial speed      : {params.v_max_frame} px/frame per component")
-print(f"valid center region    : [{params.x_min}, {params.x_max}] px")
+print(f"valid center region    : [{params.center_min}, {params.center_max}] px on both axes")
 
 traj = simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "demo", 0))
 print(f"\nsimulated {len(traj)} frames, {int(traj.bounce_flags.sum())} bounces")

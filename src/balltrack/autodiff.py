@@ -220,16 +220,13 @@ def sqrt(x):
     return x.sqrt() if isinstance(x, Dual) else np.sqrt(x)
 
 
-def stack(xs):
-    """Stack same-shape values along a new last axis; a dual iff any input is."""
-    vals = np.array([value(x) for x in xs], dtype=float)
-    last = (*range(1, vals.ndim), 0)
+def stack(xs, axis=-1):
+    """``np.stack`` for values and duals, by default along a new last axis; a dual iff any is."""
+    vals = np.stack([np.asarray(value(x), dtype=float) for x in xs], axis=axis)
     if not any(isinstance(x, Dual) for x in xs):
-        return vals.transpose(last)
-    tans = np.empty_like(vals)
-    for i, x in enumerate(xs):
-        tans[i] = tangent(x)
-    return Dual(vals.transpose(last), tans.transpose(last))
+        return vals
+    shape = np.shape(value(xs[0]))
+    return Dual(vals, np.stack([np.broadcast_to(tangent(x), shape) for x in xs], axis=axis))
 
 
 # ---- jacobians ---------------------------------------------------------

@@ -250,6 +250,15 @@ def cmd_effects(args) -> int:
     return 0
 
 
+def _int_at_least(lo: int):
+    def integer(text: str) -> int:  # argparse names the type in its usage errors
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="balltrack",
                                      description="bouncing-ball tracking toolbox")
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     track.set_defaults(func=cmd_track)
 
     check = sub.add_parser("selfcheck", help="run numerical self-checks")
-    check.add_argument("--trials", type=int, default=100, help="derivative probe count")
+    check.add_argument("--trials", type=_int_at_least(0), default=100, help="derivative probe count")
     check.add_argument("--inject-broken-kernel", action="store_true",
                        help=argparse.SUPPRESS)  # test hook: force a failure
     check.set_defaults(func=cmd_selfcheck)
@@ -283,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     effects = sub.add_parser("effects", help="factorial effects from a results CSV")
     effects.add_argument("--results", required=True, help="CSV: config,replicate,metric,value")
     effects.add_argument("--out", default=None)
-    effects.add_argument("--top", type=int, default=10, help="rows in the ranked report")
+    effects.add_argument("--top", type=_int_at_least(1), default=10, help="rows in the ranked report")
     effects.set_defaults(func=cmd_effects)
     return parser
 

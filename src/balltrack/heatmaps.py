@@ -13,8 +13,8 @@ support:
 * ``bicubic_expectation``    two-pass centroid with separable cubic kernels
 
 Operators take a map or a stack of maps, ``(..., H, W)``: leading axes are
-a batch and each map reduces on its own, so the (x, y) coordinates they
-return are ``(...)``-shaped, in heatmap pixel units.  Input may be an array
+a batch and each map reduces on its own, so they return ``(..., 2)``
+landmarks, (x, y) on the last axis in heatmap pixel units.  Input may be an array
 or an array-valued :class:`~balltrack.autodiff.Dual`, in which case tangents
 propagate through everything except the detached argmax.
 """
@@ -53,11 +53,11 @@ def gaussian_target(center, size: int, sigma: float) -> np.ndarray:
 
 
 def hard_argmax(hm):
-    """Integer (x, y) of the maximum of each map; ties go to the smallest flat index."""
+    """Integer ``(..., 2)`` (x, y) of each map's maximum; ties go to the smallest flat index."""
     values = np.asarray(ad.value(hm))
     *lead, h, w = values.shape
     k = np.argmax(values.reshape(*lead, h * w), axis=-1)
-    return k % w, k // w
+    return np.stack([k % w, k // w], axis=-1)
 
 
 def _grids(shape):
@@ -77,7 +77,7 @@ def bilinear_expectation(hm):
     """Global weighted centroid of the rectified heatmap."""
     hm = ad.relu(hm)
     ii, jj = _grids(np.shape(ad.value(hm)))
-    return _centroid(hm, ii, jj)
+    return ad.stack(_centroid(hm, ii, jj))
 
 
 def coarse_to_fine_expectation(hm, window_radius: int = 3):
@@ -88,10 +88,10 @@ def coarse_to_fine_expectation(hm, window_radius: int = 3):
     """
     hm = ad.relu(hm)
     ii, jj = _grids(np.shape(ad.value(hm)))
-    xc, yc = hard_argmax(hm)
-    inside = ((np.abs(ii - yc[..., None, None]) <= window_radius)
-              & (np.abs(jj - xc[..., None, None]) <= window_radius))
-    return _centroid(ad.where(inside, hm, 0.0), ii, jj)
+    peak = hard_argmax(hm)[..., None, None, :]
+    inside = ((np.abs(ii - peak[..., 1]) <= window_radius)
+              & (np.abs(jj - peak[..., 0]) <= window_radius))
+    return ad.stack(_centroid(ad.where(inside, hm, 0.0), ii, jj))
 
 
 def biquadratic_expectation(hm):
@@ -102,7 +102,7 @@ def biquadratic_expectation(hm):
     dx = jj - xbar[..., None, None]
     dy = ii - ybar[..., None, None]
     w = ad.relu(1.0 - (dx * dx + dy * dy) / 4.0)
-    return _centroid(w * hm, ii, jj)
+    return ad.stack(_centroid(w * hm, ii, jj))
 
 
 def bicubic_expectation(hm):
@@ -112,7 +112,7 @@ def bicubic_expectation(hm):
     xbar, ybar = _centroid(hm, ii, jj)
     wx = ad.relu(1.0 - ad.absolute(jj - xbar[..., None, None]) ** 3 / 8.0)
     wy = ad.relu(1.0 - ad.absolute(ii - ybar[..., None, None]) ** 3 / 8.0)
-    return _centroid(wx * wy * hm, ii, jj)
+    return ad.stack(_centroid(wx * wy * hm, ii, jj))
 
 
 def expectation_for_scale(scale: int):

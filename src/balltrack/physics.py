@@ -13,9 +13,9 @@ by -e, and records per-step bounce indicators.  Windows with no detected
 bounce are replaced by the exact constant-gravity parabola through the two
 endpoint landmarks.
 
-A window is an ``(..., 3, 2)`` array or dual of (x, y) landmarks: leading
-axes are a batch, the trailing ``(3, 2)`` is the event.  One code path
-serves windows, batches and their duals: branches select by value with
+Landmarks, velocities and gravity ``(0, g)`` are ``(..., 2)``, (x, y) on the
+last axis, and a window is ``(..., 3, 2)``, leading axes a batch.  One code
+path serves arrays and duals alike: branches select by value with
 :func:`~balltrack.autodiff.where`, so derivatives follow the branch
 actually taken and all outputs are differentiable in the input landmarks.
 """
@@ -46,10 +46,8 @@ class FrameUnitParams:
 
     g_frame: float          # px/frame^2
     restitution: float
-    x_min: float            # valid region for the ball center [px]
-    x_max: float
-    y_min: float
-    y_max: float
+    center_min: float       # valid region for the ball center, both axes [px]
+    center_max: float
     v_max_frame: float      # px/frame
 
 
@@ -73,10 +71,8 @@ def to_frame_units(cfg: SimConfig) -> FrameUnitParams:
     return FrameUnitParams(
         g_frame=g_frame,
         restitution=cfg.restitution,
-        x_min=cfg.center_min_px,
-        x_max=cfg.center_max_px,
-        y_min=cfg.center_min_px,
-        y_max=cfg.center_max_px,
+        center_min=cfg.center_min_px,
+        center_max=cfg.center_max_px,
         v_max_frame=cfg.v_max * cfg.dt / cfg.scale,
     )
 
@@ -87,62 +83,41 @@ def init_velocity(p_prev, p_cur):
     Deliberately independent of the third frame so that bounce detection in
     the subsequent integration is not contaminated by it.
     """
-    return p_cur[0] - p_prev[0], p_cur[1] - p_prev[1]
-
-
-def _mirror(raw, v, lo, hi, e):
-    """Value-select reflection: mirror position overshoot, scale v by -e."""
-    low = ad.value(raw) < lo
-    bounced = low | (ad.value(raw) > hi)
-    wall = ad.where(low, lo, hi)
-    return ad.where(bounced, 2.0 * wall - raw, raw), ad.where(bounced, -e * v, v), bounced
+    return p_cur - p_prev
 
 
 def verlet_step_with_bounce(p, v, params: FrameUnitParams):
     """One velocity-Verlet step with reflection and boundary clamping.
 
-    The vertical reflection applies to the half-step velocity
-    ``vy + g/2``; the second half-kick is added afterwards.  Horizontal
-    motion has no acceleration, so its reflection uses the full-step
-    velocity.  Returns (position, velocity, (bounced_x, bounced_y)).
+    Reflection applies to the half-step velocity ``v + (0, g/2)``; the
+    second half-kick is added afterwards, so horizontal motion reflects its
+    full-step velocity.  Returns the ``(..., 2)`` position and velocity and
+    the ``(..., 2)`` per-axis bounce flags.
     """
-    g, e = params.g_frame, params.restitution
-    x, y = p
-    vx, vy = v
+    lo, hi = params.center_min, params.center_max
+    half_kick = np.array([0.0, 0.5 * params.g_frame])
+    raw = p + v + half_kick
+    v_half = v + half_kick
 
-    x_raw = x + vx
-    y_raw = y + vy + 0.5 * g
-    vy_half = vy + 0.5 * g
-
-    x_new, vx_new, bx = _mirror(x_raw, vx, params.x_min, params.x_max, e)
-    y_new, vy_half, by = _mirror(y_raw, vy_half, params.y_min, params.y_max, e)
-    vy_new = vy_half + 0.5 * g
-
-    x_new = ad.clip(x_new, params.x_min, params.x_max)
-    y_new = ad.clip(y_new, params.y_min, params.y_max)
-    return (x_new, y_new), (vx_new, vy_new), (bx, by)
+    low = ad.value(raw) < lo
+    bounced = low | (ad.value(raw) > hi)
+    mirrored = ad.where(bounced, 2.0 * np.where(low, lo, hi) - raw, raw)
+    v_half = ad.where(bounced, -params.restitution * v_half, v_half)
+    return ad.clip(mirrored, lo, hi), v_half + half_kick, bounced
 
 
 def smooth_correction(p_tm1, p_tp1, params: FrameUnitParams):
-    """Exact constant-gravity parabola through the two endpoint landmarks.
+    """``(..., 3, 2)`` positions and velocities of the exact constant-gravity
+    parabola through the two ``(..., 2)`` endpoint landmarks.
 
     The middle landmark is deliberately ignored: the central velocity fixes
-    the parabola, which makes three exact ballistic samples a fixed point
-    of the window refinement.
+    the parabola, which makes exact ballistic samples a fixed point.
     """
-    g = params.g_frame
-    vx = (p_tp1[0] - p_tm1[0]) * 0.5
-    v_mid_y = (p_tp1[1] - p_tm1[1]) * 0.5
-    vy0 = v_mid_y - g  # left-edge vertical velocity
-
-    x0, y0 = p_tm1
-    positions = (
-        (x0, y0),
-        (x0 + vx, y0 + vy0 + 0.5 * g),
-        (x0 + 2.0 * vx, y0 + 2.0 * vy0 + 2.0 * g),
-    )
-    velocities = ((vx, vy0), (vx, vy0 + g), (vx, vy0 + 2.0 * g))
-    return positions, velocities
+    t = np.arange(3.0)[:, None]
+    kick = t * np.array([0.0, params.g_frame])  # velocity gained by frame t
+    v0 = (p_tp1 - p_tm1) * 0.5 - kick[1]        # left-edge velocity
+    positions = p_tm1[..., None, :] + t * v0[..., None, :] + 0.5 * t * kick
+    return positions, v0[..., None, :] + kick
 
 
 def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
@@ -153,21 +128,15 @@ def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
     unchanged; the other two come from the integrator, or from the exact
     parabola when neither step detected a bounce.
     """
-    p0, p1_in, p2_in = ((landmarks[..., t, 0], landmarks[..., t, 1]) for t in range(3))
+    p0, p1_in, p2_in = (landmarks[..., t, :] for t in range(3))
     v0 = init_velocity(p0, p1_in)
-    p1, v1, (bx1, by1) = verlet_step_with_bounce(p0, v0, params)
-    p2, v2, (bx2, by2) = verlet_step_with_bounce(p1, v1, params)
-    b1, b2 = bx1 | by1, bx2 | by2
-    either = b1 | b2
+    p1, v1, b1 = verlet_step_with_bounce(p0, v0, params)
+    p2, v2, b2 = verlet_step_with_bounce(p1, v1, params)
+    b1, b2 = b1.any(axis=-1), b2.any(axis=-1)
+    either = (b1 | b2)[..., None, None]
     smooth_pos, smooth_vel = smooth_correction(p0, p2_in, params)
 
-    def pick(integrated, smooth):
-        return ad.where(either, integrated, smooth)
-
-    positions = [c for p, s in zip((p0, p1, p2), smooth_pos)
-                 for c in (ad.clip(pick(p[0], s[0]), params.x_min, params.x_max),
-                           ad.clip(pick(p[1], s[1]), params.y_min, params.y_max))]
-    velocities = [pick(c, sc) for v, s in zip((v0, v1, v2), smooth_vel) for c, sc in zip(v, s)]
-    return PhysicsWindow(positions=ad.stack(positions).reshape(landmarks.shape),
-                         velocities=ad.stack(velocities).reshape(landmarks.shape),
-                         bounced=ad.stack([np.zeros_like(b1), b1, b2]).astype(bool))
+    positions = ad.where(either, ad.stack([p0, p1, p2], axis=-2), smooth_pos)
+    return PhysicsWindow(positions=ad.clip(positions, params.center_min, params.center_max),
+                         velocities=ad.where(either, ad.stack([v0, v1, v2], axis=-2), smooth_vel),
+                         bounced=np.stack([np.zeros_like(b1), b1, b2], axis=-1))

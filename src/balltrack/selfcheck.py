@@ -32,8 +32,7 @@ def _window_fn(params, physics_window=physics_refine_window):
     """(..., 6) landmarks -> (..., 12) refined positions then velocities."""
     def f(x):
         win = physics_window(x.reshape(*x.shape[:-1], 3, 2), params)
-        return ad.stack([out[..., t, c] for out in (win.positions, win.velocities)
-                         for t in range(3) for c in range(2)])
+        return ad.stack([win.positions, win.velocities], axis=-3).reshape(*x.shape[:-1], 12)
 
     return f
 
@@ -46,16 +45,13 @@ def _branch_margin(x, params) -> float:
     mean neither a bounce nor a clamp can trigger, so the window sits
     strictly inside one differentiable branch.
     """
-    g = params.g_frame
+    half_kick = np.array([0.0, 0.5 * params.g_frame])
     pts = np.asarray(x, dtype=float).reshape(3, 2)
     v0 = pts[1] - pts[0]
-    raw1 = pts[0] + v0 + np.array([0.0, 0.5 * g])
-    v1 = v0 + np.array([0.0, g])
-    raw2 = raw1 + v1 + np.array([0.0, 0.5 * g])
+    raw1 = pts[0] + v0 + half_kick
+    raw2 = raw1 + (v0 + 2.0 * half_kick) + half_kick
     states = np.vstack([pts, raw1, raw2])
-    lo = np.array([params.x_min, params.y_min])
-    hi = np.array([params.x_max, params.y_max])
-    return float(min(np.min(states - lo), np.min(hi - states)))
+    return float(min(np.min(states - params.center_min), np.min(params.center_max - states)))
 
 
 def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
@@ -67,15 +63,12 @@ def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
     clamp branches.
     """
     probes = []
-    g = params.g_frame
-    t = np.arange(3.0)
+    t = np.arange(3.0)[:, None]
+    fall = np.array([0.0, 0.5 * params.g_frame]) * t * t
     while len(probes) < n:
-        x0 = rng.uniform(params.x_min + 25, params.x_max - 25)
-        y0 = rng.uniform(params.y_min + 25, params.y_max - 25)
-        vx = rng.uniform(-6, 6)
-        vy = rng.uniform(-6, 6)
-        jitter = rng.uniform(-0.45, 0.45, 6)
-        x = np.stack([x0 + vx * t, y0 + vy * t + 0.5 * g * t * t], axis=-1).ravel() + jitter
+        p0 = rng.uniform(params.center_min + 25, params.center_max - 25, 2)
+        v = rng.uniform(-6, 6, 2)
+        x = (p0 + v * t + fall).ravel() + rng.uniform(-0.45, 0.45, 6)
         if _branch_margin(x, params) >= margin:
             probes.append(x)
     return np.array(probes).reshape(-1, 6)
@@ -146,7 +139,7 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 
         for _, pos, _, flags in trajectory_windows(traj):
             if flags[1] or flags[2]:
                 continue
-            if np.max(pos[:, 1]) > params.y_max - params.g_frame:
+            if np.max(pos[:, 1]) > params.center_max - params.g_frame:
                 continue  # integrator overshoot could graze the floor
             windows.append(pos)
     pos = np.array(windows).reshape(-1, 3, 2)
@@ -178,7 +171,7 @@ def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
                      ("biquadratic", biquadratic_expectation),
                      ("bicubic", bicubic_expectation)):
         def g(flat, op=op):
-            return ad.stack(op(flat.reshape(*flat.shape[:-1], 24, 24)))
+            return op(flat.reshape(*flat.shape[:-1], 24, 24))
 
         errors = []
         for _ in range(trials):

@@ -178,11 +178,11 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     windows = np.arange(n_frames - 2)[:, None] + np.arange(3)  # (T-2, 3) frame indices
     predictions = {}
     for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
-        a = 224 // s
+        a = 224 / s
         op = expectation_for_scale(s)
         # per frame: on a (40, 224, 224) stack the operator temporaries add ~46 MB of peak memory
-        b = a * np.array([op(hm) for hm in heatmaps], dtype=float)[windows]
-        h = a * np.array(hard_argmax(heatmaps), dtype=float).T[windows]
+        b = a * np.array([op(hm) for hm in heatmaps])[windows]
+        h = a * hard_argmax(heatmaps)[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,
                           "bounce": win.bounced}
@@ -231,14 +231,16 @@ def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str
 def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
     """Parse rows written by :func:`metrics_to_csv` (or compatible files).
 
-    Blank lines are skipped; a malformed row raises ``ValueError`` naming its
-    line number.
+    Blank lines are skipped; ``ValueError`` names the line of a malformed row,
+    or says that the file has no data rows.
     """
     rows = []
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].strip().lower() != "config,replicate,metric,value":
         first = lines[0][0] if lines else 1
         raise ValueError(f"line {first}: results CSV must start with 'config,replicate,metric,value'")
+    if len(lines) == 1:
+        raise ValueError("no data rows")
     for i, ln in lines[1:]:
         fields = ln.split(",")
         if len(fields) != 4:

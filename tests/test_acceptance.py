@@ -88,7 +88,7 @@ def test_criterion_2_parabola_fixed_point(params, test_trajectories):
         for _, pos, _, flags in trajectory_windows(traj):
             if flags[1] or flags[2]:
                 continue
-            if pos[:, 1].max() > params.y_max - params.g_frame:
+            if pos[:, 1].max() > params.center_max - params.g_frame:
                 continue
             win = physics_refine_window(pos, params)
             refined = win.positions

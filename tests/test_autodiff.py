@@ -90,9 +90,8 @@ class TestJacobians:
 
     def test_verlet_dy_dvy_is_one(self, params):
         def f(z):
-            (x, y), (vx, vy), _ = verlet_step_with_bounce((z[..., 0], z[..., 1]),
-                                                          (z[..., 2], z[..., 3]), params)
-            return ad.stack([x, y, vx, vy])
+            p, v, _ = verlet_step_with_bounce(z[..., :2], z[..., 2:], params)
+            return ad.stack([p, v], axis=-2).reshape(*z.shape[:-1], 4)
 
         x = np.array([100.0, 90.0, 2.0, 1.5])
         j = ad.jacobian_forward(f, x)
@@ -125,11 +124,10 @@ class TestJacobians:
         g = params.g_frame
 
         def f(z):
-            (x, y), _, _ = verlet_step_with_bounce((z[..., 0], z[..., 1]),
-                                                   (z[..., 2], z[..., 3]), params)
-            return ad.stack([x, y])
+            p, _, _ = verlet_step_with_bounce(z[..., :2], z[..., 2:], params)
+            return p
 
-        y0 = params.y_max - 1.0
+        y0 = params.center_max - 1.0
         vy = 1.0 - 0.5 * g + 1e-6  # raw lands a hair past the floor
         x = np.array([100.0, y0, 0.0, vy])
         j_fwd = ad.jacobian_forward(f, x)
@@ -167,7 +165,7 @@ class TestBatchedJacobians:
         cols = [300, 5, 277, 300, 301, 13]  # repeats and off-blob pixels too
         for op in (bicubic_expectation, coarse_to_fine_expectation):
             def g(flat, op=op):
-                return ad.stack(op(flat.reshape(*flat.shape[:-1], 24, 24)))
+                return op(flat.reshape(*flat.shape[:-1], 24, 24))
 
             fwd, fd = self._per_column(g, hm, cols)
             j_fwd = ad.jacobian_forward(g, hm, cols=cols)

@@ -232,6 +232,13 @@ class TestSelfcheck:
             assert not passed and detail == "0 probes, max rel err 0.000e+00"
         assert results["gradients: physics window"][0]
 
+    @pytest.mark.parametrize("trials", ["-1", "-100"])
+    def test_negative_trials_is_usage_error(self, capsys, trials):
+        with pytest.raises(SystemExit) as err:
+            main(["selfcheck", "--trials", trials])
+        assert err.value.code == 2
+        assert f"argument --trials: must be >= 0, got {trials}" in capsys.readouterr().err
+
     def test_broken_kernel_fails(self, capsys):
         assert main(["selfcheck", "--trials", "4", "--inject-broken-kernel"]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -298,4 +305,22 @@ class TestEffects:
         out = tmp_path / "fx"
         with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: "):
             main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()
+
+    def test_header_only_results_reported_before_writing(self, tmp_path):
+        csv = tmp_path / "results.csv"
+        csv.write_text("config,replicate,metric,value\n")
+        out = tmp_path / "fx"
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: no data rows$"):
+            main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("top", ["0", "-60"])
+    def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
+        csv = _planted_csv(tmp_path / "results.csv")
+        out = tmp_path / "fx"
+        with pytest.raises(SystemExit) as err:
+            main(["effects", "--results", str(csv), "--out", str(out), "--top", top])
+        assert err.value.code == 2
+        assert f"argument --top: must be >= 1, got {top}" in capsys.readouterr().err
         assert not out.exists()

@@ -42,14 +42,14 @@ class TestHardArgmax:
     def test_flat_index_formula(self):
         hm = np.zeros((3, 4))
         hm[1, 1] = 5.0  # flattened index 5, width 4
-        assert hard_argmax(hm) == (1, 1)
+        assert hard_argmax(hm).tolist() == [1, 1]
 
     def test_all_equal_ties_to_first(self):
-        assert hard_argmax(np.ones((7, 7))) == (0, 0)
+        assert hard_argmax(np.ones((7, 7))).tolist() == [0, 0]
 
     def test_peak_of_gaussian_target(self):
         hm = gaussian_target((10, 20), 56, 2.0)
-        assert hard_argmax(hm) == (10, 20)
+        assert hard_argmax(hm).tolist() == [10, 20]
 
 
 class TestBilinear:
@@ -223,22 +223,28 @@ class TestStacks:
         return np.array(maps)
 
     @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
+    def test_landmarks_on_a_trailing_axis(self, stack, op):
+        assert op(stack[0]).shape == (2,)
+        assert op(stack).shape == (len(stack), 2)
+        assert op(stack.reshape(3, 7, 24, 24)).shape == (3, 7, 2)
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
     def test_stack_matches_single_maps_bitwise(self, stack, op):
-        xs, ys = op(stack)
-        assert xs.shape == ys.shape == (len(stack),)
+        xy = op(stack)
+        assert xy.shape == (len(stack), 2)
         for k, hm in enumerate(stack):
-            x, y = op(hm)
-            assert (xs[k], ys[k]) == (x, y)
+            assert xy[k].tolist() == op(hm).tolist()
 
     def test_hard_argmax_stack(self, stack):
-        xs, ys = hard_argmax(stack)
-        assert [hard_argmax(hm) for hm in stack] == list(zip(xs, ys))
-        assert hard_argmax(stack.reshape(3, 7, 24, 24))[0].shape == (3, 7)
+        xy = hard_argmax(stack)
+        assert [hard_argmax(hm).tolist() for hm in stack] == xy.tolist()
+        assert hard_argmax(stack[0]).shape == (2,) and xy.shape == (len(stack), 2)
+        assert hard_argmax(stack.reshape(3, 7, 24, 24)).shape == (3, 7, 2)
 
     def test_coarse_to_fine_matches_windowed_slice(self, stack):
         # reference: the centroid of the 7x7 slice around the argmax, cut at
         # the border; the operator masks instead, which only reorders sums
-        xs, ys = coarse_to_fine_expectation(stack)
+        xs, ys = coarse_to_fine_expectation(stack).T
         for k, hm in enumerate(np.maximum(stack, 0.0)):
             xc, yc = hard_argmax(hm)
             i0, j0 = max(0, yc - 3), max(0, xc - 3)

@@ -39,8 +39,8 @@ class TestFrameUnits:
         assert abs(params.v_max_frame - 22.2) <= 1e-12
 
     def test_bounds(self, params):
-        assert params.x_min == params.y_min == 2.0
-        assert params.x_max == params.y_max == 221.0
+        assert params.center_min == 2.0
+        assert params.center_max == 221.0
 
     def test_quadratic_scaling_in_dt(self, cfg):
         doubled = SimConfig(**{**_kw(cfg), "dt": 2 * cfg.dt})
@@ -51,19 +51,23 @@ def _kw(cfg):
     return asdict(cfg)
 
 
+def _xy(x, y):
+    return np.array([x, y])
+
+
 class TestInitVelocity:
     def test_difference(self):
-        assert init_velocity((100.0, 100.0), (102.0, 97.0)) == (2.0, -3.0)
+        assert init_velocity(_xy(100.0, 100.0), _xy(102.0, 97.0)).tolist() == [2.0, -3.0]
 
     def test_identical_points(self):
-        assert init_velocity((5.0, 7.0), (5.0, 7.0)) == (0.0, 0.0)
+        assert init_velocity(_xy(5.0, 7.0), _xy(5.0, 7.0)).tolist() == [0.0, 0.0]
 
     def test_collision_detection_blind_to_third_frame(self, params):
         # the velocity estimate uses frames (t-1, t) only, so the bounce
         # flags cannot depend on where the third landmark sits
         lms_a = np.array([(100.0, 100.0), (103.0, 99.0), (106.0, 98.5)])
         lms_b = np.array([(100.0, 100.0), (103.0, 99.0), (120.0, 50.0)])
-        assert init_velocity(lms_a[0], lms_a[1]) == init_velocity(lms_b[0], lms_b[1])
+        assert np.array_equal(init_velocity(lms_a[0], lms_a[1]), init_velocity(lms_b[0], lms_b[1]))
         wa = physics_refine_window(lms_a, params)
         wb = physics_refine_window(lms_b, params)
         assert np.array_equal(wa.bounced, wb.bounced)
@@ -71,7 +75,7 @@ class TestInitVelocity:
 
 class TestVerletStep:
     def test_free_fall_from_rest(self, params):
-        (x, y), (vx, vy), (bx, by) = verlet_step_with_bounce((100.0, 100.0), (0.0, 0.0), params)
+        (x, y), (vx, vy), (bx, by) = verlet_step_with_bounce(_xy(100.0, 100.0), _xy(0.0, 0.0), params)
         assert (x, y) == (100.0, pytest.approx(100.3924, abs=1e-12))
         assert (vx, vy) == (0.0, pytest.approx(0.7848, abs=1e-12))
         assert not bx and not by
@@ -82,18 +86,18 @@ class TestVerletStep:
         #   mirror  = 2*221 - 224.3924          = 217.6076
         #   v_half  = 3 + 0.3924 = 3.3924, reflected -> -2.5443
         #   v_final = -2.5443 + 0.3924          = -2.1519
-        (x, y), (vx, vy), (bx, by) = verlet_step_with_bounce((100.0, 221.0), (0.0, 3.0), params)
+        (x, y), (vx, vy), (bx, by) = verlet_step_with_bounce(_xy(100.0, 221.0), _xy(0.0, 3.0), params)
         assert by and not bx
         assert y == pytest.approx(217.6076, abs=1e-12)
         assert vy == pytest.approx(-2.1519, abs=1e-12)
 
     def test_horizontal_motion_unaccelerated(self, params):
-        (x, y), (vx, vy), (bx, by) = verlet_step_with_bounce((100.0, 50.0), (5.0, 0.0), params)
+        (x, y), (vx, vy), (bx, by) = verlet_step_with_bounce(_xy(100.0, 50.0), _xy(5.0, 0.0), params)
         assert x == 105.0 and vx == 5.0
         assert not bx
 
     def test_wall_bounce_full_step_velocity(self, params):
-        (x, _), (vx, _), (bx, _) = verlet_step_with_bounce((220.0, 50.0), (4.0, 0.0), params)
+        (x, _), (vx, _), (bx, _) = verlet_step_with_bounce(_xy(220.0, 50.0), _xy(4.0, 0.0), params)
         assert bx
         assert x == pytest.approx(2 * 221.0 - 224.0)
         assert vx == pytest.approx(-0.75 * 4.0)
@@ -101,39 +105,38 @@ class TestVerletStep:
     def test_positions_clamped(self, params):
         # a shallow graze that mirrors back inside needs no clamping; feed a
         # case where the mirrored position is valid but extreme
-        (x, _), _, (bx, _) = verlet_step_with_bounce((3.0, 50.0), (-2.0, 0.0), params)
-        assert bx and params.x_min <= x <= params.x_max
+        (x, _), _, (bx, _) = verlet_step_with_bounce(_xy(3.0, 50.0), _xy(-2.0, 0.0), params)
+        assert bx and params.center_min <= x <= params.center_max
 
 
 class TestSmoothCorrection:
     def test_exact_parabola_reconstruction(self, cfg, params):
         checked = 0
         for pos, vel, flags in _gt_windows(cfg, bounce=False)[:400]:
-            positions, velocities = smooth_correction(tuple(pos[0]), tuple(pos[2]), params)
-            rec = np.array(positions)
-            vec = np.array(velocities)
-            assert np.max(np.abs(rec - pos)) < 1e-9
-            assert np.max(np.abs(vec - vel)) < 1e-9
+            positions, velocities = smooth_correction(pos[0], pos[2], params)
+            assert positions.shape == velocities.shape == (3, 2)
+            assert np.max(np.abs(positions - pos)) < 1e-9
+            assert np.max(np.abs(velocities - vel)) < 1e-9
             checked += 1
         assert checked > 100
 
     def test_zero_gravity_degenerates_to_line(self):
-        p = FrameUnitParams(g_frame=0.0, restitution=0.75, x_min=2, x_max=221,
-                            y_min=2, y_max=221, v_max_frame=22.2)
-        positions, velocities = smooth_correction((10.0, 20.0), (16.0, 26.0), p)
-        assert positions == ((10, 20), (13, 23), (16, 26))
-        assert velocities == ((3, 3), (3, 3), (3, 3))
+        p = FrameUnitParams(g_frame=0.0, restitution=0.75, center_min=2, center_max=221,
+                            v_max_frame=22.2)
+        positions, velocities = smooth_correction(_xy(10.0, 20.0), _xy(16.0, 26.0), p)
+        assert positions.tolist() == [[10, 20], [13, 23], [16, 26]]
+        assert velocities.tolist() == [[3, 3], [3, 3], [3, 3]]
 
     def test_horizontal_midpoint(self, params):
-        positions, _ = smooth_correction((10.0, 50.0), (20.0, 60.0), params)
-        assert positions[1][0] == pytest.approx((10.0 + 20.0) / 2)
+        positions, _ = smooth_correction(_xy(10.0, 50.0), _xy(20.0, 60.0), params)
+        assert positions[1, 0] == pytest.approx((10.0 + 20.0) / 2)
 
 
 class TestRefineWindow:
     def test_parabola_fixed_point(self, cfg, params):
         checked = 0
         for pos, _, _ in _gt_windows(cfg, bounce=False)[:500]:
-            if pos[:, 1].max() > params.y_max - params.g_frame:
+            if pos[:, 1].max() > params.center_max - params.g_frame:
                 continue  # integrator overshoot would graze the floor
             win = physics_refine_window(pos, params)
             refined, flags = win.positions, win.bounced
@@ -177,7 +180,7 @@ class TestRefineWindow:
         lms = np.array([(3.0, 220.5), (2.5, 220.9), (2.1, 220.99)])
         win = physics_refine_window(lms, params)
         pos = win.positions
-        assert pos.min() >= params.x_min and pos.max() <= params.x_max
+        assert pos.min() >= params.center_min and pos.max() <= params.center_max
 
     def test_degenerate_and_out_of_region_landmarks_stay_finite(self, params):
         # all-zero heatmaps yield origin landmarks; border argmaxes can land
@@ -190,7 +193,7 @@ class TestRefineWindow:
             win = physics_refine_window(lms, params)
             pos, vel, flags = win.positions, win.velocities, win.bounced
             assert np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))
-            assert pos.min() >= params.x_min and pos.max() <= params.x_max
+            assert pos.min() >= params.center_min and pos.max() <= params.center_max
             assert flags[0] == False  # noqa: E712  (first frame has no step)
 
     def test_scale_consistency(self, cfg, params):
@@ -243,8 +246,8 @@ class TestBatchedWindow:
         plain, flags = ref.positions, ref.bounced
         assert np.array_equal(win.positions.value, plain)
         # x2 only enters the parabola branch: d x1 / d x2_landmark = 1/2 there
-        smooth = ~(flags[:, 1] | flags[:, 2]) & (plain[:, 1, 0] > params.x_min) \
-            & (plain[:, 1, 0] < params.x_max)
+        smooth = ~(flags[:, 1] | flags[:, 2]) & (plain[:, 1, 0] > params.center_min) \
+            & (plain[:, 1, 0] < params.center_max)
         assert smooth.any()
         assert np.all(win.positions[:, 1, 0].tangent[smooth] == 0.5)
         assert np.all(win.positions[:, 1, 0].tangent[flags[:, 1] | flags[:, 2]] == 0.0)
