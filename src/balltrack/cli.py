@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .factorial import (
+    FactorConfig,
     MissingCellsError,
     ResponseTable,
     all_terms,
@@ -161,6 +162,9 @@ def cmd_track(args) -> int:
     out = _resolve_out(args, "results")
     started = time.time()
     sequences, cfg = read_dataset(data, args.split)
+    if cfg.image_size % 4 != 0:
+        raise SystemExit(f"error: {data}: image size {cfg.image_size} is not divisible by 4, "
+                         "which the 2x and 4x pooling of the heatmap pyramid needs")
     with _OutputLock(out):
         out.mkdir(parents=True, exist_ok=True)
         per_seq = []
@@ -259,6 +263,14 @@ def _int_at_least(lo: int):
     return integer
 
 
+def _config_label(text: str) -> str:
+    try:
+        FactorConfig.from_label(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="balltrack",
                                      description="bouncing-ball tracking toolbox")
@@ -278,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--temporal-mean", action="store_true",
                        help="subtract the 3-frame mean before correlation "
                             "(cancels the static noise background)")
-    track.add_argument("--config-label", default="A0B0C0D0E0F0",
+    track.add_argument("--config-label", type=_config_label, default="A0B0C0D0E0F0",
                        help="config column stamped into the results CSV")
     track.add_argument("--replicate", type=int, default=0)
     track.set_defaults(func=cmd_track)

@@ -6,15 +6,17 @@ differentiable operators are provided, ordered from cheapest to widest
 support:
 
 * ``bilinear_expectation``   global weighted centroid (baseline)
-* ``coarse_to_fine_expectation``  detached argmax + local window centroid,
-  robust to multi-modal heatmaps at coarse scales
-* ``biquadratic_expectation``  two-pass centroid reweighted by a quadratic
-  falloff kernel
-* ``bicubic_expectation``    two-pass centroid with separable cubic kernels
+* ``coarse_to_fine_expectation``  detached argmax + centroid of the 7x7 block
+  around it, robust to multi-modal heatmaps at coarse scales
+* ``biquadratic_expectation``  two-pass centroid; pass two reweights the 4x4
+  block around the first centroid by a quadratic falloff kernel
+* ``bicubic_expectation``    the same with separable cubic kernels
 
-Operators take a map or a stack of maps, ``(..., H, W)``: leading axes are
-a batch and each map reduces on its own, so they return ``(..., 2)``
-landmarks, (x, y) on the last axis in heatmap pixel units.  Input may be an array
+Operators run once on a whole stack of maps, ``(..., H, W)``: leading axes
+are a batch and each map reduces on its own, so they return ``(..., 2)``
+landmarks, (x, y) on the last axis in heatmap pixel units.  Only the global
+centroids read whole maps (through their row and column sums); every second
+pass reads a small block of each map.  Input may be an array
 or an array-valued :class:`~balltrack.autodiff.Dual`, in which case tangents
 propagate through everything except the detached argmax.
 """
@@ -60,65 +62,66 @@ def hard_argmax(hm):
     return np.stack([k % w, k // w], axis=-1)
 
 
-def _grids(shape):
-    ii = np.arange(shape[-2], dtype=float)[:, None]
-    jj = np.arange(shape[-1], dtype=float)[None, :]
-    return ii, jj
+def _centroid(weights, corner=(0, 0)):
+    """(..., 2) centroid, in map coordinates, of (..., h, w) weights whose top-left
+    pixel is at the (..., 2) ``corner``; formed from the row and column sums."""
+    corner = np.asarray(corner, dtype=float)
+    cols, rows = ad.asum(weights, axis=-2), ad.asum(weights, axis=-1)
+    total = ad.asum(cols, axis=-1) + EPS
+    x = ad.asum(cols * (corner[..., :1] + np.arange(cols.shape[-1])), axis=-1) / total
+    y = ad.asum(rows * (corner[..., 1:] + np.arange(rows.shape[-1])), axis=-1) / total
+    return ad.stack([x, y])
 
 
-def _centroid(weights, ii, jj):
-    total = ad.asum(weights, axis=(-2, -1)) + EPS
-    x = ad.asum(weights * jj, axis=(-2, -1)) / total
-    y = ad.asum(weights * ii, axis=(-2, -1)) / total
-    return x, y
+def _block(hm, corner, k):
+    """(..., k, k) block of (..., H, W) maps starting at the (..., 2) integer
+    ``corner``; pixels that fall off the map read as 0."""
+    *lead, h, w = np.shape(ad.value(hm))
+    rows, cols = corner[..., 1, None] + np.arange(k), corner[..., 0, None] + np.arange(k)
+    batch = tuple(ix[..., None, None] for ix in np.indices(lead, sparse=True))
+    block = hm[(*batch, np.clip(rows, 0, h - 1)[..., :, None], np.clip(cols, 0, w - 1)[..., None, :])]
+    inside = ((rows >= 0) & (rows < h))[..., :, None] & ((cols >= 0) & (cols < w))[..., None, :]
+    return ad.where(inside, block, 0.0)
 
 
 def bilinear_expectation(hm):
     """Global weighted centroid of the rectified heatmap."""
-    hm = ad.relu(hm)
-    ii, jj = _grids(np.shape(ad.value(hm)))
-    return ad.stack(_centroid(hm, ii, jj))
+    return _centroid(ad.relu(hm))
 
 
 def coarse_to_fine_expectation(hm, window_radius: int = 3):
     """Centroid restricted to a window around the (detached) peak.
 
     The argmax step carries no derivative; gradients flow through the local
-    centroid only.  The window is a mask, so it is clipped at the grid border.
+    centroid only.  The window is clipped at the grid border.
     """
     hm = ad.relu(hm)
-    ii, jj = _grids(np.shape(ad.value(hm)))
-    peak = hard_argmax(hm)[..., None, None, :]
-    inside = ((np.abs(ii - peak[..., 1]) <= window_radius)
-              & (np.abs(jj - peak[..., 0]) <= window_radius))
-    return ad.stack(_centroid(ad.where(inside, hm, 0.0), ii, jj))
+    corner = hard_argmax(hm) - window_radius
+    return _centroid(_block(hm, corner, 2 * window_radius + 1), corner)
+
+
+def _two_pass(hm, kernel):
+    """Centroid reweighted by ``kernel(dx, dy)`` around the first one; both kernels
+    vanish at |d| >= 2, so pass two reads the 4x4 block at ``floor(first) - 1``."""
+    hm = ad.relu(hm)
+    first = _centroid(hm)
+    corner = np.floor(ad.value(first)).astype(int) - 1
+    d = corner[..., None, :] + np.arange(4)[:, None] - first[..., None, :]  # (..., 4, 2)
+    weights = kernel(d[..., None, :, 0], d[..., :, None, 1])
+    return _centroid(weights * _block(hm, corner, 4), corner)
 
 
 def biquadratic_expectation(hm):
     """Two-pass centroid; pass two reweights with 1 - d^2/4 (clipped at 0)."""
-    hm = ad.relu(hm)
-    ii, jj = _grids(np.shape(ad.value(hm)))
-    xbar, ybar = _centroid(hm, ii, jj)
-    dx = jj - xbar[..., None, None]
-    dy = ii - ybar[..., None, None]
-    w = ad.relu(1.0 - (dx * dx + dy * dy) / 4.0)
-    return ad.stack(_centroid(w * hm, ii, jj))
+    return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - (dx * dx + dy * dy) / 4.0))
 
 
 def bicubic_expectation(hm):
     """Two-pass centroid with separable cubic kernels max(1 - |d|^3/8, 0)."""
-    hm = ad.relu(hm)
-    ii, jj = _grids(np.shape(ad.value(hm)))
-    xbar, ybar = _centroid(hm, ii, jj)
-    wx = ad.relu(1.0 - ad.absolute(jj - xbar[..., None, None]) ** 3 / 8.0)
-    wy = ad.relu(1.0 - ad.absolute(ii - ybar[..., None, None]) ** 3 / 8.0)
-    return ad.stack(_centroid(wx * wy * hm, ii, jj))
+    return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0)
+                     * ad.relu(1.0 - ad.absolute(dy) ** 3 / 8.0))
 
 
 def expectation_for_scale(scale: int):
     """The operator used at each pyramid scale."""
-    return {
-        56: coarse_to_fine_expectation,
-        112: biquadratic_expectation,
-        224: bicubic_expectation,
-    }[scale]
+    return {56: coarse_to_fine_expectation, 112: biquadratic_expectation, 224: bicubic_expectation}[scale]

@@ -9,7 +9,8 @@ computed once per call, and each frame costs 5 FFTs) and average-pooled to
 the 112 and 56 grids, mirroring a three-scale pyramid.
 
 Per 3-frame window and per scale, three position estimates are extracted:
-B (differentiable expectation operator for that scale), H (hard argmax) and
+B (the scale's expectation operator, one call on the (T, H, W) stack whose
+second pass reads a 7x7 or 4x4 block of each frame), H (hard argmax) and
 P (physics-refined B, all windows in one physics call), plus velocities V
 and bounce indicators, each as one array over the windows.  Metrics are
 mean L1 errors in full-resolution image coordinates; each frame's
@@ -170,18 +171,14 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
-    work = _detector_frames(video.frames, temporal_mean)
-
-    hm224 = ncc_heatmap(work, template)
+    hm224 = ncc_heatmap(_detector_frames(video.frames, temporal_mean), template)
     hm112, hm56 = downscale_heatmap(hm224)
 
     windows = np.arange(n_frames - 2)[:, None] + np.arange(3)  # (T-2, 3) frame indices
     predictions = {}
     for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
         a = 224 / s
-        op = expectation_for_scale(s)
-        # per frame: on a (40, 224, 224) stack the operator temporaries add ~46 MB of peak memory
-        b = a * np.array([op(hm) for hm in heatmaps])[windows]
+        b = a * expectation_for_scale(s)(heatmaps)[windows]
         h = a * hard_argmax(heatmaps)[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,

@@ -268,15 +268,15 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
         velocities = _read_record(fh, "<f8", truth_path)
         bounces = _read_record(fh, "<u1", truth_path)
 
+    if frames.ndim != 4:
+        raise ShapeMismatchError(f"{path}: frames record has rank {frames.ndim}, expected 4")
     n = manifest.get("splits", {}).get(split)
     if n is not None and frames.shape[0] != n:
         raise ShapeMismatchError(f"{path}: manifest lists {n} sequences, file has {frames.shape[0]}")
-    if frames.ndim != 4 or positions.shape[-1] != 2 or velocities.shape[-1] != 2:
-        raise ShapeMismatchError(f"{path}: unexpected record ranks in dataset files")
-    if not (frames.shape[0] == positions.shape[0] == velocities.shape[0] == bounces.shape[0]):
-        raise ShapeMismatchError(f"{path}: frames/truth sequence counts differ")
-    if not (frames.shape[1] == positions.shape[1] == velocities.shape[1] == bounces.shape[1]):
-        raise ShapeMismatchError(f"{path}: frames/truth frame counts differ")
+    lead = frames.shape[:2]  # (sequences, frames per sequence)
+    if positions.shape != (*lead, 2) or velocities.shape != (*lead, 2) or bounces.shape != lead:
+        raise ShapeMismatchError(f"{path}: truth records {positions.shape}, {velocities.shape} and "
+                                 f"{bounces.shape} do not fit frames of shape {frames.shape}")
     if frames.shape[2:] != (cfg.image_size, cfg.image_size):
         raise ShapeMismatchError(f"{path}: frame shape {frames.shape[2:]} != config image size")
 

@@ -195,6 +195,24 @@ class TestTrack:
             main(["track", "--data", str(broken), "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o").exists()
 
+    def test_image_size_not_divisible_by_four_reported(self, tmp_path):
+        data = tmp_path / "d"
+        assert main(["gen", "--out", str(data), "--sigma", "0", "--train", "1", "--val", "1",
+                     "--test", "1", "--frames", "4", "--image-size", "30"]) == 0
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=r"^error: .*image size 30 is not divisible by 4"):
+            main(["track", "--data", str(data / "sigma_0"), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["bogus", "A0B0C0D0E0F2", "A0B0C0D0E0"])
+    def test_bad_config_label_is_usage_error(self, small_dataset, tmp_path, capsys, label):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            main(["track", "--data", str(small_dataset), "--out", str(out), "--config-label", label])
+        assert err.value.code == 2
+        assert f"argument --config-label: bad config label '{label}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSelfcheck:
     def test_passes_and_prints_constant_check(self, capsys):

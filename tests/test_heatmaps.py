@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from balltrack import autodiff as ad
 from balltrack.heatmaps import (
+    EPS,
     bicubic_expectation,
     bilinear_expectation,
     biquadratic_expectation,
@@ -186,6 +190,32 @@ OPS = (
 )
 
 
+def _full_map_centroid(weights):
+    ii, jj = np.mgrid[0:weights.shape[-2], 0:weights.shape[-1]].astype(float)
+    total = ad.asum(weights, axis=(-2, -1)) + EPS
+    return ad.asum(weights * jj, axis=(-2, -1)) / total, ad.asum(weights * ii, axis=(-2, -1)) / total
+
+
+def _full_map_reference(op, hm):
+    """The operators' definitions over the whole grid: a mask for the
+    coarse-to-fine window and full-map kernel weights for pass two."""
+    hm = ad.relu(hm)
+    ii, jj = np.mgrid[0:hm.shape[-2], 0:hm.shape[-1]].astype(float)
+    if op is bilinear_expectation:
+        return ad.stack(_full_map_centroid(hm))
+    if op is coarse_to_fine_expectation:
+        peak = hard_argmax(hm)[..., None, None, :]
+        inside = (np.abs(ii - peak[..., 1]) <= 3) & (np.abs(jj - peak[..., 0]) <= 3)
+        return ad.stack(_full_map_centroid(ad.where(inside, hm, 0.0)))
+    xbar, ybar = _full_map_centroid(hm)
+    dx, dy = jj - xbar[..., None, None], ii - ybar[..., None, None]
+    if op is biquadratic_expectation:
+        w = ad.relu(1.0 - (dx * dx + dy * dy) / 4.0)
+    else:
+        w = ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0) * ad.relu(1.0 - ad.absolute(dy) ** 3 / 8.0)
+    return ad.stack(_full_map_centroid(w * hm))
+
+
 @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
 def test_translation_equivariance(op):
     # heavy blob: the 1e-8 denominator regularizer then perturbs the
@@ -222,6 +252,52 @@ class TestStacks:
         maps.append(np.zeros((24, 24)))
         return np.array(maps)
 
+    @pytest.fixture(scope="class")
+    def integer_centroids(self):
+        # heavy maps whose first centroid is exactly an integer, so pass two's
+        # kernel is exactly zero on the block edge at distance 2; EPS is then
+        # far below the sums' rounding
+        maps = np.zeros((4, 24, 24))
+        maps[0, 9, 5] = maps[0, 9, 9] = 1e9           # x = 7; mass at d = +-2 only
+        maps[1, 12, 12] = 1e9                          # a delta
+        maps[1, 10, 11] = maps[1, 14, 13] = 5e8        # y = 12 +- 2
+        maps[2, 0, 0] = 1e9                            # corner: block runs off two edges
+        maps[3, 21:24, 21:24] = 1e9                    # 3x3 plateau in the far corner
+        first = bilinear_expectation(maps)
+        assert np.array_equal(first, np.round(first))
+        return maps
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
+    def test_matches_the_full_map_definition(self, stack, integer_centroids, op):
+        maps = np.concatenate([stack, integer_centroids])
+        xy = op(maps)
+        assert np.max(np.abs(xy - _full_map_reference(op, maps))) <= 1e-12
+        assert xy[~maps.any(axis=(-2, -1))].tolist() == [[0.0, 0.0]]  # the empty map
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
+    def test_dual_matches_the_full_map_definition(self, stack, integer_centroids, op):
+        # unit-scale maps and one unit-norm direction per map keep the tangents O(1)
+        maps = np.concatenate([stack, integer_centroids / 1e9])
+        direction = RandomStream.from_seed(9, "hm-tangent").random(maps.size).reshape(maps.shape)
+        direction /= np.sqrt(np.sum(direction * direction, axis=(-2, -1), keepdims=True))
+        got, want = op(ad.Dual(maps, direction)), _full_map_reference(op, ad.Dual(maps, direction))
+        assert np.max(np.abs(got.value - want.value)) <= 1e-12
+        assert np.max(np.abs(got.tangent - want.tangent)) <= 1e-12
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
+    def test_peak_memory_of_a_tracking_stack(self, op):
+        # a (40, 224, 224) stack, as one sequence gives at full resolution
+        rng = RandomStream.from_seed(10, "hm-memory")
+        maps = np.array([_sampled_blob((rng.uniform(0, 223), rng.uniform(0, 223)), 224, 2.0)
+                         for _ in range(40)])
+        tracemalloc.start()
+        try:
+            op(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * maps.nbytes
+
     @pytest.mark.parametrize("op", OPS, ids=lambda f: f.__name__)
     def test_landmarks_on_a_trailing_axis(self, stack, op):
         assert op(stack[0]).shape == (2,)
@@ -243,7 +319,8 @@ class TestStacks:
 
     def test_coarse_to_fine_matches_windowed_slice(self, stack):
         # reference: the centroid of the 7x7 slice around the argmax, cut at
-        # the border; the operator masks instead, which only reorders sums
+        # the border; the operator masks the off-map pixels of a full 7x7
+        # block instead, which only reorders sums
         xs, ys = coarse_to_fine_expectation(stack).T
         for k, hm in enumerate(np.maximum(stack, 0.0)):
             xc, yc = hard_argmax(hm)

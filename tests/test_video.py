@@ -272,6 +272,29 @@ class TestDatasetIO:
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         assert len(read_dataset(tmp_path, "train")[0]) == small_cfg.n_train
 
+    @pytest.mark.parametrize("bad", ["bounces", "positions", "velocities"])
+    def test_truth_record_of_the_wrong_shape_raises(self, tmp_path, small_cfg, bad):
+        seqs = generate_split(small_cfg, "test")
+        write_dataset(tmp_path, "test", seqs, small_cfg)
+        records = {
+            "positions": np.stack([s.trajectory.positions_px for s in seqs]),
+            "velocities": np.stack([s.trajectory.velocities_fu for s in seqs]),
+            "bounces": np.stack([s.trajectory.bounce_flags for s in seqs]).astype(np.uint8),
+        }
+        records[bad] = records[bad][:, :, None]  # (N, T, 1) flags, (N, T, 1, 2) vectors
+        with open(tmp_path / "test_truth.bin", "wb") as fh:
+            for name, dtype in (("positions", "<f8"), ("velocities", "<f8"), ("bounces", "<u1")):
+                _write_record(fh, records[name], dtype)
+        with pytest.raises(ShapeMismatchError, match="do not fit frames"):
+            read_dataset(tmp_path, "test")
+
+    def test_scalar_frames_record_raises(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        with open(tmp_path / "test_frames.bin", "wb") as fh:
+            _write_record(fh, np.zeros((), dtype=np.float32), "<f4")
+        with pytest.raises(ShapeMismatchError, match="rank 0, expected 4"):
+            read_dataset(tmp_path, "test")
+
     def test_empty_split_rejected_before_touching_the_directory(self, tmp_path, small_cfg):
         target = tmp_path / "d"
         with pytest.raises(DatasetError, match="no sequences"):
