@@ -41,13 +41,15 @@ _MAP = (-2, -1)  # the event axes of a map and of a window
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Ramp schedules for the physics losses and the bounce term weight."""
+    """Ramp schedules for the physics losses.
+
+    The bounce term's weight is an argument of :func:`physics_supervised_loss`.
+    """
 
     consistency_w_min: float = 0.01
     consistency_ramp_epochs: int = 10
     supervised_w_min: float = 0.001
     supervised_ramp_epochs: int = 20
-    bounce_weight: float = 0.01
 
     def __post_init__(self):
         for w in (self.consistency_w_min, self.supervised_w_min):

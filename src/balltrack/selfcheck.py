@@ -133,16 +133,11 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 
     """Exact ballistic windows must be fixed points of the refinement."""
     cfg = cfg or SimConfig()
     params = to_frame_units(cfg)
-    windows = []
-    for i in range(n_sequences):
-        traj = simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
-        for _, pos, _, flags in trajectory_windows(traj):
-            if flags[1] or flags[2]:
-                continue
-            if np.max(pos[:, 1]) > params.center_max - params.g_frame:
-                continue  # integrator overshoot could graze the floor
-            windows.append(pos)
-    pos = np.array(windows).reshape(-1, 3, 2)
+    trajectories = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
+                    for i in range(n_sequences))
+    pos, _, flags = (np.concatenate(a) for a in zip(*map(trajectory_windows, trajectories)))
+    # bounce-free windows; integrator overshoot could graze the floor
+    pos = pos[~(flags[:, 1] | flags[:, 2]) & (pos[..., 1].max(axis=-1) <= params.center_max - params.g_frame)]
     refined = physics_window(pos, params).positions
     worst = float(np.max(np.abs(refined - pos), initial=0.0))
     passed = len(pos) > 0 and worst < 1e-9

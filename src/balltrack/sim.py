@@ -1,14 +1,18 @@
 """Ground-truth simulation of a ball under constant gravity with wall bounces.
 
-The simulator works in physical units (meters, seconds) and projects to
-pixel coordinates at the end.  Coordinates follow the image convention:
-origin top-left, x right, y down, so gravity is positive.
+The simulator works in physical units (meters, seconds) and converts a
+whole trajectory to pixels and frame units once, after its last step.
+Coordinates follow the image convention: origin top-left, x right, y down,
+so gravity is positive.  States are ``(2,)`` (x, y) vectors, and each step
+moves both axes at once, in the ``(..., 2)`` format of :mod:`.physics`.
 
 Boundary convention: the ball center is confined to ``[r, W-1-r]`` pixels on
 each axis (the last valid pixel index is ``W-1``); an edge touch reflects.
 Reflections mirror the position overshoot about the wall and rescale the
 post-step velocity component by ``-e``.  Collisions are resolved per step,
-not at the exact sub-step impact time.
+not at the exact sub-step impact time.  Ground truth leaves the module as
+window arrays too: :func:`trajectory_windows` gathers every 3-frame window
+through the one ``(T-2, 3)`` index of :func:`window_index`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "step_physical",
     "project_to_pixels",
     "simulate_trajectory",
+    "window_index",
     "trajectory_windows",
 ]
 
@@ -135,38 +140,26 @@ def sample_initial_conditions(cfg: SimConfig, rng: RandomStream) -> BallState:
     return BallState(position=position, velocity=velocity)
 
 
-def _reflect(raw: float, v_new: float, lo: float, hi: float, e: float):
-    """Mirror an overshoot about the crossed wall; velocity scaled by -e."""
-    if raw < lo:
-        out, v, bounced = 2.0 * lo - raw, -e * v_new, True
-    elif raw > hi:
-        out, v, bounced = 2.0 * hi - raw, -e * v_new, True
-    else:
-        return raw, v_new, False
-    if not lo <= out <= hi:
-        raise SimulationError("step crossed both walls; state unrecoverable")
-    return out, v, bounced
-
-
 def step_physical(state: BallState, cfg: SimConfig):
-    """Advance one frame; returns (new state, (bounced_x, bounced_y))."""
+    """Advance one frame; returns (new state, (2,) per-axis bounce flags).
+
+    Position and velocity step as (x, y) vectors, as in
+    :func:`balltrack.physics.verlet_step_with_bounce`.
+    """
     g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
-    x, y = state.position
-    vx, vy = state.velocity
-
-    x_raw = x + vx * dt
-    y_raw = y + vy * dt + 0.5 * g * dt * dt
-    vy_new = vy + g * dt
-
     lo = cfg.center_min_px * cfg.scale
     hi = cfg.center_max_px * cfg.scale
-    x_out, vx_out, bx = _reflect(x_raw, vx, lo, hi, e)
-    y_out, vy_out, by = _reflect(y_raw, vy_new, lo, hi, e)
-
-    new = BallState(
-        position=np.array([x_out, y_out]), velocity=np.array([vx_out, vy_out])
-    )
-    return new, (bx, by)
+    raw = state.position + state.velocity * dt + (0.0, g * dt * dt / 2)
+    v_new = state.velocity + (0.0, g * dt)
+    low = raw < lo
+    bounced = low | (raw > hi)
+    if not bounced.any():  # most steps: no wall reached, so mirroring would change nothing
+        return BallState(position=raw, velocity=v_new), bounced
+    position = np.where(bounced, 2.0 * np.where(low, lo, hi) - raw, raw)
+    if not np.all((lo <= position) & (position <= hi)):
+        raise SimulationError("step crossed both walls; state unrecoverable")
+    velocity = np.where(bounced, -e * v_new, v_new)
+    return BallState(position=position, velocity=velocity), bounced
 
 
 def project_to_pixels(p_physical, cfg: SimConfig) -> np.ndarray:
@@ -181,25 +174,26 @@ def simulate_trajectory(cfg: SimConfig, rng: RandomStream) -> Trajectory:
     downstream consumers need no further conversion.
     """
     state = sample_initial_conditions(cfg, rng)
-    to_fu = cfg.dt / cfg.scale
-
     positions = np.empty((cfg.frames_per_video, 2))
     velocities = np.empty((cfg.frames_per_video, 2))
     flags = np.zeros(cfg.frames_per_video, dtype=bool)
-
-    positions[0] = project_to_pixels(state.position, cfg)
-    velocities[0] = state.velocity * to_fu
+    positions[0], velocities[0] = state.position, state.velocity
     for t in range(1, cfg.frames_per_video):
-        state, (bx, by) = step_physical(state, cfg)
-        positions[t] = project_to_pixels(state.position, cfg)
-        velocities[t] = state.velocity * to_fu
-        flags[t] = bx or by
-    return Trajectory(positions_px=positions, velocities_fu=velocities, bounce_flags=flags)
+        state, bounced = step_physical(state, cfg)
+        positions[t], velocities[t] = state.position, state.velocity
+        flags[t] = bounced.any()
+    return Trajectory(positions_px=project_to_pixels(positions, cfg),
+                      velocities_fu=velocities * (cfg.dt / cfg.scale), bounce_flags=flags)
+
+
+def window_index(n_frames: int) -> np.ndarray:
+    """(T-2, 3) frame indices of the 3-frame windows; window k is centred
+    on frame k + 1."""
+    return np.arange(n_frames - 2)[:, None] + np.arange(3)
 
 
 def trajectory_windows(traj: Trajectory):
-    """Yield (t, positions (3,2), velocities (3,2), flags (3,)) for each
-    3-frame window centered at frame t."""
-    for t in range(1, len(traj) - 1):
-        sl = slice(t - 1, t + 2)
-        yield t, traj.positions_px[sl], traj.velocities_fu[sl], traj.bounce_flags[sl]
+    """(T-2, 3, 2) positions, (T-2, 3, 2) velocities and (T-2, 3) bounce
+    flags of the trajectory's windows (see :func:`window_index`)."""
+    index = window_index(len(traj))
+    return traj.positions_px[index], traj.velocities_fu[index], traj.bounce_flags[index]

@@ -29,7 +29,7 @@ from scipy.signal import fftconvolve  # noqa: F401  (unused; kept for bench/span
 
 from .heatmaps import expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
-from .sim import SimConfig, Trajectory
+from .sim import SimConfig, Trajectory, window_index
 from .video import VideoSequence
 
 __all__ = [
@@ -174,7 +174,7 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     hm224 = ncc_heatmap(_detector_frames(video.frames, temporal_mean), template)
     hm112, hm56 = downscale_heatmap(hm224)
 
-    windows = np.arange(n_frames - 2)[:, None] + np.arange(3)  # (T-2, 3) frame indices
+    windows = window_index(n_frames)
     predictions = {}
     for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
         a = 224 / s

@@ -122,9 +122,8 @@ def split_stream(cfg: SimConfig, split: str, index: int) -> RandomStream:
     return RandomStream.from_seed(cfg.seed, "dataset", split, index)
 
 
-def generate_split(cfg: SimConfig, split: str, n: int | None = None) -> list[VideoSequence]:
-    if n is None:
-        n = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}[split]
+def generate_split(cfg: SimConfig, split: str) -> list[VideoSequence]:
+    n = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}[split]
     return [generate_sequence(cfg, split_stream(cfg, split, i)) for i in range(n)]
 
 
@@ -132,11 +131,11 @@ def generate_split(cfg: SimConfig, split: str, n: int | None = None) -> list[Vid
 
 
 def _write_record(fh, array: np.ndarray, dtype: str) -> None:
-    data = array.astype(dtype, order="C")  # keeps 0-d shapes, unlike ascontiguousarray
+    data = np.asarray(array, dtype=dtype, order="C")  # no copy when it already fits; keeps 0-d shapes
     fh.write(MAGIC)
     fh.write(struct.pack("<II", FORMAT_VERSION, data.ndim))
     fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-    fh.write(data.tobytes())
+    fh.write(data.reshape(-1).view(np.uint8))
 
 
 def _bytes_left(fh) -> int:

@@ -85,7 +85,7 @@ def test_criterion_2_parabola_fixed_point(params, test_trajectories):
     worst_pos = 0.0
     worst_loss = 0.0
     for traj in test_trajectories:
-        for _, pos, _, flags in trajectory_windows(traj):
+        for pos, _, flags in zip(*trajectory_windows(traj)):
             if flags[1] or flags[2]:
                 continue
             if pos[:, 1].max() > params.center_max - params.g_frame:
@@ -114,7 +114,7 @@ def test_criterion_3_bounce_oracle(params, test_trajectories):
     fwd_total = fwd_ok = 0
     any_total = any_ok = 0
     for traj in test_trajectories:
-        for _, pos, _, flags in trajectory_windows(traj):
+        for pos, _, flags in zip(*trajectory_windows(traj)):
             n_bounce = int(flags[1]) + int(flags[2])
             if n_bounce != 1:
                 continue

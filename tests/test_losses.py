@@ -247,6 +247,11 @@ class TestRamp:
         with pytest.raises(ValueError):
             ramp_weight(-1, 0.01, 10)
 
+    def test_bounce_weight_is_not_a_schedule_field(self):
+        # the bounce weight is an argument of physics_supervised_loss only
+        with pytest.raises(TypeError):
+            LossWeights(bounce_weight=0.5)
+
 
 class TestTotalLoss:
     def test_all_zero_components(self):

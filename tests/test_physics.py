@@ -25,7 +25,7 @@ def _gt_windows(cfg, n_sequences=25, bounce=None):
     out = []
     for i in range(n_sequences):
         traj = simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "phys-tests", i))
-        for _, pos, vel, flags in trajectory_windows(traj):
+        for pos, vel, flags in zip(*trajectory_windows(traj)):
             has_bounce = flags[1] or flags[2]
             if bounce is None or bounce == has_bounce:
                 out.append((pos, vel, flags))

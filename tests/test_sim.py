@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balltrack.physics import to_frame_units
 from balltrack.rng import RandomStream
@@ -12,6 +14,7 @@ from balltrack.sim import (
     simulate_trajectory,
     step_physical,
     trajectory_windows,
+    window_index,
 )
 
 
@@ -137,6 +140,35 @@ class TestStep:
         with pytest.raises(SimulationError):
             step_physical(state, cfg)
 
+    def test_corner_hit_bounces_both_axes_in_one_step(self, cfg):
+        # left wall (lo = 0.04 m) and floor (hi = 4.42 m) in the same step
+        state = BallState(np.array([0.09, 4.32]), np.array([-10.0, 10.0]))
+        new, bounced = step_physical(state, cfg)
+        assert bounced.tolist() == [True, True]
+        # raw (-0.31, 4.727848) mirrored to (2 lo + 0.31, 2 hi - 4.727848)
+        assert new.position == pytest.approx([0.39, 4.112152], abs=1e-12)
+        # post-step velocity (-10, 10 + g dt) scaled by -e on both axes
+        assert new.velocity == pytest.approx([7.5, -7.7943], abs=1e-12)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_step_reflects_exactly_the_axes_that_left_the_region(self, data):
+        cfg = SimConfig()
+        lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+        g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
+        p = data.draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2))
+        v = data.draw(st.lists(st.floats(-cfg.v_max, cfg.v_max), min_size=2, max_size=2))
+        try:
+            new, bounced = step_physical(BallState(np.array(p), np.array(v)), cfg)
+        except SimulationError:
+            return
+        raw = [p[0] + v[0] * dt, p[1] + v[1] * dt + 0.5 * g * dt * dt]
+        v_new = [v[0], v[1] + g * dt]
+        for k in range(2):
+            assert lo <= new.position[k] <= hi
+            assert bounced[k] == (not lo <= raw[k] <= hi)
+            assert new.velocity[k] == (-e * v_new[k] if bounced[k] else v_new[k])
+
 
 class TestProjection:
     def test_domain_corner(self, cfg):
@@ -188,13 +220,23 @@ class TestTrajectory:
         # position at t follows exactly from (p_{t-1}, v_{t-1})
         g_frame = to_frame_units(cfg).g_frame
         traj = simulate_trajectory(cfg, _stream(2))
-        for t, pos, vel, flags in trajectory_windows(traj):
+        for pos, vel, flags in zip(*trajectory_windows(traj)):
             if flags[1] or flags[2]:
                 continue
             pred_x = pos[0, 0] + vel[0, 0]
             pred_y = pos[0, 1] + vel[0, 1] + 0.5 * g_frame
             assert pred_x == pytest.approx(pos[1, 0], abs=1e-9)
             assert pred_y == pytest.approx(pos[1, 1], abs=1e-9)
+
+    def test_windows_gather_three_consecutive_frames(self, cfg):
+        traj = simulate_trajectory(cfg, _stream(3))
+        pos, vel, flags = trajectory_windows(traj)
+        assert pos.shape == vel.shape == (38, 3, 2) and flags.shape == (38, 3)
+        assert window_index(5).tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+        for k in range(38):
+            assert np.array_equal(pos[k], traj.positions_px[k : k + 3])
+            assert np.array_equal(vel[k], traj.velocities_fu[k : k + 3])
+            assert np.array_equal(flags[k], traj.bounce_flags[k : k + 3])
 
     def test_energy_dissipates_for_fast_impacts(self, cfg):
         # mirror reflection can inject energy only below the slow-impact

@@ -276,9 +276,9 @@ class TestTrackSequence:
 def _exact_predictions(traj, params):
     """Window arrays built from ground-truth landmarks, one window at a time."""
     windows = []
-    for _, pos, _, _ in trajectory_windows(traj):
+    for pos in trajectory_windows(traj)[0]:
         win = physics_refine_window(pos, params)
-        windows.append((pos.copy(), np.round(pos), win.positions, win.velocities, win.bounced))
+        windows.append((pos, np.round(pos), win.positions, win.velocities, win.bounced))
     return {224: dict(zip(("B", "H", "P", "V", "bounce"), map(np.array, zip(*windows))))}
 
 

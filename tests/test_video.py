@@ -1,5 +1,7 @@
+import hashlib
 import io
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +15,7 @@ from balltrack.sim import SimConfig
 from balltrack.video import (
     FORMAT_VERSION,
     MAGIC,
+    SPLITS,
     DatasetError,
     FormatVersionError,
     ShapeMismatchError,
@@ -319,10 +322,48 @@ class TestDatasetIO:
             _read_record(ShortReads(fh.getvalue()), "<f8", "short")
 
 
+# sha256 of every file of a sigma=0, seed-42 dataset (12 frames, 2/1/2
+# sequences).  Sigma=1 is left out on purpose: its Box-Muller noise goes
+# through np.log/cos/sin, whose last-bit rounding may differ across CPUs and
+# numpy builds, whereas sigma=0 needs only integer hashing and the correctly
+# rounded IEEE +, -, *, /.
+_GOLDEN_SHA256 = {
+    "meta.json": "d113d9da618059966efa528566152755607f2e01ec15145c446b80117426633c",
+    "test_frames.bin": "3327c41954440ab6786a1cd8bedf291a24e34388a11ce13abec039e9d221ed8e",
+    "test_truth.bin": "06a98c2ae9479387f4ec538315a3af0bbbc44080342abafda2653ef09d5c7d92",
+    "train_frames.bin": "c613fc1ca9ce25756ff25cdad8797ef077ae43e6dbfe68a38c5b30f07233c800",
+    "train_truth.bin": "2ab0866ac25ca7aaa16c3cd77b11d99679794542dc08edd989d6edc59cd1d7d4",
+    "val_frames.bin": "126515ad94dad141766672101dddb81f8cb5ef7a6af952bf03a0f44e6f067d8a",
+    "val_truth.bin": "2bdadfbddb1923f891169a06c979db7abf9f86832b7f7486865dfd841830ded6",
+}
+
+
+class TestGoldenBytes:
+    def test_sigma_zero_dataset_matches_recorded_digests(self, tmp_path):
+        cfg = SimConfig(noise_sigma=0.0, seed=42, frames_per_video=12, n_train=2, n_val=1, n_test=2)
+        for split in SPLITS:
+            write_dataset(tmp_path, split, generate_split(cfg, split), cfg)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == _GOLDEN_SHA256
+
+
 _RECORD_DTYPES = ("<f4", "<f8", "<u1")
 
 
 class TestRecordCodec:
+    def test_write_does_not_copy_the_payload(self, tmp_path):
+        frames = np.ones((40, 224, 224), dtype=np.float32)
+        with open(tmp_path / "frames.bin", "wb") as fh:
+            tracemalloc.start()
+            try:
+                _write_record(fh, frames, "<f4")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 0.25 * frames.nbytes
+        with open(tmp_path / "frames.bin", "rb") as fh:
+            assert _read_record(fh, "<f4", "frames").tobytes() == frames.tobytes()
+
     @settings(deadline=None)
     @given(data=st.data(), dtype=st.sampled_from(_RECORD_DTYPES))
     def test_round_trip(self, data, dtype):
