@@ -36,7 +36,7 @@ from .losses import (
     total_loss,
 )
 from .tracker import MetricTable, evaluate, track_sequence
-from .factorial import FactorConfig, ResponseTable, effect_estimate, enumerate_configs
+from .factorial import FactorConfig, ResponseTable, compute_all_effects, enumerate_configs
 
 __all__ = [
     "__version__",
@@ -70,5 +70,5 @@ __all__ = [
     "FactorConfig",
     "ResponseTable",
     "enumerate_configs",
-    "effect_estimate",
+    "compute_all_effects",
 ]

@@ -234,7 +234,8 @@ def stack(xs, axis=-1):
 
 def _seeds(n, cols):
     """(k, n) unit rows of the identity, one per requested input index."""
-    return np.eye(n) if cols is None else np.eye(n)[list(cols)]
+    index = np.arange(n) if cols is None else np.asarray(list(cols))
+    return (index[:, None] == np.arange(n)).astype(float)
 
 
 def jacobian_forward(f, x, cols=None):

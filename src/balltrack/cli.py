@@ -265,10 +265,9 @@ def _int_at_least(lo: int):
 
 def _config_label(text: str) -> str:
     try:
-        FactorConfig.from_label(text)
+        return FactorConfig.from_label(text).label
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,14 +3,19 @@
 Configurations are the 64 vertices of the factor hypercube, indexed so that
 factor A is the least significant bit and F the most significant
 (row = 32F + 16E + 8D + 4C + 2B + A), with labels like ``A1B0C1D0E0F0``.
+The design table is built once, at import: a :class:`FactorConfig` is its
+row, a label resolves through one lookup (surrounding whitespace ignored),
+and :class:`ResponseTable` keys each cell by the canonical label and rejects
+a repeated (config, replicate, metric).
+
 Effects use {-1, +1} contrast coding: the estimate for a term (any
 non-empty subset of factors) is the mean response where the term's contrast
 is +1 minus the mean where it is -1, so a negative effect means the high
 level reduces the response.  With n replicates each main effect averages
-over n * 32 runs at either level.  In this balanced design all 63 effects
-are one product, effects = S^T ybar / 32, where S is the 64 x 63 matrix of
-+-1 contrasts (column = term, row = configuration) and ybar the 64 cell
-means over replicates (Yates 1937).
+over n * 32 runs at either level.  In this balanced design
+:func:`compute_all_effects` gets all 63 as one product, S^T ybar / 32, where
+S is the 64 x 63 matrix of +-1 contrasts (column = term, row = configuration)
+and ybar the 64 cell means over replicates (Yates 1937).
 
 Two aggregate responses summarize the nine tracking errors: the encoder
 average (mean of the three 56-scale metrics) and the decoder average (mean
@@ -27,13 +32,12 @@ import numpy as np
 __all__ = [
     "FACTORS",
     "FactorConfig",
-    "EffectEstimate",
     "ResponseTable",
     "MissingCellsError",
     "enumerate_configs",
     "contrast_sign",
     "all_terms",
-    "effect_estimate",
+    "compute_all_effects",
     "aggregate_responses",
     "rank_effects",
     "ENCODER_METRICS",
@@ -59,52 +63,49 @@ class MissingCellsError(ValueError):
         super().__init__(f"metric {metric!r} missing {len(missing)} cells: {preview}")
 
 
+# the design, once: bit f of row r is the level of factor f
+_BITS = (np.arange(N_CONFIGS)[:, None] >> np.arange(len(FACTORS))) & 1
+_LABELS = ["".join(f"{f}{b}" for f, b in zip(FACTORS, bits)) for bits in _BITS]
+_ROW = {label: row for row, label in enumerate(_LABELS)}
+
+
+def _row(label: str) -> int:
+    """Design row of a label; surrounding whitespace is ignored."""
+    try:
+        return _ROW[label.strip()]
+    except KeyError:
+        raise ValueError(f"bad config label {label.strip()!r}") from None
+
+
 @dataclass(frozen=True)
 class FactorConfig:
-    """One vertex of the 2^6 design."""
+    """One vertex of the 2^6 design, held as its row index."""
 
-    levels: tuple[bool, bool, bool, bool, bool, bool]
+    index: int
 
-    @property
-    def index(self) -> int:
-        return sum(int(b) << i for i, b in enumerate(self.levels))
+    def __post_init__(self):
+        if not 0 <= self.index < N_CONFIGS:
+            raise ValueError(f"config index {self.index} out of range")
 
     @property
     def label(self) -> str:
-        return "".join(f"{f}{int(b)}" for f, b in zip(FACTORS, self.levels))
+        return _LABELS[self.index]
 
     @classmethod
     def from_index(cls, index: int) -> "FactorConfig":
-        if not 0 <= index < N_CONFIGS:
-            raise ValueError(f"config index {index} out of range")
-        return cls(tuple(bool((index >> i) & 1) for i in range(len(FACTORS))))
+        return cls(index)
 
     @classmethod
     def from_label(cls, label: str) -> "FactorConfig":
-        label = label.strip()
-        ok = (
-            len(label) == 12
-            and all(label[2 * i] == FACTORS[i] for i in range(6))
-            and all(label[2 * i + 1] in "01" for i in range(6))
-        )
-        if not ok:
-            raise ValueError(f"bad config label {label!r}")
-        return cls(tuple(label[2 * i + 1] == "1" for i in range(6)))
+        return cls(_row(label))
 
     def __getitem__(self, factor: str) -> bool:
-        return self.levels[FACTORS.index(factor)]
-
-
-@dataclass(frozen=True)
-class EffectEstimate:
-    term: str
-    metric: str
-    value: float
+        return bool(_BITS[self.index, FACTORS.index(factor)])
 
 
 def enumerate_configs() -> list[FactorConfig]:
     """All 64 configurations in stable row-index order."""
-    return [FactorConfig.from_index(i) for i in range(N_CONFIGS)]
+    return [FactorConfig(i) for i in range(N_CONFIGS)]
 
 
 def contrast_sign(config: FactorConfig, term: str) -> int:
@@ -122,12 +123,10 @@ def all_terms() -> list[str]:
     return ["".join(c) for k in range(1, len(FACTORS) + 1) for c in combinations(FACTORS, k)]
 
 
-_LABELS = [config.label for config in enumerate_configs()]
-# S (64 x 63): column k is the contrast of all_terms()[k]; bit f of a row index is factor f
+# S (64 x 63): column k is the contrast of all_terms()[k] over the design rows
 _TERMS = all_terms()
-_LEVELS = 2 * ((np.arange(N_CONFIGS)[:, None] >> np.arange(len(FACTORS))) & 1) - 1
 _IN_TERM = np.array([[f in term for f in FACTORS] for term in _TERMS])
-_CONTRASTS = np.where(_IN_TERM, _LEVELS[:, None, :], 1).prod(axis=2)
+_CONTRASTS = np.where(_IN_TERM, 2 * _BITS[:, None, :] - 1, 1).prod(axis=2)
 
 
 class ResponseTable:
@@ -137,9 +136,12 @@ class ResponseTable:
         self._cells: dict[tuple[str, int], dict[str, float]] = {}
 
     def add(self, config: FactorConfig | str, replicate: int, metric: str, value: float) -> None:
-        label = config if isinstance(config, str) else config.label
-        FactorConfig.from_label(label)  # validate early
-        self._cells.setdefault((label, replicate), {})[metric] = float(value)
+        """Store one value under the canonical label; a repeated cell raises ``ValueError``."""
+        label = _LABELS[_row(config) if isinstance(config, str) else config.index]
+        cell = self._cells.setdefault((label, replicate), {})
+        if metric in cell:
+            raise ValueError(f"duplicate cell ({label}, r{replicate}, {metric})")
+        cell[metric] = float(value)
 
     @classmethod
     def from_rows(cls, rows) -> "ResponseTable":
@@ -187,12 +189,6 @@ class ResponseTable:
                 enc, dec = aggregate_responses(cell)
                 cell["enc_avg"] = enc
                 cell["dec_avg"] = dec
-
-
-def effect_estimate(table: ResponseTable, term: str, metric: str) -> EffectEstimate:
-    """Contrast-coded effect: mean at the high level minus at the low level."""
-    value = compute_all_effects(table, [metric])[term][metric]
-    return EffectEstimate(term=term, metric=metric, value=value)
 
 
 def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:

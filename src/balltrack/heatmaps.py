@@ -89,15 +89,15 @@ def bilinear_expectation(hm):
     return _centroid(ad.relu(hm))
 
 
-def coarse_to_fine_expectation(hm, window_radius: int = 3):
-    """Centroid restricted to a window around the (detached) peak.
+def coarse_to_fine_expectation(hm):
+    """Centroid restricted to the 7x7 window around the (detached) peak.
 
     The argmax step carries no derivative; gradients flow through the local
     centroid only.  The window is clipped at the grid border.
     """
     hm = ad.relu(hm)
-    corner = hard_argmax(hm) - window_radius
-    return _centroid(_block(hm, corner, 2 * window_radius + 1), corner)
+    corner = hard_argmax(hm) - 3
+    return _centroid(_block(hm, corner, 7), corner)
 
 
 def _two_pass(hm, kernel):

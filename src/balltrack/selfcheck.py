@@ -54,13 +54,12 @@ def _branch_margin(x, params) -> float:
     return float(min(np.min(states - params.center_min), np.min(params.center_max - states)))
 
 
-def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
-    """(n, 6) random landmark windows at least ``margin`` px from branch borders.
+def interior_probe_windows(params, n, rng: RandomStream):
+    """(n, 6) random landmark windows at least 1 px from branch borders.
 
     Jittered ballistic triples are drawn and kept only if the replayed
-    integration (see :func:`_branch_margin`) stays ``margin`` px away from
-    every wall, so finite-difference stencils never straddle the bounce or
-    clamp branches.
+    integration (see :func:`_branch_margin`) stays 1 px away from every wall,
+    so finite-difference stencils never straddle the bounce or clamp branches.
     """
     probes = []
     t = np.arange(3.0)[:, None]
@@ -69,7 +68,7 @@ def interior_probe_windows(params, n, rng: RandomStream, margin: float = 1.0):
         p0 = rng.uniform(params.center_min + 25, params.center_max - 25, 2)
         v = rng.uniform(-6, 6, 2)
         x = (p0 + v * t + fall).ravel() + rng.uniform(-0.45, 0.45, 6)
-        if _branch_margin(x, params) >= margin:
+        if _branch_margin(x, params) >= 1.0:
             probes.append(x)
     return np.array(probes).reshape(-1, 6)
 
@@ -128,13 +127,12 @@ def check_frame_units(cfg: SimConfig | None = None):
             passed, f"max abs deviation {worst:.3e}")
 
 
-def check_parabola_fixed_point(cfg: SimConfig | None = None, n_sequences: int = 20,
-                               physics_window=physics_refine_window):
-    """Exact ballistic windows must be fixed points of the refinement."""
+def check_parabola_fixed_point(cfg: SimConfig | None = None, physics_window=physics_refine_window):
+    """Exact ballistic windows of 20 simulated sequences must be fixed points of the refinement."""
     cfg = cfg or SimConfig()
     params = to_frame_units(cfg)
     trajectories = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
-                    for i in range(n_sequences))
+                    for i in range(20))
     pos, _, flags = (np.concatenate(a) for a in zip(*map(trajectory_windows, trajectories)))
     # bounce-free windows; integrator overshoot could graze the floor
     pos = pos[~(flags[:, 1] | flags[:, 2]) & (pos[..., 1].max(axis=-1) <= params.center_max - params.g_frame)]

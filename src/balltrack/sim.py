@@ -17,7 +17,7 @@ through the one ``(T-2, 3)`` index of :func:`window_index`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class Trajectory:
 
     positions_px: np.ndarray
     velocities_fu: np.ndarray
-    bounce_flags: np.ndarray = field(default=None)
+    bounce_flags: np.ndarray
 
     def __post_init__(self):
         if not (

@@ -228,18 +228,19 @@ def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str
 def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
     """Parse rows written by :func:`metrics_to_csv` (or compatible files).
 
-    Blank lines are skipped; ``ValueError`` names the line of a malformed row,
-    or says that the file has no data rows.
+    Blank lines are skipped and whitespace around each field is ignored;
+    ``ValueError`` names the line of a malformed row, or says that the file
+    has no data rows.
     """
     rows = []
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1].strip().lower() != "config,replicate,metric,value":
+    lines = [(i, [f.strip() for f in ln.split(",")])
+             for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or ",".join(lines[0][1]).lower() != "config,replicate,metric,value":
         first = lines[0][0] if lines else 1
         raise ValueError(f"line {first}: results CSV must start with 'config,replicate,metric,value'")
     if len(lines) == 1:
         raise ValueError("no data rows")
-    for i, ln in lines[1:]:
-        fields = ln.split(",")
+    for i, fields in lines[1:]:
         if len(fields) != 4:
             raise ValueError(f"line {i}: expected 4 fields (config,replicate,metric,value), "
                              f"found {len(fields)}")

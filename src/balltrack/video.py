@@ -130,11 +130,13 @@ def generate_split(cfg: SimConfig, split: str) -> list[VideoSequence]:
 # ---- binary tensor records ----------------------------------------------
 
 
+def _write_header(fh, shape) -> None:
+    fh.write(MAGIC + struct.pack(f"<II{len(shape)}Q", FORMAT_VERSION, len(shape), *shape))
+
+
 def _write_record(fh, array: np.ndarray, dtype: str) -> None:
     data = np.asarray(array, dtype=dtype, order="C")  # no copy when it already fits; keeps 0-d shapes
-    fh.write(MAGIC)
-    fh.write(struct.pack("<II", FORMAT_VERSION, data.ndim))
-    fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
+    _write_header(fh, data.shape)
     fh.write(data.reshape(-1).view(np.uint8))
 
 
@@ -175,15 +177,20 @@ def _read_record(fh, dtype: str, path) -> np.ndarray:
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An empty split is rejected before the directory is touched, and an
-    existing manifest is checked before any split file is opened, so a
-    rejected write leaves the directory as it was.  The split files and the
-    manifest are written under temporary names in the same directory and
-    then renamed over the old ones, so a write that fails part-way leaves
-    the previous files whole and no temporary file behind.
+    An empty split, or one whose sequences differ in frame shape, is
+    rejected before the directory is touched, and an existing manifest is
+    checked before any split file is opened, so a rejected write leaves the
+    directory as it was.  The split files and the manifest are written under
+    temporary names in the same directory and then renamed over the old
+    ones, so a write that fails part-way leaves the previous files whole and
+    no temporary file behind.
     """
     if not sequences:
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
+    frame_shape = sequences[0].frames.shape
+    if any(seq.frames.shape != frame_shape for seq in sequences):
+        raise ShapeMismatchError(f"{path}: the sequences of split {split!r} differ in frame shape: "
+                                 f"{sorted({seq.frames.shape for seq in sequences})}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     config = asdict(cfg)
@@ -196,10 +203,6 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
                 "configuration; splits of one dataset must share it"
             )
 
-    frames = np.stack([seq.frames for seq in sequences])
-    positions = np.stack([seq.trajectory.positions_px for seq in sequences])
-    velocities = np.stack([seq.trajectory.velocities_fu for seq in sequences])
-    bounces = np.stack([seq.trajectory.bounce_flags for seq in sequences])
     manifest["format_version"] = FORMAT_VERSION
     manifest["config"] = config
     manifest.setdefault("splits", {})[split] = len(sequences)
@@ -208,11 +211,12 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
               for name in (f"{split}_frames.bin", f"{split}_truth.bin", "meta.json")}
     try:
         with open(staged[f"{split}_frames.bin"], "wb") as fh:
-            _write_record(fh, frames, "<f4")
+            _write_header(fh, (len(sequences), *frame_shape))
+            for seq in sequences:  # one sequence at a time: the split is never stacked
+                fh.write(np.asarray(seq.frames, dtype="<f4", order="C").reshape(-1).view(np.uint8))
         with open(staged[f"{split}_truth.bin"], "wb") as fh:
-            _write_record(fh, positions, "<f8")
-            _write_record(fh, velocities, "<f8")
-            _write_record(fh, bounces.astype(np.uint8), "<u1")
+            for attr, dtype in (("positions_px", "<f8"), ("velocities_fu", "<f8"), ("bounce_flags", "<u1")):
+                _write_record(fh, np.stack([getattr(seq.trajectory, attr) for seq in sequences]), dtype)
         staged["meta.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         for name, tmp in staged.items():
             os.replace(tmp, path / name)

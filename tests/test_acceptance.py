@@ -15,7 +15,6 @@ from balltrack.factorial import (
     ResponseTable,
     compute_all_effects,
     contrast_sign,
-    effect_estimate,
     enumerate_configs,
     all_terms,
 )
@@ -207,7 +206,8 @@ def test_criterion_6_factorial_estimator():
     for idx, (b56, h56, p56) in REFERENCE_ENCODER_ERRORS.items():
         label = FactorConfig.from_index(idx).label
         ref.add(label, 0, "enc_avg", (b56 + h56 + p56) / 3.0)
-    mains = {f: effect_estimate(ref, f, "enc_avg").value for f in "ABCDEF"}
+    ref_effects = compute_all_effects(ref, ["enc_avg"])
+    mains = {f: ref_effects[f]["enc_avg"] for f in "ABCDEF"}
     assert mains["C"] < 0
     negatives = {f: v for f, v in mains.items() if v < 0}
     assert abs(mains["C"]) == max(abs(v) for v in negatives.values())

@@ -204,6 +204,13 @@ class TestTrack:
             main(["track", "--data", str(data / "sigma_0"), "--out", str(out)])
         assert not out.exists()
 
+    def test_padded_config_label_written_canonical(self, small_dataset, tmp_path):
+        out = tmp_path / "o"
+        assert main(["track", "--data", str(small_dataset), "--out", str(out),
+                     "--config-label", " A1B0C0D0E0F1"]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert {ln.split(",")[0] for ln in rows} == {"A1B0C0D0E0F1"}
+
     @pytest.mark.parametrize("label", ["bogus", "A0B0C0D0E0F2", "A0B0C0D0E0"])
     def test_bad_config_label_is_usage_error(self, small_dataset, tmp_path, capsys, label):
         out = tmp_path / "o"
@@ -310,6 +317,25 @@ class TestEffects:
         with pytest.raises(SystemExit) as err:
             main(["effects", "--results", str(csv), "--out", str(tmp_path / "fx")])
         assert "A1B0C1D0E0F1" in str(err.value)
+
+    def test_spaces_around_fields_ignored(self, tmp_path):
+        csv = _planted_csv(tmp_path / "results.csv")
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(csv.read_text().replace(",", ", "))
+        for path, name in ((csv, "fx"), (spaced, "fx_spaced")):
+            assert main(["effects", "--results", str(path), "--out", str(tmp_path / name)]) == 0
+        for name in ("effects.csv", "effects_report.txt"):
+            assert (tmp_path / "fx_spaced" / name).read_bytes() == (tmp_path / "fx" / name).read_bytes()
+
+    def test_duplicated_row_reported_before_writing(self, tmp_path):
+        csv = _planted_csv(tmp_path / "results.csv")
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(lines + [lines[5]]) + "\n")
+        out = tmp_path / "fx"
+        cell = re.escape(f"duplicate cell ({lines[5].split(',')[0]}, r0, {lines[5].split(',')[2]})")
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: {cell}"):
+            main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [None, "a,b,c,d\n",
                                       "config,replicate,metric,value\nA0B0C0D0E0F0,0,B56\n",

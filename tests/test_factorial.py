@@ -4,7 +4,6 @@ import pytest
 from balltrack.factorial import (
     DECODER_METRICS,
     ENCODER_METRICS,
-    EffectEstimate,
     FactorConfig,
     MissingCellsError,
     ResponseTable,
@@ -12,7 +11,6 @@ from balltrack.factorial import (
     all_terms,
     compute_all_effects,
     contrast_sign,
-    effect_estimate,
     enumerate_configs,
     rank_effects,
 )
@@ -57,6 +55,17 @@ class TestConfigs:
             with pytest.raises(ValueError):
                 FactorConfig.from_label(label)
 
+    def test_padded_label_resolves_to_its_row(self):
+        config = FactorConfig.from_label(" A1B0C0D0E0F1\t")
+        assert config == FactorConfig.from_index(33)
+        assert config.label == "A1B0C0D0E0F1"
+        assert config["A"] and config["F"] and not config["B"]
+
+    @pytest.mark.parametrize("index", [-1, 64])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            FactorConfig.from_index(index)
+
 
 class TestContrasts:
     def test_single_factor_sign(self):
@@ -94,15 +103,16 @@ class TestEffectEstimate:
         table = ResponseTable()
         for config in enumerate_configs():
             table.add(config, 0, "err", 1.0 if config["C"] else -1.0)
-        assert effect_estimate(table, "C", "err").value == pytest.approx(2.0)
+        assert compute_all_effects(table, ["err"])["C"]["err"] == pytest.approx(2.0)
 
     def test_constant_response_all_effects_zero(self):
         table = ResponseTable()
         for config in enumerate_configs():
             for rep in range(2):
                 table.add(config, rep, "err", 5.5)
+        effects = compute_all_effects(table, ["err"])
         for term in ("A", "F", "ABC", "ABCDEF"):
-            assert effect_estimate(table, term, "err").value == 0.0
+            assert effects[term]["err"] == 0.0
 
     def test_planted_model_recovered_exactly(self):
         table = _planted_table(coefficients={"A": 2.0, "BC": -1.0})
@@ -121,9 +131,10 @@ class TestEffectEstimate:
             for rep in range(4):
                 y = t1.value(config.label, rep, "err") + t2.value(config.label, rep, "err")
                 combined.add(config, rep, "err", y)
+        e1, e2, both = (compute_all_effects(t, ["err"]) for t in (t1, t2, combined))
         for term in ("D", "EF", "A"):
-            s = effect_estimate(t1, term, "err").value + effect_estimate(t2, term, "err").value
-            assert effect_estimate(combined, term, "err").value == pytest.approx(s, abs=1e-12)
+            s = e1[term]["err"] + e2[term]["err"]
+            assert both[term]["err"] == pytest.approx(s, abs=1e-12)
 
     def test_matches_contrast_sum_formula(self):
         # definition check: (1 / (n 2^{k-1})) sum_ij x_iK y_ij
@@ -132,14 +143,14 @@ class TestEffectEstimate:
         signs = np.array([contrast_sign(c, "AB") for c in enumerate_configs()])
         n = y.shape[1]
         direct = float((signs[:, None] * y).sum() / (n * 32))
-        assert effect_estimate(table, "AB", "err").value == pytest.approx(direct, abs=1e-12)
+        assert compute_all_effects(table, ["err"])["AB"]["err"] == pytest.approx(direct, abs=1e-12)
 
     def test_missing_cells_reported_by_name(self):
         table = _planted_table(n_reps=2)
         # knock out one cell
         del table._cells[("A0B0C0D0E0F0", 1)]
         with pytest.raises(MissingCellsError) as err:
-            effect_estimate(table, "A", "err")
+            compute_all_effects(table, ["err"])
         assert "A0B0C0D0E0F0" in str(err.value)
         assert err.value.missing == [("A0B0C0D0E0F0", 1)]
 
@@ -175,9 +186,11 @@ class TestContrastProduct:
         for config in enumerate_configs():
             for rep in range(3):
                 assert y[config.index, rep] == table.value(config.label, rep, "err")
+        ybar = y.mean(axis=1)
         effects = compute_all_effects(table, ["err"])
         for term in ("AB", "F", "CDE"):
-            assert effect_estimate(table, term, "err").value == effects[term]["err"]
+            signs = np.array([contrast_sign(c, term) for c in enumerate_configs()])
+            assert effects[term]["err"] == pytest.approx(signs @ ybar / 32, abs=1e-12)
 
     def test_first_incomplete_metric_in_request_order_named(self):
         table = ResponseTable()
@@ -196,6 +209,37 @@ class TestContrastProduct:
             compute_all_effects(table, ["a", "b", "c"])
         assert err.value.metric == "b"
         assert err.value.missing == [("A1B0C0D0E0F0", 0)]
+
+
+class TestResponseTable:
+    def test_padded_label_lands_in_the_canonical_cell(self):
+        table = ResponseTable()
+        table.add(" A1B0C0D0E0F0 ", 0, "err", 1.5)
+        assert list(table._cells) == [("A1B0C0D0E0F0", 0)]
+        assert table.value("A1B0C0D0E0F0", 0, "err") == 1.5
+        assert ("A1B0C0D0E0F0", 0) not in table.missing_cells("err")
+
+    def test_padded_labels_fill_the_grid(self):
+        rows = [(f" {c.label}", 0, "err", float(c.index)) for c in enumerate_configs()]
+        table = ResponseTable.from_rows(rows)
+        assert table.missing_cells("err") == []
+        assert list(table.responses("err")[:, 0]) == [float(i) for i in range(64)]
+
+    @pytest.mark.parametrize("again", ["A1B0C0D0E0F0", " A1B0C0D0E0F0", FactorConfig.from_index(1)],
+                             ids=["label", "padded", "config"])
+    def test_duplicate_cell_raises_and_names_it(self, again):
+        table = ResponseTable()
+        table.add("A1B0C0D0E0F0", 2, "err", 1.0)
+        with pytest.raises(ValueError, match=r"duplicate cell \(A1B0C0D0E0F0, r2, err\)"):
+            table.add(again, 2, "err", 2.0)
+        assert table.value("A1B0C0D0E0F0", 2, "err") == 1.0
+
+    def test_same_cell_other_metric_or_replicate_accepted(self):
+        table = ResponseTable()
+        table.add("A1B0C0D0E0F0", 0, "err", 1.0)
+        table.add("A1B0C0D0E0F0", 0, "other", 2.0)
+        table.add("A1B0C0D0E0F0", 1, "err", 3.0)
+        assert table.value("A1B0C0D0E0F0", 1, "err") == 3.0
 
 
 class TestAggregates:
@@ -248,8 +292,3 @@ class TestRanking:
         ranked = rank_effects(effects, ("m",))
         assert [t for t, _ in ranked[:2]] == ["AC", "B"]
 
-
-def test_effect_estimate_is_frozen_record():
-    est = EffectEstimate(term="A", metric="err", value=1.0)
-    with pytest.raises(Exception):
-        est.value = 2.0

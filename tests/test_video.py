@@ -222,7 +222,7 @@ class TestDatasetIO:
 
         def failing_record(fh, array, dtype):
             calls.append(dtype)
-            if len(calls) == 3:  # the second truth record, after the frames
+            if len(calls) == 3:  # the last truth record, after the frames file
                 raise OSError("disk full")
             fh.write(b"partial")
 
@@ -235,6 +235,33 @@ class TestDatasetIO:
         loaded, _ = read_dataset(tmp_path, "test")
         for a, b in zip(generate_split(small_cfg, "test"), loaded):
             assert a.frames.tobytes() == b.frames.tobytes()
+
+    def test_write_does_not_stack_the_split(self, tmp_path):
+        cfg = SimConfig(noise_sigma=1.0, frames_per_video=10, n_test=8)
+        seqs = generate_split(cfg, "test")
+        nbytes = sum(seq.frames.nbytes for seq in seqs)
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path, "test", seqs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * nbytes
+        loaded, _ = read_dataset(tmp_path, "test")
+        assert [seq.frames.tobytes() for seq in loaded] == [seq.frames.tobytes() for seq in seqs]
+
+    def test_mixed_frame_shapes_rejected_before_writing(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        seqs = generate_split(small_cfg, "test")
+        seqs[1] = replace(seqs[1], frames=seqs[1].frames[:-1])
+        with pytest.raises(ShapeMismatchError, match="differ in frame shape"):
+            write_dataset(tmp_path, "test", seqs, small_cfg)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ShapeMismatchError):
+            write_dataset(fresh, "test", seqs, small_cfg)
+        assert not fresh.exists()
 
     def test_missing_split_names_the_listed_splits(self, tmp_path, small_cfg):
         for split in ("train", "val"):
