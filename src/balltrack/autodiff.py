@@ -177,9 +177,13 @@ def where(cond, a, b):
 
 
 def relu(x):
+    """max(x, 0); a float array with no sign bit set (no negative, no -0.0)
+    is returned as it is, not copied."""
     if isinstance(x, Dual):
         keep = x.value > 0
         return Dual(np.where(keep, x.value, 0.0), np.where(keep, x.tangent, 0.0))
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f" and not np.signbit(x).any():
+        return x
     return np.maximum(x, 0.0)
 
 

@@ -212,11 +212,11 @@ def cmd_effects(args) -> int:
     started = time.time()
     try:
         table = ResponseTable.from_rows(metrics_from_csv(Path(args.results).read_text()))
+        table.add_aggregates()
     except OSError as err:
         raise SystemExit(f"error: {args.results}: {err.strerror}")
-    except ValueError as err:  # malformed rows or config labels
+    except ValueError as err:  # malformed rows, config labels or repeated cells
         raise SystemExit(f"error: {args.results}: {err}")
-    table.add_aggregates()
     metrics = table.metrics()
     try:
         effects = compute_all_effects(table, metrics)

@@ -129,6 +129,10 @@ _IN_TERM = np.array([[f in term for f in FACTORS] for term in _TERMS])
 _CONTRASTS = np.where(_IN_TERM, 2 * _BITS[:, None, :] - 1, 1).prod(axis=2)
 
 
+def _duplicate_cell(label: str, replicate: int, metric: str) -> ValueError:
+    return ValueError(f"duplicate cell ({label}, r{replicate}, {metric})")
+
+
 class ResponseTable:
     """(config, replicate) -> {metric: value} storage for the design."""
 
@@ -140,7 +144,7 @@ class ResponseTable:
         label = _LABELS[_row(config) if isinstance(config, str) else config.index]
         cell = self._cells.setdefault((label, replicate), {})
         if metric in cell:
-            raise ValueError(f"duplicate cell ({label}, r{replicate}, {metric})")
+            raise _duplicate_cell(label, replicate, metric)
         cell[metric] = float(value)
 
     @classmethod
@@ -183,12 +187,14 @@ class ResponseTable:
         return np.array(values, dtype=float).reshape(N_CONFIGS, len(reps), len(metrics))
 
     def add_aggregates(self) -> None:
-        """Derive enc_avg / dec_avg for every cell that has all nine metrics."""
-        for cell in self._cells.values():
+        """Derive enc_avg / dec_avg for every cell that has all nine metrics;
+        a cell that already holds either raises :meth:`add`'s ``ValueError``."""
+        for (label, replicate), cell in self._cells.items():
             if all(m in cell for m in ENCODER_METRICS + DECODER_METRICS):
-                enc, dec = aggregate_responses(cell)
-                cell["enc_avg"] = enc
-                cell["dec_avg"] = dec
+                for metric, value in zip(("enc_avg", "dec_avg"), aggregate_responses(cell)):
+                    if metric in cell:
+                        raise _duplicate_cell(label, replicate, metric)
+                    cell[metric] = value
 
 
 def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:

@@ -5,8 +5,9 @@ template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
 as a (T, H, W) stack by one correlator call (the template spectra are
-computed once per call, and each frame costs 5 FFTs) and average-pooled to
-the 112 and 56 grids, mirroring a three-scale pyramid.
+computed once per call, and each frame costs 5 FFTs, or 3 for a frame whose
+values are all 0 or 1) and average-pooled to the 112 and 56 grids,
+mirroring a three-scale pyramid.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
@@ -25,7 +26,6 @@ from io import StringIO
 
 import numpy as np
 from scipy.fft import irfft2, next_fast_len, rfft2
-from scipy.signal import fftconvolve  # noqa: F401  (unused; kept for bench/spans.py's FFT counter)
 
 from .heatmaps import expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
@@ -51,6 +51,16 @@ METRICS = tuple(
     + [f"V{s}" for s in SCALES]
     + [f"bounce{s}" for s in SCALES]
 )
+
+
+def __getattr__(name):
+    # bench/spans.py reads and patches ``tracker.fftconvolve`` for its FFT
+    # counter; import it on that first access so no command pays for scipy.signal
+    if name == "fftconvolve":
+        from scipy.signal import fftconvolve
+        return fftconvolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass
 class MetricTable:
@@ -83,9 +93,11 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
     are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
     the flipped template and of the all-ones window are taken once per call
     and each frame costs 5 transforms: its spectrum, its square's, and the
-    inverses giving the numerator, sum and sum of squares.  Transform shape,
-    products and "same" slice are those of ``fftconvolve``, so each map has
-    the bits of three ``fftconvolve`` calls.
+    inverses giving the numerator, sum and sum of squares.  A frame whose
+    values are all 0 or 1 is bitwise its own square, so its sum of squares
+    is its sum and it costs 3.  Transform shape, products and "same" slice
+    are those of ``fftconvolve``, so each map has the bits of three
+    ``fftconvolve`` calls.
     """
     frames = np.asarray(frames, dtype=np.float64)
     t0 = template - template.mean()
@@ -103,7 +115,11 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
         spec = rfft2(frame, fshape)
         num = irfft2(spec * flipped_spec, fshape)[same]
         s1 = irfft2(spec * ones_spec, fshape)[same]
-        s2 = irfft2(rfft2(frame * frame, fshape) * ones_spec, fshape)[same]
+        sq = frame * frame
+        if np.array_equal(sq.view(np.uint64), frame.view(np.uint64)):
+            s2 = s1  # the same transforms of the same bits
+        else:
+            s2 = irfft2(rfft2(sq, fshape) * ones_spec, fshape)[same]
         var = np.maximum(s2 - s1 * s1 / n, 0.0)
         den = t_norm * np.sqrt(var)
 

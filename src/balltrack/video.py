@@ -38,6 +38,7 @@ __all__ = [
     "FormatVersionError",
     "TruncatedFileError",
     "ShapeMismatchError",
+    "TrailingBytesError",
     "render_frame",
     "make_noise_image",
     "generate_sequence",
@@ -67,6 +68,10 @@ class TruncatedFileError(DatasetError):
 
 class ShapeMismatchError(DatasetError):
     pass
+
+
+class TrailingBytesError(DatasetError):
+    """Bytes follow the last record of a file."""
 
 
 @dataclass
@@ -174,16 +179,23 @@ def _read_record(fh, dtype: str, path) -> np.ndarray:
     return array
 
 
+def _check_at_end(fh, path) -> None:
+    extra = _bytes_left(fh)
+    if extra:
+        raise TrailingBytesError(f"{path}: {extra} bytes after the last record")
+
+
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An empty split, or one whose sequences differ in frame shape, is
-    rejected before the directory is touched, and an existing manifest is
-    checked before any split file is opened, so a rejected write leaves the
-    directory as it was.  The split files and the manifest are written under
-    temporary names in the same directory and then renamed over the old
-    ones, so a write that fails part-way leaves the previous files whole and
-    no temporary file behind.
+    An empty split, one whose sequences differ in frame shape, or one with a
+    trajectory that does not cover its frames is rejected before the
+    directory is touched, and an existing manifest is checked before any
+    split file is opened, so a rejected write leaves the directory as it
+    was.  The split files and the manifest are written under temporary names
+    in the same directory and then renamed over the old ones, so a write
+    that fails part-way leaves the previous files whole and no temporary
+    file behind.
     """
     if not sequences:
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
@@ -191,6 +203,14 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     if any(seq.frames.shape != frame_shape for seq in sequences):
         raise ShapeMismatchError(f"{path}: the sequences of split {split!r} differ in frame shape: "
                                  f"{sorted({seq.frames.shape for seq in sequences})}")
+    n_frames = frame_shape[0]
+    truth_shapes = ((n_frames, 2), (n_frames, 2), (n_frames,))  # positions, velocities, bounce flags
+    for i, seq in enumerate(sequences):
+        traj = seq.trajectory
+        shapes = (np.shape(traj.positions_px), np.shape(traj.velocities_fu), np.shape(traj.bounce_flags))
+        if shapes != truth_shapes:
+            raise ShapeMismatchError(f"{path}: the truth of sequence {i} of split {split!r} has shapes "
+                                     f"{shapes}, expected {truth_shapes} for its {n_frames} frames")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     config = asdict(cfg)
@@ -249,7 +269,8 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
 
     A manifest configuration that :class:`SimConfig` rejects, or a split
     whose files are absent, raises :class:`DatasetError`; the latter names
-    the splits the manifest lists.
+    the splits the manifest lists.  Bytes after a file's last record raise
+    :class:`TrailingBytesError`.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -266,10 +287,12 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
                            f"the manifest lists: {listed}")
     with open(frames_path, "rb") as fh:
         frames = _read_record(fh, "<f4", frames_path)
+        _check_at_end(fh, frames_path)
     with open(truth_path, "rb") as fh:
         positions = _read_record(fh, "<f8", truth_path)
         velocities = _read_record(fh, "<f8", truth_path)
         bounces = _read_record(fh, "<u1", truth_path)
+        _check_at_end(fh, truth_path)
 
     if frames.ndim != 4:
         raise ShapeMismatchError(f"{path}: frames record has rank {frames.ndim}, expected 4")

@@ -244,6 +244,14 @@ class TestHelpers:
         assert ad.relu(ad.Dual(0.0, 1.0)).tangent == 0.0  # value 0 not > 0
         assert ad.relu(ad.Dual(1e-12, 1.0)).tangent == 1.0
 
+    def test_relu_returns_a_non_negative_array_itself(self):
+        maps = np.array([[0.0, 2.5], [np.inf, 1e-300]])
+        assert ad.relu(maps) is maps
+        signed = np.array([[0.0, -0.0], [-1.0, 3.0]])
+        out = ad.relu(signed)
+        assert out is not signed and out.tobytes() == np.array([[0.0, 0.0], [0.0, 3.0]]).tobytes()
+        assert ad.relu(np.array([0, 2])).dtype == np.float64  # integers still come out as floats
+
     def test_clip_zeroes_tangent_outside(self):
         assert ad.clip(ad.Dual(2.0, 1.0), 0.0, 1.0).tangent == 0.0
         assert ad.clip(ad.Dual(0.5, 1.0), 0.0, 1.0).tangent == 1.0

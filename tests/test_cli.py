@@ -337,6 +337,15 @@ class TestEffects:
             main(["effects", "--results", str(csv), "--out", str(out)])
         assert not out.exists()
 
+    def test_supplied_aggregate_reported_before_writing(self, tmp_path):
+        csv = _planted_csv(tmp_path / "results.csv")
+        csv.write_text(csv.read_text() + "A0B0C0D0E0F0,1,enc_avg,99\n")
+        out = tmp_path / "fx"
+        cell = re.escape("duplicate cell (A0B0C0D0E0F0, r1, enc_avg)")
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: {cell}"):
+            main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "a,b,c,d\n",
                                       "config,replicate,metric,value\nA0B0C0D0E0F0,0,B56\n",
                                       "config,replicate,metric,value\nA0B0C0D0E0F0,x,B56,1.0\n",

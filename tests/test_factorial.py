@@ -271,6 +271,16 @@ class TestAggregates:
         assert table.value("A0B0C0D0E0F0", 0, "enc_avg") == 2.0
         assert table.value("A0B0C0D0E0F0", 0, "dec_avg") == 4.0
 
+    @pytest.mark.parametrize("supplied", ["enc_avg", "dec_avg"])
+    def test_supplied_aggregate_is_a_duplicate_cell(self, supplied):
+        table = ResponseTable()
+        for m in ENCODER_METRICS + DECODER_METRICS:
+            table.add("A1B0C0D0E0F0", 3, m, 1.0)
+        table.add("A1B0C0D0E0F0", 3, supplied, 99.0)
+        with pytest.raises(ValueError, match=rf"duplicate cell \(A1B0C0D0E0F0, r3, {supplied}\)"):
+            table.add_aggregates()
+        assert table.value("A1B0C0D0E0F0", 3, supplied) == 99.0
+
 
 class TestRanking:
     def test_planted_dominant_effect_ranks_first(self):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+import balltrack
+from balltrack import tracker
 from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
@@ -157,11 +164,43 @@ class TestNccStack:
         stack[1, 20:25, 40:45] += 4.0
         self._assert_bitwise(stack, disk_template(2.0))
 
+    def test_mixed_stack(self, cfg):
+        # 0/1 frames take the 3-transform path, the rest the 5-transform one
+        noisy = SimConfig(noise_sigma=1.0, frames_per_video=3)
+        textured = generate_sequence(noisy, split_stream(noisy, "ncc-stack", 1)).frames[1]
+        stack = np.array([render_frame((100.5, 80.5), cfg), textured, np.ones((224, 224)),
+                          np.zeros((224, 224)), render_frame((33.0, 47.5), cfg)])
+        self._assert_bitwise(stack, disk_template(cfg.radius_px))
+
+    @pytest.mark.parametrize("n_binary, n_textured", [(1, 0), (0, 1), (3, 2)])
+    def test_transforms_per_frame(self, cfg, rng_np, monkeypatch, n_binary, n_textured):
+        calls = {"rfft2": 0, "irfft2": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(tracker, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(tracker, name, counted)
+        binary = [render_frame((60.5 + 20 * k, 120.0), cfg) for k in range(n_binary)]
+        textured = [rng_np.normal(size=(224, 224)) for _ in range(n_textured)]
+        ncc_heatmap(np.array(binary + textured), disk_template(cfg.radius_px))
+        # the two template spectra, then 1 + 2 per 0/1 frame and 2 + 3 per textured frame
+        assert calls == {"rfft2": 2 + n_binary + 2 * n_textured, "irfft2": 2 * n_binary + 3 * n_textured}
+
     def test_single_frame_keeps_its_shape(self, rng_np):
         frame = rng_np.normal(size=(48, 80))
         hm = ncc_heatmap(frame, disk_template(3.0))
         assert hm.shape == (48, 80)
         assert hm.tobytes() == _ncc_reference(frame, disk_template(3.0)).tobytes()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = ("import sys, balltrack.cli\n"
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n"
+            "from balltrack import tracker\n"
+            "assert tracker.fftconvolve.__module__.startswith('scipy.signal')\n")
+    src = str(Path(balltrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestPooling:

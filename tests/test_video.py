@@ -19,6 +19,7 @@ from balltrack.video import (
     DatasetError,
     FormatVersionError,
     ShapeMismatchError,
+    TrailingBytesError,
     TruncatedFileError,
     generate_sequence,
     generate_split,
@@ -262,6 +263,29 @@ class TestDatasetIO:
         with pytest.raises(ShapeMismatchError):
             write_dataset(fresh, "test", seqs, small_cfg)
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("bad", ["one_frame_short", "mixed_lengths"])
+    def test_trajectories_not_covering_the_frames_rejected_before_writing(self, tmp_path, small_cfg, bad):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        seqs = generate_split(small_cfg, "test")
+        short = [i for i in range(len(seqs)) if bad == "one_frame_short" or i == 1]
+        for i in short:
+            traj = seqs[i].trajectory
+            seqs[i] = replace(seqs[i], trajectory=replace(
+                traj, positions_px=traj.positions_px[:-1], velocities_fu=traj.velocities_fu[:-1],
+                bounce_flags=traj.bounce_flags[:-1]))
+        with pytest.raises(ShapeMismatchError, match=f"sequence {short[0]} .* for its 12 frames"):
+            write_dataset(tmp_path, "test", seqs, small_cfg)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["test_frames.bin", "test_truth.bin"])
+    def test_bytes_after_the_last_record_raise(self, tmp_path, small_cfg, name):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(bytes(700))
+        with pytest.raises(TrailingBytesError, match=f"{name}: 700 bytes after the last record"):
+            read_dataset(tmp_path, "test")
 
     def test_missing_split_names_the_listed_splits(self, tmp_path, small_cfg):
         for split in ("train", "val"):
