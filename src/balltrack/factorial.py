@@ -187,14 +187,21 @@ class ResponseTable:
         return np.array(values, dtype=float).reshape(N_CONFIGS, len(reps), len(metrics))
 
     def add_aggregates(self) -> None:
-        """Derive enc_avg / dec_avg for every cell that has all nine metrics;
-        a cell that already holds either raises :meth:`add`'s ``ValueError``."""
-        for (label, replicate), cell in self._cells.items():
-            if all(m in cell for m in ENCODER_METRICS + DECODER_METRICS):
-                for metric, value in zip(("enc_avg", "dec_avg"), aggregate_responses(cell)):
-                    if metric in cell:
-                        raise _duplicate_cell(label, replicate, metric)
-                    cell[metric] = value
+        """Derive enc_avg / dec_avg for every cell that has all nine metrics,
+        as :func:`aggregate_responses` rounds them; a cell that already holds
+        either raises :meth:`add`'s ``ValueError`` and nothing is added."""
+        cells = [(key, cell) for key, cell in self._cells.items()
+                 if all(m in cell for m in ENCODER_METRICS + DECODER_METRICS)]
+        for key, cell in cells:
+            for metric in ("enc_avg", "dec_avg"):
+                if metric in cell:
+                    raise _duplicate_cell(*key, metric)
+        # one (cells, 3) and one (cells, 6) mean, each row summed in np.mean's order
+        enc, dec = (np.mean(np.array([[cell[m] for m in group] for _, cell in cells])
+                            .reshape(len(cells), len(group)), axis=-1).tolist()
+                    for group in (ENCODER_METRICS, DECODER_METRICS))
+        for (_, cell), e, d in zip(cells, enc, dec):
+            cell.update(enc_avg=e, dec_avg=d)
 
 
 def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:

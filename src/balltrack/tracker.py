@@ -4,10 +4,13 @@ The detector is a zero-normalized cross-correlation against a disk
 template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
-as a (T, H, W) stack by one correlator call (the template spectra are
-computed once per call, and each frame costs 5 FFTs, or 3 for a frame whose
-values are all 0 or 1) and average-pooled to the 112 and 56 grids,
-mirroring a three-scale pyramid.
+as a (T, H, W) stack by one correlator call and average-pooled to the 112
+and 56 grids, mirroring a three-scale pyramid.  The correlator takes the
+template spectra once per call and runs each frame's transforms as row and
+column passes: the forward row pass reads only the frame's nonzero rows, and
+the inverse row pass writes only the output rows that are kept, so a
+nearly empty frame (clean, or after the temporal mean) skips most of its
+row transforms and keeps the bits of the full ones.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
 
 from .heatmaps import expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
@@ -91,13 +94,21 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
 
     Border pixels whose template window would leave the frame are zero, as
     are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
-    the flipped template and of the all-ones window are taken once per call
-    and each frame costs 5 transforms: its spectrum, its square's, and the
-    inverses giving the numerator, sum and sum of squares.  A frame whose
-    values are all 0 or 1 is bitwise its own square, so its sum of squares
-    is its sum and it costs 3.  Transform shape, products and "same" slice
-    are those of ``fftconvolve``, so each map has the bits of three
-    ``fftconvolve`` calls.
+    the flipped template and of the all-ones window are taken once per call;
+    each frame needs its spectrum, its square's, and the inverses giving the
+    numerator, sum and sum of squares.  A frame whose values are all 0 or 1
+    is bitwise its own square, so its sum of squares is its sum.
+
+    Each 2-D transform is a row pass and a column pass, run as ``rfft2`` and
+    ``irfft2`` run them: forward r2c along rows then c2c along columns, inverse
+    c2c along columns then c2r along rows with the one 1/(P*Q) scale.  A zero
+    row has a zero spectrum row, so the forward row pass takes only the
+    frame's nonzero rows; each row of the inverse row pass depends only on its
+    own row, so it runs only on the rows kept: the H rows of the "same" slice
+    for the two window sums, and for the numerator only the rows where some
+    window passes the variance cutoff (every other pixel is zero).  Transform
+    shape, products and slice are those of ``fftconvolve``, so each map has
+    the bits of three ``fftconvolve`` calls.
     """
     frames = np.asarray(frames, dtype=np.float64)
     t0 = template - template.mean()
@@ -105,21 +116,35 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
     n = template.size
 
     (h, w), (kh, kw) = frames.shape[-2:], template.shape
-    fshape = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
-    same = (slice((kh - 1) // 2, (kh - 1) // 2 + h), slice((kw - 1) // 2, (kw - 1) // 2 + w))
+    fshape = p, q = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
+    top, cols = (kh - 1) // 2, slice((kw - 1) // 2, (kw - 1) // 2 + w)
     flipped_spec = rfft2(t0[::-1, ::-1], fshape)
     ones_spec = rfft2(np.ones_like(template), fshape)
+    # irfft2's scale: pocketfft's long-double 1/(P*Q) rounds to this double
+    # for every 5-smooth P*Q below 9e15
+    scale = 1.0 / (p * q)
 
-    out = np.empty(frames.shape)
+    def spectrum(x, rows):
+        # rfft2(x, fshape) when every row not in ``rows`` is zero
+        buf = np.zeros((p, q // 2 + 1), complex)
+        buf[rows] = rfft(x[rows], q, axis=-1)
+        return fft(buf, axis=0, overwrite_x=True)
+
+    def inverse(spec, rows):
+        # irfft2(spec, fshape)[rows, cols]
+        part = ifft(spec, axis=0, norm="forward", overwrite_x=True)[rows]
+        return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
+
+    same_rows = slice(top, top + h)
+    out = np.zeros(frames.shape)
     for frame, hm in zip(frames.reshape(-1, h, w), out.reshape(-1, h, w)):
-        spec = rfft2(frame, fshape)
-        num = irfft2(spec * flipped_spec, fshape)[same]
-        s1 = irfft2(spec * ones_spec, fshape)[same]
         sq = frame * frame
-        if np.array_equal(sq.view(np.uint64), frame.view(np.uint64)):
-            s2 = s1  # the same transforms of the same bits
-        else:
-            s2 = irfft2(rfft2(sq, fshape) * ones_spec, fshape)[same]
+        binary = np.array_equal(sq.view(np.uint64), frame.view(np.uint64))
+        rows = np.flatnonzero(frame.any(axis=-1))
+        spec = spectrum(frame, rows)
+        s1 = inverse(spec * ones_spec, same_rows)
+        # a 0/1 frame: the same transforms of the same bits
+        s2 = s1 if binary else inverse(spectrum(sq, rows) * ones_spec, same_rows)
         var = np.maximum(s2 - s1 * s1 / n, 0.0)
         den = t_norm * np.sqrt(var)
 
@@ -127,7 +152,10 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
         # or relative to the liveliest window) would normalize rounding residue
         # up to O(1) correlations; treat them as empty instead
         cutoff = max(1e-9, 1e-4 * float(den.max()))
-        hm[...] = np.where(den > cutoff, num / (den + 1e-12), 0.0)
+        live = den > cutoff
+        rows = np.flatnonzero(live.any(axis=-1))
+        num = inverse(spec * flipped_spec, top + rows)
+        hm[rows] = np.where(live[rows], num / (den[rows] + 1e-12), 0.0)
     margin = template.shape[0] // 2
     out[..., :margin, :] = 0.0
     out[..., -margin:, :] = 0.0

@@ -281,6 +281,35 @@ class TestAggregates:
             table.add_aggregates()
         assert table.value("A1B0C0D0E0F0", 3, supplied) == 99.0
 
+    def test_first_duplicate_in_cell_order_is_raised(self):
+        table = ResponseTable()
+        for label in ("A0B1C0D0E0F0", "A1B0C0D0E0F0"):
+            for m in ENCODER_METRICS + DECODER_METRICS:
+                table.add(label, 0, m, 1.0)
+        table.add("A1B0C0D0E0F0", 0, "enc_avg", 5.0)
+        table.add("A0B1C0D0E0F0", 0, "dec_avg", 6.0)
+        table.add("A0B1C0D0E0F0", 0, "enc_avg", 7.0)
+        with pytest.raises(ValueError, match=r"duplicate cell \(A0B1C0D0E0F0, r0, enc_avg\)"):
+            table.add_aggregates()
+
+    def test_table_aggregates_are_bitwise_per_cell_means(self):
+        rng = np.random.default_rng(64)
+        table = ResponseTable()
+        for config in enumerate_configs():
+            for rep in range(3):
+                for m in ENCODER_METRICS + DECODER_METRICS:
+                    table.add(config, rep, m, float(rng.lognormal(0.0, 2.0)))
+        table.add(FactorConfig(0), 3, "B56", 1.0)  # incomplete: left alone
+        table.add_aggregates()
+        for config in enumerate_configs():
+            for rep in range(3):
+                cell = {m: table.value(config.label, rep, m) for m in ENCODER_METRICS + DECODER_METRICS}
+                enc, dec = aggregate_responses(cell)
+                assert type(table.value(config.label, rep, "enc_avg")) is float
+                assert table.value(config.label, rep, "enc_avg").hex() == enc.hex()
+                assert table.value(config.label, rep, "dec_avg").hex() == dec.hex()
+        assert table.missing_cells("enc_avg") == [(c.label, 3) for c in enumerate_configs()]
+
 
 class TestRanking:
     def test_planted_dominant_effect_ranks_first(self):

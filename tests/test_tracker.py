@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import balltrack
@@ -133,6 +136,45 @@ def _ncc_reference(frame, template):
     return np.maximum(out, 0.0)
 
 
+def _live_rows(frame, template):
+    """Rows holding a window above the variance cutoff, by ``_ncc_reference``'s arithmetic."""
+    frame = np.asarray(frame, dtype=np.float64)
+    t0 = template - template.mean()
+    ones = np.ones_like(template)
+    s1 = fftconvolve(frame, ones, mode="same")
+    s2 = fftconvolve(frame * frame, ones, mode="same")
+    den = np.sqrt(np.sum(t0 * t0)) * np.sqrt(np.maximum(s2 - s1 * s1 / template.size, 0.0))
+    return int(np.count_nonzero((den > max(1e-9, 1e-4 * float(den.max()))).any(axis=-1)))
+
+
+@st.composite
+def _sparse_stacks(draw):
+    """1-3 mostly empty frames: disks and spikes anywhere (border rows and the
+    template margin included), spikes only in the margin rows, one nonzero
+    row, all zeros or a constant; values 1 or arbitrary."""
+    h, w = draw(st.sampled_from([(16, 16), (24, 40), (48, 80)]))
+    values = st.one_of(st.just(1.0), st.floats(-4.0, 4.0))
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        frame = np.zeros((h, w))
+        kind = draw(st.sampled_from(["marks", "margin", "row", "zero", "constant"]))
+        if kind == "constant":
+            frame[:] = draw(values)
+        elif kind == "row":
+            frame[draw(st.integers(0, h - 1))] = draw(st.lists(values, min_size=w, max_size=w))
+        elif kind != "zero":
+            # spikes only in rows of the widest template margin (4), or disks anywhere
+            margin = kind == "margin"
+            rows = st.sampled_from([0, 1, 2, 3, h - 4, h - 3, h - 2, h - 1]) if margin else st.integers(0, h - 1)
+            ii, jj = np.ogrid[:h, :w]
+            for _ in range(draw(st.integers(1, 4))):
+                r, c = draw(rows), draw(st.integers(0, w - 1))
+                size = 0 if margin else draw(st.integers(0, 3))
+                frame[(ii - r) ** 2 + (jj - c) ** 2 <= size * size] = draw(values)
+        frames.append(frame)
+    return np.array(frames)
+
+
 class TestNccStack:
     """A stack shares the template spectra; every frame keeps its bits."""
 
@@ -165,7 +207,7 @@ class TestNccStack:
         self._assert_bitwise(stack, disk_template(2.0))
 
     def test_mixed_stack(self, cfg):
-        # 0/1 frames take the 3-transform path, the rest the 5-transform one
+        # 0/1 frames reuse the sum map as the sum of squares, the rest transform their square
         noisy = SimConfig(noise_sigma=1.0, frames_per_video=3)
         textured = generate_sequence(noisy, split_stream(noisy, "ncc-stack", 1)).frames[1]
         stack = np.array([render_frame((100.5, 80.5), cfg), textured, np.ones((224, 224)),
@@ -174,17 +216,43 @@ class TestNccStack:
 
     @pytest.mark.parametrize("n_binary, n_textured", [(1, 0), (0, 1), (3, 2)])
     def test_transforms_per_frame(self, cfg, rng_np, monkeypatch, n_binary, n_textured):
-        calls = {"rfft2": 0, "irfft2": 0}
+        # every scipy.fft transform the tracker binds, with the rows each call receives
+        calls = {name: [] for name, obj in vars(tracker).items()
+                 if not name.startswith("_") and name != "next_fast_len"
+                 and obj is getattr(scipy.fft, name, None)}
         for name in calls:
-            def counted(*args, _name=name, _real=getattr(tracker, name), **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+            def counted(x, *args, _name=name, _real=getattr(tracker, name), **kwargs):
+                calls[_name].append(len(x))
+                return _real(x, *args, **kwargs)
             monkeypatch.setattr(tracker, name, counted)
-        binary = [render_frame((60.5 + 20 * k, 120.0), cfg) for k in range(n_binary)]
+        template = disk_template(cfg.radius_px)
+        # 13-pixel disks centered on a pixel: 5 nonzero rows each
+        binary = [render_frame((60.0 + 20 * k, 120.0), cfg) for k in range(n_binary)]
         textured = [rng_np.normal(size=(224, 224)) for _ in range(n_textured)]
-        ncc_heatmap(np.array(binary + textured), disk_template(cfg.radius_px))
-        # the two template spectra, then 1 + 2 per 0/1 frame and 2 + 3 per textured frame
-        assert calls == {"rfft2": 2 + n_binary + 2 * n_textured, "irfft2": 2 * n_binary + 3 * n_textured}
+        ncc_heatmap(np.array(binary + textured), template)
+
+        p = 240  # next_fast_len(224 + 7 - 1), the padded column length
+        want = {"rfft2": [7, 7], "rfft": [], "fft": [], "ifft": [], "irfft": []}
+        for frame in binary:
+            # a 0/1 frame: r2c of its nonzero rows, one sum map, and the numerator
+            # on the live rows: the disk's 5 and the template's reach of 3 either side
+            assert np.count_nonzero(frame.any(axis=-1)) == 5
+            assert _live_rows(frame, template) == 11
+            want["rfft"] += [5]
+            want["fft"] += [p]
+            want["ifft"] += [p, p]
+            want["irfft"] += [224, 11]
+        for frame in textured:
+            want["rfft"] += [224, 224]
+            want["fft"] += [p, p]
+            want["ifft"] += [p, p, p]
+            want["irfft"] += [224, 224, _live_rows(frame, template)]
+        assert calls == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=_sparse_stacks(), radius=st.sampled_from([2.0, 3.0]))
+    def test_sparse_frames_match_reference(self, stack, radius):
+        self._assert_bitwise(stack, disk_template(radius))
 
     def test_single_frame_keeps_its_shape(self, rng_np):
         frame = rng_np.normal(size=(48, 80))
