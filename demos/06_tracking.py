@@ -8,19 +8,15 @@ temporal-mean flag cancels the static noise and restores clean accuracy.
 """
 
 from balltrack import SimConfig
-from balltrack.tracker import evaluate, evaluate_sequences, track_sequence
+from balltrack.tracker import track_split
 from balltrack.video import generate_sequence, split_stream
 
 N = 8
 
 for sigma, tmean in ((0.0, False), (1.0, False), (1.0, True)):
     cfg = SimConfig(noise_sigma=sigma)
-    per_seq = []
-    for i in range(N):
-        seq = generate_sequence(cfg, split_stream(cfg, "test", i))
-        preds = track_sequence(seq, cfg, temporal_mean=tmean)
-        per_seq.append(evaluate(preds, seq.trajectory))
-    table = evaluate_sequences(per_seq)
+    sequences = (generate_sequence(cfg, split_stream(cfg, "test", i)) for i in range(N))
+    table, _ = track_split(sequences, cfg, temporal_mean=tmean)
     flag = " + temporal-mean" if tmean else ""
     print(f"\nsigma={sigma:g}{flag}  ({N} sequences, mean L1 errors)")
     print("  scale   B [px]   H [px]   P [px]   V [px/f]  bounce")

@@ -35,7 +35,7 @@ from .losses import (
     ramp_weight,
     total_loss,
 )
-from .tracker import MetricTable, evaluate, track_sequence
+from .tracker import MetricTable, evaluate, track_sequence, track_split
 from .factorial import FactorConfig, ResponseTable, compute_all_effects, enumerate_configs
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
     "total_loss",
     "MetricTable",
     "track_sequence",
+    "track_split",
     "evaluate",
     "FactorConfig",
     "ResponseTable",

@@ -23,8 +23,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .factorial import (
     FactorConfig,
@@ -39,7 +37,7 @@ from .factorial import (
 from .physics import physics_refine_window
 from .selfcheck import broken_kernel, run_all
 from .sim import SimConfig, SimulationError
-from .tracker import METRICS, evaluate, evaluate_sequences, metrics_from_csv, metrics_to_csv, track_sequence
+from .tracker import METRICS, metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split
 from .video import (
     DatasetError,
     SPLITS,
@@ -167,32 +165,28 @@ def cmd_track(args) -> int:
                          "which the 2x and 4x pooling of the heatmap pyramid needs")
     with _OutputLock(out):
         out.mkdir(parents=True, exist_ok=True)
-        per_seq = []
-        predictions_blob = []
-        for seq in sequences:
-            preds = track_sequence(seq, cfg, temporal_mean=args.temporal_mean)
-            per_seq.append(evaluate(preds, seq.trajectory))
-            predictions_blob.append(preds)
-        table = evaluate_sequences(per_seq)
+        table, predictions = track_split(sequences, cfg, temporal_mean=args.temporal_mean)
 
         csv_path = out / "metrics.csv"
         csv_path.write_text(metrics_to_csv(table, args.config_label, args.replicate))
+        per_seq_path = out / "per_sequence_metrics.csv"
+        per_seq_path.write_text(per_sequence_to_csv(table))
         pred_path = out / "predictions.bin"
-        _write_predictions(pred_path, predictions_blob)
+        _write_predictions(pred_path, predictions)
         for metric in METRICS:
             print(f"{metric:>10}: {table.values[metric]:.4f}")
-        _write_manifest(out, "track", vars(args), [data], [csv_path, pred_path], started)
+        _write_manifest(out, "track", vars(args), [data], [csv_path, per_seq_path, pred_path], started)
     return 0
 
 
-def _write_predictions(path: Path, per_sequence) -> None:
-    """Binary dump of every window prediction (record scheme of the dataset
-    files; per scale: B/H/P positions, velocities f64, bounce flags u8)."""
+def _write_predictions(path: Path, predictions) -> None:
+    """Binary dump of :func:`track_split`'s window arrays (record scheme of the
+    dataset files; per scale: B/H/P positions, velocities f64, bounce flags u8)."""
     with open(path, "wb") as fh:
-        for scale in sorted(per_sequence[0]):
+        for scale in sorted(predictions):
             for key, dtype in (("B", "<f8"), ("H", "<f8"), ("P", "<f8"),
                                ("V", "<f8"), ("bounce", "<u1")):
-                _write_record(fh, np.stack([seq[scale][key] for seq in per_sequence]), dtype)
+                _write_record(fh, predictions[scale][key], dtype)
 
 
 def cmd_selfcheck(args) -> int:

@@ -19,11 +19,14 @@ P (physics-refined B, all windows in one physics call), plus velocities V
 and bounce indicators, each as one array over the windows.  Metrics are
 mean L1 errors in full-resolution image coordinates; each frame's
 prediction is taken from the window in which it is the center frame
-(sequence endpoints use the only covering window).
+(sequence endpoints use the only covering window).  ``track_split`` tracks a
+split one sequence at a time and scores the stacked window arrays of all
+its sequences in one ``evaluate`` call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -43,8 +46,9 @@ __all__ = [
     "downscale_heatmap",
     "track_sequence",
     "evaluate",
-    "evaluate_sequences",
+    "track_split",
     "metrics_to_csv",
+    "per_sequence_to_csv",
     "metrics_from_csv",
 ]
 
@@ -230,34 +234,71 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     return predictions
 
 
-def _per_frame(windows: np.ndarray) -> np.ndarray:
-    """(T-2, 3, ...) window values -> (T, ...) by the middle-frame convention."""
-    return np.concatenate([windows[:1, 0], windows[:, 1], windows[-1:, 2]])
+def evaluate(predictions: dict[int, dict[str, np.ndarray]], gt: Trajectory) -> dict[str, np.ndarray]:
+    """Mean metrics per sequence: L1 position and velocity error, bounce mismatch.
 
-
-def evaluate(predictions: dict[int, dict[str, np.ndarray]], gt: Trajectory) -> dict[str, float]:
-    """Per-sequence mean metrics (L1 position/velocity, bounce mismatch)."""
-    n_frames = len(gt)
-    if any(len(w) != n_frames - 2 for arrays in predictions.values() for w in arrays.values()):
-        raise ValueError("window count does not match trajectory length")
-
-    out: dict[str, float] = {}
+    Window arrays ``(..., T-2, 3, 2)`` (bounce ``(..., T-2, 3)``) are scored
+    against ground truth of the same leading shape, ``(..., T, 2)`` and
+    ``(..., T)``; each metric comes back as one array of that leading shape,
+    so one sequence gives 0-d values and a stacked split of N sequences
+    ``(N,)`` ones.  Any other shape raises ``ValueError``: nothing is
+    broadcast.  Each frame is scored by the window in which it is the center
+    frame; the endpoints by the only window that covers them.
+    """
+    *lead, n_frames = np.shape(gt.bounce_flags)
+    if n_frames < 3:
+        raise ValueError("evaluation needs at least 3 frames")
+    vectors = (*lead, n_frames, 2)
+    if np.shape(gt.positions_px) != vectors or np.shape(gt.velocities_fu) != vectors:
+        raise ValueError(f"ground-truth positions {np.shape(gt.positions_px)} and velocities "
+                         f"{np.shape(gt.velocities_fu)} do not fit bounce flags {(*lead, n_frames)}")
+    windows = (*lead, n_frames - 2, 3)
     for s, arrays in predictions.items():
-        for name in "BHP":
-            pred = _per_frame(arrays[name])
-            out[f"{name}{s}"] = float(np.mean(np.sum(np.abs(pred - gt.positions_px), axis=1)))
-        v_pred = _per_frame(arrays["V"])
-        out[f"V{s}"] = float(np.mean(np.sum(np.abs(v_pred - gt.velocities_fu), axis=1)))
-        b_pred = _per_frame(arrays["bounce"])
-        out[f"bounce{s}"] = float(np.mean(b_pred != gt.bounce_flags))
+        for key, w in arrays.items():
+            want = windows if key == "bounce" else (*windows, 2)
+            if np.shape(w) != want:
+                raise ValueError(f"{key}{s}: windows of shape {np.shape(w)}, expected {want} "
+                                 f"for ground truth of shape {(*lead, n_frames)}")
+
+    # frame t -> (window, slot) by the middle-frame convention
+    at = (slice(None),) * len(lead) + (np.r_[0, np.arange(n_frames - 2), n_frames - 3],
+                                       np.r_[0, np.ones(n_frames - 2, int), 2])
+    out: dict[str, np.ndarray] = {}
+    for s, arrays in predictions.items():
+        for name in "BHPV":
+            truth = gt.velocities_fu if name == "V" else gt.positions_px
+            out[f"{name}{s}"] = np.abs(arrays[name][at] - truth).sum(axis=-1).mean(axis=-1)
+        out[f"bounce{s}"] = (arrays["bounce"][at] != gt.bounce_flags).mean(axis=-1)
     return out
 
 
-def evaluate_sequences(per_sequence_metrics: list[dict[str, float]]) -> MetricTable:
-    """Aggregate per-sequence metrics: mean over sequences, keep breakdown."""
-    per_seq = {m: np.array([d[m] for d in per_sequence_metrics]) for m in METRICS}
-    values = {m: float(per_seq[m].mean()) for m in METRICS}
-    return MetricTable(values=values, per_sequence=per_seq)
+def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mean: bool = False
+                ) -> tuple[MetricTable, dict[int, dict[str, np.ndarray]]]:
+    """Track every sequence of a split, then score them all in one pass.
+
+    ``sequences`` may be any iterable, a generator included: each sequence is
+    tracked with :func:`track_sequence` and only its window predictions and
+    trajectory are kept, so a generator holds one sequence's frames at a time.
+    Returns the :class:`MetricTable` (means over the N sequences, plus the
+    ``(N,)`` per-sequence arrays behind them) and the predictions stacked in
+    sequence order, ``{scale: {"B", "H", "P", "V": (N, T-2, 3, 2), "bounce":
+    (N, T-2, 3)}}``, the arrays ``predictions.bin`` holds.
+    """
+    tracked, truths = [], []
+    for seq in sequences:
+        tracked.append(track_sequence(seq, cfg, temporal_mean))
+        truths.append(seq.trajectory)
+    if not tracked:
+        raise ValueError("no sequences to track")
+    predictions = {s: {key: np.stack([p[s][key] for p in tracked]) for key in arrays}
+                   for s, arrays in tracked[0].items()}
+    gt = Trajectory(np.stack([t.positions_px for t in truths]),
+                    np.stack([t.velocities_fu for t in truths]),
+                    np.stack([t.bounce_flags for t in truths]))
+    per_seq = evaluate(predictions, gt)
+    table = MetricTable(values={m: float(per_seq[m].mean()) for m in METRICS},
+                        per_sequence={m: per_seq[m] for m in METRICS})
+    return table, predictions
 
 
 def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str:
@@ -266,6 +307,16 @@ def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str
     buf.write("config,replicate,metric,value\n")
     for metric in METRICS:
         buf.write(f"{config_label},{replicate},{metric},{table.values[metric]:.17g}\n")
+    return buf.getvalue()
+
+
+def per_sequence_to_csv(table: MetricTable) -> str:
+    """Render the per-sequence breakdown as a ``sequence`` column plus one
+    column per metric, one row per sequence in sequence order."""
+    buf = StringIO()
+    buf.write(",".join(("sequence", *METRICS)) + "\n")
+    for i, row in enumerate(zip(*(table.per_sequence[m] for m in METRICS))):
+        buf.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
 
 

@@ -188,9 +188,10 @@ def _check_at_end(fh, path) -> None:
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An empty split, one whose sequences differ in frame shape, or one with a
-    trajectory that does not cover its frames is rejected before the
-    directory is touched, and an existing manifest is checked before any
+    An empty split, one whose sequences differ in frame shape or whose frames
+    are not the config's ``(frames_per_video, image_size, image_size)``, or
+    one with a trajectory that does not cover its frames is rejected before
+    the directory is touched, and an existing manifest is checked before any
     split file is opened, so a rejected write leaves the directory as it
     was.  The split files and the manifest are written under temporary names
     in the same directory and then renamed over the old ones, so a write
@@ -203,6 +204,11 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     if any(seq.frames.shape != frame_shape for seq in sequences):
         raise ShapeMismatchError(f"{path}: the sequences of split {split!r} differ in frame shape: "
                                  f"{sorted({seq.frames.shape for seq in sequences})}")
+    want = (cfg.frames_per_video, cfg.image_size, cfg.image_size)
+    if frame_shape != want:
+        raise ShapeMismatchError(f"{path}: the sequences of split {split!r} have frames of shape "
+                                 f"{frame_shape}, but the config's (frames_per_video, image_size, "
+                                 f"image_size) is {want}")
     n_frames = frame_shape[0]
     truth_shapes = ((n_frames, 2), (n_frames, 2), (n_frames,))  # positions, velocities, bounce flags
     for i, seq in enumerate(sequences):
@@ -270,7 +276,9 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
     A manifest configuration that :class:`SimConfig` rejects, or a split
     whose files are absent, raises :class:`DatasetError`; the latter names
     the splits the manifest lists.  Bytes after a file's last record raise
-    :class:`TrailingBytesError`.
+    :class:`TrailingBytesError`, and frames that are not the config's
+    ``(frames_per_video, image_size, image_size)`` raise
+    :class:`ShapeMismatchError`.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -303,8 +311,10 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
     if positions.shape != (*lead, 2) or velocities.shape != (*lead, 2) or bounces.shape != lead:
         raise ShapeMismatchError(f"{path}: truth records {positions.shape}, {velocities.shape} and "
                                  f"{bounces.shape} do not fit frames of shape {frames.shape}")
-    if frames.shape[2:] != (cfg.image_size, cfg.image_size):
-        raise ShapeMismatchError(f"{path}: frame shape {frames.shape[2:]} != config image size")
+    want = (cfg.frames_per_video, cfg.image_size, cfg.image_size)
+    if frames.shape[1:] != want:
+        raise ShapeMismatchError(f"{path}: frames of shape {frames.shape[1:]} per sequence, but the "
+                                 f"config's (frames_per_video, image_size, image_size) is {want}")
 
     sequences = []
     for i in range(frames.shape[0]):

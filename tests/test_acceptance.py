@@ -28,7 +28,7 @@ from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.selfcheck import check_frame_units, check_gradients
 from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
-from balltrack.tracker import evaluate, evaluate_sequences, metrics_to_csv, track_sequence
+from balltrack.tracker import metrics_to_csv, track_split
 from balltrack.video import generate_sequence, generate_split, split_stream, write_dataset
 
 from reference_tables import REFERENCE_ENCODER_ERRORS
@@ -54,12 +54,8 @@ def test_trajectories(cfg):
 
 def _track_split(sigma, temporal_mean):
     cfg = SimConfig(noise_sigma=sigma)
-    per_seq = []
-    for i in range(cfg.n_test):
-        seq = generate_sequence(cfg, split_stream(cfg, "test", i))
-        preds = track_sequence(seq, cfg, temporal_mean=temporal_mean)
-        per_seq.append(evaluate(preds, seq.trajectory))
-    return evaluate_sequences(per_seq)
+    sequences = (generate_sequence(cfg, split_stream(cfg, "test", i)) for i in range(cfg.n_test))
+    return track_split(sequences, cfg, temporal_mean)[0]
 
 
 def test_criterion_1_frame_unit_constants(cfg, params):
@@ -257,8 +253,7 @@ def test_criterion_9_determinism_and_formats(tmp_path):
 
     # results CSV round-trips losslessly and is byte-stable across runs
     seq = generate_sequence(cfg, split_stream(cfg, "test", 0))
-    preds = track_sequence(seq, cfg)
-    table = evaluate_sequences([evaluate(preds, seq.trajectory)])
+    table, _ = track_split([seq], cfg)
     csv_a = metrics_to_csv(table, "A0B0C0D0E0F0", 0)
     csv_b = metrics_to_csv(table, "A0B0C0D0E0F0", 0)
     assert csv_a == csv_b

@@ -11,7 +11,7 @@ from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, build_pars
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS
-from balltrack.video import _read_record, generate_split, write_dataset
+from balltrack.video import _read_record, _write_record, generate_split, write_dataset
 
 
 GEN_SMALL = ["--train", "2", "--val", "1", "--test", "2", "--frames", "10"]
@@ -151,6 +151,35 @@ class TestTrack:
             assert rec.shape == ((n, windows, 3) if i % 5 == 4 else (n, windows, 3, 2))
             assert np.all(np.isfinite(rec))
         assert set(np.unique(records[4])) <= {0, 1}
+
+    def test_per_sequence_metrics_average_to_metrics_csv(self, small_dataset, tmp_path):
+        out = tmp_path / "res"
+        assert main(["track", "--data", str(small_dataset), "--out", str(out)]) == 0
+        header, *rows = (out / "per_sequence_metrics.csv").read_text().splitlines()
+        assert header == ",".join(("sequence", *METRICS))
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]  # GEN_SMALL: 2 test sequences
+        columns = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        written = {ln.split(",")[2]: float(ln.split(",")[3])
+                   for ln in (out / "metrics.csv").read_text().splitlines()[1:]}
+        for metric, column in zip(METRICS, columns.T):
+            assert float(np.mean(column)) == written[metric]
+        manifest = json.loads((out / "track_manifest.json").read_text())
+        assert str(out / "per_sequence_metrics.csv") in manifest["outputs"]
+
+    def test_frame_count_not_of_the_config_reported(self, tmp_path):
+        data = tmp_path / "d"
+        cfg = SimConfig(frames_per_video=3, image_size=32, n_test=2)
+        seqs = generate_split(cfg, "test")
+        write_dataset(data, "test", seqs, cfg)
+        with open(data / "test_frames.bin", "wb") as fh:
+            _write_record(fh, np.stack([s.frames[:2] for s in seqs]), "<f4")
+        with open(data / "test_truth.bin", "wb") as fh:
+            for attr, dtype in (("positions_px", "<f8"), ("velocities_fu", "<f8"), ("bounce_flags", "<u1")):
+                _write_record(fh, np.stack([getattr(s.trajectory, attr)[:2] for s in seqs]), dtype)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=r"^error: .*frames of shape \(2, 32, 32\) per sequence"):
+            main(["track", "--data", str(data), "--out", str(out)])
+        assert not out.exists()
 
     def test_temporal_mean_flag(self, small_dataset, tmp_path):
         out = tmp_path / "res2"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +15,18 @@ import balltrack
 from balltrack import tracker
 from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
-from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
+from balltrack.sim import SimConfig, Trajectory, simulate_trajectory, trajectory_windows
 from balltrack.tracker import (
     METRICS,
     _detector_frames,
     disk_template,
     downscale_heatmap,
     evaluate,
-    evaluate_sequences,
     metrics_from_csv,
     metrics_to_csv,
     ncc_heatmap,
     track_sequence,
+    track_split,
 )
 from balltrack.video import generate_sequence, render_frame, split_stream
 
@@ -427,10 +428,70 @@ class TestEvaluate:
             evaluate(preds, traj)
 
 
+class TestTrackSplit:
+    @pytest.mark.parametrize("sigma, temporal_mean", [(0.0, False), (1.0, True)])
+    def test_one_evaluation_path(self, sigma, temporal_mean):
+        cfg = SimConfig(noise_sigma=sigma, frames_per_video=12)
+        seqs = [generate_sequence(cfg, split_stream(cfg, "test", i)) for i in range(3)]
+        table, predictions = track_split(iter(seqs), cfg, temporal_mean)
+
+        # reference: the per-sequence loop, one track_sequence + evaluate each
+        tracked = [track_sequence(seq, cfg, temporal_mean) for seq in seqs]
+        scored = [evaluate(preds, seq.trajectory) for preds, seq in zip(tracked, seqs)]
+        assert list(table.values) == list(table.per_sequence) == list(METRICS)
+        for m in METRICS:
+            per_seq = np.array([float(d[m]) for d in scored])
+            assert table.per_sequence[m].tobytes() == per_seq.tobytes()
+            assert table.values[m] == float(per_seq.mean())
+        for s in (56, 112, 224):
+            for key in ("B", "H", "P", "V", "bounce"):
+                stacked = np.stack([preds[s][key] for preds in tracked])
+                assert predictions[s][key].dtype == stacked.dtype
+                assert predictions[s][key].tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("n_pred, n_truth", [(2, 3), (1, 3), (3, 1)])
+    def test_leading_shape_mismatch_rejected(self, cfg, n_pred, n_truth):
+        # (1,) against (3,) would broadcast; it must not
+        params = to_frame_units(cfg)
+        trajs = [simulate_trajectory(cfg, RandomStream.from_seed(4, "eval-lead", i)) for i in range(3)]
+        preds = [_exact_predictions(t, params) for t in trajs[:n_pred]]
+        batch = {224: {key: np.stack([p[224][key] for p in preds]) for key in preds[0][224]}}
+        truth = Trajectory(*(np.stack([getattr(t, name) for t in trajs[:n_truth]])
+                             for name in ("positions_px", "velocities_fu", "bounce_flags")))
+        with pytest.raises(ValueError, match="windows of shape"):
+            evaluate(batch, truth)
+
+    def test_mismatched_truth_arrays_rejected(self, cfg):
+        params = to_frame_units(cfg)
+        traj = simulate_trajectory(cfg, RandomStream.from_seed(4, "eval-lead", 0))
+        bad = Trajectory(traj.positions_px, traj.velocities_fu[:, :1], traj.bounce_flags)
+        with pytest.raises(ValueError, match="do not fit bounce flags"):
+            evaluate(_exact_predictions(traj, params), bad)
+
+    def test_empty_split_rejected(self, small_cfg):
+        with pytest.raises(ValueError, match="no sequences"):
+            track_split(iter(()), small_cfg)
+
+    def test_generator_memory_does_not_grow_with_the_split(self):
+        cfg = SimConfig(image_size=64, frames_per_video=8, noise_sigma=1.0)
+
+        def peak(n):
+            sequences = (generate_sequence(cfg, split_stream(cfg, "test", i)) for i in range(n))
+            tracemalloc.start()
+            try:
+                track_split(sequences, cfg, temporal_mean=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        track_split([generate_sequence(cfg, split_stream(cfg, "test", 0))], cfg)  # warm caches
+        small, large = peak(2), peak(6)
+        assert abs(large - small) <= 0.1 * small, (small, large)
+
+
 class TestMetricsCsv:
     def test_round_trip(self, cfg, clean_seq):
-        preds = track_sequence(clean_seq, cfg)
-        table = evaluate_sequences([evaluate(preds, clean_seq.trajectory)])
+        table, _ = track_split([clean_seq], cfg)
         text = metrics_to_csv(table, "A0B0C0D0E0F0", 2)
         rows = metrics_from_csv(text)
         assert len(rows) == len(METRICS) == 15

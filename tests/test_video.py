@@ -264,6 +264,23 @@ class TestDatasetIO:
             write_dataset(fresh, "test", seqs, small_cfg)
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("bad", ["image_size", "frames_per_video"])
+    def test_frames_not_of_the_config_shape_rejected_before_writing(self, tmp_path, bad):
+        cfg = SimConfig(image_size=36, frames_per_video=3, n_test=2)
+        if bad == "image_size":  # 32 px frames under image_size=36
+            seqs = generate_split(replace(cfg, image_size=32), "test")
+        else:  # 2-frame sequences under frames_per_video=3
+            seqs = []
+            for seq in generate_split(cfg, "test"):
+                traj = seq.trajectory
+                seqs.append(replace(seq, frames=seq.frames[:2], trajectory=replace(
+                    traj, positions_px=traj.positions_px[:2], velocities_fu=traj.velocities_fu[:2],
+                    bounce_flags=traj.bounce_flags[:2])))
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ShapeMismatchError, match=r"but the config's .* is \(3, 36, 36\)"):
+            write_dataset(fresh, "test", seqs, cfg)
+        assert not fresh.exists()
+
     @pytest.mark.parametrize("bad", ["one_frame_short", "mixed_lengths"])
     def test_trajectories_not_covering_the_frames_rejected_before_writing(self, tmp_path, small_cfg, bad):
         write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
