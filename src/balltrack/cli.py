@@ -164,7 +164,6 @@ def cmd_track(args) -> int:
         raise SystemExit(f"error: {data}: image size {cfg.image_size} is not divisible by 4, "
                          "which the 2x and 4x pooling of the heatmap pyramid needs")
     with _OutputLock(out):
-        out.mkdir(parents=True, exist_ok=True)
         table, predictions = track_split(sequences, cfg, temporal_mean=args.temporal_mean)
 
         csv_path = out / "metrics.csv"
@@ -218,7 +217,6 @@ def cmd_effects(args) -> int:
         raise SystemExit(f"incomplete design grid: {err}")
 
     with _OutputLock(out):
-        out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "effects.csv"
         lines = ["term,metric,effect"]
         for term in all_terms():

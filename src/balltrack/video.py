@@ -14,7 +14,10 @@ On disk a dataset is one directory per noise level:
 
 A tensor record is ``b"PITD"``, u32 version, u32 ndims, ndims x u64 shape,
 then the row-major little-endian payload.  Element type is fixed by the
-record's position in the file, listed above.
+record's position in the file, listed above.  A split is valid when its
+records have the shapes listed above, with T = frames_per_video and
+H = W = image_size from the config and N >= 1: :func:`write_dataset` and
+:func:`read_dataset` check this one rule, derived by :func:`_record_shapes`.
 """
 
 from __future__ import annotations
@@ -134,6 +137,17 @@ def generate_split(cfg: SimConfig, split: str) -> list[VideoSequence]:
 
 # ---- binary tensor records ----------------------------------------------
 
+# the truth records of a split, in file order: Trajectory field, element
+# type, shape per frame
+_TRUTH_RECORDS = (("positions_px", "<f8", (2,)), ("velocities_fu", "<f8", (2,)),
+                  ("bounce_flags", "<u1", ()))
+
+
+def _record_shapes(cfg: SimConfig) -> tuple[tuple[int, ...], ...]:
+    """Shapes of one sequence's records under ``cfg``: frames, then truth."""
+    t = cfg.frames_per_video
+    return ((t, cfg.image_size, cfg.image_size), *((t, *shape) for _, _, shape in _TRUTH_RECORDS))
+
 
 def _write_header(fh, shape) -> None:
     fh.write(MAGIC + struct.pack(f"<II{len(shape)}Q", FORMAT_VERSION, len(shape), *shape))
@@ -188,35 +202,25 @@ def _check_at_end(fh, path) -> None:
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An empty split, one whose sequences differ in frame shape or whose frames
-    are not the config's ``(frames_per_video, image_size, image_size)``, or
-    one with a trajectory that does not cover its frames is rejected before
-    the directory is touched, and an existing manifest is checked before any
-    split file is opened, so a rejected write leaves the directory as it
-    was.  The split files and the manifest are written under temporary names
-    in the same directory and then renamed over the old ones, so a write
-    that fails part-way leaves the previous files whole and no temporary
-    file behind.
+    An empty split, or one with a sequence whose frames, positions,
+    velocities and bounce flags are not ``(T, H, W)``, ``(T, 2)``, ``(T, 2)``
+    and ``(T,)`` (T = ``cfg.frames_per_video``, H = W = ``cfg.image_size``),
+    is rejected before the directory is touched, and an existing manifest is
+    checked before any split file is opened, so a rejected write leaves the
+    directory as it was.  The split files and the manifest are written under
+    temporary names in the same directory and then renamed over the old
+    ones, so a write that fails part-way leaves the previous files whole and
+    no temporary file behind.
     """
     if not sequences:
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
-    frame_shape = sequences[0].frames.shape
-    if any(seq.frames.shape != frame_shape for seq in sequences):
-        raise ShapeMismatchError(f"{path}: the sequences of split {split!r} differ in frame shape: "
-                                 f"{sorted({seq.frames.shape for seq in sequences})}")
-    want = (cfg.frames_per_video, cfg.image_size, cfg.image_size)
-    if frame_shape != want:
-        raise ShapeMismatchError(f"{path}: the sequences of split {split!r} have frames of shape "
-                                 f"{frame_shape}, but the config's (frames_per_video, image_size, "
-                                 f"image_size) is {want}")
-    n_frames = frame_shape[0]
-    truth_shapes = ((n_frames, 2), (n_frames, 2), (n_frames,))  # positions, velocities, bounce flags
+    want = _record_shapes(cfg)
     for i, seq in enumerate(sequences):
-        traj = seq.trajectory
-        shapes = (np.shape(traj.positions_px), np.shape(traj.velocities_fu), np.shape(traj.bounce_flags))
-        if shapes != truth_shapes:
-            raise ShapeMismatchError(f"{path}: the truth of sequence {i} of split {split!r} has shapes "
-                                     f"{shapes}, expected {truth_shapes} for its {n_frames} frames")
+        truth = (getattr(seq.trajectory, attr) for attr, _, _ in _TRUTH_RECORDS)
+        shapes = tuple(np.shape(array) for array in (seq.frames, *truth))
+        if shapes != want:
+            raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
+                                     f"{shapes}, but the config's are {want}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     config = asdict(cfg)
@@ -237,11 +241,11 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
               for name in (f"{split}_frames.bin", f"{split}_truth.bin", "meta.json")}
     try:
         with open(staged[f"{split}_frames.bin"], "wb") as fh:
-            _write_header(fh, (len(sequences), *frame_shape))
+            _write_header(fh, (len(sequences), *want[0]))
             for seq in sequences:  # one sequence at a time: the split is never stacked
                 fh.write(np.asarray(seq.frames, dtype="<f4", order="C").reshape(-1).view(np.uint8))
         with open(staged[f"{split}_truth.bin"], "wb") as fh:
-            for attr, dtype in (("positions_px", "<f8"), ("velocities_fu", "<f8"), ("bounce_flags", "<u1")):
+            for attr, dtype, _ in _TRUTH_RECORDS:
                 _write_record(fh, np.stack([getattr(seq.trajectory, attr) for seq in sequences]), dtype)
         staged["meta.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         for name, tmp in staged.items():
@@ -276,9 +280,11 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
     A manifest configuration that :class:`SimConfig` rejects, or a split
     whose files are absent, raises :class:`DatasetError`; the latter names
     the splits the manifest lists.  Bytes after a file's last record raise
-    :class:`TrailingBytesError`, and frames that are not the config's
-    ``(frames_per_video, image_size, image_size)`` raise
-    :class:`ShapeMismatchError`.
+    :class:`TrailingBytesError`.  Records that are not the shapes
+    :func:`write_dataset` accepts, each with a leading N, raise
+    :class:`ShapeMismatchError`, where N is the frames header's sequence
+    count, at least 1 and the manifest's count if it lists one.  Bounce
+    flags other than 0 and 1 raise :class:`DatasetError`.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -297,31 +303,19 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
         frames = _read_record(fh, "<f4", frames_path)
         _check_at_end(fh, frames_path)
     with open(truth_path, "rb") as fh:
-        positions = _read_record(fh, "<f8", truth_path)
-        velocities = _read_record(fh, "<f8", truth_path)
-        bounces = _read_record(fh, "<u1", truth_path)
+        truth = {attr: _read_record(fh, dtype, truth_path) for attr, dtype, _ in _TRUTH_RECORDS}
         _check_at_end(fh, truth_path)
 
-    if frames.ndim != 4:
-        raise ShapeMismatchError(f"{path}: frames record has rank {frames.ndim}, expected 4")
-    n = manifest.get("splits", {}).get(split)
-    if n is not None and frames.shape[0] != n:
-        raise ShapeMismatchError(f"{path}: manifest lists {n} sequences, file has {frames.shape[0]}")
-    lead = frames.shape[:2]  # (sequences, frames per sequence)
-    if positions.shape != (*lead, 2) or velocities.shape != (*lead, 2) or bounces.shape != lead:
-        raise ShapeMismatchError(f"{path}: truth records {positions.shape}, {velocities.shape} and "
-                                 f"{bounces.shape} do not fit frames of shape {frames.shape}")
-    want = (cfg.frames_per_video, cfg.image_size, cfg.image_size)
-    if frames.shape[1:] != want:
-        raise ShapeMismatchError(f"{path}: frames of shape {frames.shape[1:]} per sequence, but the "
-                                 f"config's (frames_per_video, image_size, image_size) is {want}")
-
-    sequences = []
-    for i in range(frames.shape[0]):
-        traj = Trajectory(
-            positions_px=positions[i],
-            velocities_fu=velocities[i],
-            bounce_flags=bounces[i].astype(bool),
-        )
-        sequences.append(VideoSequence(frames=frames[i], trajectory=traj))
-    return sequences, cfg
+    n = frames.shape[0] if frames.ndim else 0
+    n_listed = manifest.get("splits", {}).get(split)
+    shapes = (frames.shape, *(record.shape for record in truth.values()))
+    want = tuple((n, *shape) for shape in _record_shapes(cfg))
+    if shapes != want or n < 1 or n_listed not in (None, n):
+        raise ShapeMismatchError(f"{path}: split {split!r} has records of shapes {shapes}; under the "
+                                 f"config, {n} sequences (the frames header's count, which must be at "
+                                 f"least 1 and match the manifest's {n_listed}) give {want}")
+    if np.any(truth["bounce_flags"] > 1):
+        raise DatasetError(f"{truth_path}: bounce flags other than 0 and 1")
+    truth["bounce_flags"] = truth["bounce_flags"].astype(bool)
+    return [VideoSequence(frames=frames[i], trajectory=Trajectory(**{k: v[i] for k, v in truth.items()}))
+            for i in range(n)], cfg

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import re
@@ -177,9 +178,30 @@ class TestTrack:
             for attr, dtype in (("positions_px", "<f8"), ("velocities_fu", "<f8"), ("bounce_flags", "<u1")):
                 _write_record(fh, np.stack([getattr(s.trajectory, attr)[:2] for s in seqs]), dtype)
         out = tmp_path / "o"
-        with pytest.raises(SystemExit, match=r"^error: .*frames of shape \(2, 32, 32\) per sequence"):
+        with pytest.raises(SystemExit, match=r"^error: .*records of shapes \(\(2, 2, 32, 32\)"):
             main(["track", "--data", str(data), "--out", str(out)])
         assert not out.exists()
+
+    def test_zero_sequence_split_reported(self, zero_sequence_split, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=r"^error: .*shapes \(\(0, 12, 224, 224\).* 0 sequences"):
+            main(["track", "--data", str(zero_sequence_split), "--out", str(out)])
+        assert not out.exists()
+
+    def test_hard_argmax_and_bounce_predictions_match_recorded_digest(self, tmp_path):
+        # sha256 of the H and bounce records of every scale (records 1, 4, 6, 9, 11
+        # and 14 of predictions.bin) for the sigma=0 dataset of
+        # test_video.TestGoldenBytes.  H is an integer argmax and the bounce flags
+        # are comparisons, so their bytes do not move when a refactor changes the
+        # float rounding of B, P and V in the last bits; those three are left out.
+        cfg = SimConfig(noise_sigma=0.0, seed=42, frames_per_video=12, n_train=2, n_val=1, n_test=2)
+        write_dataset(tmp_path / "d", "test", generate_split(cfg, "test"), cfg)
+        assert main(["track", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")]) == 0
+        path = tmp_path / "o" / "predictions.bin"
+        with open(path, "rb") as fh:
+            records = [_read_record(fh, dtype, path) for _ in range(3) for dtype in ("<f8",) * 4 + ("<u1",)]
+        digest = hashlib.sha256(b"".join(records[i].tobytes() for i in (1, 4, 6, 9, 11, 14)))
+        assert digest.hexdigest() == "29655063fbaf37e70365745ba18d3df623b5557fafd376f64ae1d1c4d0417283"
 
     def test_temporal_mean_flag(self, small_dataset, tmp_path):
         out = tmp_path / "res2"

@@ -1,12 +1,13 @@
 import hashlib
 import io
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -176,10 +177,11 @@ class TestDatasetIO:
         import json
 
         meta = json.loads((tmp_path / "meta.json").read_text())
-        meta["splits"]["test"] = len(seqs) - 1
-        (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ShapeMismatchError):
-            read_dataset(tmp_path, "test")
+        for listed in (len(seqs) - 1, str(len(seqs))):  # a string count is no count, not a TypeError
+            meta["splits"]["test"] = listed
+            (tmp_path / "meta.json").write_text(json.dumps(meta))
+            with pytest.raises(ShapeMismatchError):
+                read_dataset(tmp_path, "test")
 
     def test_regeneration_is_bit_identical(self, tmp_path, small_cfg):
         a_dir = tmp_path / "a"
@@ -256,7 +258,7 @@ class TestDatasetIO:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         seqs = generate_split(small_cfg, "test")
         seqs[1] = replace(seqs[1], frames=seqs[1].frames[:-1])
-        with pytest.raises(ShapeMismatchError, match="differ in frame shape"):
+        with pytest.raises(ShapeMismatchError, match=r"sequence 1 .* shapes \(\(11, 224, 224\)"):
             write_dataset(tmp_path, "test", seqs, small_cfg)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         fresh = tmp_path / "fresh"
@@ -277,7 +279,7 @@ class TestDatasetIO:
                     traj, positions_px=traj.positions_px[:2], velocities_fu=traj.velocities_fu[:2],
                     bounce_flags=traj.bounce_flags[:2])))
         fresh = tmp_path / "fresh"
-        with pytest.raises(ShapeMismatchError, match=r"but the config's .* is \(3, 36, 36\)"):
+        with pytest.raises(ShapeMismatchError, match=r"sequence 0 .* but the config's are \(\(3, 36, 36\)"):
             write_dataset(fresh, "test", seqs, cfg)
         assert not fresh.exists()
 
@@ -292,7 +294,7 @@ class TestDatasetIO:
             seqs[i] = replace(seqs[i], trajectory=replace(
                 traj, positions_px=traj.positions_px[:-1], velocities_fu=traj.velocities_fu[:-1],
                 bounce_flags=traj.bounce_flags[:-1]))
-        with pytest.raises(ShapeMismatchError, match=f"sequence {short[0]} .* for its 12 frames"):
+        with pytest.raises(ShapeMismatchError, match=rf"sequence {short[0]} .* shapes \(\(12, 224, 224\), \(11, 2\)"):
             write_dataset(tmp_path, "test", seqs, small_cfg)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -356,14 +358,27 @@ class TestDatasetIO:
         with open(tmp_path / "test_truth.bin", "wb") as fh:
             for name, dtype in (("positions", "<f8"), ("velocities", "<f8"), ("bounces", "<u1")):
                 _write_record(fh, records[name], dtype)
-        with pytest.raises(ShapeMismatchError, match="do not fit frames"):
+        with pytest.raises(ShapeMismatchError, match=re.escape(str(records[bad].shape))):
             read_dataset(tmp_path, "test")
 
     def test_scalar_frames_record_raises(self, tmp_path, small_cfg):
         write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
         with open(tmp_path / "test_frames.bin", "wb") as fh:
             _write_record(fh, np.zeros((), dtype=np.float32), "<f4")
-        with pytest.raises(ShapeMismatchError, match="rank 0, expected 4"):
+        with pytest.raises(ShapeMismatchError, match=r"records of shapes \(\(\), "):
+            read_dataset(tmp_path, "test")
+
+    def test_zero_sequence_split_raises(self, zero_sequence_split):
+        with pytest.raises(ShapeMismatchError, match=r"shapes \(\(0, 12, 224, 224\).* 0 sequences"):
+            read_dataset(zero_sequence_split, "test")
+
+    def test_bounce_byte_other_than_zero_or_one_raises(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        path = tmp_path / "test_truth.bin"
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 2  # the last byte of the file is the last bounce flag
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match="test_truth.bin: bounce flags other than 0 and 1"):
             read_dataset(tmp_path, "test")
 
     def test_empty_split_rejected_before_touching_the_directory(self, tmp_path, small_cfg):
@@ -413,6 +428,94 @@ class TestGoldenBytes:
             write_dataset(tmp_path, split, generate_split(cfg, split), cfg)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == _GOLDEN_SHA256
+
+
+# the bench's probe split: 1 sequence of 3 frames of 16 x 16 px
+_FUZZ_CFG = SimConfig(image_size=16, radius_px=2.0, v_max=2.0, frames_per_video=3,
+                      n_train=1, n_val=1, n_test=1, seed=7)
+# element type of each record of a split file, in file order
+_FILE_DTYPES = {"test_frames.bin": ("<f4",), "test_truth.bin": ("<f8", "<f8", "<u1")}
+
+
+@pytest.fixture(scope="module")
+def fuzz_split(tmp_path_factory):
+    """A valid 1-sequence split: its directory, its files' bytes and what it loads as."""
+    path = tmp_path_factory.mktemp("fuzz")
+    write_dataset(path, "test", generate_split(_FUZZ_CFG, "test"), _FUZZ_CFG)
+    files = {p.name: p.read_bytes() for p in path.iterdir()}
+    return path, files, read_dataset(path, "test")
+
+
+def _contents(loaded):
+    sequences, cfg = loaded
+    return cfg, [tuple((a.dtype, a.shape, a.tobytes()) for a in (s.frames, *vars(s.trajectory).values()))
+                 for s in sequences]
+
+
+def _header_offsets(blob, dtypes):
+    """Byte offsets of every record header of a split file."""
+    offsets, start = [], 0
+    for dtype in dtypes:
+        ndim = struct.unpack_from("<I", blob, start + 8)[0]
+        shape = struct.unpack_from(f"<{ndim}Q", blob, start + 12)
+        offsets += range(start, start + 12 + 8 * ndim)
+        start += 12 + 8 * ndim + int(np.prod(shape)) * np.dtype(dtype).itemsize
+    assert start == len(blob)
+    return offsets
+
+
+def _load_changed(fuzz_split, name, blob):
+    """Read the split with one file's bytes replaced; restore every file first."""
+    path, files, _ = fuzz_split
+    for other, data in files.items():
+        (path / other).write_bytes(blob if other == name else data)
+    return read_dataset(path, "test")
+
+
+_FUZZ = settings(deadline=None, max_examples=150)
+
+
+class TestSplitFuzz:
+    """A damaged split raises a DatasetError subclass and nothing else."""
+
+    @_FUZZ
+    @given(name=st.sampled_from(sorted(_FILE_DTYPES)), data=st.data())
+    def test_truncated_bin_raises(self, fuzz_split, name, data):
+        blob = fuzz_split[1][name]
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(DatasetError):
+            _load_changed(fuzz_split, name, blob[:cut])
+
+    @_FUZZ
+    @given(name=st.sampled_from(sorted(_FILE_DTYPES)), tail=st.binary(min_size=1, max_size=64))
+    def test_appended_tail_raises(self, fuzz_split, name, tail):
+        with pytest.raises(DatasetError):
+            _load_changed(fuzz_split, name, fuzz_split[1][name] + tail)
+
+    @_FUZZ
+    @given(drop=st.integers(1, 512))  # meta.json here is ~340 bytes
+    @example(drop=1)
+    def test_truncated_manifest_raises_or_loads_the_same_split(self, fuzz_split, drop):
+        _, files, split = fuzz_split
+        text = files["meta.json"]
+        cut = text[: max(len(text) - drop, 0)]
+        if text[len(cut):] == b"\n":  # only the trailing newline cut: still the same JSON
+            assert _contents(_load_changed(fuzz_split, "meta.json", cut)) == _contents(split)
+            return
+        with pytest.raises(DatasetError):
+            _load_changed(fuzz_split, "meta.json", cut)
+
+    @_FUZZ
+    @given(name=st.sampled_from(sorted(_FILE_DTYPES)), data=st.data())
+    def test_mutated_header_byte_raises_or_loads_the_same_shapes(self, fuzz_split, name, data):
+        blob = bytearray(fuzz_split[1][name])
+        at = data.draw(st.sampled_from(_header_offsets(blob, _FILE_DTYPES[name])))
+        blob[at] ^= data.draw(st.integers(1, 255))
+        try:
+            loaded = _load_changed(fuzz_split, name, bytes(blob))
+        except DatasetError:
+            return
+        assert _contents(loaded) == _contents(fuzz_split[2])
 
 
 _RECORD_DTYPES = ("<f4", "<f8", "<u1")
