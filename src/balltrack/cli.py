@@ -34,8 +34,7 @@ from .factorial import (
     ENCODER_METRICS,
     DECODER_METRICS,
 )
-from .physics import physics_refine_window
-from .selfcheck import broken_kernel, run_all
+from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
 from .tracker import METRICS, metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split
 from .video import (
@@ -95,14 +94,12 @@ _SIM_FLAGS = {
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     defaults = {f.name: f.default for f in fields(SimConfig)}
     for flag, (name, help_text) in _SIM_FLAGS.items():
-        parser.add_argument(flag, type=type(defaults[name]), default=defaults[name],
+        parser.add_argument(flag, dest=name, type=type(defaults[name]), default=defaults[name],
                             help=help_text)
 
 
 def _config_from_args(args, sigma: float) -> SimConfig:
-    # argparse's dest for "--image-size" is "image_size"
-    return SimConfig(noise_sigma=sigma, **{name: getattr(args, flag[2:].replace("-", "_"))
-                                           for flag, (name, _) in _SIM_FLAGS.items()})
+    return SimConfig(noise_sigma=sigma, **{name: getattr(args, name) for name, _ in _SIM_FLAGS.values()})
 
 
 def _resolve_out(args, default_name: str) -> Path:
@@ -137,19 +134,25 @@ def cmd_gen(args) -> int:
     out = _resolve_out(args, "dataset")
     sigmas = args.sigma if args.sigma else [0.0, 1.0]
     started = time.time()
+    targets = {}  # every input is checked before the lock creates the directory
+    for sigma in sigmas:
+        try:
+            cfg = _config_from_args(args, sigma)
+        except SimulationError as err:
+            raise SystemExit(f"invalid configuration: {err}")
+        target = _sigma_dir(out, sigma)
+        if target in targets:
+            raise SystemExit(f"--sigma {targets[target].noise_sigma} and --sigma {sigma} "
+                             f"both map to {target}")
+        targets[target] = cfg
     outputs = []
     with _OutputLock(out):
-        for sigma in sigmas:
-            try:
-                cfg = _config_from_args(args, sigma)
-            except SimulationError as err:
-                raise SystemExit(f"invalid configuration: {err}")
-            target = _sigma_dir(out, sigma)
+        for target, cfg in targets.items():
             for split in SPLITS:
                 sequences = generate_split(cfg, split)
                 write_dataset(target, split, sequences, cfg)
                 outputs.append(target / f"{split}_frames.bin")
-            print(f"wrote {target} (sigma={sigma:g}, "
+            print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
                   f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
         _write_manifest(out, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
     return 0
@@ -189,8 +192,7 @@ def _write_predictions(path: Path, predictions) -> None:
 
 
 def cmd_selfcheck(args) -> int:
-    checks = run_all(trials=args.trials,
-                     physics_window=broken_kernel if args.inject_broken_kernel else physics_refine_window)
+    checks = run_all(trials=args.trials)
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"
@@ -288,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("selfcheck", help="run numerical self-checks")
     check.add_argument("--trials", type=_int_at_least(0), default=100, help="derivative probe count")
-    check.add_argument("--inject-broken-kernel", action="store_true",
-                       help=argparse.SUPPRESS)  # test hook: force a failure
     check.set_defaults(func=cmd_selfcheck)
 
     effects = sub.add_parser("effects", help="factorial effects from a results CSV")

@@ -1,8 +1,10 @@
 """Built-in numerical self-checks: constants, exactness, derivatives.
 
-Each check returns (name, passed, detail).  ``run_all`` is what the CLI
-``selfcheck`` command executes; it is also intended as a quick smoke test
-after installing on a new platform.
+Each check runs on the default :class:`SimConfig` and returns (name,
+passed, detail).  ``run_all`` is what the CLI ``selfcheck`` command
+executes; it is also intended as a quick smoke test after installing on a
+new platform.  The checks that run the physics kernel take it as
+``physics_window``, so a test can pass a wrong one and see them fail.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .heatmaps import (
     gaussian_target,
 )
 from .losses import physics_consistency_loss, physics_supervised_loss
-from .physics import physics_refine_window, to_frame_units
+from .physics import init_velocity, physics_refine_window, to_frame_units, verlet_step_with_bounce
 from .rng import RandomStream
 from .sim import SimConfig, simulate_trajectory, trajectory_windows
 
@@ -37,40 +39,31 @@ def _window_fn(params, physics_window=physics_refine_window):
     return f
 
 
-def _branch_margin(x, params) -> float:
-    """Distance of a landmark window from the nearest branch boundary.
-
-    Replays the forward integration and reports how far every landmark and
-    raw integrated position stays inside the valid region; positive margins
-    mean neither a bounce nor a clamp can trigger, so the window sits
-    strictly inside one differentiable branch.
-    """
-    half_kick = np.array([0.0, 0.5 * params.g_frame])
-    pts = np.asarray(x, dtype=float).reshape(3, 2)
-    v0 = pts[1] - pts[0]
-    raw1 = pts[0] + v0 + half_kick
-    raw2 = raw1 + (v0 + 2.0 * half_kick) + half_kick
-    states = np.vstack([pts, raw1, raw2])
-    return float(min(np.min(states - params.center_min), np.min(params.center_max - states)))
-
-
 def interior_probe_windows(params, n, rng: RandomStream):
     """(n, 6) random landmark windows at least 1 px from branch borders.
 
-    Jittered ballistic triples are drawn and kept only if the replayed
-    integration (see :func:`_branch_margin`) stays 1 px away from every wall,
-    so finite-difference stencils never straddle the bounce or clamp branches.
+    Jittered ballistic triples are kept only if the kernel's own two Verlet
+    steps flag no bounce and stay, with the landmarks, 1 px inside the valid
+    region, so difference stencils never straddle a bounce or clamp.  Each
+    round draws only the missing count, as a one-at-a-time loop would.
     """
-    probes = []
     t = np.arange(3.0)[:, None]
     fall = np.array([0.0, 0.5 * params.g_frame]) * t * t
-    while len(probes) < n:
+
+    def candidate():
         p0 = rng.uniform(params.center_min + 25, params.center_max - 25, 2)
         v = rng.uniform(-6, 6, 2)
-        x = (p0 + v * t + fall).ravel() + rng.uniform(-0.45, 0.45, 6)
-        if _branch_margin(x, params) >= 1.0:
-            probes.append(x)
-    return np.array(probes).reshape(-1, 6)
+        return p0 + v * t + fall + rng.uniform(-0.45, 0.45, 6).reshape(3, 2)
+
+    probes = np.empty((0, 3, 2))
+    while len(probes) < n:
+        x = np.stack([candidate() for _ in range(n - len(probes))])
+        p1, v1, b1 = verlet_step_with_bounce(x[:, 0], init_velocity(x[:, 0], x[:, 1]), params)
+        p2, _, b2 = verlet_step_with_bounce(p1, v1, params)
+        states = np.concatenate([x, p1[:, None], p2[:, None]], axis=1)
+        margin = np.minimum(states - params.center_min, params.center_max - states).min(axis=(1, 2))
+        probes = np.concatenate([probes, x[(margin >= 1.0) & ~(b1 | b2).any(axis=-1)]])
+    return probes.reshape(-1, 6)
 
 
 def _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window):
@@ -106,9 +99,8 @@ def _gradient_result(name: str, errors):
             f"{errors.size} probes, max rel err {worst:.3e}")
 
 
-def check_frame_units(cfg: SimConfig | None = None):
-    cfg = cfg or SimConfig()
-    params = to_frame_units(cfg)
+def check_frame_units():
+    params = to_frame_units(SimConfig())
     expected = {
         "g_frame": 0.7848,
         "dy_per_frame": 0.3924,
@@ -127,9 +119,9 @@ def check_frame_units(cfg: SimConfig | None = None):
             passed, f"max abs deviation {worst:.3e}")
 
 
-def check_parabola_fixed_point(cfg: SimConfig | None = None, physics_window=physics_refine_window):
+def check_parabola_fixed_point(physics_window=physics_refine_window):
     """Exact ballistic windows of 20 simulated sequences must be fixed points of the refinement."""
-    cfg = cfg or SimConfig()
+    cfg = SimConfig()
     params = to_frame_units(cfg)
     trajectories = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
                     for i in range(20))
@@ -142,14 +134,13 @@ def check_parabola_fixed_point(cfg: SimConfig | None = None, physics_window=phys
     return ("parabola fixed point", passed, f"{len(pos)} windows, worst |err| {worst:.3e}")
 
 
-def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
-                    physics_window=physics_refine_window):
+def check_gradients(trials: int = 100, physics_window=physics_refine_window):
     """Forward-mode vs central-difference jacobians on interior probes.
 
     The physics window and both losses check all their probes in one
     batched Jacobian pair each; the operators take one pair per probe map.
     """
-    cfg = cfg or SimConfig()
+    cfg = SimConfig()
     params = to_frame_units(cfg)
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-grad")
     results = []
@@ -196,9 +187,9 @@ def check_gradients(cfg: SimConfig | None = None, trials: int = 100,
     return results
 
 
-def check_unit_scaling(cfg: SimConfig | None = None, physics_window=physics_refine_window):
+def check_unit_scaling(physics_window=physics_refine_window):
     """Doubling meters/px while halving pixel inputs halves the outputs."""
-    cfg = cfg or SimConfig()
+    cfg = SimConfig()
     params = to_frame_units(cfg)
     params2 = to_frame_units(replace(cfg, scale=cfg.scale * 2))
 
@@ -211,18 +202,9 @@ def check_unit_scaling(cfg: SimConfig | None = None, physics_window=physics_refi
     return ("unit scaling consistency", passed, f"worst |err| {worst:.3e}")
 
 
-def run_all(cfg: SimConfig | None = None, trials: int = 100,
-            physics_window=physics_refine_window):
+def run_all(trials: int = 100, physics_window=physics_refine_window):
     """Run every check; returns a list of (name, passed, detail)."""
-    cfg = cfg or SimConfig()
-    checks = [check_frame_units(cfg)]
-    checks.append(check_parabola_fixed_point(cfg, physics_window=physics_window))
-    checks.extend(check_gradients(cfg, trials=trials, physics_window=physics_window))
-    checks.append(check_unit_scaling(cfg, physics_window=physics_window))
-    return checks
-
-
-def broken_kernel(landmarks, params):
-    """Deliberately wrong physics window (doubled gravity); test hook for
-    verifying that the selfcheck actually fails on a bad kernel."""
-    return physics_refine_window(landmarks, replace(params, g_frame=2 * params.g_frame))
+    return [check_frame_units(),
+            check_parabola_fixed_point(physics_window),
+            *check_gradients(trials, physics_window),
+            check_unit_scaling(physics_window)]

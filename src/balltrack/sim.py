@@ -17,6 +17,7 @@ through the one ``(T-2, 3)`` index of :func:`window_index`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,9 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # NaN fails every comparison below, and +inf passes some of them
+        if bad := [f"{name}={value}" for name, value in vars(self).items() if not math.isfinite(value)]:
+            raise SimulationError(f"parameters must be finite: {', '.join(bad)}")
         if self.image_size <= 0:
             raise SimulationError("image_size must be positive")
         if self.scale <= 0 or self.dt <= 0 or self.gravity <= 0:

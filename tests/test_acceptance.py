@@ -58,13 +58,13 @@ def _track_split(sigma, temporal_mean):
     return track_split(sequences, cfg, temporal_mean)[0]
 
 
-def test_criterion_1_frame_unit_constants(cfg, params):
+def test_criterion_1_frame_unit_constants(params):
     """Frame-unit conversion reproduces the closed-form constants exactly."""
     assert abs(params.g_frame - 0.7848) <= 1e-12
     assert abs(0.5 * params.g_frame - 0.3924) <= 1e-12          # per-frame dy
     assert abs(params.g_frame - 0.7848) <= 1e-12                # per-frame dv
     assert abs(params.v_max_frame - 22.2) <= 1e-12
-    name, passed, detail = check_frame_units(cfg)
+    name, passed, detail = check_frame_units()
     assert passed, detail
     _report(1, "g_frame=0.7848, dy=0.3924, dv=0.7848, v_max_frame=22.2 (exact to 1e-12)")
 
@@ -128,13 +128,13 @@ def test_criterion_3_bounce_oracle(params, test_trajectories):
                f"{any_ok}/{any_total} = {any_ok/any_total:.1%})")
 
 
-def test_criterion_4_differentiability(cfg):
+def test_criterion_4_differentiability():
     """Forward-mode jacobians match central differences to < 1e-4.
 
     Covers the physics window, all four expectation operators and both
     physics losses on random interior probes (branch margins enforced).
     """
-    results = check_gradients(cfg, trials=100)
+    results = check_gradients(trials=100)
     for name, passed, detail in results:
         assert passed, f"{name}: {detail}"
     worst = max(float(detail.split()[-1]) for _, _, detail in results)

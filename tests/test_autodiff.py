@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import balltrack.autodiff as ad
 from balltrack.physics import physics_refine_window, to_frame_units, verlet_step_with_bounce
@@ -106,6 +108,20 @@ class TestJacobians:
         for x in interior_probe_windows(params, 10, rng):
             err = ad.max_relative_error(ad.jacobian_fd(f, x), ad.jacobian_forward(f, x))
             assert err < 1e-4
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_probes_sit_inside_one_branch(self, params, seed):
+        # the probe contract, checked by the closed-form steps of a
+        # bounce-free window rather than by the kernel that picks the probes
+        lms = interior_probe_windows(params, 20, RandomStream.from_seed(seed, "probes")).reshape(-1, 3, 2)
+        assert not physics_refine_window(lms, params).bounced.any()
+        v0 = lms[:, 1] - lms[:, 0]
+        g = np.array([0.0, params.g_frame])
+        states = np.concatenate([lms, (lms[:, 0] + v0 + g / 2)[:, None],
+                                 (lms[:, 0] + 2 * v0 + 2 * g)[:, None]], axis=1)
+        assert np.all(states >= params.center_min + 1 - 1e-9)
+        assert np.all(states <= params.center_max - 1 + 1e-9)
 
     def test_bounce_branch_jacobian(self, params):
         # a window that definitely bounces in the forward step, away from

@@ -47,6 +47,9 @@ class TestGen:
         manifest = json.loads((tmp_path / "d" / "gen_manifest.json").read_text())
         assert manifest["command"] == "gen"
         assert manifest["config"]["seed"] == 42
+        meta = json.loads((root / "meta.json").read_text())["config"]
+        assert {name: manifest["config"][name] for name, _ in _SIM_FLAGS.values()} == \
+            {name: meta[name] for name, _ in _SIM_FLAGS.values()}
 
     def test_both_sigma_levels(self, tmp_path):
         main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
@@ -62,14 +65,29 @@ class TestGen:
                                tmp_path / "b" / "sigma_0" / name, shallow=False)
 
     def test_two_frames_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="invalid configuration"):
             main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--frames", "2"])
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("flag", ["--train", "--val", "--test"])
     def test_empty_split_rejected_before_writing(self, tmp_path, flag):
         with pytest.raises(SystemExit, match="invalid configuration"):
             _gen(tmp_path / "d", flag, "0")  # argparse keeps the last value
-        assert not (tmp_path / "d" / "sigma_0").exists()
+        assert not (tmp_path / "d").exists()
+
+    def test_invalid_later_sigma_rejected_before_writing(self, tmp_path):
+        with pytest.raises(SystemExit, match="noise_sigma must be non-negative"):
+            _gen(tmp_path / "d", "--sigma", "-1")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("sigmas", [("0.1234561", "0.1234562"), ("1", "1.0")])
+    def test_sigmas_sharing_a_directory_rejected_before_writing(self, tmp_path, sigmas):
+        argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL]
+        for sigma in sigmas:
+            argv += ["--sigma", sigma]
+        with pytest.raises(SystemExit, match=r"both map to .*sigma_"):
+            main(argv)
+        assert not (tmp_path / "d").exists()
 
     def test_lock_file_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "d"
@@ -315,9 +333,21 @@ class TestSelfcheck:
         assert err.value.code == 2
         assert f"argument --trials: must be >= 0, got {trials}" in capsys.readouterr().err
 
-    def test_broken_kernel_fails(self, capsys):
-        assert main(["selfcheck", "--trials", "4", "--inject-broken-kernel"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_broken_kernel_fails(self):
+        from balltrack.physics import physics_refine_window
+        from balltrack.selfcheck import run_all
+
+        def doubled_gravity(landmarks, params):
+            return physics_refine_window(landmarks, replace(params, g_frame=2 * params.g_frame))
+
+        results = {name: passed for name, passed, _ in run_all(trials=4, physics_window=doubled_gravity)}
+        assert not results["parabola fixed point"]
+
+    def test_no_hidden_kernel_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["selfcheck", "--inject-broken-kernel"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --inject-broken-kernel" in capsys.readouterr().err
 
     def test_consistency_check_uses_the_given_kernel(self):
         # right values, no derivatives: every check that differentiates

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,13 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(SimulationError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["scale", "dt", "gravity", "restitution", "radius_px",
+                                       "v_max", "noise_sigma"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(SimulationError, match="finite"):
+            SimConfig(**{field: value})
 
     def test_wall_crossing_config_rejected(self):
         # a single step must not be able to span the whole domain

@@ -312,7 +312,7 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=r"no 'test' split.*lists: train, val"):
             read_dataset(tmp_path, "test")
 
-    @pytest.mark.parametrize("change", [{"n_test": 0}, {"colour": 1}])
+    @pytest.mark.parametrize("change", [{"n_test": 0}, {"colour": 1}, {"noise_sigma": float("nan")}])
     def test_invalid_manifest_config_is_dataset_error(self, tmp_path, small_cfg, change):
         import json
 
