@@ -41,7 +41,10 @@ __all__ = [
 
 
 class Dual:
-    """Dual number ``value + eps * tangent`` over scalars or numpy arrays."""
+    """Dual number ``value + eps * tangent`` over scalars or numpy arrays.
+
+    Duals do not compare: a branch compares primal values, ``value(x)``.
+    """
 
     __slots__ = ("value", "tangent")
 
@@ -98,19 +101,6 @@ class Dual:
     def __abs__(self):
         sign = np.sign(self.value)
         return Dual(self.value * sign, self.tangent * sign)
-
-    # ---- comparisons compare primal values --------------------------
-    def __lt__(self, other):
-        return self.value < value(other)
-
-    def __le__(self, other):
-        return self.value <= value(other)
-
-    def __gt__(self, other):
-        return self.value > value(other)
-
-    def __ge__(self, other):
-        return self.value >= value(other)
 
     # ---- elementary functions ----------------------------------------
     def exp(self):

@@ -41,6 +41,7 @@ from .video import (
     DatasetError,
     SPLITS,
     _write_record,
+    existing_manifest,
     generate_split,
     read_dataset,
     write_dataset,
@@ -145,6 +146,8 @@ def cmd_gen(args) -> int:
             raise SystemExit(f"--sigma {targets[target].noise_sigma} and --sigma {sigma} "
                              f"both map to {target}")
         targets[target] = cfg
+    for target, cfg in targets.items():  # a dataset already there must have the same config
+        existing_manifest(target, cfg)
     outputs = []
     with _OutputLock(out):
         for target, cfg in targets.items():

@@ -15,10 +15,18 @@ support:
 Operators run once on a whole stack of maps, ``(..., H, W)``: leading axes
 are a batch and each map reduces on its own, so they return ``(..., 2)``
 landmarks, (x, y) on the last axis in heatmap pixel units.  Only the global
-centroids read whole maps (through their row and column sums); every second
-pass reads a small block of each map.  Input may be an array
-or an array-valued :class:`~balltrack.autodiff.Dual`, in which case tangents
-propagate through everything except the detached argmax.
+centroids and the argmax read whole maps (the centroids through their row
+and column sums); every second pass reads a small block of each map.  Input
+may be an array or an array-valued :class:`~balltrack.autodiff.Dual`, in
+which case tangents propagate through everything except the detached argmax.
+
+``hard_argmax`` and the operators also take ``rows``, a ``(..., 2)`` integer
+array of ``[start, stop)`` row bands: each map is zero outside its band and
+non-negative.  They then read each map's band only, as rows of one common
+height; bands as tall as the maps are the maps themselves, not a copy.  The
+row sums of a band are placed in full-length vectors, zeros included, so
+every sum runs in the order of the whole map's and the landmarks keep its
+bits.
 """
 
 from __future__ import annotations
@@ -54,71 +62,139 @@ def gaussian_target(center, size: int, sigma: float) -> np.ndarray:
     return np.exp(-((jj - cx) ** 2 + (ii - cy) ** 2) / (2.0 * sigma * sigma))
 
 
-def hard_argmax(hm):
-    """Integer ``(..., 2)`` (x, y) of each map's maximum; ties go to the smallest flat index."""
-    values = np.asarray(ad.value(hm))
-    *lead, h, w = values.shape
-    k = np.argmax(values.reshape(*lead, h * w), axis=-1)
+def _band(hm, rows, least=1):
+    """Each map's window of rows ``[first, first + height)`` and the (...,)
+    ``first`` rows: ``height`` is the tallest ``[start, stop)`` band of ``rows``,
+    at least ``least``, and a window that would run off the bottom moves up.
+    No bands, or bands that need the maps' full height, give the maps themselves."""
+    *lead, h, _ = np.shape(ad.value(hm))
+    if rows is None:
+        return hm, np.zeros(lead, int)
+    rows = np.asarray(rows)
+    height = int(np.max(rows[..., 1] - rows[..., 0], initial=least))
+    first = np.minimum(rows[..., 0], h - height)
+    if height == h:
+        return hm, first
+    batch = tuple(ix[..., None] for ix in np.indices(lead, sparse=True))
+    return hm[(*batch, first[..., None] + np.arange(height))], first
+
+
+def _unband(x, first, n, axis=-1):
+    """Zeros of length n along ``axis`` (-1, or -2 for rows of maps) holding
+    the m values ``x`` of band windows there at their ``first`` rows; ``x``
+    itself when m == n."""
+    m = np.shape(ad.value(x))[axis]
+    if m == n:
+        return x
+    at = first[..., None] + np.arange(m)
+    if axis == -2:  # whole rows: one index for every column
+        at = at[..., None]
+
+    def place(v):
+        out = np.zeros((*v.shape[:axis], n, *v.shape[axis:][1:]))
+        np.put_along_axis(out, at, v, axis=axis)
+        return out
+
+    if isinstance(x, ad.Dual):
+        return ad.Dual(place(x.value), place(np.broadcast_to(x.tangent, np.shape(x.value))))
+    return place(x)
+
+
+def _argmax(window, first, h):
+    """Flat-index argmax of maps seen through band windows (see ``_band``) as
+    (..., 2) integer (x, y); a band with no positive value gives (0, 0), the
+    first of the zeros around it."""
+    *lead, height, w = window.shape
+    flat = window.reshape(*lead, height * w)
+    k = np.argmax(flat, axis=-1)
+    if height < h:
+        k = np.where(np.take_along_axis(flat, k[..., None], axis=-1)[..., 0] > 0, k + first * w, 0)
     return np.stack([k % w, k // w], axis=-1)
 
 
-def _centroid(weights, corner=(0, 0)):
-    """(..., 2) centroid, in map coordinates, of (..., h, w) weights whose top-left
-    pixel is at the (..., 2) ``corner``; formed from the row and column sums."""
+def hard_argmax(hm, rows=None):
+    """Integer ``(..., 2)`` (x, y) of each map's maximum; ties go to the smallest flat index.
+
+    With ``rows`` only the bands are searched, and a map of zeros gives (0, 0).
+    """
+    values = np.asarray(ad.value(hm))
+    return _argmax(*_band(values, rows), values.shape[-2])
+
+
+def _centroid(cols, rows, corner=(0, 0)):
+    """(..., 2) centroid, in map coordinates, of weights with (..., w) column
+    sums ``cols`` and (..., h) row sums ``rows`` whose top-left pixel is at the
+    (..., 2) ``corner``."""
     corner = np.asarray(corner, dtype=float)
-    cols, rows = ad.asum(weights, axis=-2), ad.asum(weights, axis=-1)
     total = ad.asum(cols, axis=-1) + EPS
     x = ad.asum(cols * (corner[..., :1] + np.arange(cols.shape[-1])), axis=-1) / total
     y = ad.asum(rows * (corner[..., 1:] + np.arange(rows.shape[-1])), axis=-1) / total
     return ad.stack([x, y])
 
 
-def _block(hm, corner, k):
-    """(..., k, k) block of (..., H, W) maps starting at the (..., 2) integer
-    ``corner``; pixels that fall off the map read as 0."""
-    *lead, h, w = np.shape(ad.value(hm))
-    rows, cols = corner[..., 1, None] + np.arange(k), corner[..., 0, None] + np.arange(k)
+def _block_centroid(block, corner):
+    return _centroid(ad.asum(block, axis=-2), ad.asum(block, axis=-1), corner)
+
+
+def _global_centroid(window, first, h):
+    """Centroid of whole maps from their band windows; the row sums go back
+    to full length, so the sums keep the whole maps' order."""
+    return _centroid(ad.asum(window, axis=-2), _unband(ad.asum(window, axis=-1), first, h))
+
+
+def _block(window, corner, k, first):
+    """(..., k, k) block of maps seen through band windows, starting at the
+    (..., 2) integer ``corner`` in map coordinates; pixels that fall off the
+    window read as 0, as the map holds there."""
+    *lead, h, w = np.shape(ad.value(window))
+    rows, cols = corner[..., 1, None] - first[..., None] + np.arange(k), corner[..., 0, None] + np.arange(k)
     batch = tuple(ix[..., None, None] for ix in np.indices(lead, sparse=True))
-    block = hm[(*batch, np.clip(rows, 0, h - 1)[..., :, None], np.clip(cols, 0, w - 1)[..., None, :])]
+    block = window[(*batch, np.clip(rows, 0, h - 1)[..., :, None], np.clip(cols, 0, w - 1)[..., None, :])]
     inside = ((rows >= 0) & (rows < h))[..., :, None] & ((cols >= 0) & (cols < w))[..., None, :]
     return ad.where(inside, block, 0.0)
 
 
-def bilinear_expectation(hm):
+def _rectified(hm, rows):
+    """Rectified band windows of the maps, their first rows and the map height."""
+    window, first = _band(hm, rows)
+    return ad.relu(window), first, np.shape(ad.value(hm))[-2]
+
+
+def bilinear_expectation(hm, rows=None):
     """Global weighted centroid of the rectified heatmap."""
-    return _centroid(ad.relu(hm))
+    return _global_centroid(*_rectified(hm, rows))
 
 
-def coarse_to_fine_expectation(hm):
+def coarse_to_fine_expectation(hm, rows=None):
     """Centroid restricted to the 7x7 window around the (detached) peak.
 
     The argmax step carries no derivative; gradients flow through the local
     centroid only.  The window is clipped at the grid border.
     """
-    hm = ad.relu(hm)
-    corner = hard_argmax(hm) - 3
-    return _centroid(_block(hm, corner, 7), corner)
+    window, first, h = _rectified(hm, rows)
+    corner = _argmax(ad.value(window), first, h) - 3
+    return _block_centroid(_block(window, corner, 7, first), corner)
 
 
-def _two_pass(hm, kernel):
+def _two_pass(hm, rows, kernel):
     """Centroid reweighted by ``kernel(dx, dy)`` around the first one; both kernels
     vanish at |d| >= 2, so pass two reads the 4x4 block at ``floor(first) - 1``."""
-    hm = ad.relu(hm)
-    first = _centroid(hm)
-    corner = np.floor(ad.value(first)).astype(int) - 1
-    d = corner[..., None, :] + np.arange(4)[:, None] - first[..., None, :]  # (..., 4, 2)
+    window, first, h = _rectified(hm, rows)
+    center = _global_centroid(window, first, h)
+    corner = np.floor(ad.value(center)).astype(int) - 1
+    d = corner[..., None, :] + np.arange(4)[:, None] - center[..., None, :]  # (..., 4, 2)
     weights = kernel(d[..., None, :, 0], d[..., :, None, 1])
-    return _centroid(weights * _block(hm, corner, 4), corner)
+    return _block_centroid(weights * _block(window, corner, 4, first), corner)
 
 
-def biquadratic_expectation(hm):
+def biquadratic_expectation(hm, rows=None):
     """Two-pass centroid; pass two reweights with 1 - d^2/4 (clipped at 0)."""
-    return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - (dx * dx + dy * dy) / 4.0))
+    return _two_pass(hm, rows, lambda dx, dy: ad.relu(1.0 - (dx * dx + dy * dy) / 4.0))
 
 
-def bicubic_expectation(hm):
+def bicubic_expectation(hm, rows=None):
     """Two-pass centroid with separable cubic kernels max(1 - |d|^3/8, 0)."""
-    return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0)
+    return _two_pass(hm, rows, lambda dx, dy: ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0)
                      * ad.relu(1.0 - ad.absolute(dy) ** 3 / 8.0))
 
 

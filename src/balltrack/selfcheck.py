@@ -39,12 +39,24 @@ def _window_fn(params, physics_window=physics_refine_window):
     return f
 
 
-def interior_probe_windows(params, n, rng: RandomStream):
-    """(n, 6) random landmark windows at least 1 px from branch borders.
+def branch_free(windows, params):
+    """(n,) mask of the (n, 3, 2) landmark windows at least 1 px from branch borders.
 
-    Jittered ballistic triples are kept only if the kernel's own two Verlet
-    steps flag no bounce and stay, with the landmarks, 1 px inside the valid
-    region, so difference stencils never straddle a bounce or clamp.  Each
+    A window is kept only if the kernel's own two Verlet steps flag no bounce
+    and stay, with the landmarks, 1 px inside the valid region, so difference
+    stencils never straddle a bounce or clamp.
+    """
+    p1, v1, b1 = verlet_step_with_bounce(windows[:, 0], init_velocity(windows[:, 0], windows[:, 1]), params)
+    p2, _, b2 = verlet_step_with_bounce(p1, v1, params)
+    states = np.concatenate([windows, p1[:, None], p2[:, None]], axis=1)
+    margin = np.minimum(states - params.center_min, params.center_max - states).min(axis=(1, 2))
+    return (margin >= 1.0) & ~(b1 | b2).any(axis=-1)
+
+
+def interior_probe_windows(params, n, rng: RandomStream):
+    """(n, 6) random landmark windows that :func:`branch_free` keeps.
+
+    Jittered ballistic triples start 25 px inside the valid region.  Each
     round draws only the missing count, as a one-at-a-time loop would.
     """
     t = np.arange(3.0)[:, None]
@@ -58,11 +70,7 @@ def interior_probe_windows(params, n, rng: RandomStream):
     probes = np.empty((0, 3, 2))
     while len(probes) < n:
         x = np.stack([candidate() for _ in range(n - len(probes))])
-        p1, v1, b1 = verlet_step_with_bounce(x[:, 0], init_velocity(x[:, 0], x[:, 1]), params)
-        p2, _, b2 = verlet_step_with_bounce(p1, v1, params)
-        states = np.concatenate([x, p1[:, None], p2[:, None]], axis=1)
-        margin = np.minimum(states - params.center_min, params.center_max - states).min(axis=(1, 2))
-        probes = np.concatenate([probes, x[(margin >= 1.0) & ~(b1 | b2).any(axis=-1)]])
+        probes = np.concatenate([probes, x[branch_free(x, params)]])
     return probes.reshape(-1, 6)
 
 

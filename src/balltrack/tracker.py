@@ -12,6 +12,16 @@ the inverse row pass writes only the output rows that are kept, so a
 nearly empty frame (clean, or after the temporal mean) skips most of its
 row transforms and keeps the bits of the full ones.
 
+Each stage works on each frame's band of live rows only and keeps the bits
+of the same stage over whole frames.  The temporal mean computes only the
+rows that differ from a neighboring frame's, since every other row comes out
+exactly 0.  The correlator converts only a frame's nonzero rows to float64,
+runs its elementwise tail only on the rows it keeps, and reports each map's
+``[start, stop)`` band of written rows.  Widened to whole 4x4 blocks, that
+band is all that pooling pools (every other pooled pixel is a sum of zeros)
+and all that the argmax and the global centroids read, at each scale.  A
+dense frame's band is the whole frame, which every stage then reads in place.
+
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
 second pass reads a 7x7 or 4x4 block of each frame), H (hard argmax) and
@@ -33,7 +43,7 @@ from io import StringIO
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
 
-from .heatmaps import expectation_for_scale, hard_argmax
+from .heatmaps import _band, _unband, expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
 from .sim import SimConfig, Trajectory, window_index
 from .video import VideoSequence
@@ -92,7 +102,7 @@ def disk_template(radius: float) -> np.ndarray:
     return disk - disk.mean()
 
 
-def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
+def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | None = None) -> np.ndarray:
     """Zero-normalized cross-correlation heatmaps of (..., H, W) frames,
     negatives suppressed.
 
@@ -112,9 +122,15 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
     for the two window sums, and for the numerator only the rows where some
     window passes the variance cutoff (every other pixel is zero).  Transform
     shape, products and slice are those of ``fftconvolve``, so each map has
-    the bits of three ``fftconvolve`` calls.
+    the bits of three ``fftconvolve`` calls.  Only a frame's nonzero rows are
+    converted to float64, and only the numerator rows inside the border get
+    the rest of the arithmetic.
+
+    ``bands``, a ``(..., 2)`` integer array if given, receives each map's
+    ``[start, stop)`` band of rows written; the map is zero outside it, and
+    ``(0, 0)`` marks a map of zeros.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     t0 = template - template.mean()
     t_norm = np.sqrt(np.sum(t0 * t0))
     n = template.size
@@ -129,9 +145,9 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
     scale = 1.0 / (p * q)
 
     def spectrum(x, rows):
-        # rfft2(x, fshape) when every row not in ``rows`` is zero
+        # rfft2 of the frame whose nonzero rows ``rows`` hold ``x``, at fshape
         buf = np.zeros((p, q // 2 + 1), complex)
-        buf[rows] = rfft(x[rows], q, axis=-1)
+        buf[rows] = rfft(x, q, axis=-1)
         return fft(buf, axis=0, overwrite_x=True)
 
     def inverse(spec, rows):
@@ -140,12 +156,15 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
         return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
 
     same_rows = slice(top, top + h)
+    margin = template.shape[0] // 2
     out = np.zeros(frames.shape)
-    for frame, hm in zip(frames.reshape(-1, h, w), out.reshape(-1, h, w)):
-        sq = frame * frame
-        binary = np.array_equal(sq.view(np.uint64), frame.view(np.uint64))
+    written = np.zeros((*frames.shape[:-2], 2), int)
+    for frame, hm, band in zip(frames.reshape(-1, h, w), out.reshape(-1, h, w), written.reshape(-1, 2)):
         rows = np.flatnonzero(frame.any(axis=-1))
-        spec = spectrum(frame, rows)
+        x = frame[rows].astype(np.float64, copy=False)
+        sq = x * x
+        binary = np.array_equal(sq.view(np.uint64), x.view(np.uint64))
+        spec = spectrum(x, rows)
         s1 = inverse(spec * ones_spec, same_rows)
         # a 0/1 frame: the same transforms of the same bits
         s2 = s1 if binary else inverse(spectrum(sq, rows) * ones_spec, same_rows)
@@ -159,13 +178,17 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray) -> np.ndarray:
         live = den > cutoff
         rows = np.flatnonzero(live.any(axis=-1))
         num = inverse(spec * flipped_spec, top + rows)
-        hm[rows] = np.where(live[rows], num / (den[rows] + 1e-12), 0.0)
-    margin = template.shape[0] // 2
-    out[..., :margin, :] = 0.0
-    out[..., -margin:, :] = 0.0
-    out[..., :, :margin] = 0.0
-    out[..., :, -margin:] = 0.0
-    return np.maximum(out, 0.0, out=out)
+        inner = slice(*np.searchsorted(rows, (margin, h - margin)))
+        rows = rows[inner]
+        kept = np.where(live[rows], num[inner] / (den[rows] + 1e-12), 0.0)
+        kept[:, :margin] = 0.0
+        kept[:, w - margin:] = 0.0
+        hm[rows] = np.maximum(kept, 0.0, out=kept)
+        if len(rows):
+            band[:] = rows[0], rows[-1] + 1
+    if bands is not None:
+        bands[...] = written
+    return out
 
 
 def _avg_pool(hm: np.ndarray, k: int) -> np.ndarray:
@@ -178,9 +201,16 @@ def _avg_pool(hm: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def downscale_heatmap(hm224: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average-pool full-resolution heatmaps (..., H, W) to the 112 and 56 grids."""
-    return _avg_pool(hm224, 2), _avg_pool(hm224, 4)
+def downscale_heatmap(hm224: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Average-pool full-resolution heatmaps (..., H, W) to the 112 and 56 grids.
+
+    ``rows``, ``(..., 2)`` ``[start, stop)`` bands in multiples of 4 outside
+    which each map is zero, limits the pooling to the bands; every other
+    pooled pixel is a sum of zeros, so it is written as 0.
+    """
+    window, first = _band(hm224, rows, least=4)
+    h = hm224.shape[-2]
+    return tuple(_unband(_avg_pool(window, k), first // k, h // k, axis=-2) for k in (2, 4))
 
 
 def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
@@ -191,15 +221,29 @@ def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
     static, so the subtraction cancels it exactly; rectification drops the
     negative imprints of the neighboring frames' ball (which would otherwise
     correlate positively with the template ring and drag global centroids).
+    Only rows that differ from a neighboring frame's, bit for bit, are
+    computed.  The rest are 0: for finite float32 ``x``, the frames' dtype,
+    the float64 ``(x + x) + x`` is exactly 3x, ``3x / 3`` exactly x, and
+    x - x is +0.0.
     """
-    work = np.asarray(frames, dtype=np.float64)
     if not temporal_mean:
-        return work
-    out = work.copy()  # neighborhood sums in the order (previous + own) + next
-    out[1:] += work[:-1]
-    out[:-1] += work[1:]
-    out /= np.r_[2.0, np.full(len(work) - 2, 3.0), 2.0][:, None, None]
-    return np.maximum(np.subtract(work, out, out=out), 0.0, out=out)
+        return frames
+    n, h, w = frames.shape
+    bits = frames.view(f"u{frames.itemsize}")
+    step = (bits[1:] != bits[:-1]).any(axis=-1)  # (T-1, H): row r changes from t to t+1
+    changed = np.zeros((n, h), bool)
+    changed[1:] |= step
+    changed[:-1] |= step
+    t, r = np.nonzero(changed)
+    flat, at = frames.reshape(n * h, w), t * h + r
+    own = flat[at].astype(np.float64)
+    mean = own.copy()  # neighborhood sums in the order (previous + own) + next
+    mean[t > 0] += flat[at[t > 0] - h]
+    mean[t < n - 1] += flat[at[t < n - 1] + h]
+    mean /= np.where((t > 0) & (t < n - 1), 3.0, 2.0)[:, None]
+    out = np.zeros((n, h, w))
+    out.reshape(n * h, w)[at] = np.maximum(np.subtract(own, mean, out=mean), 0.0, out=mean)
+    return out
 
 
 def track_sequence(video: VideoSequence, cfg: SimConfig,
@@ -219,15 +263,18 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
-    hm224 = ncc_heatmap(_detector_frames(video.frames, temporal_mean), template)
-    hm112, hm56 = downscale_heatmap(hm224)
+    bands = np.empty((n_frames, 2), int)
+    hm224 = ncc_heatmap(_detector_frames(video.frames, temporal_mean), template, bands)
+    rows = np.stack([bands[:, 0] // 4 * 4, -(-bands[:, 1] // 4) * 4], axis=-1)  # whole 4x4 blocks
+    hm112, hm56 = downscale_heatmap(hm224, rows)
 
     windows = window_index(n_frames)
     predictions = {}
     for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
         a = 224 / s
-        b = a * expectation_for_scale(s)(heatmaps)[windows]
-        h = a * hard_argmax(heatmaps)[windows]
+        band = rows // (224 // s)
+        b = a * expectation_for_scale(s)(heatmaps, band)[windows]
+        h = a * hard_argmax(heatmaps, band)[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,
                           "bounce": win.bounced}

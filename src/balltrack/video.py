@@ -49,6 +49,7 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_manifest",
+    "existing_manifest",
     "SPLITS",
 ]
 
@@ -205,12 +206,12 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     An empty split, or one with a sequence whose frames, positions,
     velocities and bounce flags are not ``(T, H, W)``, ``(T, 2)``, ``(T, 2)``
     and ``(T,)`` (T = ``cfg.frames_per_video``, H = W = ``cfg.image_size``),
-    is rejected before the directory is touched, and an existing manifest is
-    checked before any split file is opened, so a rejected write leaves the
-    directory as it was.  The split files and the manifest are written under
-    temporary names in the same directory and then renamed over the old
-    ones, so a write that fails part-way leaves the previous files whole and
-    no temporary file behind.
+    is rejected before the directory is touched, and so is a directory whose
+    manifest holds another configuration (:func:`existing_manifest`), so a
+    rejected write leaves the directory as it was.  The split files and the
+    manifest are written under temporary names in the same directory and
+    then renamed over the old ones, so a write that fails part-way leaves the
+    previous files whole and no temporary file behind.
     """
     if not sequences:
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
@@ -222,19 +223,11 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
             raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
                                      f"{shapes}, but the config's are {want}")
     path = Path(path)
+    manifest = existing_manifest(path, cfg)
     path.mkdir(parents=True, exist_ok=True)
-    config = asdict(cfg)
-    manifest = {}
-    if (path / "meta.json").exists():
-        manifest = read_manifest(path)
-        if manifest.get("config") != config:
-            raise DatasetError(
-                f"{path}: directory already holds a dataset with a different "
-                "configuration; splits of one dataset must share it"
-            )
 
     manifest["format_version"] = FORMAT_VERSION
-    manifest["config"] = config
+    manifest["config"] = asdict(cfg)
     manifest.setdefault("splits", {})[split] = len(sequences)
 
     staged = {name: path / f".{name}.tmp"
@@ -253,6 +246,20 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+
+
+def existing_manifest(path, cfg: SimConfig) -> dict:
+    """The manifest a split of ``cfg`` may be added to in ``path``: the one
+    there, or ``{}`` if there is none.  A manifest of another configuration
+    raises :class:`DatasetError`, since the splits of one dataset share it.
+    Nothing is created."""
+    if not (Path(path) / "meta.json").exists():
+        return {}
+    manifest = read_manifest(path)
+    if manifest.get("config") != asdict(cfg):
+        raise DatasetError(f"{path}: directory already holds a dataset with a different "
+                           "configuration; splits of one dataset must share it")
+    return manifest
 
 
 def read_manifest(path) -> dict:

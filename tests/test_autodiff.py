@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import balltrack.autodiff as ad
 from balltrack.physics import physics_refine_window, to_frame_units, verlet_step_with_bounce
 from balltrack.rng import RandomStream
-from balltrack.selfcheck import interior_probe_windows, _window_fn
+from balltrack.selfcheck import branch_free, interior_probe_windows, _window_fn
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +115,10 @@ class TestJacobians:
         # the probe contract, checked by the closed-form steps of a
         # bounce-free window rather than by the kernel that picks the probes
         lms = interior_probe_windows(params, 20, RandomStream.from_seed(seed, "probes")).reshape(-1, 3, 2)
+        self._assert_inside_one_branch(lms, params)
+
+    @staticmethod
+    def _assert_inside_one_branch(lms, params):
         assert not physics_refine_window(lms, params).bounced.any()
         v0 = lms[:, 1] - lms[:, 0]
         g = np.array([0.0, params.g_frame])
@@ -122,6 +126,21 @@ class TestJacobians:
                                  (lms[:, 0] + 2 * v0 + 2 * g)[:, None]], axis=1)
         assert np.all(states >= params.center_min + 1 - 1e-9)
         assert np.all(states <= params.center_max - 1 + 1e-9)
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_branch_filter_rejects_windows_at_the_walls(self, params, seed):
+        # jittered ballistic windows anywhere in the valid region, so some
+        # start next to a wall or bounce; about 9 % of them are rejected, and
+        # the 2 px jitter lets a few bounce with every state 1 px inside
+        rng = np.random.default_rng(seed)
+        t = np.arange(3.0)[:, None]
+        p0 = rng.uniform(params.center_min, params.center_max, (256, 1, 2))
+        lms = (p0 + rng.uniform(-6, 6, (256, 1, 2)) * t + np.array([0.0, 0.5 * params.g_frame]) * t * t
+               + rng.uniform(-2, 2, (256, 3, 2)))
+        keep = branch_free(lms, params)
+        assert not keep.all()
+        self._assert_inside_one_branch(lms[keep], params)
 
     def test_bounce_branch_jacobian(self, params):
         # a window that definitely bounces in the forward step, away from

@@ -36,6 +36,12 @@ def _planted_csv(path, coefficients=None, n_reps=2, drop=None):
     return path
 
 
+def _snapshot(root):
+    """Every file under ``root``: relative name -> (size, bytes)."""
+    return {str(p.relative_to(root)): (p.stat().st_size, p.read_bytes())
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestGen:
     def test_writes_all_splits_and_manifest(self, tmp_path):
         assert _gen(tmp_path / "d") == 0
@@ -89,6 +95,14 @@ class TestGen:
             main(argv)
         assert not (tmp_path / "d").exists()
 
+    def test_dataset_of_another_config_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["gen", "--out", str(out), "--sigma", "1", "--seed", "1", *GEN_SMALL]) == 0
+        before = _snapshot(out)
+        with pytest.raises(SystemExit, match=r"sigma_1: directory already holds a dataset with a different"):
+            main(["gen", "--out", str(out), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
+        assert _snapshot(out) == before
+
     def test_lock_file_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "d"
         out.mkdir()
@@ -139,6 +153,32 @@ def small_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     main(["gen", "--out", str(out), "--sigma", "0", *GEN_SMALL])
     return out / "sigma_0"
+
+
+class TestOutRoot:
+    """Without ``--out``, gen, track and effects write to ``$BALLTRACK_OUT/<name>``."""
+
+    @staticmethod
+    def _argv(command, small_dataset, tmp_path):
+        if command == "effects":
+            return ["effects", "--results", str(_planted_csv(tmp_path / "results.csv"))]
+        return {"gen": ["gen", "--sigma", "0", *GEN_SMALL],
+                "track": ["track", "--data", str(small_dataset)]}[command]
+
+    @pytest.mark.parametrize("command, name", [("gen", "dataset"), ("track", "results"),
+                                               ("effects", "effects")])
+    def test_set_root_holds_the_outputs(self, small_dataset, tmp_path, monkeypatch, command, name):
+        monkeypatch.setenv("BALLTRACK_OUT", str(tmp_path / "root"))
+        assert main(self._argv(command, small_dataset, tmp_path)) == 0
+        assert (tmp_path / "root" / name / f"{command}_manifest.json").is_file()
+
+    @pytest.mark.parametrize("command", ["gen", "track", "effects"])
+    def test_unset_root_is_an_error(self, small_dataset, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("BALLTRACK_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=r"--out not given and \$BALLTRACK_OUT is unset"):
+            main(self._argv(command, small_dataset, tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["results.csv"] if command == "effects" else [])
 
 
 class TestTrack:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balltrack import autodiff as ad
 from balltrack.heatmaps import (
@@ -345,3 +347,38 @@ class TestStacks:
             total = patch.sum() + 1e-8
             assert abs(xs[k] - (patch * jj).sum() / total) <= 1e-12
             assert abs(ys[k] - (patch * ii).sum() / total) <= 1e-12
+
+
+@st.composite
+def _banded_maps(draw):
+    """(K, H, W) non-negative maps, each zero outside its ``[start, stop)`` row
+    band (empty, full-height and bands at row 0 and row H-1 included), with
+    values on a coarse grid so peaks tie, and a tangent direction."""
+    h, w, k = draw(st.sampled_from([4, 8, 12, 24])), draw(st.integers(4, 24)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    maps = np.round(4 * rng.random((k, h, w))) / 4 * (rng.random((k, h, w)) < density)
+    rows = []
+    for m in maps:
+        start = draw(st.integers(0, h))
+        stop = draw(st.integers(start, h))
+        m[:start] = m[stop:] = 0.0
+        rows.append((start, stop))
+    return maps, np.array(rows), rng.normal(size=maps.shape)
+
+
+class TestBands:
+    """Operators that read only each map's row band keep the whole map's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_banded_maps())
+    def test_banded_operators_keep_the_bits(self, case):
+        maps, rows, direction = case
+        assert hard_argmax(maps, rows).tolist() == hard_argmax(maps).tolist()
+        assert hard_argmax(maps[0], rows[0]).tolist() == hard_argmax(maps[0]).tolist()
+        for op in OPS:
+            assert op(maps, rows).tobytes() == op(maps).tobytes(), op.__name__
+            assert op(maps[0], rows[0]).tobytes() == op(maps[0]).tobytes(), op.__name__
+            got, want = op(ad.Dual(maps, direction), rows), op(ad.Dual(maps, direction))
+            assert got.value.tobytes() == want.value.tobytes(), op.__name__
+            assert got.tangent.tobytes() == want.tangent.tobytes(), op.__name__

@@ -13,9 +13,10 @@ from scipy.signal import fftconvolve
 
 import balltrack
 from balltrack import tracker
+from balltrack.heatmaps import expectation_for_scale, hard_argmax
 from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
-from balltrack.sim import SimConfig, Trajectory, simulate_trajectory, trajectory_windows
+from balltrack.sim import SimConfig, Trajectory, simulate_trajectory, trajectory_windows, window_index
 from balltrack.tracker import (
     METRICS,
     _detector_frames,
@@ -28,7 +29,7 @@ from balltrack.tracker import (
     track_sequence,
     track_split,
 )
-from balltrack.video import generate_sequence, render_frame, split_stream
+from balltrack.video import VideoSequence, generate_sequence, render_frame, split_stream
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,109 @@ class TestNccStack:
         hm = ncc_heatmap(frame, disk_template(3.0))
         assert hm.shape == (48, 80)
         assert hm.tobytes() == _ncc_reference(frame, disk_template(3.0)).tobytes()
+
+
+def _reference_temporal_mean(frames):
+    """The temporal mean over every row of every frame."""
+    work = np.asarray(frames, dtype=np.float64)
+    out = work.copy()
+    out[1:] += work[:-1]
+    out[:-1] += work[1:]
+    out /= np.r_[2.0, np.full(len(work) - 2, 3.0), 2.0][:, None, None]
+    return np.maximum(work - out, 0.0)
+
+
+def _reference_pool(hm, k):
+    *lead, h, w = hm.shape
+    return hm.reshape(*lead, h // k, k, w // k, k).mean(axis=(-3, -1))
+
+
+def _reference_argmax(hm):
+    *lead, h, w = hm.shape
+    k = np.argmax(hm.reshape(*lead, h * w), axis=-1)
+    return np.stack([k % w, k // w], axis=-1)
+
+
+def _reference_track(frames, cfg, temporal_mean):
+    """``track_sequence`` with every stage run over whole maps."""
+    work = _reference_temporal_mean(frames) if temporal_mean else frames
+    template = disk_template(cfg.radius_px)
+    hm224 = np.array([_ncc_reference(frame, template) for frame in work])
+    windows = window_index(len(frames))
+    predictions = {}
+    for s, hm in ((56, _reference_pool(hm224, 4)), (112, _reference_pool(hm224, 2)), (224, hm224)):
+        a = 224 / s
+        b = a * expectation_for_scale(s)(hm)[windows]
+        win = physics_refine_window(b, to_frame_units(cfg))
+        predictions[s] = {"B": b, "H": a * _reference_argmax(hm)[windows], "P": win.positions,
+                          "V": win.velocities, "bounce": win.bounced}
+    return predictions
+
+
+@st.composite
+def _detector_stacks(draw):
+    """float32 frames and their config: per frame a disk anywhere, a disk in
+    the template margin rows (so the bands, once whole 4x4 blocks, reach row
+    0 or row H-1), no disk, or dense noise; over zeros or one static noise
+    image, as the temporal mean expects."""
+    size, n = draw(st.sampled_from([16, 24, 32])), draw(st.integers(3, 6))
+    cfg = SimConfig(image_size=size, frames_per_video=n, v_max=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    background = rng.normal(size=(size, size)) if draw(st.booleans()) else np.zeros((size, size))
+    frames = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["disk", "margin", "none", "dense"]))
+        if kind == "dense":
+            frames.append(rng.normal(size=(size, size)))
+            continue
+        frame = np.zeros((size, size))
+        if kind != "none":
+            rows = [0, 1, 2, 3, size - 4, size - 3, size - 2, size - 1]
+            y = draw(st.sampled_from(rows)) if kind == "margin" else draw(st.floats(0, size - 1))
+            frame = render_frame((draw(st.floats(0, size - 1)), y), cfg)
+        frames.append(frame + background)
+    return np.array(frames, dtype=np.float32), cfg
+
+
+class TestBands:
+    """Every stage that reads only each frame's live-row band has the bits
+    of the same stage over whole frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_detector_stacks(), temporal_mean=st.booleans())
+    def test_banded_stages_keep_the_bits(self, case, temporal_mean):
+        frames, cfg = case
+        work = _detector_frames(frames, temporal_mean)
+        if temporal_mean:
+            assert work.tobytes() == _reference_temporal_mean(frames).tobytes()
+        template = disk_template(cfg.radius_px)
+        bands = np.empty((len(frames), 2), int)
+        hm = ncc_heatmap(work, template, bands)
+        assert hm.tobytes() == np.array([_ncc_reference(f, template) for f in work]).tobytes()
+        for m, (start, stop) in zip(hm, bands):
+            assert not m[:start].any() and not m[stop:].any()
+        rows = np.stack([bands[:, 0] // 4 * 4, -(-bands[:, 1] // 4) * 4], axis=-1)
+        maps = (hm, *downscale_heatmap(hm, rows))
+        for k, m in zip((1, 2, 4), maps):
+            assert m.tobytes() == _reference_pool(hm, k).tobytes()
+            assert hard_argmax(m, rows // k).tolist() == _reference_argmax(m).tolist()
+
+        got = track_sequence(VideoSequence(frames, trajectory=None), cfg, temporal_mean)
+        want = _reference_track(frames, cfg, temporal_mean)
+        for s in want:
+            for key in want[s]:
+                assert got[s][key].tobytes() == want[s][key].tobytes(), (s, key)
+
+    def test_empty_and_dense_stacks(self):
+        cfg = SimConfig(image_size=32, frames_per_video=3)
+        for frames in (np.zeros((3, 32, 32), np.float32),
+                       np.random.default_rng(5).normal(size=(3, 32, 32)).astype(np.float32)):
+            bands = np.empty((3, 2), int)
+            ncc_heatmap(frames, disk_template(cfg.radius_px), bands)
+            assert bands.tolist() == ([[0, 0]] * 3 if not frames.any() else [[3, 29]] * 3)
+            got = track_sequence(VideoSequence(frames, trajectory=None), cfg)
+            want = _reference_track(frames, cfg, False)
+            assert all(got[s][k].tobytes() == want[s][k].tobytes() for s in want for k in want[s])
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

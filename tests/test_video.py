@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import re
 import struct
 import tracemalloc
@@ -160,6 +161,26 @@ class TestDatasetIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatVersionError):
             read_dataset(tmp_path, "val")
+
+    def test_manifest_of_another_format_version_raises(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "val", generate_split(small_cfg, "val"), small_cfg)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["format_version"] = FORMAT_VERSION + 1
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatVersionError, match="incompatible manifest version"):
+            read_dataset(tmp_path, "val")
+
+    def test_cut_inside_a_record_header_raises(self, tmp_path, small_cfg):
+        seqs = generate_split(small_cfg, "val")
+        write_dataset(tmp_path, "val", seqs, small_cfg)
+        path = tmp_path / "val_truth.bin"
+        blob = path.read_bytes()
+        second = 12 + 8 * 3 + len(seqs) * small_cfg.frames_per_video * 2 * 8  # after the positions
+        assert blob[second:second + 4] == MAGIC
+        for cut in (second + 1, second + 11):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TruncatedFileError, match="truncated record header"):
+                read_dataset(tmp_path, "val")
 
     def test_truncated_payload_raises(self, tmp_path, small_cfg):
         seqs = generate_split(small_cfg, "val")
