@@ -36,7 +36,7 @@ from .factorial import (
 )
 from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
-from .tracker import METRICS, metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split
+from .tracker import metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split
 from .video import (
     DatasetError,
     SPLITS,
@@ -166,20 +166,19 @@ def cmd_track(args) -> int:
     out = _resolve_out(args, "results")
     started = time.time()
     sequences, cfg = read_dataset(data, args.split)
-    if cfg.image_size % 4 != 0:
-        raise SystemExit(f"error: {data}: image size {cfg.image_size} is not divisible by 4, "
-                         "which the 2x and 4x pooling of the heatmap pyramid needs")
-    with _OutputLock(out):
+    try:  # tracking writes nothing, so a split the tracker rejects leaves no output behind
         table, predictions = track_split(sequences, cfg, temporal_mean=args.temporal_mean)
-
+    except ValueError as err:
+        raise SystemExit(f"error: {data}: {err}")
+    with _OutputLock(out):
         csv_path = out / "metrics.csv"
         csv_path.write_text(metrics_to_csv(table, args.config_label, args.replicate))
         per_seq_path = out / "per_sequence_metrics.csv"
         per_seq_path.write_text(per_sequence_to_csv(table))
         pred_path = out / "predictions.bin"
         _write_predictions(pred_path, predictions)
-        for metric in METRICS:
-            print(f"{metric:>10}: {table.values[metric]:.4f}")
+        for metric, value in table.values.items():
+            print(f"{metric:>10}: {value:.4f}")
         _write_manifest(out, "track", vars(args), [data], [csv_path, per_seq_path, pred_path], started)
     return 0
 

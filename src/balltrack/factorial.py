@@ -63,8 +63,10 @@ class MissingCellsError(ValueError):
         super().__init__(f"metric {metric!r} missing {len(missing)} cells: {preview}")
 
 
-# the design, once: bit f of row r is the level of factor f
+# the design, once: bit f of row r is the level of factor f, and its
+# contrast is +1 at the high level and -1 at the low one
 _BITS = (np.arange(N_CONFIGS)[:, None] >> np.arange(len(FACTORS))) & 1
+_SIGNS = 2 * _BITS - 1
 _LABELS = ["".join(f"{f}{b}" for f, b in zip(FACTORS, bits)) for bits in _BITS]
 _ROW = {label: row for row, label in enumerate(_LABELS)}
 
@@ -112,10 +114,7 @@ def contrast_sign(config: FactorConfig, term: str) -> int:
     """Product of per-factor contrasts (+1 high, -1 low) over the term."""
     if not term:
         raise ValueError("term must name at least one factor")
-    sign = 1
-    for f in term:
-        sign *= 1 if config[f] else -1
-    return sign
+    return int(np.prod(_SIGNS[config.index, [FACTORS.index(f) for f in term]]))
 
 
 def all_terms() -> list[str]:
@@ -126,7 +125,7 @@ def all_terms() -> list[str]:
 # S (64 x 63): column k is the contrast of all_terms()[k] over the design rows
 _TERMS = all_terms()
 _IN_TERM = np.array([[f in term for f in FACTORS] for term in _TERMS])
-_CONTRASTS = np.where(_IN_TERM, 2 * _BITS[:, None, :] - 1, 1).prod(axis=2)
+_CONTRASTS = np.where(_IN_TERM, _SIGNS[:, None, :], 1).prod(axis=2)
 
 
 def _duplicate_cell(label: str, replicate: int, metric: str) -> ValueError:
@@ -188,20 +187,24 @@ class ResponseTable:
 
     def add_aggregates(self) -> None:
         """Derive enc_avg / dec_avg for every cell that has all nine metrics,
-        as :func:`aggregate_responses` rounds them; a cell that already holds
+        by :func:`aggregate_responses`'s arithmetic; a cell that already holds
         either raises :meth:`add`'s ``ValueError`` and nothing is added."""
-        cells = [(key, cell) for key, cell in self._cells.items()
-                 if all(m in cell for m in ENCODER_METRICS + DECODER_METRICS)]
-        for key, cell in cells:
+        cells = {key: cell for key, cell in self._cells.items()
+                 if all(m in cell for m in ENCODER_METRICS + DECODER_METRICS)}
+        for key, cell in cells.items():
             for metric in ("enc_avg", "dec_avg"):
                 if metric in cell:
                     raise _duplicate_cell(*key, metric)
-        # one (cells, 3) and one (cells, 6) mean, each row summed in np.mean's order
-        enc, dec = (np.mean(np.array([[cell[m] for m in group] for _, cell in cells])
-                            .reshape(len(cells), len(group)), axis=-1).tolist()
-                    for group in (ENCODER_METRICS, DECODER_METRICS))
-        for (_, cell), e, d in zip(cells, enc, dec):
+        for cell, e, d in zip(cells.values(), *_aggregates(list(cells.values()))):
             cell.update(enc_avg=e, dec_avg=d)
+
+
+def _aggregates(runs: list[dict[str, float]]) -> tuple[list[float], list[float]]:
+    """Encoder and decoder averages of runs holding all nine metrics: one
+    (runs, 3) and one (runs, 6) mean, each row summed in np.mean's order."""
+    return tuple(np.mean(np.array([[run[m] for m in group] for run in runs])
+                         .reshape(len(runs), len(group)), axis=-1).tolist()
+                 for group in (ENCODER_METRICS, DECODER_METRICS))
 
 
 def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:
@@ -209,8 +212,7 @@ def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:
     missing = [m for m in ENCODER_METRICS + DECODER_METRICS if m not in metrics]
     if missing:
         raise MissingCellsError("aggregate", [(m, -1) for m in missing])
-    enc = float(np.mean([metrics[m] for m in ENCODER_METRICS]))
-    dec = float(np.mean([metrics[m] for m in DECODER_METRICS]))
+    (enc,), (dec,) = _aggregates([metrics])
     return enc, dec
 
 

@@ -54,12 +54,17 @@ def default_target_sigma(scale: int) -> float:
     return 2.0 * scale / 224.0
 
 
+def _gaussian(shape, center, sigma: float) -> np.ndarray:
+    """Unit-peak Gaussian image of ``shape`` (H, W) centered at (x, y)."""
+    cx, cy = float(center[0]), float(center[1])
+    ii = np.arange(shape[0], dtype=float)[:, None]
+    jj = np.arange(shape[1], dtype=float)[None, :]
+    return np.exp(-((jj - cx) ** 2 + (ii - cy) ** 2) / (2.0 * sigma * sigma))
+
+
 def gaussian_target(center, size: int, sigma: float) -> np.ndarray:
     """Unit-peak Gaussian heatmap of shape (size, size) centered at (x, y)."""
-    cx, cy = float(center[0]), float(center[1])
-    ii = np.arange(size, dtype=float)[:, None]
-    jj = np.arange(size, dtype=float)[None, :]
-    return np.exp(-((jj - cx) ** 2 + (ii - cy) ** 2) / (2.0 * sigma * sigma))
+    return _gaussian((size, size), center, sigma)
 
 
 def _band(hm, rows, least=1):

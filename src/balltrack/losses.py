@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .heatmaps import _gaussian
 from .physics import PhysicsWindow
 
 __all__ = [
@@ -88,11 +89,7 @@ def bce_reconstruction(logits, target):
 
 def cone_mask(shape, center, radius_px: float) -> np.ndarray:
     """Unit-peak Gaussian mask with sigma = 3 * ball radius."""
-    sigma = 3.0 * radius_px
-    cx, cy = float(center[0]), float(center[1])
-    ii = np.arange(shape[0], dtype=float)[:, None]
-    jj = np.arange(shape[1], dtype=float)[None, :]
-    return np.exp(-((jj - cx) ** 2 + (ii - cy) ** 2) / (2.0 * sigma * sigma))
+    return _gaussian(shape, center, 3.0 * radius_px)
 
 
 def cone_loss(recon, target, center, radius_px: float):

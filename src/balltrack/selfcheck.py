@@ -57,19 +57,19 @@ def interior_probe_windows(params, n, rng: RandomStream):
     """(n, 6) random landmark windows that :func:`branch_free` keeps.
 
     Jittered ballistic triples start 25 px inside the valid region.  Each
-    round draws only the missing count, as a one-at-a-time loop would.
+    round draws only the missing count, in the order a one-at-a-time loop
+    would: per candidate, start (2), velocity (2), then jitter (3 x 2).
     """
     t = np.arange(3.0)[:, None]
     fall = np.array([0.0, 0.5 * params.g_frame]) * t * t
-
-    def candidate():
-        p0 = rng.uniform(params.center_min + 25, params.center_max - 25, 2)
-        v = rng.uniform(-6, 6, 2)
-        return p0 + v * t + fall + rng.uniform(-0.45, 0.45, 6).reshape(3, 2)
+    low = np.array([params.center_min + 25] * 2 + [-6] * 2 + [-0.45] * 6)
+    high = np.array([params.center_max - 25] * 2 + [6] * 2 + [0.45] * 6)
 
     probes = np.empty((0, 3, 2))
     while len(probes) < n:
-        x = np.stack([candidate() for _ in range(n - len(probes))])
+        k = n - len(probes)
+        u = rng.uniform(np.tile(low, k), np.tile(high, k), 10 * k).reshape(k, 10)
+        x = u[:, None, :2] + u[:, None, 2:4] * t + fall + u[:, 4:].reshape(k, 3, 2)
         probes = np.concatenate([probes, x[branch_free(x, params)]])
     return probes.reshape(-1, 6)
 
@@ -109,22 +109,11 @@ def _gradient_result(name: str, errors):
 
 def check_frame_units():
     params = to_frame_units(SimConfig())
-    expected = {
-        "g_frame": 0.7848,
-        "dy_per_frame": 0.3924,
-        "dv_per_frame": 0.7848,
-        "v_max_frame": 22.2,
-    }
-    got = {
-        "g_frame": params.g_frame,
-        "dy_per_frame": 0.5 * params.g_frame,
-        "dv_per_frame": params.g_frame,
-        "v_max_frame": params.v_max_frame,
-    }
-    worst = max(abs(got[k] - v) for k, v in expected.items())
-    passed = worst <= 1e-12
-    return ("frame units (g_frame=0.7848, dy=0.3924, dv=0.7848, v_max=22.2)",
-            passed, f"max abs deviation {worst:.3e}")
+    expected = {"g_frame": 0.7848, "dy": 0.3924, "dv": 0.7848, "v_max": 22.2}
+    got = (params.g_frame, 0.5 * params.g_frame, params.g_frame, params.v_max_frame)
+    worst = max(abs(g - e) for g, e in zip(got, expected.values()))
+    return (f"frame units ({', '.join(f'{k}={v:g}' for k, v in expected.items())})",
+            worst <= 1e-12, f"max abs deviation {worst:.3e}")
 
 
 def check_parabola_fixed_point(physics_window=physics_refine_window):

@@ -18,7 +18,8 @@ through the one ``(T-2, 3)`` index of :func:`window_index`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +66,13 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # sizes and counts: 64.0 would fail later as an array size, and a bool is no count
+        ints = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
+        if bad := [f"{name}={value!r}" for name, value in ints.items()
+                   if isinstance(value, bool) or not isinstance(value, numbers.Integral)]:
+            raise SimulationError(f"parameters must be integers: {', '.join(bad)}")
+        for name, value in ints.items():  # numpy integers become ints, as the manifest and the rng take them
+            object.__setattr__(self, name, int(value))
         # NaN fails every comparison below, and +inf passes some of them
         if bad := [f"{name}={value}" for name, value in vars(self).items() if not math.isfinite(value)]:
             raise SimulationError(f"parameters must be finite: {', '.join(bad)}")

@@ -4,23 +4,11 @@ The detector is a zero-normalized cross-correlation against a disk
 template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
-as a (T, H, W) stack by one correlator call and average-pooled to the 112
-and 56 grids, mirroring a three-scale pyramid.  The correlator takes the
-template spectra once per call and runs each frame's transforms as row and
-column passes: the forward row pass reads only the frame's nonzero rows, and
-the inverse row pass writes only the output rows that are kept, so a
-nearly empty frame (clean, or after the temporal mean) skips most of its
-row transforms and keeps the bits of the full ones.
-
-Each stage works on each frame's band of live rows only and keeps the bits
-of the same stage over whole frames.  The temporal mean computes only the
-rows that differ from a neighboring frame's, since every other row comes out
-exactly 0.  The correlator converts only a frame's nonzero rows to float64,
-runs its elementwise tail only on the rows it keeps, and reports each map's
-``[start, stop)`` band of written rows.  Widened to whole 4x4 blocks, that
-band is all that pooling pools (every other pooled pixel is a sum of zeros)
-and all that the argmax and the global centroids read, at each scale.  A
-dense frame's band is the whole frame, which every stage then reads in place.
+as a (T, H, W) stack by one correlator call (:func:`ncc_heatmap`) and
+average-pooled to the 112 and 56 grids, mirroring a three-scale pyramid.
+Every stage reads only each frame's band of live rows, which the correlator
+reports and which is widened to whole 4x4 blocks, and keeps the bits of the
+same stage over whole frames; a dense frame's band is the whole frame.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
@@ -37,16 +25,15 @@ its sequences in one ``evaluate`` call.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from io import StringIO
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
 
 from .heatmaps import _band, _unband, expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
 from .sim import SimConfig, Trajectory, window_index
-from .video import VideoSequence
+from .video import VideoSequence, _disk
 
 __all__ = [
     "MetricTable",
@@ -81,10 +68,13 @@ def __getattr__(name):
 
 @dataclass
 class MetricTable:
-    """Mean metric values plus the per-sequence breakdown behind them."""
+    """Per-sequence metric values; ``values`` holds their means."""
 
-    values: dict[str, float]
-    per_sequence: dict[str, np.ndarray] = field(default_factory=dict)
+    per_sequence: dict[str, np.ndarray]
+
+    @property
+    def values(self) -> dict[str, float]:
+        return {metric: float(v.mean()) for metric, v in self.per_sequence.items()}
 
     def median(self, metric: str) -> float:
         return float(np.median(self.per_sequence[metric]))
@@ -96,9 +86,7 @@ def disk_template(radius: float) -> np.ndarray:
         raise ValueError("template radius must be >= 1")
     size = 2 * int(round(radius)) + 3
     c = (size - 1) / 2.0
-    ii = np.arange(size, dtype=float)[:, None]
-    jj = np.arange(size, dtype=float)[None, :]
-    disk = ((jj - c) ** 2 + (ii - c) ** 2 <= radius * radius).astype(float)
+    disk = _disk((c, c), radius, size, float)
     return disk - disk.mean()
 
 
@@ -130,6 +118,7 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | No
     ``[start, stop)`` band of rows written; the map is zero outside it, and
     ``(0, 0)`` marks a map of zeros.
     """
+    from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2  # here, so only tracking loads scipy
     frames = np.asarray(frames)
     t0 = template - template.mean()
     t_norm = np.sqrt(np.sum(t0 * t0))
@@ -259,7 +248,8 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     if n_frames < 3:
         raise ValueError("tracking needs at least 3 frames")
     if cfg.image_size % 4 != 0:
-        raise ValueError("the heatmap pyramid needs an image size divisible by 4")
+        raise ValueError(f"image size {cfg.image_size} is not divisible by 4, which the 2x and 4x "
+                         "pooling of the heatmap pyramid needs")
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
@@ -339,40 +329,32 @@ def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mea
         raise ValueError("no sequences to track")
     predictions = {s: {key: np.stack([p[s][key] for p in tracked]) for key in arrays}
                    for s, arrays in tracked[0].items()}
-    gt = Trajectory(np.stack([t.positions_px for t in truths]),
-                    np.stack([t.velocities_fu for t in truths]),
-                    np.stack([t.bounce_flags for t in truths]))
+    gt = Trajectory(**{field: np.stack([vars(t)[field] for t in truths]) for field in vars(truths[0])})
     per_seq = evaluate(predictions, gt)
-    table = MetricTable(values={m: float(per_seq[m].mean()) for m in METRICS},
-                        per_sequence={m: per_seq[m] for m in METRICS})
-    return table, predictions
+    return MetricTable({m: per_seq[m] for m in METRICS}), predictions
 
 
 def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str:
     """Render the metric table as ``config,replicate,metric,value`` rows."""
-    buf = StringIO()
-    buf.write("config,replicate,metric,value\n")
-    for metric in METRICS:
-        buf.write(f"{config_label},{replicate},{metric},{table.values[metric]:.17g}\n")
-    return buf.getvalue()
+    values = table.values
+    return "config,replicate,metric,value\n" + "".join(
+        f"{config_label},{replicate},{metric},{values[metric]:.17g}\n" for metric in METRICS)
 
 
 def per_sequence_to_csv(table: MetricTable) -> str:
     """Render the per-sequence breakdown as a ``sequence`` column plus one
     column per metric, one row per sequence in sequence order."""
-    buf = StringIO()
-    buf.write(",".join(("sequence", *METRICS)) + "\n")
-    for i, row in enumerate(zip(*(table.per_sequence[m] for m in METRICS))):
-        buf.write(f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    rows = zip(*(table.per_sequence[m] for m in METRICS))
+    return ",".join(("sequence", *METRICS)) + "\n" + "".join(
+        f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n" for i, row in enumerate(rows))
 
 
 def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
     """Parse rows written by :func:`metrics_to_csv` (or compatible files).
 
     Blank lines are skipped and whitespace around each field is ignored;
-    ``ValueError`` names the line of a malformed row, or says that the file
-    has no data rows.
+    ``ValueError`` names the line of a malformed row or of a value that is
+    not finite, or says that the file has no data rows.
     """
     rows = []
     lines = [(i, [f.strip() for f in ln.split(",")])
@@ -390,5 +372,9 @@ def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
             rows.append((fields[0], int(fields[1]), fields[2], float(fields[3])))
         except ValueError as err:
             raise ValueError(f"line {i}: {err}") from None
+    bad = np.flatnonzero(~np.isfinite(np.fromiter(map(itemgetter(3), rows), float, len(rows))))
+    if bad.size:
+        i, fields = lines[1 + bad[0]]
+        raise ValueError(f"line {i}: value {fields[3]!r} is not finite")
     return rows
 

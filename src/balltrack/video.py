@@ -14,10 +14,11 @@ On disk a dataset is one directory per noise level:
 
 A tensor record is ``b"PITD"``, u32 version, u32 ndims, ndims x u64 shape,
 then the row-major little-endian payload.  Element type is fixed by the
-record's position in the file, listed above.  A split is valid when its
-records have the shapes listed above, with T = frames_per_video and
-H = W = image_size from the config and N >= 1: :func:`write_dataset` and
-:func:`read_dataset` check this one rule, derived by :func:`_record_shapes`.
+record's position in the file, listed above and in ``_FILES``, the one table
+that :func:`write_dataset` and :func:`read_dataset` loop over.  A split is
+valid when its records have the shapes listed above, with T =
+frames_per_video and H = W = image_size from the config and N >= 1: both
+check this one rule, :func:`_record_shapes`.
 """
 
 from __future__ import annotations
@@ -87,24 +88,24 @@ class VideoSequence:
     noise_image: np.ndarray | None = None
 
 
-def render_frame(center_px, cfg: SimConfig) -> np.ndarray:
-    """Binary ball frame: pixel (i, j) is 1 iff (j-x)^2 + (i-y)^2 <= r^2.
+def _disk(center, radius: float, size: int, dtype) -> np.ndarray:
+    """(size, size) image: pixel (i, j) is 1 iff (j-x)^2 + (i-y)^2 <= r^2 for the
+    sub-pixel center (x, y), else 0.  Only the disk's bounding box is tested."""
+    x, y = float(center[0]), float(center[1])
+    image = np.zeros((size, size), dtype=dtype)
+    # [start, stop) of the box inside the image per axis; a stop below 0 would wrap round
+    (i0, i1), (j0, j1) = ((max(0, int(np.floor(c - radius))),
+                           max(0, min(size, int(np.ceil(c + radius)) + 1))) for c in (y, x))
+    ii = np.arange(i0, i1, dtype=np.float64)[:, None]
+    jj = np.arange(j0, j1, dtype=np.float64)[None, :]
+    image[i0:i1, j0:j1] = (jj - x) ** 2 + (ii - y) ** 2 <= radius * radius
+    return image
 
-    The threshold is evaluated at integer pixel centers with a sub-pixel
-    circle center; no anti-aliasing.
-    """
-    h = w = cfg.image_size
-    x, y = float(center_px[0]), float(center_px[1])
-    r = cfg.radius_px
-    frame = np.zeros((h, w), dtype=np.float32)
-    # only the bounding box of the disk needs testing
-    i0, i1 = max(0, int(np.floor(y - r))), min(h - 1, int(np.ceil(y + r)))
-    j0, j1 = max(0, int(np.floor(x - r))), min(w - 1, int(np.ceil(x + r)))
-    ii = np.arange(i0, i1 + 1, dtype=np.float64)[:, None]
-    jj = np.arange(j0, j1 + 1, dtype=np.float64)[None, :]
-    inside = (jj - x) ** 2 + (ii - y) ** 2 <= r * r
-    frame[i0 : i1 + 1, j0 : j1 + 1] = inside.astype(np.float32)
-    return frame
+
+def render_frame(center_px, cfg: SimConfig) -> np.ndarray:
+    """Binary float32 ball frame of ``cfg``'s size and radius, centered at
+    ``center_px`` (see :func:`_disk`); no anti-aliasing."""
+    return _disk(center_px, cfg.radius_px, cfg.image_size, np.float32)
 
 
 def make_noise_image(cfg: SimConfig, rng: RandomStream) -> np.ndarray:
@@ -138,26 +139,39 @@ def generate_split(cfg: SimConfig, split: str) -> list[VideoSequence]:
 
 # ---- binary tensor records ----------------------------------------------
 
-# the truth records of a split, in file order: Trajectory field, element
-# type, shape per frame
-_TRUTH_RECORDS = (("positions_px", "<f8", (2,)), ("velocities_fu", "<f8", (2,)),
-                  ("bounce_flags", "<u1", ()))
+# the records of a split, per file in file order: name (the sequence's
+# frames, then its trajectory's fields) and element type
+_FILES = (("frames", (("frames", "<f4"),)),
+          ("truth", (("positions_px", "<f8"), ("velocities_fu", "<f8"), ("bounce_flags", "<u1"))))
 
 
-def _record_shapes(cfg: SimConfig) -> tuple[tuple[int, ...], ...]:
-    """Shapes of one sequence's records under ``cfg``: frames, then truth."""
+def _record_shapes(cfg: SimConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each of one sequence's records under ``cfg``, by name, in file order."""
     t = cfg.frames_per_video
-    return ((t, cfg.image_size, cfg.image_size), *((t, *shape) for _, _, shape in _TRUTH_RECORDS))
+    return {"frames": (t, cfg.image_size, cfg.image_size), "positions_px": (t, 2),
+            "velocities_fu": (t, 2), "bounce_flags": (t,)}
+
+
+def _records(seq: VideoSequence) -> dict:
+    """One sequence's records by name (see ``_FILES``)."""
+    return {"frames": seq.frames, **vars(seq.trajectory)}
+
+
+def _split_paths(path: Path, split: str) -> dict[str, Path]:
+    return {file: path / f"{split}_{file}.bin" for file, _ in _FILES}
 
 
 def _write_header(fh, shape) -> None:
     fh.write(MAGIC + struct.pack(f"<II{len(shape)}Q", FORMAT_VERSION, len(shape), *shape))
 
 
+def _write_payload(fh, array, dtype: str) -> None:  # no copy when the array already fits
+    fh.write(np.asarray(array, dtype=dtype, order="C").reshape(-1).view(np.uint8))
+
+
 def _write_record(fh, array: np.ndarray, dtype: str) -> None:
-    data = np.asarray(array, dtype=dtype, order="C")  # no copy when it already fits; keeps 0-d shapes
-    _write_header(fh, data.shape)
-    fh.write(data.reshape(-1).view(np.uint8))
+    _write_header(fh, np.shape(array))
+    _write_payload(fh, array, dtype)
 
 
 def _bytes_left(fh) -> int:
@@ -203,12 +217,11 @@ def _check_at_end(fh, path) -> None:
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An empty split, or one with a sequence whose frames, positions,
-    velocities and bounce flags are not ``(T, H, W)``, ``(T, 2)``, ``(T, 2)``
-    and ``(T,)`` (T = ``cfg.frames_per_video``, H = W = ``cfg.image_size``),
-    is rejected before the directory is touched, and so is a directory whose
-    manifest holds another configuration (:func:`existing_manifest`), so a
-    rejected write leaves the directory as it was.  The split files and the
+    An empty split, or one with a sequence whose records are not the shapes
+    :func:`_record_shapes` gives for ``cfg``, is rejected before the directory
+    is touched, and so is a directory whose manifest holds another
+    configuration (:func:`existing_manifest`), so a rejected write leaves the
+    directory as it was.  The split files and the
     manifest are written under temporary names in the same directory and
     then renamed over the old ones, so a write that fails part-way leaves the
     previous files whole and no temporary file behind.
@@ -217,11 +230,10 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
     want = _record_shapes(cfg)
     for i, seq in enumerate(sequences):
-        truth = (getattr(seq.trajectory, attr) for attr, _, _ in _TRUTH_RECORDS)
-        shapes = tuple(np.shape(array) for array in (seq.frames, *truth))
-        if shapes != want:
+        shapes = tuple(np.shape(array) for array in _records(seq).values())
+        if shapes != tuple(want.values()):
             raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
-                                     f"{shapes}, but the config's are {want}")
+                                     f"{shapes}, but the config's are {tuple(want.values())}")
     path = Path(path)
     manifest = existing_manifest(path, cfg)
     path.mkdir(parents=True, exist_ok=True)
@@ -230,19 +242,18 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     manifest["config"] = asdict(cfg)
     manifest.setdefault("splits", {})[split] = len(sequences)
 
-    staged = {name: path / f".{name}.tmp"
-              for name in (f"{split}_frames.bin", f"{split}_truth.bin", "meta.json")}
+    targets = {**_split_paths(path, split), "meta": path / "meta.json"}
+    staged = {key: target.with_name(f".{target.name}.tmp") for key, target in targets.items()}
     try:
-        with open(staged[f"{split}_frames.bin"], "wb") as fh:
-            _write_header(fh, (len(sequences), *want[0]))
-            for seq in sequences:  # one sequence at a time: the split is never stacked
-                fh.write(np.asarray(seq.frames, dtype="<f4", order="C").reshape(-1).view(np.uint8))
-        with open(staged[f"{split}_truth.bin"], "wb") as fh:
-            for attr, dtype, _ in _TRUTH_RECORDS:
-                _write_record(fh, np.stack([getattr(seq.trajectory, attr) for seq in sequences]), dtype)
-        staged["meta.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        for name, tmp in staged.items():
-            os.replace(tmp, path / name)
+        for file, records in _FILES:
+            with open(staged[file], "wb") as fh:
+                for name, dtype in records:
+                    _write_header(fh, (len(sequences), *want[name]))
+                    for seq in sequences:  # one sequence at a time: the split is never stacked
+                        _write_payload(fh, _records(seq)[name], dtype)
+        staged["meta"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for key, tmp in staged.items():
+            os.replace(tmp, targets[key])
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
@@ -300,29 +311,30 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
     except (TypeError, SimulationError) as err:  # unknown fields, or values the simulator rejects
         raise DatasetError(f"{path}: the manifest holds an invalid configuration: {err}") from err
 
-    frames_path, truth_path = path / f"{split}_frames.bin", path / f"{split}_truth.bin"
-    missing = [p.name for p in (frames_path, truth_path) if not p.is_file()]
+    paths = _split_paths(path, split)
+    missing = [p.name for p in paths.values() if not p.is_file()]
     if missing:
         listed = ", ".join(manifest.get("splits", {})) or "none"
         raise DatasetError(f"{path}: no {split!r} split ({', '.join(missing)} missing); "
                            f"the manifest lists: {listed}")
-    with open(frames_path, "rb") as fh:
-        frames = _read_record(fh, "<f4", frames_path)
-        _check_at_end(fh, frames_path)
-    with open(truth_path, "rb") as fh:
-        truth = {attr: _read_record(fh, dtype, truth_path) for attr, dtype, _ in _TRUTH_RECORDS}
-        _check_at_end(fh, truth_path)
+    arrays = {}
+    for file, records in _FILES:
+        with open(paths[file], "rb") as fh:
+            for name, dtype in records:
+                arrays[name] = _read_record(fh, dtype, paths[file])
+            _check_at_end(fh, paths[file])
 
+    frames = arrays.pop("frames")
     n = frames.shape[0] if frames.ndim else 0
     n_listed = manifest.get("splits", {}).get(split)
-    shapes = (frames.shape, *(record.shape for record in truth.values()))
-    want = tuple((n, *shape) for shape in _record_shapes(cfg))
+    shapes = (frames.shape, *(record.shape for record in arrays.values()))
+    want = tuple((n, *shape) for shape in _record_shapes(cfg).values())
     if shapes != want or n < 1 or n_listed not in (None, n):
         raise ShapeMismatchError(f"{path}: split {split!r} has records of shapes {shapes}; under the "
                                  f"config, {n} sequences (the frames header's count, which must be at "
                                  f"least 1 and match the manifest's {n_listed}) give {want}")
-    if np.any(truth["bounce_flags"] > 1):
-        raise DatasetError(f"{truth_path}: bounce flags other than 0 and 1")
-    truth["bounce_flags"] = truth["bounce_flags"].astype(bool)
-    return [VideoSequence(frames=frames[i], trajectory=Trajectory(**{k: v[i] for k, v in truth.items()}))
+    if np.any(arrays["bounce_flags"] > 1):
+        raise DatasetError(f"{paths['truth']}: bounce flags other than 0 and 1")
+    arrays["bounce_flags"] = arrays["bounce_flags"].astype(bool)
+    return [VideoSequence(frames=frames[i], trajectory=Trajectory(**{k: v[i] for k, v in arrays.items()}))
             for i in range(n)], cfg

@@ -117,6 +117,24 @@ class TestJacobians:
         lms = interior_probe_windows(params, 20, RandomStream.from_seed(seed, "probes")).reshape(-1, 3, 2)
         self._assert_inside_one_branch(lms, params)
 
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2**63 - 1), n=st.integers(1, 40))
+    def test_probes_match_one_candidate_at_a_time(self, params, seed, n):
+        # the reference: each candidate drawn on its own, start, velocity, then jitter
+        rng = RandomStream.from_seed(seed, "probes")
+        t = np.arange(3.0)[:, None]
+        fall = np.array([0.0, 0.5 * params.g_frame]) * t * t
+        want = []
+        while len(want) < n:
+            for _ in range(n - len(want)):
+                p0 = rng.uniform(params.center_min + 25, params.center_max - 25, 2)
+                v = rng.uniform(-6, 6, 2)
+                x = p0 + v * t + fall + rng.uniform(-0.45, 0.45, 6).reshape(3, 2)
+                if branch_free(x[None], params)[0]:
+                    want.append(x)
+        got = interior_probe_windows(params, n, RandomStream.from_seed(seed, "probes"))
+        assert got.tobytes() == np.array(want).reshape(-1, 6).tobytes()
+
     @staticmethod
     def _assert_inside_one_branch(lms, params):
         assert not physics_refine_window(lms, params).bounced.any()

@@ -309,7 +309,8 @@ class TestTrack:
         assert main(["gen", "--out", str(data), "--sigma", "0", "--train", "1", "--val", "1",
                      "--test", "1", "--frames", "4", "--image-size", "30"]) == 0
         out = tmp_path / "o"
-        with pytest.raises(SystemExit, match=r"^error: .*image size 30 is not divisible by 4"):
+        message = rf"^error: {re.escape(str(data / 'sigma_0'))}: image size 30 is not divisible by 4, "
+        with pytest.raises(SystemExit, match=message):
             main(["track", "--data", str(data / "sigma_0"), "--out", str(out)])
         assert not out.exists()
 
@@ -478,6 +479,18 @@ class TestEffects:
             csv.write_text(text)
         out = tmp_path / "fx"
         with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: "):
+            main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reported_before_writing(self, tmp_path, value):
+        csv = _planted_csv(tmp_path / "results.csv")
+        lines = csv.read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0] + f",{value}"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fx"
+        message = rf"^error: {re.escape(str(csv))}: line 8: value '{value}' is not finite$"
+        with pytest.raises(SystemExit, match=message):
             main(["effects", "--results", str(csv), "--out", str(out)])
         assert not out.exists()
 

@@ -18,6 +18,10 @@ from balltrack.sim import (
     trajectory_windows,
     window_index,
 )
+from balltrack.video import generate_split, read_dataset, write_dataset
+
+# the SimConfig fields that hold sizes, counts and the seed
+_INT_FIELDS = ("image_size", "frames_per_video", "n_train", "n_val", "n_test", "seed")
 
 
 def _stream(i=0):
@@ -67,6 +71,20 @@ class TestConfig:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(SimulationError, match="finite"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [64.0, 12.5, True, np.True_, "64"])
+    @pytest.mark.parametrize("field", _INT_FIELDS)
+    def test_non_integral_sizes_and_counts_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=f"must be integers: {field}="):
+            SimConfig(**{field: value})
+
+    def test_numpy_integers_accepted_as_ints(self, tmp_path):
+        cfg = SimConfig(image_size=np.int64(64), frames_per_video=np.int32(5), n_test=np.uint8(2),
+                        seed=np.int64(7))
+        assert cfg == SimConfig(image_size=64, frames_per_video=5, n_test=2, seed=7)
+        assert all(type(getattr(cfg, name)) is int for name in _INT_FIELDS)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        assert read_dataset(tmp_path, "test")[1] == cfg
 
     def test_wall_crossing_config_rejected(self):
         # a single step must not be able to span the whole domain

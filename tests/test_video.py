@@ -3,8 +3,10 @@ import io
 import json
 import re
 import struct
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,15 @@ class TestRenderFrame:
         a = render_frame((120.4, 63.9), cfg)
         b = render_frame((120.4, 63.9), cfg)
         assert np.array_equal(a, b)
+
+    @settings(deadline=None)
+    @given(x=st.floats(-4.0, 36.0), y=st.floats(-4.0, 36.0), radius=st.floats(0.5, 7.0))
+    @example(x=0.0, y=-3.0, radius=1.0)  # off the image: the box's stop once wrapped round
+    def test_bounding_box_test_matches_the_whole_frame(self, x, y, radius):
+        cfg = SimConfig(image_size=32, radius_px=radius, v_max=1.0)
+        ii, jj = np.indices((32, 32), dtype=float)
+        want = ((jj - x) ** 2 + (ii - y) ** 2 <= radius * radius).astype(np.float32)
+        assert render_frame((x, y), cfg).tobytes() == want.tobytes()
 
     def test_subpixel_center_moves_support(self, cfg):
         a = render_frame((100.0, 100.0), cfg)
@@ -242,15 +253,15 @@ class TestDatasetIO:
 
         write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        calls = []
+        headers = []
 
-        def failing_record(fh, array, dtype):
-            calls.append(dtype)
-            if len(calls) == 3:  # the last truth record, after the frames file
+        def failing_header(fh, shape):
+            headers.append(shape)
+            if len(headers) == 4:  # the last truth record, after the frames file
                 raise OSError("disk full")
             fh.write(b"partial")
 
-        monkeypatch.setattr(video, "_write_record", failing_record)
+        monkeypatch.setattr(video, "_write_header", failing_header)
         other = generate_split(small_cfg, "val")
         with pytest.raises(OSError):
             write_dataset(tmp_path, "test", other, small_cfg)
@@ -342,6 +353,17 @@ class TestDatasetIO:
         meta["config"].update(change)
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(DatasetError, match="invalid configuration"):
+            read_dataset(tmp_path, "train")
+
+    @pytest.mark.parametrize("field", ["image_size", "frames_per_video", "n_train", "n_val", "n_test",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [12.0, True])
+    def test_non_integral_manifest_size_is_dataset_error(self, tmp_path, small_cfg, field, value):
+        write_dataset(tmp_path, "train", generate_split(small_cfg, "train"), small_cfg)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["config"][field] = value
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match=f"invalid configuration: parameters must be integers: {field}="):
             read_dataset(tmp_path, "train")
 
     @pytest.mark.parametrize("corrupt", [
@@ -537,6 +559,29 @@ class TestSplitFuzz:
         except DatasetError:
             return
         assert _contents(loaded) == _contents(fuzz_split[2])
+
+
+def _split_bytes(sequences):
+    return [[np.asarray(a).tobytes() for a in (s.frames, *vars(s.trajectory).values())] for s in sequences]
+
+
+class TestSplitRoundTrip:
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(1, 3), frames=st.integers(3, 6), size=st.integers(8, 40),
+           sigma=st.floats(0.0, 2.0), seed=st.integers(0, 2**63))
+    def test_written_split_reads_back_bit_identical(self, n, frames, size, sigma, seed):
+        cfg = SimConfig(image_size=size, v_max=1.0, frames_per_video=frames, noise_sigma=sigma,
+                        n_train=1, n_val=1, n_test=n, seed=seed)
+        sequences = generate_split(cfg, "test")
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first", Path(tmp) / "second"
+            write_dataset(first, "test", sequences, cfg)
+            loaded, cfg_back = read_dataset(first, "test")
+            assert cfg_back == cfg
+            assert _split_bytes(loaded) == _split_bytes(sequences)
+            write_dataset(second, "test", loaded, cfg_back)  # the loaded split writes the same files
+            assert {p.name: p.read_bytes() for p in second.iterdir()} == \
+                   {p.name: p.read_bytes() for p in first.iterdir()}
 
 
 _RECORD_DTYPES = ("<f4", "<f8", "<u1")
