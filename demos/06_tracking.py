@@ -8,7 +8,7 @@ temporal-mean flag cancels the static noise and restores clean accuracy.
 """
 
 from balltrack import SimConfig
-from balltrack.tracker import track_split
+from balltrack.tracker import SCALES, track_split
 from balltrack.video import generate_sequence, split_stream
 
 N = 8
@@ -16,15 +16,16 @@ N = 8
 for sigma, tmean in ((0.0, False), (1.0, False), (1.0, True)):
     cfg = SimConfig(noise_sigma=sigma)
     sequences = (generate_sequence(cfg, split_stream(cfg, "test", i)) for i in range(N))
-    table, _ = track_split(sequences, cfg, temporal_mean=tmean)
+    per_sequence, _ = track_split(sequences, cfg, temporal_mean=tmean)
+    mean = {metric: float(v.mean()) for metric, v in per_sequence.items()}
     flag = " + temporal-mean" if tmean else ""
     print(f"\nsigma={sigma:g}{flag}  ({N} sequences, mean L1 errors)")
     print("  scale   B [px]   H [px]   P [px]   V [px/f]  bounce")
-    for s in (56, 112, 224):
+    for s in SCALES:
         print(
-            f"  {s:5d} {table.values[f'B{s}']:8.3f} {table.values[f'H{s}']:8.3f}"
-            f" {table.values[f'P{s}']:8.3f} {table.values[f'V{s}']:9.3f}"
-            f" {table.values[f'bounce{s}']:7.3f}"
+            f"  {s:5d} {mean[f'B{s}']:8.3f} {mean[f'H{s}']:8.3f}"
+            f" {mean[f'P{s}']:8.3f} {mean[f'V{s}']:9.3f}"
+            f" {mean[f'bounce{s}']:7.3f}"
         )
 
 print(

@@ -35,7 +35,7 @@ from .losses import (
     ramp_weight,
     total_loss,
 )
-from .tracker import MetricTable, evaluate, track_sequence, track_split
+from .tracker import evaluate, track_sequence, track_split
 from .factorial import FactorConfig, ResponseTable, compute_all_effects, enumerate_configs
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "physics_supervised_loss",
     "ramp_weight",
     "total_loss",
-    "MetricTable",
     "track_sequence",
     "track_split",
     "evaluate",

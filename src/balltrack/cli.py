@@ -36,16 +36,8 @@ from .factorial import (
 )
 from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
-from .tracker import metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split
-from .video import (
-    DatasetError,
-    SPLITS,
-    _write_record,
-    existing_manifest,
-    generate_split,
-    read_dataset,
-    write_dataset,
-)
+from .tracker import metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split, write_predictions
+from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, write_dataset
 
 ENV_OUT_ROOT = "BALLTRACK_OUT"
 
@@ -167,30 +159,20 @@ def cmd_track(args) -> int:
     started = time.time()
     sequences, cfg = read_dataset(data, args.split)
     try:  # tracking writes nothing, so a split the tracker rejects leaves no output behind
-        table, predictions = track_split(sequences, cfg, temporal_mean=args.temporal_mean)
+        per_sequence, predictions = track_split(sequences, cfg, temporal_mean=args.temporal_mean)
     except ValueError as err:
         raise SystemExit(f"error: {data}: {err}")
     with _OutputLock(out):
         csv_path = out / "metrics.csv"
-        csv_path.write_text(metrics_to_csv(table, args.config_label, args.replicate))
+        csv_path.write_text(metrics_to_csv(per_sequence, args.config_label, args.replicate))
         per_seq_path = out / "per_sequence_metrics.csv"
-        per_seq_path.write_text(per_sequence_to_csv(table))
+        per_seq_path.write_text(per_sequence_to_csv(per_sequence))
         pred_path = out / "predictions.bin"
-        _write_predictions(pred_path, predictions)
-        for metric, value in table.values.items():
-            print(f"{metric:>10}: {value:.4f}")
+        write_predictions(pred_path, predictions)
+        for metric, v in per_sequence.items():
+            print(f"{metric:>10}: {float(v.mean()):.4f}")
         _write_manifest(out, "track", vars(args), [data], [csv_path, per_seq_path, pred_path], started)
     return 0
-
-
-def _write_predictions(path: Path, predictions) -> None:
-    """Binary dump of :func:`track_split`'s window arrays (record scheme of the
-    dataset files; per scale: B/H/P positions, velocities f64, bounce flags u8)."""
-    with open(path, "wb") as fh:
-        for scale in sorted(predictions):
-            for key, dtype in (("B", "<f8"), ("H", "<f8"), ("P", "<f8"),
-                               ("V", "<f8"), ("bounce", "<u1")):
-                _write_record(fh, predictions[scale][key], dtype)
 
 
 def cmd_selfcheck(args) -> int:

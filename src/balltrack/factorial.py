@@ -94,10 +94,6 @@ class FactorConfig:
         return _LABELS[self.index]
 
     @classmethod
-    def from_index(cls, index: int) -> "FactorConfig":
-        return cls(index)
-
-    @classmethod
     def from_label(cls, label: str) -> "FactorConfig":
         return cls(_row(label))
 

@@ -25,7 +25,7 @@ _FNV_PRIME = 0x100000001B3
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word."""
-    z &= _MASK
+    z = int(z) & _MASK  # int first: a numpy integer would overflow in the mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -53,7 +53,7 @@ def _fold(label) -> int:
 
 def derive_key(key: int, *labels) -> int:
     """Derive a child stream key from a parent key and a label path."""
-    k = key & _MASK
+    k = int(key) & _MASK
     for label in labels:
         k = mix64(k ^ mix64((_fold(label) + _GAMMA) & _MASK))
     return k
@@ -63,7 +63,7 @@ class RandomStream:
     """Counter-based stream of deterministic pseudo-random numbers."""
 
     def __init__(self, key: int):
-        self.key = key & _MASK
+        self.key = int(key) & _MASK
         self.counter = 0
 
     @classmethod

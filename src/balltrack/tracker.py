@@ -14,7 +14,10 @@ Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
 second pass reads a 7x7 or 4x4 block of each frame), H (hard argmax) and
 P (physics-refined B, all windows in one physics call), plus velocities V
-and bounce indicators, each as one array over the windows.  Metrics are
+and bounce indicators, each as one array over the windows.  The output
+schema is two tables: ``ESTIMATES`` (names and record types) and
+``POOLING`` (scales and pooling factors); ``METRICS``, ``evaluate``'s
+metrics and the records of ``predictions.bin`` loop over them.  Metrics are
 mean L1 errors in full-resolution image coordinates; each frame's
 prediction is taken from the window in which it is the center frame
 (sequence endpoints use the only covering window).  ``track_split`` tracks a
@@ -25,7 +28,6 @@ its sequences in one ``evaluate`` call.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -33,10 +35,11 @@ import numpy as np
 from .heatmaps import _band, _unband, expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
 from .sim import SimConfig, Trajectory, window_index
-from .video import VideoSequence, _disk
+from .video import VideoSequence, _disk, _write_record
 
 __all__ = [
-    "MetricTable",
+    "ESTIMATES",
+    "POOLING",
     "METRICS",
     "disk_template",
     "ncc_heatmap",
@@ -46,15 +49,17 @@ __all__ = [
     "track_split",
     "metrics_to_csv",
     "per_sequence_to_csv",
+    "write_predictions",
     "metrics_from_csv",
 ]
 
-SCALES = (56, 112, 224)
-METRICS = tuple(
-    [f"{m}{s}" for m in ("B", "H", "P") for s in SCALES]
-    + [f"V{s}" for s in SCALES]
-    + [f"bounce{s}" for s in SCALES]
-)
+# each window estimate and its record type in predictions.bin: B, H and P
+# positions and V velocities (..., 3, 2), bounce flags (..., 3)
+ESTIMATES = {"B": "<f8", "H": "<f8", "P": "<f8", "V": "<f8", "bounce": "<u1"}
+# pyramid scale -> average-pooling factor of its heatmaps from the full-resolution ones
+POOLING = {56: 4, 112: 2, 224: 1}
+SCALES = tuple(POOLING)
+METRICS = tuple(f"{name}{s}" for name in ESTIMATES for s in SCALES)
 
 
 def __getattr__(name):
@@ -64,20 +69,6 @@ def __getattr__(name):
         from scipy.signal import fftconvolve
         return fftconvolve
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass
-class MetricTable:
-    """Per-sequence metric values; ``values`` holds their means."""
-
-    per_sequence: dict[str, np.ndarray]
-
-    @property
-    def values(self) -> dict[str, float]:
-        return {metric: float(v.mean()) for metric, v in self.per_sequence.items()}
-
-    def median(self, metric: str) -> float:
-        return float(np.median(self.per_sequence[metric]))
 
 
 def disk_template(radius: float) -> np.ndarray:
@@ -199,7 +190,8 @@ def downscale_heatmap(hm224: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     """
     window, first = _band(hm224, rows, least=4)
     h = hm224.shape[-2]
-    return tuple(_unband(_avg_pool(window, k), first // k, h // k, axis=-2) for k in (2, 4))
+    return tuple(_unband(_avg_pool(window, k), first // k, h // k, axis=-2)
+                 for k in (POOLING[112], POOLING[56]))
 
 
 def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
@@ -239,10 +231,10 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
                    temporal_mean: bool = False) -> dict[int, dict[str, np.ndarray]]:
     """Track one sequence; returns per-scale window arrays.
 
-    ``{scale: {"B", "H", "P", "V": (T-2, 3, 2), "bounce": (T-2, 3)}}`` with
-    the estimates named in the module docstring.  Windows are independent of
-    each other: each one sees only its own three frames, so there is no
-    rollout and no error accumulation.
+    ``{scale: {"B", "H", "P", "V": (T-2, 3, 2), "bounce": (T-2, 3)}}`` over
+    the scales of ``POOLING``, with the estimates named in the module
+    docstring.  Windows are independent of each other: each one sees only
+    its own three frames, so there is no rollout and no error accumulation.
     """
     n_frames = len(video.frames)
     if n_frames < 3:
@@ -260,11 +252,12 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
 
     windows = window_index(n_frames)
     predictions = {}
-    for s, heatmaps in ((56, hm56), (112, hm112), (224, hm224)):
-        a = 224 / s
-        band = rows // (224 // s)
-        b = a * expectation_for_scale(s)(heatmaps, band)[windows]
-        h = a * hard_argmax(heatmaps, band)[windows]
+    for (s, k), heatmaps in zip(POOLING.items(), (hm56, hm112, hm224)):
+        # the operator is looked up on each call, not kept in a table, so that a wrapper
+        # put in heatmaps' namespace (a tracer's) is the one called
+        band = rows // k
+        b = float(k) * expectation_for_scale(s)(heatmaps, band)[windows]
+        h = float(k) * hard_argmax(heatmaps, band)[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,
                           "bounce": win.bounced}
@@ -272,7 +265,8 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
 
 
 def evaluate(predictions: dict[int, dict[str, np.ndarray]], gt: Trajectory) -> dict[str, np.ndarray]:
-    """Mean metrics per sequence: L1 position and velocity error, bounce mismatch.
+    """Mean metrics per sequence, ``{metric: array}`` in ``METRICS`` order: L1
+    position and velocity error, bounce mismatch.
 
     Window arrays ``(..., T-2, 3, 2)`` (bounce ``(..., T-2, 3)``) are scored
     against ground truth of the same leading shape, ``(..., T, 2)`` and
@@ -301,25 +295,28 @@ def evaluate(predictions: dict[int, dict[str, np.ndarray]], gt: Trajectory) -> d
     at = (slice(None),) * len(lead) + (np.r_[0, np.arange(n_frames - 2), n_frames - 3],
                                        np.r_[0, np.ones(n_frames - 2, int), 2])
     out: dict[str, np.ndarray] = {}
-    for s, arrays in predictions.items():
-        for name in "BHPV":
-            truth = gt.velocities_fu if name == "V" else gt.positions_px
-            out[f"{name}{s}"] = np.abs(arrays[name][at] - truth).sum(axis=-1).mean(axis=-1)
-        out[f"bounce{s}"] = (arrays["bounce"][at] != gt.bounce_flags).mean(axis=-1)
+    for name in ESTIMATES:
+        for s, arrays in predictions.items():
+            framed = arrays[name][at]
+            if name == "bounce":
+                miss = framed != gt.bounce_flags
+            else:
+                miss = np.abs(framed - (gt.velocities_fu if name == "V" else gt.positions_px)).sum(axis=-1)
+            out[f"{name}{s}"] = miss.mean(axis=-1)
     return out
 
 
 def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mean: bool = False
-                ) -> tuple[MetricTable, dict[int, dict[str, np.ndarray]]]:
+                ) -> tuple[dict[str, np.ndarray], dict[int, dict[str, np.ndarray]]]:
     """Track every sequence of a split, then score them all in one pass.
 
     ``sequences`` may be any iterable, a generator included: each sequence is
     tracked with :func:`track_sequence` and only its window predictions and
     trajectory are kept, so a generator holds one sequence's frames at a time.
-    Returns the :class:`MetricTable` (means over the N sequences, plus the
-    ``(N,)`` per-sequence arrays behind them) and the predictions stacked in
-    sequence order, ``{scale: {"B", "H", "P", "V": (N, T-2, 3, 2), "bounce":
-    (N, T-2, 3)}}``, the arrays ``predictions.bin`` holds.
+    Returns the per-sequence metrics, :func:`evaluate`'s ``{metric: (N,)
+    array}`` in ``METRICS`` order, and the predictions stacked in sequence
+    order, ``{scale: {"B", "H", "P", "V": (N, T-2, 3, 2), "bounce": (N, T-2,
+    3)}}``, the arrays :func:`write_predictions` writes.
     """
     tracked, truths = [], []
     for seq in sequences:
@@ -330,23 +327,32 @@ def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mea
     predictions = {s: {key: np.stack([p[s][key] for p in tracked]) for key in arrays}
                    for s, arrays in tracked[0].items()}
     gt = Trajectory(**{field: np.stack([vars(t)[field] for t in truths]) for field in vars(truths[0])})
-    per_seq = evaluate(predictions, gt)
-    return MetricTable({m: per_seq[m] for m in METRICS}), predictions
+    return evaluate(predictions, gt), predictions
 
 
-def metrics_to_csv(table: MetricTable, config_label: str, replicate: int) -> str:
-    """Render the metric table as ``config,replicate,metric,value`` rows."""
-    values = table.values
+def metrics_to_csv(per_sequence: dict[str, np.ndarray], config_label: str, replicate: int) -> str:
+    """Render each metric's mean over the sequences of :func:`track_split`'s
+    per-sequence metrics as ``config,replicate,metric,value`` rows."""
     return "config,replicate,metric,value\n" + "".join(
-        f"{config_label},{replicate},{metric},{values[metric]:.17g}\n" for metric in METRICS)
+        f"{config_label},{replicate},{metric},{float(v.mean()):.17g}\n" for metric, v in per_sequence.items())
 
 
-def per_sequence_to_csv(table: MetricTable) -> str:
-    """Render the per-sequence breakdown as a ``sequence`` column plus one
-    column per metric, one row per sequence in sequence order."""
-    rows = zip(*(table.per_sequence[m] for m in METRICS))
-    return ",".join(("sequence", *METRICS)) + "\n" + "".join(
+def per_sequence_to_csv(per_sequence: dict[str, np.ndarray]) -> str:
+    """Render :func:`track_split`'s per-sequence metrics as a ``sequence``
+    column plus one column per metric, one row per sequence in sequence order."""
+    rows = zip(*per_sequence.values())
+    return ",".join(("sequence", *per_sequence)) + "\n" + "".join(
         f"{i}," + ",".join(f"{v:.17g}" for v in row) + "\n" for i, row in enumerate(rows))
+
+
+def write_predictions(path, predictions: dict[int, dict[str, np.ndarray]]) -> None:
+    """Write :func:`track_split`'s window arrays to ``path`` in the tensor
+    record format of the dataset files: for each scale of ``SCALES``, one
+    record per estimate of ``ESTIMATES``, in that table's order and type."""
+    with open(path, "wb") as fh:
+        for s in SCALES:
+            for name, dtype in ESTIMATES.items():
+                _write_record(fh, predictions[s][name], dtype)
 
 
 def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:

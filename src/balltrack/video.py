@@ -132,7 +132,16 @@ def split_stream(cfg: SimConfig, split: str, index: int) -> RandomStream:
     return RandomStream.from_seed(cfg.seed, "dataset", split, index)
 
 
+def _check_split(split: str, error: type[Exception] = DatasetError) -> None:
+    """Reject a split name outside ``SPLITS``; the name is part of the split's
+    file names, so any other one could name files outside the dataset."""
+    if split not in SPLITS:
+        raise error(f"unknown split {split!r}; the splits are {', '.join(SPLITS)}")
+
+
 def generate_split(cfg: SimConfig, split: str) -> list[VideoSequence]:
+    """The sequences of one split of ``SPLITS``; another name raises ``ValueError``."""
+    _check_split(split, ValueError)
     n = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}[split]
     return [generate_sequence(cfg, split_stream(cfg, split, i)) for i in range(n)]
 
@@ -217,15 +226,16 @@ def _check_at_end(fh, path) -> None:
 def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
     """Persist one split; the manifest is (re)written with every call.
 
-    An empty split, or one with a sequence whose records are not the shapes
-    :func:`_record_shapes` gives for ``cfg``, is rejected before the directory
-    is touched, and so is a directory whose manifest holds another
-    configuration (:func:`existing_manifest`), so a rejected write leaves the
-    directory as it was.  The split files and the
+    A split name outside ``SPLITS``, an empty split, or one with a sequence
+    whose records are not the shapes :func:`_record_shapes` gives for ``cfg``,
+    is rejected before the directory is touched, and so is a directory whose
+    manifest holds another configuration (:func:`existing_manifest`), so a
+    rejected write leaves the directory as it was.  The split files and the
     manifest are written under temporary names in the same directory and
     then renamed over the old ones, so a write that fails part-way leaves the
     previous files whole and no temporary file behind.
     """
+    _check_split(split)
     if not sequences:
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
     want = _record_shapes(cfg)
@@ -295,15 +305,17 @@ def read_manifest(path) -> dict:
 def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
     """Load one split; inverse of :func:`write_dataset` (noise not stored).
 
-    A manifest configuration that :class:`SimConfig` rejects, or a split
-    whose files are absent, raises :class:`DatasetError`; the latter names
-    the splits the manifest lists.  Bytes after a file's last record raise
-    :class:`TrailingBytesError`.  Records that are not the shapes
+    A split name outside ``SPLITS``, a manifest configuration that
+    :class:`SimConfig` rejects, or a split whose files are absent raises
+    :class:`DatasetError`; the last names the splits the manifest lists.
+    Bytes after a file's last record raise :class:`TrailingBytesError`.
+    Records that are not the shapes
     :func:`write_dataset` accepts, each with a leading N, raise
     :class:`ShapeMismatchError`, where N is the frames header's sequence
     count, at least 1 and the manifest's count if it lists one.  Bounce
     flags other than 0 and 1 raise :class:`DatasetError`.
     """
+    _check_split(split)
     path = Path(path)
     manifest = read_manifest(path)
     try:

@@ -1,8 +1,10 @@
 import filecmp
 import hashlib
 import json
+import math
 import os
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,8 @@ import pytest
 from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, build_parser, main
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
-from balltrack.tracker import METRICS
-from balltrack.video import _read_record, _write_record, generate_split, write_dataset
+from balltrack.tracker import METRICS, track_split
+from balltrack.video import _read_record, _write_record, generate_split, read_dataset, write_dataset
 
 
 GEN_SMALL = ["--train", "2", "--val", "1", "--test", "2", "--frames", "10"]
@@ -195,21 +197,28 @@ class TestTrack:
         assert (out / "track_manifest.json").exists()
 
     def test_predictions_file_reads_back_as_records(self, small_dataset, tmp_path):
+        # the file, header by header: scales 56, 112, 224, and per scale B, H, P
+        # and V as (N, T-2, 3, 2) f8 records, then bounce as an (N, T-2, 3) u1
+        # one, each holding the array track_split returns
         out = tmp_path / "res"
         assert main(["track", "--data", str(small_dataset), "--out", str(out)]) == 0
-        path = out / "predictions.bin"
-        records = []
-        with open(path, "rb") as fh:
-            for _scale in (56, 112, 224):
-                for dtype in ("<f8", "<f8", "<f8", "<f8", "<u1"):
-                    records.append(_read_record(fh, dtype, path))
-            assert fh.read() == b""
+        sequences, cfg = read_dataset(small_dataset, "test")
+        _, predictions = track_split(sequences, cfg)
+        data = (out / "predictions.bin").read_bytes()
         n, windows = 2, 10 - 2  # GEN_SMALL: 2 test sequences of 10 frames
-        assert len(records) == 15
-        for i, rec in enumerate(records):
-            assert rec.shape == ((n, windows, 3) if i % 5 == 4 else (n, windows, 3, 2))
-            assert np.all(np.isfinite(rec))
-        assert set(np.unique(records[4])) <= {0, 1}
+        vectors, flags = (n, windows, 3, 2), (n, windows, 3)
+        at = 0
+        for scale in (56, 112, 224):
+            for name, dtype, shape in (("B", "<f8", vectors), ("H", "<f8", vectors), ("P", "<f8", vectors),
+                                       ("V", "<f8", vectors), ("bounce", "<u1", flags)):
+                magic, version, ndim = struct.unpack_from("<4sII", data, at)
+                assert (magic, version, struct.unpack_from(f"<{ndim}Q", data, at + 12)) == (b"PITD", 1, shape)
+                at += 12 + 8 * ndim
+                payload = data[at:at + math.prod(shape) * np.dtype(dtype).itemsize]
+                assert np.all(np.isfinite(predictions[scale][name]))
+                assert payload == np.asarray(predictions[scale][name], dtype).tobytes(), (scale, name)
+                at += len(payload)
+        assert at == len(data)
 
     def test_per_sequence_metrics_average_to_metrics_csv(self, small_dataset, tmp_path):
         out = tmp_path / "res"

@@ -41,9 +41,9 @@ class TestConfigs:
 
     def test_row_index_bit_layout(self):
         # row = 32F + 16E + 8D + 4C + 2B + A
-        assert FactorConfig.from_index(44).label == "A0B0C1D1E0F1"
-        assert FactorConfig.from_index(12).label == "A0B0C1D1E0F0"
-        assert FactorConfig.from_index(7).label == "A1B1C1D0E0F0"
+        assert FactorConfig(44).label == "A0B0C1D1E0F1"
+        assert FactorConfig(12).label == "A0B0C1D1E0F0"
+        assert FactorConfig(7).label == "A1B1C1D0E0F0"
 
     def test_label_round_trip(self):
         for config in enumerate_configs():
@@ -57,14 +57,14 @@ class TestConfigs:
 
     def test_padded_label_resolves_to_its_row(self):
         config = FactorConfig.from_label(" A1B0C0D0E0F1\t")
-        assert config == FactorConfig.from_index(33)
+        assert config == FactorConfig(33)
         assert config.label == "A1B0C0D0E0F1"
         assert config["A"] and config["F"] and not config["B"]
 
     @pytest.mark.parametrize("index", [-1, 64])
     def test_index_out_of_range_rejected(self, index):
         with pytest.raises(ValueError, match="out of range"):
-            FactorConfig.from_index(index)
+            FactorConfig(index)
 
 
 class TestContrasts:
@@ -225,7 +225,7 @@ class TestResponseTable:
         assert table.missing_cells("err") == []
         assert list(table.responses("err")[:, 0]) == [float(i) for i in range(64)]
 
-    @pytest.mark.parametrize("again", ["A1B0C0D0E0F0", " A1B0C0D0E0F0", FactorConfig.from_index(1)],
+    @pytest.mark.parametrize("again", ["A1B0C0D0E0F0", " A1B0C0D0E0F0", FactorConfig(1)],
                              ids=["label", "padded", "config"])
     def test_duplicate_cell_raises_and_names_it(self, again):
         table = ResponseTable()

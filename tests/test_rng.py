@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from balltrack.rng import RandomStream, derive_key, mix64
 
@@ -71,6 +72,17 @@ def test_normal_sigma_scaling():
 def test_mix64_is_bijective_on_samples():
     outs = {mix64(i) for i in range(10_000)}
     assert len(outs) == 10_000
+
+
+@pytest.mark.parametrize("value", [np.int64(7), np.int64(-3), np.uint64(7), np.uint64(2**64 - 1)])
+def test_numpy_integer_seeds_and_keys_draw_as_python_ints(value):
+    same = int(value)
+    assert mix64(value) == mix64(same) and type(mix64(value)) is int
+    assert derive_key(value, "dataset", 1) == derive_key(same, "dataset", 1)
+    assert RandomStream(value).key == RandomStream(same).key
+    assert np.array_equal(RandomStream(value).random(8), RandomStream(same).random(8))
+    assert np.array_equal(RandomStream.from_seed(value, "x").normal(8),
+                          RandomStream.from_seed(same, "x").normal(8))
 
 
 def test_zero_count_draws_are_empty():

@@ -389,6 +389,53 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+_TRACED_TRACK = """
+import importlib, sys
+import balltrack, spans
+from balltrack import heatmaps, tracker
+from balltrack.sim import SimConfig
+from balltrack.video import generate_sequence, split_stream
+
+modules = [balltrack] + [importlib.import_module(f"balltrack.{layer}") for layer in spans.LAYERS]
+names = {(m, k): v for m in modules for k, v in vars(m).items()}
+defaults = {f: f.__defaults__ for m in modules for f in vars(m).values() if hasattr(f, "__defaults__")}
+methods = {(cls, k): v for layer, classes in spans.CLASS_METHODS.items()
+           for cls in (getattr(sys.modules[f"balltrack.{layer}"], c) for c in classes)
+           for k, v in vars(cls).items()}
+
+tracer = spans.Tracer()
+tracer.install(balltrack)  # raises if a class method or tracker.fftconvolve it patches is gone
+cfg = SimConfig(image_size=64, frames_per_video=5)
+seq = generate_sequence(cfg, split_stream(cfg, "test", 0))
+tracer.active = True
+tracker.track_sequence(seq, cfg)
+tracer.active = False
+totals = tracer.totals()
+tracer.uninstall()
+
+assert totals["heatmaps.calls"] == 9, totals["heatmaps.calls"]
+operators = {heatmaps.expectation_for_scale(s).__name__ for s in tracker.SCALES}
+assert len(operators) == 3, operators
+for op in operators:
+    assert totals.get(f"heatmaps.{op}.calls") == 1, (op, totals.get(f"heatmaps.{op}.calls"))
+assert all(vars(m)[k] is v for (m, k), v in names.items())
+assert all(f.__defaults__ is d for f, d in defaults.items())
+assert all(vars(cls)[k] is v for (cls, k), v in methods.items())
+"""
+
+
+def test_bench_tracer_sees_every_stage_of_track_sequence():
+    # bench/spans.py wraps the program's functions from outside, by module
+    # namespace; a traced track_sequence must enter heatmaps 9 times (operator
+    # lookup, operator and hard argmax per scale), and uninstall must put every
+    # original back.  It runs in a child process, since install patches modules
+    # process-wide.
+    root = Path(balltrack.__file__).resolve().parents[2]
+    paths = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, "-c", _TRACED_TRACK], env=env, check=True, timeout=120)
+
+
 class TestPooling:
     def test_uniform_pools_to_uniform(self):
         hm = np.full((224, 224), 0.7)
@@ -550,16 +597,15 @@ class TestTrackSplit:
     def test_one_evaluation_path(self, sigma, temporal_mean):
         cfg = SimConfig(noise_sigma=sigma, frames_per_video=12)
         seqs = [generate_sequence(cfg, split_stream(cfg, "test", i)) for i in range(3)]
-        table, predictions = track_split(iter(seqs), cfg, temporal_mean)
+        per_sequence, predictions = track_split(iter(seqs), cfg, temporal_mean)
 
         # reference: the per-sequence loop, one track_sequence + evaluate each
         tracked = [track_sequence(seq, cfg, temporal_mean) for seq in seqs]
         scored = [evaluate(preds, seq.trajectory) for preds, seq in zip(tracked, seqs)]
-        assert list(table.values) == list(table.per_sequence) == list(METRICS)
+        assert list(per_sequence) == list(METRICS)
         for m in METRICS:
             per_seq = np.array([float(d[m]) for d in scored])
-            assert table.per_sequence[m].tobytes() == per_seq.tobytes()
-            assert table.values[m] == float(per_seq.mean())
+            assert per_sequence[m].tobytes() == per_seq.tobytes()
         for s in (56, 112, 224):
             for key in ("B", "H", "P", "V", "bounce"):
                 stacked = np.stack([preds[s][key] for preds in tracked])
@@ -607,14 +653,19 @@ class TestTrackSplit:
 
 
 class TestMetricsCsv:
+    def test_metric_names_pinned(self):
+        # the names and the order of metrics.csv's rows and per_sequence_metrics.csv's columns
+        assert METRICS == ("B56", "B112", "B224", "H56", "H112", "H224", "P56", "P112", "P224",
+                           "V56", "V112", "V224", "bounce56", "bounce112", "bounce224")
+
     def test_round_trip(self, cfg, clean_seq):
-        table, _ = track_split([clean_seq], cfg)
-        text = metrics_to_csv(table, "A0B0C0D0E0F0", 2)
+        per_sequence, _ = track_split([clean_seq], cfg)
+        text = metrics_to_csv(per_sequence, "A0B0C0D0E0F0", 2)
         rows = metrics_from_csv(text)
-        assert len(rows) == len(METRICS) == 15
+        assert [metric for _, _, metric, _ in rows] == list(METRICS)
         for config, rep, metric, value in rows:
             assert config == "A0B0C0D0E0F0" and rep == 2
-            assert value == table.values[metric]
+            assert value == float(per_sequence[metric].mean())
 
     def test_header_enforced(self):
         with pytest.raises(ValueError):

@@ -424,6 +424,27 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="test_truth.bin: bounce flags other than 0 and 1"):
             read_dataset(tmp_path, "test")
 
+    @pytest.mark.parametrize("split", ["../escaped", "bogus"])
+    def test_generate_rejects_an_unknown_split(self, small_cfg, split):
+        with pytest.raises(ValueError, match=f"unknown split {re.escape(repr(split))}"):
+            generate_split(small_cfg, split)
+
+    @pytest.mark.parametrize("split", ["../escaped", "bogus"])
+    def test_write_rejects_an_unknown_split_before_touching_anything(self, tmp_path, small_cfg, split):
+        # "../escaped" would name ../escaped_frames.bin, outside the dataset
+        with pytest.raises(DatasetError, match=f"unknown split {re.escape(repr(split))}"):
+            write_dataset(tmp_path / "d", split, generate_split(small_cfg, "test"), small_cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("split", ["../escaped", "bogus"])
+    def test_read_rejects_an_unknown_split(self, tmp_path, small_cfg, split):
+        data = tmp_path / "d"
+        write_dataset(data, "test", generate_split(small_cfg, "test"), small_cfg)
+        for file in ("frames", "truth"):  # files the name would point at, were it accepted
+            (data / f"{split}_{file}.bin").write_bytes((data / f"test_{file}.bin").read_bytes())
+        with pytest.raises(DatasetError, match=f"unknown split {re.escape(repr(split))}"):
+            read_dataset(data, split)
+
     def test_empty_split_rejected_before_touching_the_directory(self, tmp_path, small_cfg):
         target = tmp_path / "d"
         with pytest.raises(DatasetError, match="no sequences"):
