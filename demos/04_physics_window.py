@@ -11,7 +11,6 @@ import numpy as np
 
 import balltrack.autodiff as ad
 from balltrack import SimConfig, physics_refine_window, to_frame_units
-from balltrack.selfcheck import _window_fn
 
 cfg = SimConfig()
 params = to_frame_units(cfg)
@@ -43,8 +42,13 @@ print(f"\nfloor-straddling window: bounce indicators {bounced.tolist()}")
 print(f"  refined positions y: {[f'{p[1]:.2f}' for p in pos]}")
 print(f"  velocities vy:       {[f'{v[1]:+.2f}' for v in vel]}")
 
-# derivative check: forward mode vs central differences
-f = _window_fn(params)
+# derivative check: forward mode vs central differences on the map from
+# (..., 6) landmarks to (..., 12) refined positions then velocities
+def f(x):
+    win = physics_refine_window(x.reshape(*x.shape[:-1], 3, 2), params)
+    return ad.stack([win.positions, win.velocities], axis=-3).reshape(*x.shape[:-1], 12)
+
+
 x = exact.ravel()
 err = ad.max_relative_error(ad.jacobian_fd(f, x), ad.jacobian_forward(f, x))
 print(f"\nforward-mode vs finite-difference jacobian: max rel err {err:.2e}")

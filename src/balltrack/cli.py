@@ -36,7 +36,8 @@ from .factorial import (
 )
 from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
-from .tracker import metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split, write_predictions
+from .tracker import (SCALES, metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split,
+                      write_predictions)
 from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, write_dataset
 
 ENV_OUT_ROOT = "BALLTRACK_OUT"
@@ -140,13 +141,11 @@ def cmd_gen(args) -> int:
         targets[target] = cfg
     for target, cfg in targets.items():  # a dataset already there must have the same config
         existing_manifest(target, cfg)
-    outputs = []
+    outputs = {}  # each path once, in the order first written
     with _OutputLock(out):
         for target, cfg in targets.items():
             for split in SPLITS:
-                sequences = generate_split(cfg, split)
-                write_dataset(target, split, sequences, cfg)
-                outputs.append(target / f"{split}_frames.bin")
+                outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
             print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
                   f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
         _write_manifest(out, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
@@ -212,8 +211,8 @@ def cmd_effects(args) -> int:
 
         report_path = out / "effects_report.txt"
         report = []
-        for title, group in (("encoder (56-scale metrics)", ENCODER_METRICS),
-                             ("decoder (112/224-scale metrics)", DECODER_METRICS)):
+        for title, group in ((f"encoder ({SCALES[0]}-scale metrics)", ENCODER_METRICS),
+                             (f"decoder ({'/'.join(map(str, SCALES[1:]))}-scale metrics)", DECODER_METRICS)):
             if not all(m in metrics for m in group):
                 continue
             report.append(f"Top effects, {title}; negative = reduces error")
@@ -226,8 +225,9 @@ def cmd_effects(args) -> int:
                 row += f"{avg:+.2f}".rjust(10)
                 report.append(row)
             report.append("")
-        report_path.write_text("\n".join(report))
-        print(report_path.read_text())
+        text = "\n".join(report)
+        report_path.write_text(text)
+        print(text)
         _write_manifest(out, "effects", vars(args), [args.results], [csv_path, report_path], started)
     return 0
 

@@ -17,9 +17,9 @@ over n * 32 runs at either level.  In this balanced design
 S is the 64 x 63 matrix of +-1 contrasts (column = term, row = configuration)
 and ybar the 64 cell means over replicates (Yates 1937).
 
-Two aggregate responses summarize the nine tracking errors: the encoder
-average (mean of the three 56-scale metrics) and the decoder average (mean
-of the six 112/224-scale metrics).
+Two aggregate responses summarize the B, H and P errors at the scales of
+``tracker.SCALES``: the encoder average (mean of the three at the coarsest
+scale) and the decoder average (mean of the six at the finer ones).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from .tracker import SCALES
 
 __all__ = [
     "FACTORS",
@@ -47,8 +49,8 @@ __all__ = [
 FACTORS = "ABCDEF"
 N_CONFIGS = 1 << len(FACTORS)
 
-ENCODER_METRICS = ("B56", "H56", "P56")
-DECODER_METRICS = ("B112", "B224", "H112", "H224", "P112", "P224")
+ENCODER_METRICS = tuple(f"{name}{SCALES[0]}" for name in "BHP")
+DECODER_METRICS = tuple(f"{name}{s}" for name in "BHP" for s in SCALES[1:])
 
 
 class MissingCellsError(ValueError):

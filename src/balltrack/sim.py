@@ -3,8 +3,9 @@
 The simulator works in physical units (meters, seconds) and converts a
 whole trajectory to pixels and frame units once, after its last step.
 Coordinates follow the image convention: origin top-left, x right, y down,
-so gravity is positive.  States are ``(2,)`` (x, y) vectors, and each step
-moves both axes at once, in the ``(..., 2)`` format of :mod:`.physics`.
+so gravity is positive.  The state is a ``(2,)`` (x, y) position and a
+``(2,)`` velocity array, and each step moves both axes at once: arguments
+and returns in the order of :func:`balltrack.physics.verlet_step_with_bounce`.
 
 Boundary convention: the ball center is confined to ``[r, W-1-r]`` pixels on
 each axis (the last valid pixel index is ``W-1``); an edge touch reflects.
@@ -27,7 +28,6 @@ from .rng import RandomStream
 
 __all__ = [
     "SimConfig",
-    "BallState",
     "Trajectory",
     "SimulationError",
     "sample_initial_conditions",
@@ -112,14 +112,6 @@ class SimConfig:
 
 
 @dataclass
-class BallState:
-    """Position [m] and velocity [m/s] of the ball center."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-
-@dataclass
 class Trajectory:
     """Per-frame ground truth in image units.
 
@@ -143,35 +135,31 @@ class Trajectory:
         return len(self.positions_px)
 
 
-def sample_initial_conditions(cfg: SimConfig, rng: RandomStream) -> BallState:
-    """Uniform start anywhere in the valid region, velocity in ±v_max."""
+def sample_initial_conditions(cfg: SimConfig, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """Position [m] and velocity [m/s]: a uniform start anywhere in the valid
+    region, velocity in ±v_max, drawn in that order."""
     lo = cfg.center_min_px * cfg.scale
     hi = cfg.center_max_px * cfg.scale
     position = rng.uniform(lo, hi, 2)
-    velocity = rng.uniform(-cfg.v_max, cfg.v_max, 2)
-    return BallState(position=position, velocity=velocity)
+    return position, rng.uniform(-cfg.v_max, cfg.v_max, 2)
 
 
-def step_physical(state: BallState, cfg: SimConfig):
-    """Advance one frame; returns (new state, (2,) per-axis bounce flags).
-
-    Position and velocity step as (x, y) vectors, as in
-    :func:`balltrack.physics.verlet_step_with_bounce`.
-    """
+def step_physical(position: np.ndarray, velocity: np.ndarray, cfg: SimConfig):
+    """Advance one frame; returns the new position and velocity and the
+    (2,) per-axis bounce flags."""
     g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
     lo = cfg.center_min_px * cfg.scale
     hi = cfg.center_max_px * cfg.scale
-    raw = state.position + state.velocity * dt + (0.0, g * dt * dt / 2)
-    v_new = state.velocity + (0.0, g * dt)
+    raw = position + velocity * dt + (0.0, g * dt * dt / 2)
+    v_new = velocity + (0.0, g * dt)
     low = raw < lo
     bounced = low | (raw > hi)
     if not bounced.any():  # most steps: no wall reached, so mirroring would change nothing
-        return BallState(position=raw, velocity=v_new), bounced
+        return raw, v_new, bounced
     position = np.where(bounced, 2.0 * np.where(low, lo, hi) - raw, raw)
     if not np.all((lo <= position) & (position <= hi)):
         raise SimulationError("step crossed both walls; state unrecoverable")
-    velocity = np.where(bounced, -e * v_new, v_new)
-    return BallState(position=position, velocity=velocity), bounced
+    return position, np.where(bounced, -e * v_new, v_new), bounced
 
 
 def project_to_pixels(p_physical, cfg: SimConfig) -> np.ndarray:
@@ -185,14 +173,12 @@ def simulate_trajectory(cfg: SimConfig, rng: RandomStream) -> Trajectory:
     Velocities are stored in frame units (px/frame = v * dt / S) so that
     downstream consumers need no further conversion.
     """
-    state = sample_initial_conditions(cfg, rng)
-    positions = np.empty((cfg.frames_per_video, 2))
-    velocities = np.empty((cfg.frames_per_video, 2))
-    flags = np.zeros(cfg.frames_per_video, dtype=bool)
-    positions[0], velocities[0] = state.position, state.velocity
-    for t in range(1, cfg.frames_per_video):
-        state, bounced = step_physical(state, cfg)
-        positions[t], velocities[t] = state.position, state.velocity
+    n = cfg.frames_per_video
+    positions, velocities = np.empty((n, 2)), np.empty((n, 2))
+    flags = np.zeros(n, dtype=bool)
+    positions[0], velocities[0] = sample_initial_conditions(cfg, rng)
+    for t in range(1, n):
+        positions[t], velocities[t], bounced = step_physical(positions[t - 1], velocities[t - 1], cfg)
         flags[t] = bounced.any()
     return Trajectory(positions_px=project_to_pixels(positions, cfg),
                       velocities_fu=velocities * (cfg.dt / cfg.scale), bounce_flags=flags)

@@ -5,10 +5,10 @@ template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
 as a (T, H, W) stack by one correlator call (:func:`ncc_heatmap`) and
-average-pooled to the 112 and 56 grids, mirroring a three-scale pyramid.
-Every stage reads only each frame's band of live rows, which the correlator
-reports and which is widened to whole 4x4 blocks, and keeps the bits of the
-same stage over whole frames; a dense frame's band is the whole frame.
+average-pooled into the ``{scale: maps}`` pyramid of ``POOLING``.  Every
+stage reads only each frame's band of live rows, the correlator's widened to
+whole blocks of the largest pooling factor, and keeps the bits of the same
+stage over whole frames; a dense frame's band is the whole frame.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
@@ -59,6 +59,7 @@ ESTIMATES = {"B": "<f8", "H": "<f8", "P": "<f8", "V": "<f8", "bounce": "<u1"}
 # pyramid scale -> average-pooling factor of its heatmaps from the full-resolution ones
 POOLING = {56: 4, 112: 2, 224: 1}
 SCALES = tuple(POOLING)
+_BLOCK = max(POOLING.values())  # image sizes and row bands come in whole blocks of this side
 METRICS = tuple(f"{name}{s}" for name in ESTIMATES for s in SCALES)
 
 
@@ -181,17 +182,18 @@ def _avg_pool(hm: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def downscale_heatmap(hm224: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Average-pool full-resolution heatmaps (..., H, W) to the 112 and 56 grids.
+def downscale_heatmap(hm224: np.ndarray, rows=None) -> dict[int, np.ndarray]:
+    """``{scale: maps}`` over ``SCALES``: full-resolution heatmaps (..., H, W)
+    average-pooled by each ``POOLING`` factor, the factor-1 entry ``hm224`` itself.
 
-    ``rows``, ``(..., 2)`` ``[start, stop)`` bands in multiples of 4 outside
-    which each map is zero, limits the pooling to the bands; every other
-    pooled pixel is a sum of zeros, so it is written as 0.
+    ``rows``, ``(..., 2)`` ``[start, stop)`` bands in multiples of the largest
+    pooling factor outside which each map is zero, limits the pooling to the
+    bands; every other pooled pixel is a sum of zeros, so it is written as 0.
     """
-    window, first = _band(hm224, rows, least=4)
+    window, first = _band(hm224, rows, least=_BLOCK)
     h = hm224.shape[-2]
-    return tuple(_unband(_avg_pool(window, k), first // k, h // k, axis=-2)
-                 for k in (POOLING[112], POOLING[56]))
+    return {s: hm224 if k == 1 else _unband(_avg_pool(window, k), first // k, h // k, axis=-2)
+            for s, k in POOLING.items()}
 
 
 def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
@@ -239,25 +241,26 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     n_frames = len(video.frames)
     if n_frames < 3:
         raise ValueError("tracking needs at least 3 frames")
-    if cfg.image_size % 4 != 0:
-        raise ValueError(f"image size {cfg.image_size} is not divisible by 4, which the 2x and 4x "
-                         "pooling of the heatmap pyramid needs")
+    if cfg.image_size % _BLOCK != 0:
+        factors = " and ".join(f"{k}x" for k in sorted(POOLING.values()) if k > 1)
+        raise ValueError(f"image size {cfg.image_size} is not divisible by {_BLOCK}, which the "
+                         f"{factors} pooling of the heatmap pyramid needs")
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
     bands = np.empty((n_frames, 2), int)
     hm224 = ncc_heatmap(_detector_frames(video.frames, temporal_mean), template, bands)
-    rows = np.stack([bands[:, 0] // 4 * 4, -(-bands[:, 1] // 4) * 4], axis=-1)  # whole 4x4 blocks
-    hm112, hm56 = downscale_heatmap(hm224, rows)
+    rows = np.stack([bands[:, 0] // _BLOCK, -(-bands[:, 1] // _BLOCK)], axis=-1) * _BLOCK  # whole blocks
+    pyramid = downscale_heatmap(hm224, rows)
 
     windows = window_index(n_frames)
     predictions = {}
-    for (s, k), heatmaps in zip(POOLING.items(), (hm56, hm112, hm224)):
+    for s, k in POOLING.items():
         # the operator is looked up on each call, not kept in a table, so that a wrapper
         # put in heatmaps' namespace (a tracer's) is the one called
         band = rows // k
-        b = float(k) * expectation_for_scale(s)(heatmaps, band)[windows]
-        h = float(k) * hard_argmax(heatmaps, band)[windows]
+        b = float(k) * expectation_for_scale(s)(pyramid[s], band)[windows]
+        h = float(k) * hard_argmax(pyramid[s], band)[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,
                           "bounce": win.bounced}

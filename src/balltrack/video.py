@@ -16,9 +16,9 @@ A tensor record is ``b"PITD"``, u32 version, u32 ndims, ndims x u64 shape,
 then the row-major little-endian payload.  Element type is fixed by the
 record's position in the file, listed above and in ``_FILES``, the one table
 that :func:`write_dataset` and :func:`read_dataset` loop over.  A split is
-valid when its records have the shapes listed above, with T =
-frames_per_video and H = W = image_size from the config and N >= 1: both
-check this one rule, :func:`_record_shapes`.
+valid when its records have the shapes listed above (T = frames_per_video,
+H = W = image_size from the config, N >= 1) and its bounce flags are 0 or
+1: both check these rules, :func:`_record_shapes` and :func:`_binary_flags`.
 """
 
 from __future__ import annotations
@@ -161,6 +161,10 @@ def _record_shapes(cfg: SimConfig) -> dict[str, tuple[int, ...]]:
             "velocities_fu": (t, 2), "bounce_flags": (t,)}
 
 
+def _binary_flags(flags) -> bool:
+    return bool(np.isin(flags, (0, 1)).all())
+
+
 def _records(seq: VideoSequence) -> dict:
     """One sequence's records by name (see ``_FILES``)."""
     return {"frames": seq.frames, **vars(seq.trajectory)}
@@ -223,17 +227,19 @@ def _check_at_end(fh, path) -> None:
         raise TrailingBytesError(f"{path}: {extra} bytes after the last record")
 
 
-def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> None:
-    """Persist one split; the manifest is (re)written with every call.
+def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> list[Path]:
+    """Persist one split and return the paths written, the split's files then
+    the manifest; the manifest is (re)written with every call.
 
     A split name outside ``SPLITS``, an empty split, or one with a sequence
-    whose records are not the shapes :func:`_record_shapes` gives for ``cfg``,
-    is rejected before the directory is touched, and so is a directory whose
-    manifest holds another configuration (:func:`existing_manifest`), so a
-    rejected write leaves the directory as it was.  The split files and the
-    manifest are written under temporary names in the same directory and
-    then renamed over the old ones, so a write that fails part-way leaves the
-    previous files whole and no temporary file behind.
+    whose records are not the shapes :func:`_record_shapes` gives for ``cfg``
+    or whose bounce flags are not all 0 or 1, is rejected before the
+    directory is touched, and so is a directory whose manifest holds another
+    configuration (:func:`existing_manifest`), so a rejected write leaves the
+    directory as it was.  The split files and the manifest are written under
+    temporary names in the same directory and then renamed over the old
+    ones, so a write that fails part-way leaves the previous files whole and
+    no temporary file behind.
     """
     _check_split(split)
     if not sequences:
@@ -244,6 +250,8 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
         if shapes != tuple(want.values()):
             raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
                                      f"{shapes}, but the config's are {tuple(want.values())}")
+        if not _binary_flags(seq.trajectory.bounce_flags):
+            raise DatasetError(f"{path}: sequence {i} of split {split!r} has bounce flags other than 0 and 1")
     path = Path(path)
     manifest = existing_manifest(path, cfg)
     path.mkdir(parents=True, exist_ok=True)
@@ -267,6 +275,7 @@ def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConf
     finally:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+    return list(targets.values())
 
 
 def existing_manifest(path, cfg: SimConfig) -> dict:
@@ -345,7 +354,7 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
         raise ShapeMismatchError(f"{path}: split {split!r} has records of shapes {shapes}; under the "
                                  f"config, {n} sequences (the frames header's count, which must be at "
                                  f"least 1 and match the manifest's {n_listed}) give {want}")
-    if np.any(arrays["bounce_flags"] > 1):
+    if not _binary_flags(arrays["bounce_flags"]):
         raise DatasetError(f"{paths['truth']}: bounce flags other than 0 and 1")
     arrays["bounce_flags"] = arrays["bounce_flags"].astype(bool)
     return [VideoSequence(frames=frames[i], trajectory=Trajectory(**{k: v[i] for k, v in arrays.items()}))

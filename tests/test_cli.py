@@ -59,6 +59,14 @@ class TestGen:
         assert {name: manifest["config"][name] for name, _ in _SIM_FLAGS.values()} == \
             {name: meta[name] for name, _ in _SIM_FLAGS.values()}
 
+    def test_manifest_lists_every_file_written(self, tmp_path):
+        out = tmp_path / "d"
+        main(["gen", "--out", str(out), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
+        outputs = json.loads((out / "gen_manifest.json").read_text())["outputs"]
+        assert len(outputs) == len(set(outputs)) == 14
+        assert sorted(outputs) == sorted(str(p) for p in out.rglob("*")
+                                         if p.is_file() and p.name != "gen_manifest.json")
+
     def test_both_sigma_levels(self, tmp_path):
         main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
         assert (tmp_path / "d" / "sigma_0").is_dir()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from balltrack.physics import to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.sim import (
-    BallState,
     SimConfig,
     SimulationError,
+    Trajectory,
     project_to_pixels,
     sample_initial_conditions,
     simulate_trajectory,
@@ -98,24 +98,23 @@ class TestInitialConditions:
         hi = cfg.center_max_px * cfg.scale
         assert (lo, hi) == (0.04, pytest.approx(4.42))
         for i in range(200):
-            s = sample_initial_conditions(cfg, _stream(i))
-            assert np.all(s.position >= lo) and np.all(s.position <= hi)
+            position, _ = sample_initial_conditions(cfg, _stream(i))
+            assert np.all(position >= lo) and np.all(position <= hi)
 
     def test_velocity_bounds(self, cfg):
         for i in range(200):
-            s = sample_initial_conditions(cfg, _stream(i))
-            assert np.all(np.abs(s.velocity) <= cfg.v_max)
+            _, velocity = sample_initial_conditions(cfg, _stream(i))
+            assert np.all(np.abs(velocity) <= cfg.v_max)
 
     def test_repeatable_for_same_stream_state(self, cfg):
         a = sample_initial_conditions(cfg, _stream(3))
         b = sample_initial_conditions(cfg, _stream(3))
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.velocity, b.velocity)
+        assert np.array_equal(a, b)
 
     def test_positions_cover_the_region(self, cfg):
         lo = cfg.center_min_px * cfg.scale
         hi = cfg.center_max_px * cfg.scale
-        xs = np.array([sample_initial_conditions(cfg, _stream(i)).position[0] for i in range(400)])
+        xs = np.array([sample_initial_conditions(cfg, _stream(i))[0][0] for i in range(400)])
         # both outer tenths of the interval get hit
         width = hi - lo
         assert xs.min() < lo + 0.1 * width and xs.max() > hi - 0.1 * width
@@ -124,58 +123,52 @@ class TestInitialConditions:
 class TestStep:
     def test_free_fall_displacement(self, cfg):
         # from rest, one step falls (g/2) dt^2 = 0.007848 m = 0.3924 px
-        state = BallState(np.array([2.0, 2.0]), np.array([0.0, 0.0]))
-        new, (bx, by) = step_physical(state, cfg)
+        p, v, (bx, by) = step_physical(np.array([2.0, 2.0]), np.array([0.0, 0.0]), cfg)
         assert not bx and not by
-        dy = new.position[1] - 2.0
+        dy = p[1] - 2.0
         assert dy == pytest.approx(0.007848, abs=1e-15)
         assert dy / cfg.scale == pytest.approx(0.3924, abs=1e-12)
-        assert new.velocity[1] == pytest.approx(cfg.gravity * cfg.dt)
+        assert v[1] == pytest.approx(cfg.gravity * cfg.dt)
 
     def test_horizontal_wall_reflection_scales_velocity(self, cfg):
         # vx has no acceleration: a 10 m/s wall hit rebounds at -7.5 m/s
         hi = cfg.center_max_px * cfg.scale
-        state = BallState(np.array([hi - 0.05, 2.0]), np.array([10.0, 0.0]))
-        new, (bx, by) = step_physical(state, cfg)
+        _, v, (bx, by) = step_physical(np.array([hi - 0.05, 2.0]), np.array([10.0, 0.0]), cfg)
         assert bx and not by
-        assert new.velocity[0] == pytest.approx(-7.5)
+        assert v[0] == pytest.approx(-7.5)
 
     def test_floor_reflection_uses_post_step_velocity(self, cfg):
         hi = cfg.center_max_px * cfg.scale
         vy = 10.0
-        state = BallState(np.array([2.0, hi - 0.1]), np.array([0.0, vy]))
-        new, (bx, by) = step_physical(state, cfg)
+        p, v, (bx, by) = step_physical(np.array([2.0, hi - 0.1]), np.array([0.0, vy]), cfg)
         assert by and not bx
         # overshoot mirrored about the floor; velocity is the reflected
         # post-step velocity -e (vy + g dt)
         raw = (hi - 0.1) + vy * cfg.dt + 0.5 * cfg.gravity * cfg.dt**2
-        assert new.position[1] == pytest.approx(2 * hi - raw, abs=1e-12)
-        assert new.velocity[1] == pytest.approx(-0.75 * (vy + cfg.gravity * cfg.dt), abs=1e-12)
+        assert p[1] == pytest.approx(2 * hi - raw, abs=1e-12)
+        assert v[1] == pytest.approx(-0.75 * (vy + cfg.gravity * cfg.dt), abs=1e-12)
 
     def test_elastic_wall_hit_preserves_speed(self):
         cfg = SimConfig(restitution=1.0)
         hi = cfg.center_max_px * cfg.scale
-        state = BallState(np.array([hi - 0.01, 2.0]), np.array([8.0, 0.0]))
-        new, (bx, _) = step_physical(state, cfg)
+        _, v, (bx, _) = step_physical(np.array([hi - 0.01, 2.0]), np.array([8.0, 0.0]), cfg)
         assert bx
-        assert abs(new.velocity[0]) == pytest.approx(8.0)
-        assert new.velocity[0] < 0
+        assert abs(v[0]) == pytest.approx(8.0)
+        assert v[0] < 0
 
     def test_double_crossing_raises(self, cfg):
         # mirroring about the far wall would land below the near wall
-        state = BallState(np.array([0.1, 0.1]), np.array([250.0, 0.0]))
         with pytest.raises(SimulationError):
-            step_physical(state, cfg)
+            step_physical(np.array([0.1, 0.1]), np.array([250.0, 0.0]), cfg)
 
     def test_corner_hit_bounces_both_axes_in_one_step(self, cfg):
         # left wall (lo = 0.04 m) and floor (hi = 4.42 m) in the same step
-        state = BallState(np.array([0.09, 4.32]), np.array([-10.0, 10.0]))
-        new, bounced = step_physical(state, cfg)
+        p, v, bounced = step_physical(np.array([0.09, 4.32]), np.array([-10.0, 10.0]), cfg)
         assert bounced.tolist() == [True, True]
         # raw (-0.31, 4.727848) mirrored to (2 lo + 0.31, 2 hi - 4.727848)
-        assert new.position == pytest.approx([0.39, 4.112152], abs=1e-12)
+        assert p == pytest.approx([0.39, 4.112152], abs=1e-12)
         # post-step velocity (-10, 10 + g dt) scaled by -e on both axes
-        assert new.velocity == pytest.approx([7.5, -7.7943], abs=1e-12)
+        assert v == pytest.approx([7.5, -7.7943], abs=1e-12)
 
     @settings(deadline=None)
     @given(st.data())
@@ -186,15 +179,15 @@ class TestStep:
         p = data.draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2))
         v = data.draw(st.lists(st.floats(-cfg.v_max, cfg.v_max), min_size=2, max_size=2))
         try:
-            new, bounced = step_physical(BallState(np.array(p), np.array(v)), cfg)
+            new_p, new_v, bounced = step_physical(np.array(p), np.array(v), cfg)
         except SimulationError:
             return
         raw = [p[0] + v[0] * dt, p[1] + v[1] * dt + 0.5 * g * dt * dt]
         v_new = [v[0], v[1] + g * dt]
         for k in range(2):
-            assert lo <= new.position[k] <= hi
+            assert lo <= new_p[k] <= hi
             assert bounced[k] == (not lo <= raw[k] <= hi)
-            assert new.velocity[k] == (-e * v_new[k] if bounced[k] else v_new[k])
+            assert new_v[k] == (-e * v_new[k] if bounced[k] else v_new[k])
 
 
 class TestProjection:
@@ -213,6 +206,10 @@ class TestTrajectory:
         traj = simulate_trajectory(cfg, _stream())
         assert len(traj.positions_px) == len(traj.velocities_fu) == len(traj.bounce_flags) == 40
         assert not traj.bounce_flags[0]
+
+    def test_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(SimulationError, match="^trajectory arrays must share a length$"):
+            Trajectory(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2, bool))
 
     def test_bounce_free_second_difference_is_g_frame(self, cfg):
         g_frame = to_frame_units(cfg).g_frame
@@ -271,33 +268,30 @@ class TestTrajectory:
         threshold = 4 * cfg.gravity * cfg.dt / (1 - cfg.restitution**2)
         floor_m = cfg.center_max_px * cfg.scale
 
-        def energy(state):
-            h = floor_m - state.position[1]
-            return 0.5 * float(state.velocity @ state.velocity) + cfg.gravity * h
+        def energy(p, v):
+            return 0.5 * float(v @ v) + cfg.gravity * (floor_m - p[1])
 
         checked = 0
         for i in range(50):
-            state = sample_initial_conditions(cfg, _stream(i))
+            p, v = sample_initial_conditions(cfg, _stream(i))
             for _ in range(cfg.frames_per_video - 1):
-                e0 = energy(state)
-                impact = np.abs(state.velocity) + cfg.gravity * cfg.dt
-                new, (bx, by) = step_physical(state, cfg)
+                e0 = energy(p, v)
+                impact = np.abs(v) + cfg.gravity * cfg.dt
+                p, v, (bx, by) = step_physical(p, v, cfg)
                 if (bx or by) and impact.min() > threshold:
-                    assert energy(new) <= e0 + 1e-9
+                    assert energy(p, v) <= e0 + 1e-9
                     checked += 1
-                state = new
         assert checked > 20
 
     def test_no_bounce_step_conserves_energy(self, cfg):
         floor_m = cfg.center_max_px * cfg.scale
 
-        def energy(state):
-            h = floor_m - state.position[1]
-            return 0.5 * float(state.velocity @ state.velocity) + cfg.gravity * h
+        def energy(p, v):
+            return 0.5 * float(v @ v) + cfg.gravity * (floor_m - p[1])
 
-        state = BallState(np.array([2.0, 2.0]), np.array([3.0, 1.0]))
+        p, v = np.array([2.0, 2.0]), np.array([3.0, 1.0])
         for _ in range(10):
-            e0 = energy(state)
-            state, (bx, by) = step_physical(state, cfg)
+            e0 = energy(p, v)
+            p, v, (bx, by) = step_physical(p, v, cfg)
             if not (bx or by):
-                assert energy(state) == pytest.approx(e0, abs=1e-9)
+                assert energy(p, v) == pytest.approx(e0, abs=1e-9)

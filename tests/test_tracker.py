@@ -18,6 +18,7 @@ from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig, Trajectory, simulate_trajectory, trajectory_windows, window_index
 from balltrack.tracker import (
     METRICS,
+    SCALES,
     _detector_frames,
     disk_template,
     downscale_heatmap,
@@ -354,8 +355,7 @@ class TestBands:
         for m, (start, stop) in zip(hm, bands):
             assert not m[:start].any() and not m[stop:].any()
         rows = np.stack([bands[:, 0] // 4 * 4, -(-bands[:, 1] // 4) * 4], axis=-1)
-        maps = (hm, *downscale_heatmap(hm, rows))
-        for k, m in zip((1, 2, 4), maps):
+        for k, m in zip((4, 2, 1), downscale_heatmap(hm, rows).values()):
             assert m.tobytes() == _reference_pool(hm, k).tobytes()
             assert hard_argmax(m, rows // k).tolist() == _reference_argmax(m).tolist()
 
@@ -437,22 +437,28 @@ def test_bench_tracer_sees_every_stage_of_track_sequence():
 
 
 class TestPooling:
+    def test_pyramid_holds_every_scale_and_the_input_itself(self, rng_np):
+        hm = rng_np.uniform(size=(2, 16, 16))
+        pyramid = downscale_heatmap(hm)
+        assert tuple(pyramid) == SCALES
+        assert pyramid[224] is hm
+
     def test_uniform_pools_to_uniform(self):
         hm = np.full((224, 224), 0.7)
-        h112, h56 = downscale_heatmap(hm)
+        h56, h112, _ = downscale_heatmap(hm).values()
         assert np.allclose(h112, 0.7) and np.allclose(h56, 0.7)
         assert h112.shape == (112, 112) and h56.shape == (56, 56)
 
     def test_mean_pooling_mass_ratio(self, rng_np):
         hm = rng_np.uniform(size=(224, 224))
-        h112, h56 = downscale_heatmap(hm)
+        h56, h112, _ = downscale_heatmap(hm).values()
         assert h112.sum() == pytest.approx(hm.sum() / 4)
         assert h56.sum() == pytest.approx(hm.sum() / 16)
 
     def test_peak_maps_to_floored_coordinates(self):
         hm = np.zeros((224, 224))
         hm[101, 57] = 1.0
-        h112, h56 = downscale_heatmap(hm)
+        h56, h112, _ = downscale_heatmap(hm).values()
         assert np.unravel_index(np.argmax(h112), h112.shape) == (50, 28)
         assert np.unravel_index(np.argmax(h56), h56.shape) == (25, 14)
 
@@ -461,16 +467,16 @@ class TestStacks:
     @pytest.mark.parametrize("k", (2, 4))
     def test_strided_pooling_is_bitwise_reshape_mean(self, rng_np, k):
         stack = rng_np.uniform(size=(6, 224, 224)) * (rng_np.random((6, 224, 224)) > 0.3)
-        pooled = downscale_heatmap(stack)[k // 4]
+        pooled = downscale_heatmap(stack)[224 // k]
         reference = stack.reshape(6, 224 // k, k, 224 // k, k).mean(axis=(-3, -1))
         assert pooled.tobytes() == reference.tobytes()
 
     def test_pooling_a_stack_equals_pooling_each_frame(self, rng_np):
         stack = rng_np.uniform(size=(3, 224, 224))
-        h112, h56 = downscale_heatmap(stack)
+        pyramid = downscale_heatmap(stack)
         for t in range(3):
-            f112, f56 = downscale_heatmap(stack[t])
-            assert h112[t].tobytes() == f112.tobytes() and h56[t].tobytes() == f56.tobytes()
+            for s, maps in downscale_heatmap(stack[t]).items():
+                assert pyramid[s][t].tobytes() == maps.tobytes()
 
     def test_temporal_mean_matches_per_frame_definition(self, rng_np):
         frames = rng_np.normal(size=(5, 16, 16)).astype(np.float32)
@@ -590,6 +596,11 @@ class TestEvaluate:
         preds[224] = {key: w[:-1] for key, w in preds[224].items()}
         with pytest.raises(ValueError):
             evaluate(preds, traj)
+
+    def test_two_frame_truth_rejected(self):
+        two = Trajectory(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2, bool))
+        with pytest.raises(ValueError, match="^evaluation needs at least 3 frames$"):
+            evaluate({}, two)
 
 
 class TestTrackSplit:

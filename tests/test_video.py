@@ -424,6 +424,22 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="test_truth.bin: bounce flags other than 0 and 1"):
             read_dataset(tmp_path, "test")
 
+    @pytest.mark.parametrize("flags", [[0, 2, 1], [0, -1, 0], [0.0, 0.7, 1.0]])
+    def test_bounce_flags_other_than_zero_or_one_rejected_before_writing(self, tmp_path, flags):
+        # a 0.7 would be written as 0, and the split would load cleanly but wrong
+        cfg = SimConfig(image_size=36, frames_per_video=3, n_test=2)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        seqs = generate_split(cfg, "test")
+        seqs[1] = replace(seqs[1], trajectory=replace(seqs[1].trajectory, bounce_flags=np.array(flags)))
+        with pytest.raises(DatasetError, match="sequence 1 of split 'test' has bounce flags other than 0 and 1"):
+            write_dataset(tmp_path, "test", seqs, cfg)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        with pytest.raises(DatasetError):
+            write_dataset(fresh, "test", seqs, cfg)
+        assert not fresh.exists()
+
     @pytest.mark.parametrize("split", ["../escaped", "bogus"])
     def test_generate_rejects_an_unknown_split(self, small_cfg, split):
         with pytest.raises(ValueError, match=f"unknown split {re.escape(repr(split))}"):
