@@ -23,13 +23,13 @@ exact = np.array([
 ])
 win = physics_refine_window(exact, params)
 print("exact ballistic window is a fixed point:")
-print(f"  max |refined - landmark| = {np.abs(win.positions - exact).max():.2e} px")
+print(f"  max |refined - landmark| = {np.abs(win.positions_px - exact).max():.2e} px")
 
 # jitter the middle landmark: the refinement ignores it and stays on the
 # parabola through the endpoints
 noisy = exact + np.array([(0.0, 0.0), (0.8, -1.1), (0.0, 0.0)])
 win = physics_refine_window(noisy, params)
-pos = win.positions
+pos = win.positions_px
 print("\nmiddle landmark jittered by (0.8, -1.1) px:")
 print(f"  refined middle frame ({pos[1][0]:.3f}, {pos[1][1]:.3f}) "
       f"vs clean ({exact[1][0]:.3f}, {exact[1][1]:.3f})")
@@ -37,7 +37,7 @@ print(f"  refined middle frame ({pos[1][0]:.3f}, {pos[1][1]:.3f}) "
 # a window straddling the floor: the integrator detects and reflects
 drop = np.array([(100.0, 215.0), (100.0, 219.5), (100.0, 218.0)])
 win = physics_refine_window(drop, params)
-pos, vel, bounced = win.positions, win.velocities, win.bounced
+pos, vel, bounced = win.positions_px, win.velocities_fu, win.bounce_flags
 print(f"\nfloor-straddling window: bounce indicators {bounced.tolist()}")
 print(f"  refined positions y: {[f'{p[1]:.2f}' for p in pos]}")
 print(f"  velocities vy:       {[f'{v[1]:+.2f}' for v in vel]}")
@@ -46,7 +46,7 @@ print(f"  velocities vy:       {[f'{v[1]:+.2f}' for v in vel]}")
 # (..., 6) landmarks to (..., 12) refined positions then velocities
 def f(x):
     win = physics_refine_window(x.reshape(*x.shape[:-1], 3, 2), params)
-    return ad.stack([win.positions, win.velocities], axis=-3).reshape(*x.shape[:-1], 12)
+    return ad.stack([win.positions_px, win.velocities_fu], axis=-3).reshape(*x.shape[:-1], 12)
 
 
 x = exact.ravel()

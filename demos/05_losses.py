@@ -21,6 +21,7 @@ from balltrack.losses import (
     total_loss,
 )
 from balltrack.physics import physics_refine_window
+from balltrack.sim import Trajectory
 
 cfg = SimConfig()
 params = to_frame_units(cfg)
@@ -45,7 +46,8 @@ for delta in (0.25, 0.5, 1.0):
     val = float(physics_consistency_loss(physics_refine_window(bumped, params), bumped))
     print(f"  middle frame bumped {delta:4.2f} px in y -> {val:.4f}")
 
-sup = physics_supervised_loss(win, win.positions + 1.0, win.velocities, np.zeros(3))
+truth = Trajectory(win.positions_px + 1.0, win.velocities_fu, np.zeros(3, bool))
+sup = physics_supervised_loss(win, truth)
 print(f"supervised loss, 1 px offset everywhere: {float(sup):.4f}")
 
 print("\nramp schedules (consistency: floor 0.01 over 10 epochs; "

@@ -7,11 +7,12 @@ their physics-refined counterparts, and a supervised term comparing physics
 outputs to simulator ground truth.  Physics losses are typically ramped in
 over the first epochs; ``ramp_weight`` gives the schedule.
 
-Image losses take ``(..., H, W)`` maps and physics losses ``(..., 3, 2)``
-windows; leading axes are a batch and each returns one value per map or
-window.  All losses accept duals (see :mod:`balltrack.autodiff`) wherever
-the quantity is differentiable, and every loss is zero on its exact-match
-input (up to the focal clamping tolerance).
+Image losses take ``(..., H, W)`` maps and physics losses 3-frame windows,
+as :class:`~balltrack.sim.Trajectory` (the refinement's output and the
+simulator's truth) or as ``(..., 3, 2)`` landmarks; leading axes are a batch
+and each returns one value per map or window.  All losses accept duals (see
+:mod:`balltrack.autodiff`) wherever the quantity is differentiable, and every
+loss is zero on its exact-match input (up to the focal clamping tolerance).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .heatmaps import _gaussian
-from .physics import PhysicsWindow
+from .sim import Trajectory
 
 __all__ = [
     "LossWeights",
@@ -121,7 +122,7 @@ def focal_heatmap_loss(hm, target):
     return -(ad.asum(pos_term, _MAP) + ad.asum(neg_term, _MAP)) / n_pos
 
 
-def physics_consistency_loss(window: PhysicsWindow, landmarks, last_frame_only: bool = False):
+def physics_consistency_loss(window: Trajectory, landmarks, last_frame_only: bool = False):
     """Unsupervised physics loss: landmarks vs. their refined counterparts.
 
     ``window`` is the physics refinement of ``landmarks``, an ``(..., 3, 2)``
@@ -131,30 +132,32 @@ def physics_consistency_loss(window: PhysicsWindow, landmarks, last_frame_only: 
     ``last_frame_only`` just the final frame contributes, a cheaper variant
     that skips the frames the integrator interpolates exactly.
     """
-    gap = ad.absolute(window.positions - landmarks)
+    gap = ad.absolute(window.positions_px - landmarks)
     if last_frame_only:
         gap = gap[..., 2:, :]
     return ad.asum(gap, _MAP) / gap.shape[-2]
 
 
-def physics_supervised_loss(window: PhysicsWindow, gt_positions, gt_velocities, gt_bounces,
-                            bounce_weight: float = 0.01, bounce_bce: bool = False):
+def physics_supervised_loss(window: Trajectory, truth: Trajectory, bounce_weight: float = 0.01,
+                            bounce_bce: bool = False):
     """Supervised physics loss of each window against simulator ground truth.
 
+    ``window`` is the physics refinement and ``truth`` the simulator's
+    windows, both :class:`~balltrack.sim.Trajectory` of ``(..., 3)`` frames.
     Position and velocity terms are mean absolute errors over the (3, 2)
     window entries; the bounce term compares indicators as 0/1 values,
     either as a weighted L1 (default) or as a clamped BCE.
     """
-    gt_bounces = np.asarray(gt_bounces, dtype=float)
-    pos = ad.asum(ad.absolute(window.positions - np.asarray(gt_positions, dtype=float)), _MAP) / 6.0
-    vel = ad.asum(ad.absolute(window.velocities - np.asarray(gt_velocities, dtype=float)), _MAP) / 6.0
+    gt_b = np.asarray(truth.bounce_flags, dtype=float)
+    pos = ad.asum(ad.absolute(window.positions_px - np.asarray(truth.positions_px, float)), _MAP) / 6.0
+    vel = ad.asum(ad.absolute(window.velocities_fu - np.asarray(truth.velocities_fu, float)), _MAP) / 6.0
 
-    b_pred = np.asarray(window.bounced, dtype=float)
+    b_pred = np.asarray(window.bounce_flags, dtype=float)
     if bounce_bce:
         p = np.clip(b_pred, _FOCAL_CLAMP, 1.0 - _FOCAL_CLAMP)
-        bounce = np.mean(-(gt_bounces * np.log(p) + (1.0 - gt_bounces) * np.log(1.0 - p)), axis=-1)
+        bounce = np.mean(-(gt_b * np.log(p) + (1.0 - gt_b) * np.log(1.0 - p)), axis=-1)
     else:
-        bounce = np.mean(np.abs(b_pred - gt_bounces), axis=-1)
+        bounce = np.mean(np.abs(b_pred - gt_b), axis=-1)
     return pos + vel + bounce_weight * bounce
 
 

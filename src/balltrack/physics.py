@@ -14,7 +14,8 @@ bounce are replaced by the exact constant-gravity parabola through the two
 endpoint landmarks.
 
 Landmarks, velocities and gravity ``(0, g)`` are ``(..., 2)``, (x, y) on the
-last axis, and a window is ``(..., 3, 2)``, leading axes a batch.  One code
+last axis; a landmark window is ``(..., 3, 2)``, leading axes a batch, and a
+refined one the simulator's :class:`~balltrack.sim.Trajectory`.  One code
 path serves arrays and duals alike: branches select by value with
 :func:`~balltrack.autodiff.where`, so derivatives follow the branch
 actually taken and all outputs are differentiable in the input landmarks.
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .sim import SimConfig
+from .sim import SimConfig, Trajectory
 
 __all__ = [
     "FrameUnitParams",
-    "PhysicsWindow",
     "to_frame_units",
     "init_velocity",
     "verlet_step_with_bounce",
@@ -49,20 +49,6 @@ class FrameUnitParams:
     center_min: float       # valid region for the ball center, both axes [px]
     center_max: float
     v_max_frame: float      # px/frame
-
-
-@dataclass
-class PhysicsWindow:
-    """Physics outputs for 3-frame windows (frame-unit px, px/frame).
-
-    positions/velocities are ``(..., 3, 2)`` arrays (duals for dual input);
-    bounced is ``(..., 3)`` bool, and ``bounced[..., 0]`` is always False
-    because no step precedes the first frame.
-    """
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    bounced: np.ndarray
 
 
 def to_frame_units(cfg: SimConfig) -> FrameUnitParams:
@@ -120,13 +106,16 @@ def smooth_correction(p_tm1, p_tp1, params: FrameUnitParams):
     return positions, v0[..., None, :] + kick
 
 
-def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
+def physics_refine_window(landmarks, params: FrameUnitParams) -> Trajectory:
     """Refine landmark windows into physically consistent ones.
 
     ``landmarks`` is an ``(..., 3, 2)`` array or dual of (x, y) positions in
     image-scale pixel coordinates.  The first position passes through
     unchanged; the other two come from the integrator, or from the exact
-    parabola when neither step detected a bounce.
+    parabola when neither step detected a bounce.  Returns the window as a
+    :class:`~balltrack.sim.Trajectory`: ``(..., 3, 2)`` positions and
+    velocities (duals for dual input) and ``(..., 3)`` bool bounce flags,
+    whose first is always False because no step precedes the first frame.
     """
     p0, p1_in, p2_in = (landmarks[..., t, :] for t in range(3))
     v0 = init_velocity(p0, p1_in)
@@ -137,6 +126,6 @@ def physics_refine_window(landmarks, params: FrameUnitParams) -> PhysicsWindow:
     smooth_pos, smooth_vel = smooth_correction(p0, p2_in, params)
 
     positions = ad.where(either, ad.stack([p0, p1, p2], axis=-2), smooth_pos)
-    return PhysicsWindow(positions=ad.clip(positions, params.center_min, params.center_max),
-                         velocities=ad.where(either, ad.stack([v0, v1, v2], axis=-2), smooth_vel),
-                         bounced=np.stack([np.zeros_like(b1), b1, b2], axis=-1))
+    return Trajectory(positions_px=ad.clip(positions, params.center_min, params.center_max),
+                      velocities_fu=ad.where(either, ad.stack([v0, v1, v2], axis=-2), smooth_vel),
+                      bounce_flags=np.stack([np.zeros_like(b1), b1, b2], axis=-1))

@@ -24,7 +24,7 @@ from .heatmaps import (
 from .losses import physics_consistency_loss, physics_supervised_loss
 from .physics import init_velocity, physics_refine_window, to_frame_units, verlet_step_with_bounce
 from .rng import RandomStream
-from .sim import SimConfig, simulate_trajectory, trajectory_windows
+from .sim import SimConfig, Trajectory, simulate_trajectory, trajectory_windows
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-4
@@ -34,7 +34,7 @@ def _window_fn(params, physics_window=physics_refine_window):
     """(..., 6) landmarks -> (..., 12) refined positions then velocities."""
     def f(x):
         win = physics_window(x.reshape(*x.shape[:-1], 3, 2), params)
-        return ad.stack([win.positions, win.velocities], axis=-3).reshape(*x.shape[:-1], 12)
+        return ad.stack([win.positions_px, win.velocities_fu], axis=-3).reshape(*x.shape[:-1], 12)
 
     return f
 
@@ -74,7 +74,7 @@ def interior_probe_windows(params, n, rng: RandomStream):
     return probes.reshape(-1, 6)
 
 
-def _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window):
+def _l1_kink_margin(x, params, truth: Trajectory, physics_window):
     """Per window, the smallest |argument| among the L1 terms of both losses.
 
     The losses are differentiable except where an L1 argument crosses zero.
@@ -82,15 +82,15 @@ def _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window):
     unchanged are identically zero (both derivative methods agree there by
     symmetry), so they are excluded: frame 0 always, and frame 2 on the
     parabola branch, which ends at the last landmark.  ``x`` is ``(P, 6)``,
-    the ground truth ``(P, 1, 3, 2)``; the result is ``(P,)``.
+    the ground truth ``(P, 1, 3)`` frames; the result is ``(P,)``.
     """
-    lms = x.reshape(gt_pos.shape)
+    lms = x.reshape(truth.positions_px.shape)
     win = physics_window(lms, params)
-    bounced = win.bounced[..., 1] | win.bounced[..., 2]
+    bounced = win.bounce_flags[..., 1] | win.bounce_flags[..., 2]
     moved = np.stack([np.zeros_like(bounced), np.ones_like(bounced), bounced], axis=-1)
-    gaps = np.concatenate([np.where(moved[..., None], np.abs(win.positions - lms), np.inf),
-                           np.abs(win.positions - gt_pos), np.abs(win.velocities - gt_vel)], axis=-2)
-    return np.min(gaps, axis=(-3, -2, -1))
+    gaps = [np.where(moved[..., None], np.abs(win.positions_px - lms), np.inf),
+            np.abs(win.positions_px - truth.positions_px), np.abs(win.velocities_fu - truth.velocities_fu)]
+    return np.min(np.concatenate(gaps, axis=-2), axis=(-3, -2, -1))
 
 
 def _jacobian_errors(f, x, cols=None):
@@ -122,10 +122,11 @@ def check_parabola_fixed_point(physics_window=physics_refine_window):
     params = to_frame_units(cfg)
     trajectories = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
                     for i in range(20))
-    pos, _, flags = (np.concatenate(a) for a in zip(*map(trajectory_windows, trajectories)))
+    windows = trajectory_windows(Trajectory(*map(np.stack, zip(*(vars(t).values() for t in trajectories)))))
+    pos, flags = windows.positions_px, windows.bounce_flags
     # bounce-free windows; integrator overshoot could graze the floor
-    pos = pos[~(flags[:, 1] | flags[:, 2]) & (pos[..., 1].max(axis=-1) <= params.center_max - params.g_frame)]
-    refined = physics_window(pos, params).positions
+    pos = pos[~flags[..., 1:].any(axis=-1) & (pos[..., 1].max(axis=-1) <= params.center_max - params.g_frame)]
+    refined = physics_window(pos, params).positions_px
     worst = float(np.max(np.abs(refined - pos), initial=0.0))
     passed = len(pos) > 0 and worst < 1e-9
     return ("parabola fixed point", passed, f"{len(pos)} windows, worst |err| {worst:.3e}")
@@ -164,12 +165,12 @@ def check_gradients(trials: int = 100, physics_window=physics_refine_window):
         results.append(_gradient_result(f"{name} expectation", errors))
 
     x = interior_probe_windows(params, trials, rng.spawn("losses"))
-    gt_pos = x.reshape(-1, 1, 3, 2) + 0.5
-    gt_vel = np.diff(gt_pos, axis=-2, prepend=gt_pos[..., :1, :]) + 0.2
-    gt_b = np.array([0.0, 0.0, 1.0])
+    positions = x.reshape(-1, 1, 3, 2) + 0.5
+    truth = Trajectory(positions, np.diff(positions, axis=-2, prepend=positions[..., :1, :]) + 0.2,
+                       np.broadcast_to([0.0, 0.0, 1.0], positions.shape[:-1]))
     # |.| arguments too close to zero for a clean stencil drop their probe
-    keep = _l1_kink_margin(x, params, gt_pos, gt_vel, physics_window) >= 10 * FD_STEP
-    x, gt_pos, gt_vel = x[keep], gt_pos[keep], gt_vel[keep]
+    keep = _l1_kink_margin(x, params, truth, physics_window) >= 10 * FD_STEP
+    x, truth = x[keep], Trajectory(*(a[keep] for a in vars(truth).values()))
 
     def fc(z):
         landmarks = z.reshape(*z.shape[:-1], 3, 2)
@@ -177,7 +178,7 @@ def check_gradients(trials: int = 100, physics_window=physics_refine_window):
 
     def fs(z):
         win = physics_window(z.reshape(*z.shape[:-1], 3, 2), params)
-        return ad.stack([physics_supervised_loss(win, gt_pos, gt_vel, gt_b)])
+        return ad.stack([physics_supervised_loss(win, truth)])
 
     for name, fn in (("physics consistency loss", fc), ("physics supervised loss", fs)):
         results.append(_gradient_result(name, _jacobian_errors(fn, x)))
@@ -192,8 +193,8 @@ def check_unit_scaling(physics_window=physics_refine_window):
 
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-units")
     lms = interior_probe_windows(params, 50, rng).reshape(-1, 3, 2)
-    p1 = physics_window(lms, params).positions
-    p2 = physics_window(lms / 2, params2).positions
+    p1 = physics_window(lms, params).positions_px
+    p2 = physics_window(lms / 2, params2).positions_px
     worst = float(np.max(np.abs(p2 - p1 / 2)))
     passed = worst < 1e-9
     return ("unit scaling consistency", passed, f"worst |err| {worst:.3e}")

@@ -11,9 +11,9 @@ Boundary convention: the ball center is confined to ``[r, W-1-r]`` pixels on
 each axis (the last valid pixel index is ``W-1``); an edge touch reflects.
 Reflections mirror the position overshoot about the wall and rescale the
 post-step velocity component by ``-e``.  Collisions are resolved per step,
-not at the exact sub-step impact time.  Ground truth leaves the module as
-window arrays too: :func:`trajectory_windows` gathers every 3-frame window
-through the one ``(T-2, 3)`` index of :func:`window_index`.
+not at the exact sub-step impact time.  Ground truth leaves the module as a
+:class:`Trajectory`, the type the physics refinement returns too; its 3-frame
+windows come from :func:`trajectory_windows`, through :func:`window_index`.
 """
 
 from __future__ import annotations
@@ -113,11 +113,12 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Per-frame ground truth in image units.
+    """Ground truth or a physics estimate in image units: a sequence, a
+    3-frame window or a stack of either; the vectors may be duals.
 
-    positions_px: (T, 2) ball center [px]
-    velocities_fu: (T, 2) velocity [px/frame]
-    bounce_flags: (T,) True when a reflection occurred during the step
+    positions_px: (..., T, 2) ball center [px]
+    velocities_fu: (..., T, 2) velocity [px/frame]
+    bounce_flags: (..., T) True when a reflection occurred during the step
         ending at that frame; frame 0 is always False.
     """
 
@@ -126,10 +127,9 @@ class Trajectory:
     bounce_flags: np.ndarray
 
     def __post_init__(self):
-        if not (
-            len(self.positions_px) == len(self.velocities_fu) == len(self.bounce_flags)
-        ):
-            raise SimulationError("trajectory arrays must share a length")
+        p, v, b = np.shape(self.positions_px), np.shape(self.velocities_fu), np.shape(self.bounce_flags)
+        if not p == v == (*b, 2):
+            raise SimulationError(f"trajectory positions {p} and velocities {v} do not fit bounce flags {b}")
 
     def __len__(self):
         return len(self.positions_px)
@@ -190,8 +190,9 @@ def window_index(n_frames: int) -> np.ndarray:
     return np.arange(n_frames - 2)[:, None] + np.arange(3)
 
 
-def trajectory_windows(traj: Trajectory):
-    """(T-2, 3, 2) positions, (T-2, 3, 2) velocities and (T-2, 3) bounce
-    flags of the trajectory's windows (see :func:`window_index`)."""
-    index = window_index(len(traj))
-    return traj.positions_px[index], traj.velocities_fu[index], traj.bounce_flags[index]
+def trajectory_windows(traj: Trajectory) -> Trajectory:
+    """The ``(..., T-2, 3)`` windows of the trajectory's last frame axis (see
+    :func:`window_index`), ``(..., T-2, 3, 2)`` vectors."""
+    index = window_index(np.shape(traj.bounce_flags)[-1])
+    return Trajectory(traj.positions_px[..., index, :], traj.velocities_fu[..., index, :],
+                      traj.bounce_flags[..., index])

@@ -262,8 +262,8 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
         b = float(k) * expectation_for_scale(s)(pyramid[s], band)[windows]
         h = float(k) * hard_argmax(pyramid[s], band)[windows]
         win = physics_refine_window(b, params)
-        predictions[s] = {"B": b, "H": h, "P": win.positions, "V": win.velocities,
-                          "bounce": win.bounced}
+        predictions[s] = {"B": b, "H": h, "P": win.positions_px, "V": win.velocities_fu,
+                          "bounce": win.bounce_flags}
     return predictions
 
 
@@ -272,20 +272,17 @@ def evaluate(predictions: dict[int, dict[str, np.ndarray]], gt: Trajectory) -> d
     position and velocity error, bounce mismatch.
 
     Window arrays ``(..., T-2, 3, 2)`` (bounce ``(..., T-2, 3)``) are scored
-    against ground truth of the same leading shape, ``(..., T, 2)`` and
-    ``(..., T)``; each metric comes back as one array of that leading shape,
-    so one sequence gives 0-d values and a stacked split of N sequences
-    ``(N,)`` ones.  Any other shape raises ``ValueError``: nothing is
-    broadcast.  Each frame is scored by the window in which it is the center
-    frame; the endpoints by the only window that covers them.
+    against a ground-truth :class:`Trajectory` (``(..., T)`` frames) of the
+    same leading shape; each metric comes back as one array of that leading
+    shape, so one sequence gives 0-d values and a stacked split of N
+    sequences ``(N,)`` ones.  A window array of any other shape raises
+    ``ValueError``: nothing is broadcast.  Each frame is scored by the window
+    in which it is the center frame; the endpoints by the only window that
+    covers them.
     """
     *lead, n_frames = np.shape(gt.bounce_flags)
     if n_frames < 3:
         raise ValueError("evaluation needs at least 3 frames")
-    vectors = (*lead, n_frames, 2)
-    if np.shape(gt.positions_px) != vectors or np.shape(gt.velocities_fu) != vectors:
-        raise ValueError(f"ground-truth positions {np.shape(gt.positions_px)} and velocities "
-                         f"{np.shape(gt.velocities_fu)} do not fit bounce flags {(*lead, n_frames)}")
     windows = (*lead, n_frames - 2, 3)
     for s, arrays in predictions.items():
         for key, w in arrays.items():

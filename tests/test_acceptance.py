@@ -80,13 +80,14 @@ def test_criterion_2_parabola_fixed_point(params, test_trajectories):
     worst_pos = 0.0
     worst_loss = 0.0
     for traj in test_trajectories:
-        for pos, _, flags in zip(*trajectory_windows(traj)):
+        windows = trajectory_windows(traj)
+        for pos, flags in zip(windows.positions_px, windows.bounce_flags):
             if flags[1] or flags[2]:
                 continue
             if pos[:, 1].max() > params.center_max - params.g_frame:
                 continue
             win = physics_refine_window(pos, params)
-            refined = win.positions
+            refined = win.positions_px
             worst_pos = max(worst_pos, float(np.max(np.abs(refined - pos))))
             worst_loss = max(worst_loss, float(physics_consistency_loss(win, pos)))
             n += 1
@@ -109,12 +110,13 @@ def test_criterion_3_bounce_oracle(params, test_trajectories):
     fwd_total = fwd_ok = 0
     any_total = any_ok = 0
     for traj in test_trajectories:
-        for pos, _, flags in zip(*trajectory_windows(traj)):
+        windows = trajectory_windows(traj)
+        for pos, flags in zip(windows.positions_px, windows.bounce_flags):
             n_bounce = int(flags[1]) + int(flags[2])
             if n_bounce != 1:
                 continue
             win = physics_refine_window(pos, params)
-            pair_ok = (win.bounced[1] == bool(flags[1])) and (win.bounced[2] == bool(flags[2]))
+            pair_ok = (win.bounce_flags[1] == bool(flags[1])) and (win.bounce_flags[2] == bool(flags[2]))
             any_total += 1
             any_ok += int(pair_ok)
             if flags[2] and not flags[1]:

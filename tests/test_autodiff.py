@@ -78,7 +78,7 @@ class TestJacobians:
         # d v0 / d landmarks is the fixed +-1 differencing stencil
         def f(x):
             win = physics_refine_window(x.reshape(*x.shape[:-1], 3, 2), params)
-            return ad.stack([win.velocities[..., 0, 0], win.velocities[..., 0, 1]])
+            return ad.stack([win.velocities_fu[..., 0, 0], win.velocities_fu[..., 0, 1]])
 
         x = np.array([100.0, 80.0, 104.0, 83.5, 108.0, 88.0])
         j = ad.jacobian_forward(f, x)
@@ -137,7 +137,7 @@ class TestJacobians:
 
     @staticmethod
     def _assert_inside_one_branch(lms, params):
-        assert not physics_refine_window(lms, params).bounced.any()
+        assert not physics_refine_window(lms, params).bounce_flags.any()
         v0 = lms[:, 1] - lms[:, 0]
         g = np.array([0.0, params.g_frame])
         states = np.concatenate([lms, (lms[:, 0] + v0 + g / 2)[:, None],
@@ -166,7 +166,7 @@ class TestJacobians:
         x = np.array([100.0, 210.0, 100.0, 217.0, 100.0, 212.0])
         f = _window_fn(params)
         win = physics_refine_window(x.reshape(3, 2), params)
-        assert win.bounced[1] or win.bounced[2]
+        assert win.bounce_flags[1] or win.bounce_flags[2]
         err = ad.max_relative_error(ad.jacobian_fd(f, x), ad.jacobian_forward(f, x))
         assert err < 1e-4
 

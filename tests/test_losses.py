@@ -14,6 +14,8 @@ from balltrack.losses import (
     total_loss,
 )
 from balltrack.physics import physics_refine_window, to_frame_units
+from balltrack.rng import RandomStream
+from balltrack.sim import Trajectory, simulate_trajectory, trajectory_windows
 
 
 @pytest.fixture(scope="module")
@@ -157,25 +159,23 @@ class TestBatchedPhysicsLosses:
         rng = np.random.default_rng(11)
         lms = _parabola_landmarks(params) + rng.normal(scale=0.7, size=(16, 3, 2))
         lms[:4, :, 1] += 135.0  # near the floor: bounce branch
-        gt_pos = lms + 0.5
-        gt_vel = rng.normal(size=(16, 3, 2))
-        gt_b = rng.integers(0, 2, size=(16, 3))
+        truth = Trajectory(lms + 0.5, rng.normal(size=(16, 3, 2)), rng.integers(0, 2, size=(16, 3)))
         win = physics_refine_window(lms, params)
-        assert win.bounced[:, 1:].any() and not win.bounced[:, 1:].all()
+        assert win.bounce_flags[:, 1:].any() and not win.bounce_flags[:, 1:].all()
         values = {
             "full": physics_consistency_loss(win, lms),
             "last": physics_consistency_loss(win, lms, last_frame_only=True),
-            "sup": physics_supervised_loss(win, gt_pos, gt_vel, gt_b),
-            "bce": physics_supervised_loss(win, gt_pos, gt_vel, gt_b, bounce_bce=True),
+            "sup": physics_supervised_loss(win, truth),
+            "bce": physics_supervised_loss(win, truth, bounce_bce=True),
         }
         assert all(v.shape == (16,) for v in values.values())
         for k in range(16):
             one = physics_refine_window(lms[k], params)
             assert values["full"][k] == physics_consistency_loss(one, lms[k])
             assert values["last"][k] == physics_consistency_loss(one, lms[k], last_frame_only=True)
-            assert values["sup"][k] == physics_supervised_loss(one, gt_pos[k], gt_vel[k], gt_b[k])
-            assert values["bce"][k] == physics_supervised_loss(one, gt_pos[k], gt_vel[k], gt_b[k],
-                                                               bounce_bce=True)
+            one_truth = Trajectory(truth.positions_px[k], truth.velocities_fu[k], truth.bounce_flags[k])
+            assert values["sup"][k] == physics_supervised_loss(one, one_truth)
+            assert values["bce"][k] == physics_supervised_loss(one, one_truth, bounce_bce=True)
 
     def test_image_losses_reduce_per_map(self, rng_np):
         maps = rng_np.uniform(0.05, 0.95, size=(5, 12, 12))
@@ -191,36 +191,50 @@ class TestSupervisedLoss:
     def test_perfect_prediction_zero(self, params):
         lms = _parabola_landmarks(params)
         win = physics_refine_window(lms, params)
-        pos = np.array(win.positions)
-        vel = np.array(win.velocities)
+        pos = np.array(win.positions_px)
+        vel = np.array(win.velocities_fu)
         b = np.array([0.0, 0.0, 0.0])
-        assert physics_supervised_loss(win, pos, vel, b) < 1e-12
+        assert physics_supervised_loss(win, Trajectory(pos, vel, b)) < 1e-12
 
     def test_single_wrong_bounce_costs_a_third_of_weight(self, params):
         lms = _parabola_landmarks(params)
         win = physics_refine_window(lms, params)
-        pos = np.array(win.positions)
-        vel = np.array(win.velocities)
+        pos = np.array(win.positions_px)
+        vel = np.array(win.velocities_fu)
         b = np.array([0.0, 0.0, 1.0])  # claim a bounce the window lacks
-        assert physics_supervised_loss(win, pos, vel, b) == pytest.approx(0.01 / 3)
+        assert physics_supervised_loss(win, Trajectory(pos, vel, b)) == pytest.approx(0.01 / 3)
 
     def test_unit_position_offset_gives_unit_term(self, params):
         lms = _parabola_landmarks(params)
         win = physics_refine_window(lms, params)
-        pos = np.array(win.positions) + 1.0
-        vel = np.array(win.velocities)
+        pos = np.array(win.positions_px) + 1.0
+        vel = np.array(win.velocities_fu)
         b = np.zeros(3)
-        assert physics_supervised_loss(win, pos, vel, b) == pytest.approx(1.0)
+        assert physics_supervised_loss(win, Trajectory(pos, vel, b)) == pytest.approx(1.0)
 
     def test_bce_bounce_variant_finite_and_ordered(self, params):
         lms = _parabola_landmarks(params)
         win = physics_refine_window(lms, params)
-        pos = np.array(win.positions)
-        vel = np.array(win.velocities)
-        right = physics_supervised_loss(win, pos, vel, np.zeros(3), bounce_bce=True)
-        wrong = physics_supervised_loss(win, pos, vel, np.ones(3), bounce_bce=True)
+        pos = np.array(win.positions_px)
+        vel = np.array(win.velocities_fu)
+        right = physics_supervised_loss(win, Trajectory(pos, vel, np.zeros(3)), bounce_bce=True)
+        wrong = physics_supervised_loss(win, Trajectory(pos, vel, np.ones(3)), bounce_bce=True)
         assert np.isfinite(right) and np.isfinite(wrong)
         assert wrong > right
+
+    def test_refinement_of_bounce_free_simulator_windows_costs_nothing(self, cfg, params):
+        # the supervised loss of the refinement against the simulator's own
+        # windows, velocities included, on selfcheck's 20 sequences: windows
+        # with no bounce, neither in the truth nor flagged by the refinement
+        trajs = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
+                 for i in range(20))
+        truth = trajectory_windows(Trajectory(*map(np.stack, zip(*(vars(t).values() for t in trajs)))))
+        win = physics_refine_window(truth.positions_px, params)
+        loss = physics_supervised_loss(win, truth)  # one value per window
+        quiet = ~truth.bounce_flags.any(axis=-1)
+        kept = quiet & ~win.bounce_flags.any(axis=-1)
+        assert (quiet.sum(), kept.sum()) == (578, 577)
+        assert np.max(loss[kept]) < 1e-12
 
 
 class TestRamp:

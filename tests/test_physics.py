@@ -25,7 +25,8 @@ def _gt_windows(cfg, n_sequences=25, bounce=None):
     out = []
     for i in range(n_sequences):
         traj = simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "phys-tests", i))
-        for pos, vel, flags in zip(*trajectory_windows(traj)):
+        w = trajectory_windows(traj)
+        for pos, vel, flags in zip(w.positions_px, w.velocities_fu, w.bounce_flags):
             has_bounce = flags[1] or flags[2]
             if bounce is None or bounce == has_bounce:
                 out.append((pos, vel, flags))
@@ -70,7 +71,7 @@ class TestInitVelocity:
         assert np.array_equal(init_velocity(lms_a[0], lms_a[1]), init_velocity(lms_b[0], lms_b[1]))
         wa = physics_refine_window(lms_a, params)
         wb = physics_refine_window(lms_b, params)
-        assert np.array_equal(wa.bounced, wb.bounced)
+        assert np.array_equal(wa.bounce_flags, wb.bounce_flags)
 
 
 class TestVerletStep:
@@ -139,7 +140,7 @@ class TestRefineWindow:
             if pos[:, 1].max() > params.center_max - params.g_frame:
                 continue  # integrator overshoot would graze the floor
             win = physics_refine_window(pos, params)
-            refined, flags = win.positions, win.bounced
+            refined, flags = win.positions_px, win.bounce_flags
             assert np.max(np.abs(refined - pos)) < 1e-9
             assert not flags.any()
             checked += 1
@@ -148,7 +149,7 @@ class TestRefineWindow:
     def test_first_flag_always_false(self, cfg, params):
         for pos, _, _ in _gt_windows(cfg)[:50]:
             win = physics_refine_window(pos, params)
-            assert win.bounced[0] == False  # noqa: E712  (a numpy bool now)
+            assert win.bounce_flags[0] == False  # noqa: E712  (a numpy bool now)
 
     def test_bounce_detected_when_straddling_forward_step(self, cfg, params):
         # windows whose only bounce is in the step the integrator predicts
@@ -159,7 +160,7 @@ class TestRefineWindow:
                 continue
             win = physics_refine_window(pos, params)
             total += 1
-            hits += int(win.bounced[2])
+            hits += int(win.bounce_flags[2])
         assert total > 20
         assert hits / total >= 0.95
 
@@ -169,17 +170,17 @@ class TestRefineWindow:
         p1 = (104.0, 103.0 + 0.5 * g)
         p2 = (108.0, 106.0 + 2.0 * g)
         exact = physics_refine_window(np.array([p0, p1, p2]), params)
-        assert np.allclose(np.array(exact.positions), [p0, p1, p2], atol=1e-12)
+        assert np.allclose(np.array(exact.positions_px), [p0, p1, p2], atol=1e-12)
         bumped = np.array([(p0[0], p0[1]), (p1[0], p1[1] + 1.0), (p2[0], p2[1])])
         win = physics_refine_window(bumped, params)
         # the refined middle frame ignores the bump: it stays on the
         # parabola through the endpoints
-        assert win.positions[1][1] == pytest.approx(p1[1], abs=1e-12)
+        assert win.positions_px[1][1] == pytest.approx(p1[1], abs=1e-12)
 
     def test_positions_within_bounds_after_clamping(self, params):
         lms = np.array([(3.0, 220.5), (2.5, 220.9), (2.1, 220.99)])
         win = physics_refine_window(lms, params)
-        pos = win.positions
+        pos = win.positions_px
         assert pos.min() >= params.center_min and pos.max() <= params.center_max
 
     def test_degenerate_and_out_of_region_landmarks_stay_finite(self, params):
@@ -191,7 +192,7 @@ class TestRefineWindow:
             cases.append(rng.uniform(0.0, 223.0, 6).reshape(3, 2))
         for lms in cases:
             win = physics_refine_window(lms, params)
-            pos, vel, flags = win.positions, win.velocities, win.bounced
+            pos, vel, flags = win.positions_px, win.velocities_fu, win.bounce_flags
             assert np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))
             assert pos.min() >= params.center_min and pos.max() <= params.center_max
             assert flags[0] == False  # noqa: E712  (first frame has no step)
@@ -202,8 +203,8 @@ class TestRefineWindow:
         lms = np.array([(60.0, 80.0), (64.0, 83.2), (68.0, 87.1)])
         w1 = physics_refine_window(lms, params)
         w2 = physics_refine_window(lms / 2, params2)
-        assert np.allclose(np.array(w2.positions), np.array(w1.positions) / 2, atol=1e-12)
-        assert np.allclose(np.array(w2.velocities), np.array(w1.velocities) / 2, atol=1e-12)
+        assert np.allclose(np.array(w2.positions_px), np.array(w1.positions_px) / 2, atol=1e-12)
+        assert np.allclose(np.array(w2.velocities_fu), np.array(w1.velocities_fu) / 2, atol=1e-12)
 
 
 class TestBatchedWindow:
@@ -219,20 +220,20 @@ class TestBatchedWindow:
 
     def test_matches_scalar_windows(self, landmarks, params):
         win = physics_refine_window(landmarks, params)
-        pos, vel, flags = win.positions, win.velocities, win.bounced
+        pos, vel, flags = win.positions_px, win.velocities_fu, win.bounce_flags
         assert pos.shape == vel.shape == landmarks.shape
         assert flags.shape == landmarks.shape[:2]
         assert flags[:, 1:].any() and not flags[:, 1:].all()  # both branches taken
         for k, lms in enumerate(landmarks):
             one = physics_refine_window(lms, params)
-            p, v, b = one.positions, one.velocities, one.bounced
+            p, v, b = one.positions_px, one.velocities_fu, one.bounce_flags
             assert p.tobytes() == pos[k].tobytes()
             assert v.tobytes() == vel[k].tobytes()
             assert np.array_equal(b, flags[k])
 
     def test_scalar_window_arrays_shapes(self, params):
         win = physics_refine_window(np.array([(10.0, 20.0), (12.0, 21.0), (14.0, 22.5)]), params)
-        pos, vel, flags = win.positions, win.velocities, win.bounced
+        pos, vel, flags = win.positions_px, win.velocities_fu, win.bounce_flags
         assert pos.shape == vel.shape == (3, 2) and flags.shape == (3,)
         assert flags.dtype == bool and pos.dtype == vel.dtype == np.float64
 
@@ -243,11 +244,11 @@ class TestBatchedWindow:
         seed[:, 2, 0] = 1.0
         win = physics_refine_window(ad.Dual(landmarks, seed), params)
         ref = physics_refine_window(landmarks, params)
-        plain, flags = ref.positions, ref.bounced
-        assert np.array_equal(win.positions.value, plain)
+        plain, flags = ref.positions_px, ref.bounce_flags
+        assert np.array_equal(win.positions_px.value, plain)
         # x2 only enters the parabola branch: d x1 / d x2_landmark = 1/2 there
         smooth = ~(flags[:, 1] | flags[:, 2]) & (plain[:, 1, 0] > params.center_min) \
             & (plain[:, 1, 0] < params.center_max)
         assert smooth.any()
-        assert np.all(win.positions[:, 1, 0].tangent[smooth] == 0.5)
-        assert np.all(win.positions[:, 1, 0].tangent[flags[:, 1] | flags[:, 2]] == 0.0)
+        assert np.all(win.positions_px[:, 1, 0].tangent[smooth] == 0.5)
+        assert np.all(win.positions_px[:, 1, 0].tangent[flags[:, 1] | flags[:, 2]] == 0.0)

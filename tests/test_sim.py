@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balltrack.autodiff as ad
 from balltrack.physics import to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.sim import (
@@ -208,8 +209,21 @@ class TestTrajectory:
         assert not traj.bounce_flags[0]
 
     def test_arrays_of_unequal_length_rejected(self):
-        with pytest.raises(SimulationError, match="^trajectory arrays must share a length$"):
+        with pytest.raises(SimulationError, match=r"^trajectory positions \(3, 2\) and velocities \(3, 2\) "
+                                                  r"do not fit bounce flags \(2,\)$"):
             Trajectory(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2, bool))
+
+    def test_stacked_arrays_of_unequal_frame_counts_rejected(self):
+        # equal leading (batch) lengths are not enough: every axis but (x, y) must agree
+        with pytest.raises(SimulationError, match=r"^trajectory positions \(2, 40, 2\) and velocities "
+                                                  r"\(2, 39, 2\) do not fit bounce flags \(2, 40\)$"):
+            Trajectory(np.zeros((2, 40, 2)), np.zeros((2, 39, 2)), np.zeros((2, 40), bool))
+
+    def test_dual_valued_window_accepted(self):
+        # the shape rule reads Dual.shape; a Dual has no len()
+        window = Trajectory(ad.Dual(np.zeros((3, 2)), np.ones((3, 2))),
+                            ad.Dual(np.zeros((3, 2)), np.ones((3, 2))), np.zeros(3, bool))
+        assert np.shape(window.positions_px) == np.shape(window.velocities_fu) == (3, 2)
 
     def test_bounce_free_second_difference_is_g_frame(self, cfg):
         g_frame = to_frame_units(cfg).g_frame
@@ -244,7 +258,8 @@ class TestTrajectory:
         # position at t follows exactly from (p_{t-1}, v_{t-1})
         g_frame = to_frame_units(cfg).g_frame
         traj = simulate_trajectory(cfg, _stream(2))
-        for pos, vel, flags in zip(*trajectory_windows(traj)):
+        w = trajectory_windows(traj)
+        for pos, vel, flags in zip(w.positions_px, w.velocities_fu, w.bounce_flags):
             if flags[1] or flags[2]:
                 continue
             pred_x = pos[0, 0] + vel[0, 0]
@@ -254,13 +269,22 @@ class TestTrajectory:
 
     def test_windows_gather_three_consecutive_frames(self, cfg):
         traj = simulate_trajectory(cfg, _stream(3))
-        pos, vel, flags = trajectory_windows(traj)
+        w = trajectory_windows(traj)
+        pos, vel, flags = w.positions_px, w.velocities_fu, w.bounce_flags
         assert pos.shape == vel.shape == (38, 3, 2) and flags.shape == (38, 3)
         assert window_index(5).tolist() == [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
         for k in range(38):
             assert np.array_equal(pos[k], traj.positions_px[k : k + 3])
             assert np.array_equal(vel[k], traj.velocities_fu[k : k + 3])
             assert np.array_equal(flags[k], traj.bounce_flags[k : k + 3])
+
+    def test_windows_of_stacked_trajectories_are_each_ones_windows(self, cfg):
+        trajs = [simulate_trajectory(cfg, _stream(i)) for i in range(2)]
+        stacked = trajectory_windows(Trajectory(*map(np.stack, zip(*(vars(t).values() for t in trajs)))))
+        assert np.shape(stacked.bounce_flags) == (2, 38, 3)
+        for k, traj in enumerate(trajs):
+            for field, own in vars(trajectory_windows(traj)).items():
+                assert np.array_equal(vars(stacked)[field][k], own), field
 
     def test_energy_dissipates_for_fast_impacts(self, cfg):
         # mirror reflection can inject energy only below the slow-impact

@@ -307,8 +307,8 @@ def _reference_track(frames, cfg, temporal_mean):
         a = 224 / s
         b = a * expectation_for_scale(s)(hm)[windows]
         win = physics_refine_window(b, to_frame_units(cfg))
-        predictions[s] = {"B": b, "H": a * _reference_argmax(hm)[windows], "P": win.positions,
-                          "V": win.velocities, "bounce": win.bounced}
+        predictions[s] = {"B": b, "H": a * _reference_argmax(hm)[windows], "P": win.positions_px,
+                          "V": win.velocities_fu, "bounce": win.bounce_flags}
     return predictions
 
 
@@ -424,16 +424,50 @@ assert all(vars(cls)[k] is v for (cls, k), v in methods.items())
 """
 
 
+_TRACED_SELFCHECK = """
+import balltrack, spans
+from balltrack import physics, selfcheck
+
+# the physics_window=physics_refine_window defaults
+seams = {f: f.__defaults__ for f in vars(selfcheck).values()
+         if any(d is physics.physics_refine_window for d in getattr(f, "__defaults__", None) or ())}
+assert len(seams) >= 5, sorted(f.__name__ for f in seams)
+
+tracer = spans.Tracer()
+tracer.install(balltrack)
+tracer.active = True
+results = selfcheck.run_all(trials=2)
+tracer.active = False
+totals = tracer.totals()
+tracer.uninstall()
+
+assert all(passed for _, passed, _ in results), results
+assert totals.get("physics.physics_refine_window.calls", 0) > 0, totals
+assert all(f.__defaults__ is d for f, d in seams.items())
+"""
+
+
+def _run_with_bench(code):
+    # bench/spans.py patches modules process-wide, so each traced run gets a child process
+    root = Path(balltrack.__file__).resolve().parents[2]
+    paths = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 def test_bench_tracer_sees_every_stage_of_track_sequence():
     # bench/spans.py wraps the program's functions from outside, by module
     # namespace; a traced track_sequence must enter heatmaps 9 times (operator
     # lookup, operator and hard argmax per scale), and uninstall must put every
-    # original back.  It runs in a child process, since install patches modules
-    # process-wide.
-    root = Path(balltrack.__file__).resolve().parents[2]
-    paths = [str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    subprocess.run([sys.executable, "-c", _TRACED_TRACK], env=env, check=True, timeout=120)
+    # original back.
+    _run_with_bench(_TRACED_TRACK)
+
+
+def test_bench_tracer_sees_physics_through_selfcheck_defaults():
+    # selfcheck reaches the physics kernel only through its physics_window
+    # defaults, which the tracer patches; the refinement must be traced, and
+    # uninstall must put every default back
+    _run_with_bench(_TRACED_SELFCHECK)
 
 
 class TestPooling:
@@ -554,9 +588,9 @@ class TestTrackSequence:
 def _exact_predictions(traj, params):
     """Window arrays built from ground-truth landmarks, one window at a time."""
     windows = []
-    for pos in trajectory_windows(traj)[0]:
+    for pos in trajectory_windows(traj).positions_px:
         win = physics_refine_window(pos, params)
-        windows.append((pos, np.round(pos), win.positions, win.velocities, win.bounced))
+        windows.append((pos, np.round(pos), win.positions_px, win.velocities_fu, win.bounce_flags))
     return {224: dict(zip(("B", "H", "P", "V", "bounce"), map(np.array, zip(*windows))))}
 
 
@@ -638,8 +672,8 @@ class TestTrackSplit:
     def test_mismatched_truth_arrays_rejected(self, cfg):
         params = to_frame_units(cfg)
         traj = simulate_trajectory(cfg, RandomStream.from_seed(4, "eval-lead", 0))
-        bad = Trajectory(traj.positions_px, traj.velocities_fu[:, :1], traj.bounce_flags)
         with pytest.raises(ValueError, match="do not fit bounce flags"):
+            bad = Trajectory(traj.positions_px, traj.velocities_fu[:, :1], traj.bounce_flags)
             evaluate(_exact_predictions(traj, params), bad)
 
     def test_empty_split_rejected(self, small_cfg):
