@@ -8,7 +8,10 @@ as a (T, H, W) stack by one correlator call (:func:`ncc_heatmap`) and
 average-pooled into the ``{scale: maps}`` pyramid of ``POOLING``.  Every
 stage reads only each frame's band of live rows, the correlator's widened to
 whole blocks of the largest pooling factor, and keeps the bits of the same
-stage over whole frames; a dense frame's band is the whole frame.
+stage over whole frames; a dense frame's band is the whole frame.  The
+correlator itself takes its window sums only on the rows that the frame's
+nonzero rows reach, guarded by a bound on the FFT rounding residue of the
+rows it skips.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
@@ -60,6 +63,7 @@ ESTIMATES = {"B": "<f8", "H": "<f8", "P": "<f8", "V": "<f8", "bounce": "<u1"}
 POOLING = {56: 4, 112: 2, 224: 1}
 SCALES = tuple(POOLING)
 _BLOCK = max(POOLING.values())  # image sizes and row bands come in whole blocks of this side
+_POOL_CHUNK_FRAMES = 4  # full frames' worth of rows that one strided pooling pass reads
 METRICS = tuple(f"{name}{s}" for name in ESTIMATES for s in SCALES)
 
 
@@ -82,6 +86,29 @@ def disk_template(radius: float) -> np.ndarray:
     return disk - disk.mean()
 
 
+# safety factor of the FFT rounding bound in ``_residue_bound``
+_FFT_ERROR_FACTOR = 10.0
+
+
+def _residue_bound(x, sq, size, n):
+    """Bound on the square root of the window variance, computed by FFT, at a
+    row that no nonzero value of the frame reaches.
+
+    Such a window sum is exact zero plus the FFT convolution's rounding
+    error, at most ``c log2(size) u ||k||_1 ||x||_2`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 24): ``B1`` with the frame's
+    values ``x``, ``B2`` with their squares ``sq``, for the all-ones window of
+    ``n`` pixels (``||k||_1 = n``) and transforms of ``size`` points.  The
+    variance ``s2 - s1^2/n`` is then at most ``B2 + B1^2/n``.  A frame with a
+    non-finite value or square gives a non-finite bound.
+    """
+    scale = _FFT_ERROR_FACTOR * np.log2(size) * np.finfo(np.float64).eps / 2 * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = scale * np.sqrt(np.sum(sq))
+        b2 = scale * np.sqrt(np.sum(sq * sq))
+        return float(np.sqrt(b2 + b1 * b1 / n))
+
+
 def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | None = None) -> np.ndarray:
     """Zero-normalized cross-correlation heatmaps of (..., H, W) frames,
     negatives suppressed.
@@ -98,13 +125,23 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | No
     c2c along columns then c2r along rows with the one 1/(P*Q) scale.  A zero
     row has a zero spectrum row, so the forward row pass takes only the
     frame's nonzero rows; each row of the inverse row pass depends only on its
-    own row, so it runs only on the rows kept: the H rows of the "same" slice
-    for the two window sums, and for the numerator only the rows where some
-    window passes the variance cutoff (every other pixel is zero).  Transform
-    shape, products and slice are those of ``fftconvolve``, so each map has
-    the bits of three ``fftconvolve`` calls.  Only a frame's nonzero rows are
-    converted to float64, and only the numerator rows inside the border get
-    the rest of the arithmetic.
+    own row, so it runs only on the rows kept.  For the two window sums these
+    are the rows the frame's nonzero rows ``r`` reach: "same" row i reads
+    frame rows i+top-kh+1 .. i+top of a kh-row template, so rows
+    ``[r[0] - top, r[-1] + kh - 1 - top]`` within the frame.  The variance,
+    the denominator, the cutoff and the live mask are taken on those rows
+    only, and every other row is not live.  An FFT leaves rounding residue on
+    those other rows; they are skipped only when :func:`_residue_bound`, times
+    the template norm, is below the cutoff, so that the residue could neither
+    pass the cutoff nor move ``den.max()`` or the 1e-9 floor.  Otherwise (a
+    NaN, an infinity or a square that overflows) the window sums run on all
+    H rows.  For the numerator the inverse row pass runs only on the rows
+    where some window passes the cutoff (every other pixel is zero).
+    Transform shape, products and slice are those of ``fftconvolve``, so each
+    map has the bits of three ``fftconvolve`` calls.  Only a frame's nonzero
+    rows are converted to float64, and only the numerator rows inside the
+    border get the rest of the arithmetic; a frame of zeros gives a map of
+    zeros and runs no transform.
 
     ``bands``, a ``(..., 2)`` integer array if given, receives each map's
     ``[start, stop)`` band of rows written; the map is zero outside it, and
@@ -136,32 +173,42 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | No
         part = ifft(spec, axis=0, norm="forward", overwrite_x=True)[rows]
         return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
 
-    same_rows = slice(top, top + h)
+    def window_den(spec, sq_spec, lo, hi):
+        # the denominator on "same" rows [lo, hi) from the spectra of the frame and its square
+        s1 = inverse(spec * ones_spec, slice(top + lo, top + hi))
+        s2 = s1 if sq_spec is spec else inverse(sq_spec * ones_spec, slice(top + lo, top + hi))
+        return t_norm * np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0))
+
     margin = template.shape[0] // 2
     out = np.zeros(frames.shape)
     written = np.zeros((*frames.shape[:-2], 2), int)
     for frame, hm, band in zip(frames.reshape(-1, h, w), out.reshape(-1, h, w), written.reshape(-1, 2)):
         rows = np.flatnonzero(frame.any(axis=-1))
+        if not len(rows):
+            continue  # a map of zeros
         x = frame[rows].astype(np.float64, copy=False)
         sq = x * x
         binary = np.array_equal(sq.view(np.uint64), x.view(np.uint64))
         spec = spectrum(x, rows)
-        s1 = inverse(spec * ones_spec, same_rows)
-        # a 0/1 frame: the same transforms of the same bits
-        s2 = s1 if binary else inverse(spectrum(sq, rows) * ones_spec, same_rows)
-        var = np.maximum(s2 - s1 * s1 / n, 0.0)
-        den = t_norm * np.sqrt(var)
-
+        sq_spec = spec if binary else spectrum(sq, rows)  # a 0/1 frame: the same transforms of the same bits
         # windows with no meaningful structure (near-zero variance, absolutely
         # or relative to the liveliest window) would normalize rounding residue
-        # up to O(1) correlations; treat them as empty instead
+        # up to O(1) correlations; treat them as empty instead.  Only rows
+        # [lo, hi) read a nonzero frame row; the rest hold FFT rounding residue
+        # and are skipped when its bound cannot reach the cutoff
+        lo, hi = max(rows[0] - top, 0), min(rows[-1] + kh - top, h)
+        den = window_den(spec, sq_spec, lo, hi)
         cutoff = max(1e-9, 1e-4 * float(den.max()))
+        if hi - lo < h and not _residue_bound(x, sq, p * q, n) * t_norm < cutoff:
+            lo, hi = 0, h
+            den = window_den(spec, sq_spec, lo, hi)
+            cutoff = max(1e-9, 1e-4 * float(den.max()))
         live = den > cutoff
-        rows = np.flatnonzero(live.any(axis=-1))
+        rows = lo + np.flatnonzero(live.any(axis=-1))
         num = inverse(spec * flipped_spec, top + rows)
         inner = slice(*np.searchsorted(rows, (margin, h - margin)))
         rows = rows[inner]
-        kept = np.where(live[rows], num[inner] / (den[rows] + 1e-12), 0.0)
+        kept = np.where(live[rows - lo], num[inner] / (den[rows - lo] + 1e-12), 0.0)
         kept[:, :margin] = 0.0
         kept[:, w - margin:] = 0.0
         hm[rows] = np.maximum(kept, 0.0, out=kept)
@@ -172,14 +219,25 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | No
     return out
 
 
-def _avg_pool(hm: np.ndarray, k: int) -> np.ndarray:
+def _avg_pool(hm: np.ndarray, k: int, chunk_rows: int) -> np.ndarray:
     """k x k mean of (..., H, W) by output-sized strided sums: each block row
-    left to right, then the rows top to bottom, as ``reshape().mean()`` rounds."""
-    out = sum((hm[..., 0::k, j::k] for j in range(1, k)), hm[..., 0::k, ::k])
-    for i in range(1, k):
-        out += sum((hm[..., i::k, j::k] for j in range(1, k)), hm[..., i::k, ::k])
+    left to right, then the rows top to bottom, as ``reshape().mean()`` rounds.
+
+    The maps are pooled ``chunk_rows // H`` at a time (at least one): strided
+    passes over a whole dense stack are memory-bound.
+    """
+    *lead, h, w = hm.shape
+    maps = hm.reshape(-1, h, w)
+    step = max(1, chunk_rows // h)
+    parts = []
+    for chunk in (maps[at:at + step] for at in range(0, len(maps), step)):
+        pooled = sum((chunk[:, 0::k, j::k] for j in range(1, k)), chunk[:, 0::k, ::k])
+        for i in range(1, k):
+            pooled += sum((chunk[:, i::k, j::k] for j in range(1, k)), chunk[:, i::k, ::k])
+        parts.append(pooled)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     out /= k * k
-    return out
+    return out.reshape(*lead, h // k, w // k)
 
 
 def downscale_heatmap(hm224: np.ndarray, rows=None) -> dict[int, np.ndarray]:
@@ -192,7 +250,8 @@ def downscale_heatmap(hm224: np.ndarray, rows=None) -> dict[int, np.ndarray]:
     """
     window, first = _band(hm224, rows, least=_BLOCK)
     h = hm224.shape[-2]
-    return {s: hm224 if k == 1 else _unband(_avg_pool(window, k), first // k, h // k, axis=-2)
+    chunk_rows = _POOL_CHUNK_FRAMES * h
+    return {s: hm224 if k == 1 else _unband(_avg_pool(window, k, chunk_rows), first // k, h // k, axis=-2)
             for s, k in POOLING.items()}
 
 

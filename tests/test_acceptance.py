@@ -31,7 +31,7 @@ from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
 from balltrack.tracker import metrics_to_csv, track_split
 from balltrack.video import generate_sequence, generate_split, split_stream, write_dataset
 
-from reference_tables import REFERENCE_ENCODER_ERRORS
+from reference_tables import CRITERION_7_MEANS, CRITERION_8_MEANS, REFERENCE_ENCODER_ERRORS, assert_pinned
 
 
 def _report(criterion, detail):
@@ -222,6 +222,7 @@ def test_criterion_7_end_to_end_clean():
     med_h = float(np.median(per_sequence["H224"]))
     assert mean_p <= 1.0
     assert med_p <= med_h
+    assert_pinned({m: v.mean() for m, v in per_sequence.items()}, CRITERION_7_MEANS)
     _report(7, f"sigma=0: mean P224 = {mean_p:.3f} px (<= 1.0), "
                f"median P224 = {med_p:.3f} <= median H224 = {med_h:.3f}")
 
@@ -231,6 +232,7 @@ def test_criterion_8_end_to_end_noisy():
     per_sequence = _track_split(sigma=1.0, temporal_mean=True)
     med_p = float(np.median(per_sequence["P224"]))
     assert med_p <= 2.0
+    assert_pinned({m: v.mean() for m, v in per_sequence.items()}, CRITERION_8_MEANS)
     _report(8, f"sigma=1 + temporal mean: median P224 = {med_p:.3f} px (<= 2.0)")
 
 

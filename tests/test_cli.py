@@ -10,11 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, build_parser, main
+from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, _sigma_dir, build_parser, main
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS, track_split
 from balltrack.video import _read_record, _write_record, generate_split, read_dataset, write_dataset
+
+from reference_tables import TRACK_SEED_42_METRICS, assert_pinned
 
 
 GEN_SMALL = ["--train", "2", "--val", "1", "--test", "2", "--frames", "10"]
@@ -165,6 +167,14 @@ def small_dataset(tmp_path_factory):
     return out / "sigma_0"
 
 
+@pytest.fixture(scope="module")
+def seed_42_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed42")
+    main(["gen", "--out", str(out), "--train", "1", "--val", "1", "--test", "4", "--seed", "42",
+          "--sigma", "0", "--sigma", "1"])
+    return out
+
+
 class TestOutRoot:
     """Without ``--out``, gen, track and effects write to ``$BALLTRACK_OUT/<name>``."""
 
@@ -277,6 +287,15 @@ class TestTrack:
             records = [_read_record(fh, dtype, path) for _ in range(3) for dtype in ("<f8",) * 4 + ("<u1",)]
         digest = hashlib.sha256(b"".join(records[i].tobytes() for i in (1, 4, 6, 9, 11, 14)))
         assert digest.hexdigest() == "29655063fbaf37e70365745ba18d3df623b5557fafd376f64ae1d1c4d0417283"
+
+    @pytest.mark.parametrize("sigma, temporal_mean", list(TRACK_SEED_42_METRICS))
+    def test_metrics_csv_holds_the_pinned_values(self, seed_42_dataset, tmp_path, sigma, temporal_mean):
+        out = tmp_path / "res"
+        flags = ["--temporal-mean"] if temporal_mean else []
+        assert main(["track", "--data", str(_sigma_dir(seed_42_dataset, sigma)), "--out", str(out), *flags]) == 0
+        written = {ln.split(",")[2]: float(ln.split(",")[3])
+                   for ln in (out / "metrics.csv").read_text().splitlines()[1:]}
+        assert_pinned(written, TRACK_SEED_42_METRICS[sigma, temporal_mean])
 
     def test_temporal_mean_flag(self, small_dataset, tmp_path):
         out = tmp_path / "res2"

@@ -161,27 +161,27 @@ def _live_rows(frame, template):
 
 @st.composite
 def _sparse_stacks(draw):
-    """1-3 mostly empty frames: disks and spikes anywhere (border rows and the
-    template margin included), spikes only in the margin rows, one nonzero
+    """1-3 mostly empty frames: disks and spikes anywhere, spikes or disks
+    centered only in rows 0, 1, H-2, H-1 and the rest of the widest template
+    margin (4), so the window sums' reach meets the frame's edge, one nonzero
     row, all zeros or a constant; values 1 or arbitrary."""
     h, w = draw(st.sampled_from([(16, 16), (24, 40), (48, 80)]))
     values = st.one_of(st.just(1.0), st.floats(-4.0, 4.0))
     frames = []
     for _ in range(draw(st.integers(1, 3))):
         frame = np.zeros((h, w))
-        kind = draw(st.sampled_from(["marks", "margin", "row", "zero", "constant"]))
+        kind = draw(st.sampled_from(["marks", "margin", "edge", "row", "zero", "constant"]))
         if kind == "constant":
             frame[:] = draw(values)
         elif kind == "row":
             frame[draw(st.integers(0, h - 1))] = draw(st.lists(values, min_size=w, max_size=w))
         elif kind != "zero":
-            # spikes only in rows of the widest template margin (4), or disks anywhere
-            margin = kind == "margin"
-            rows = st.sampled_from([0, 1, 2, 3, h - 4, h - 3, h - 2, h - 1]) if margin else st.integers(0, h - 1)
+            edge = kind != "marks"
+            rows = st.sampled_from([0, 1, 2, 3, h - 4, h - 3, h - 2, h - 1]) if edge else st.integers(0, h - 1)
             ii, jj = np.ogrid[:h, :w]
             for _ in range(draw(st.integers(1, 4))):
                 r, c = draw(rows), draw(st.integers(0, w - 1))
-                size = 0 if margin else draw(st.integers(0, 3))
+                size = 0 if kind == "margin" else draw(st.integers(0, 3))
                 frame[(ii - r) ** 2 + (jj - c) ** 2 <= size * size] = draw(values)
         frames.append(frame)
     return np.array(frames)
@@ -226,6 +226,23 @@ class TestNccStack:
                           np.zeros((224, 224)), render_frame((33.0, 47.5), cfg)])
         self._assert_bitwise(stack, disk_template(cfg.radius_px))
 
+    @staticmethod
+    def _transforms(monkeypatch, stack, template):
+        """ncc_heatmap of ``stack`` and the rows each scipy.fft transform received,
+        ``{name: [rows per call]}``."""
+        # the tracker imports the transforms from scipy.fft when it runs, so it
+        # calls these wrappers
+        calls = {name: [] for name in scipy.fft.__all__
+                 if "fft" in name and not name.endswith(("freq", "shift", "fast_len"))}
+        for name in calls:
+            def counted(x, *args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
+                calls[_name].append(len(x))
+                return _real(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        hm = ncc_heatmap(stack, template)
+        monkeypatch.undo()
+        return hm, calls
+
     @pytest.mark.parametrize("n_binary, n_textured", [(1, 0), (0, 1), (3, 2)])
     def test_transforms_per_frame(self, cfg, rng_np, monkeypatch, n_binary, n_textured):
         template = disk_template(cfg.radius_px)
@@ -236,32 +253,49 @@ class TestNccStack:
         p = 240  # next_fast_len(224 + 7 - 1), the padded column length
         want = {"rfft2": [7, 7], "rfft": [], "fft": [], "ifft": [], "irfft": []}
         for frame in binary:
-            # a 0/1 frame: r2c of its nonzero rows, one sum map, and the numerator
-            # on the live rows: the disk's 5 and the template's reach of 3 either side
+            # a 0/1 frame: r2c of its nonzero rows, one sum map on the 11 rows the
+            # disk's 5 reach (the template's 3 either side), and the numerator on
+            # the live rows, the same 11
             assert np.count_nonzero(frame.any(axis=-1)) == 5
             assert _live_rows(frame, template) == 11
             want["rfft"] += [5]
             want["fft"] += [p]
             want["ifft"] += [p, p]
-            want["irfft"] += [224, 11]
+            want["irfft"] += [11, 11]
         for frame in textured:
+            # a dense frame reaches every row
             want["rfft"] += [224, 224]
             want["fft"] += [p, p]
             want["ifft"] += [p, p, p]
             want["irfft"] += [224, 224, _live_rows(frame, template)]
-
-        # every scipy.fft transform, with the rows each call receives; the tracker
-        # imports them from scipy.fft when it runs, so it calls these wrappers
-        calls = {name: [] for name in scipy.fft.__all__
-                 if "fft" in name and not name.endswith(("freq", "shift", "fast_len"))}
-        for name in calls:
-            def counted(x, *args, _name=name, _real=getattr(scipy.fft, name), **kwargs):
-                calls[_name].append(len(x))
-                return _real(x, *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
-        ncc_heatmap(np.array(binary + textured), template)
-        monkeypatch.undo()
+        _, calls = self._transforms(monkeypatch, np.array(binary + textured), template)
         assert {name: rows for name, rows in calls.items() if rows or name in want} == want
+
+    def test_transforms_of_a_sparse_textured_frame(self, cfg, monkeypatch):
+        # a disk of 0.5: not its own square, so both window sums run, each on the 11 rows reached
+        template = disk_template(cfg.radius_px)
+        frame = 0.5 * render_frame((100.0, 80.0), cfg)
+        _, calls = self._transforms(monkeypatch, frame[None], template)
+        assert calls["rfft"] == [5, 5]
+        assert calls["irfft"] == [11, 11, _live_rows(frame, template)]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_bound_sweeps_every_row(self, cfg, monkeypatch, value):
+        # a NaN or infinite pixel, or one whose square overflows, makes the residue
+        # bound non-finite: the window sums run again on all 224 rows, and the map
+        # is the full sweep's; a clean frame beside it keeps its 11 rows
+        template = disk_template(cfg.radius_px)
+        odd = render_frame((100.0, 80.0), cfg).astype(np.float64)
+        odd[80, 100] = value
+        stack = np.array([odd, render_frame((60.0, 120.0), cfg)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            hm, calls = self._transforms(monkeypatch, stack, template)
+            want = [_ncc_reference(frame, template) for frame in stack]
+        *odd_calls, clean_sum, clean_num = calls["irfft"]
+        assert odd_calls[0] == 11 and 224 in odd_calls  # the rows reached, then every row
+        assert (clean_sum, clean_num) == (11, 11)
+        for got, ref in zip(hm, want):
+            assert got.tobytes() == ref.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(stack=_sparse_stacks(), radius=st.sampled_from([2.0, 3.0]))
@@ -316,7 +350,9 @@ def _reference_track(frames, cfg, temporal_mean):
 def _detector_stacks(draw):
     """float32 frames and their config: per frame a disk anywhere, a disk in
     the template margin rows (so the bands, once whole 4x4 blocks, reach row
-    0 or row H-1), no disk, or dense noise; over zeros or one static noise
+    0 or row H-1), a disk centered on row 0, 1, H-2 or H-1 scaled by -1, 1/2
+    or 1 (a dark disk correlates positively at the rows where the window sums'
+    reach ends), no disk, or dense noise; over zeros or one static noise
     image, as the temporal mean expects."""
     size, n = draw(st.sampled_from([16, 24, 32])), draw(st.integers(3, 6))
     cfg = SimConfig(image_size=size, frames_per_video=n, v_max=1.0)
@@ -324,12 +360,15 @@ def _detector_stacks(draw):
     background = rng.normal(size=(size, size)) if draw(st.booleans()) else np.zeros((size, size))
     frames = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["disk", "margin", "none", "dense"]))
+        kind = draw(st.sampled_from(["disk", "margin", "edge", "none", "dense"]))
         if kind == "dense":
             frames.append(rng.normal(size=(size, size)))
             continue
         frame = np.zeros((size, size))
-        if kind != "none":
+        if kind == "edge":
+            y = draw(st.sampled_from([0.0, 1.0, size - 2.0, size - 1.0]))
+            frame = draw(st.sampled_from([-1.0, 0.5, 1.0])) * render_frame((draw(st.floats(0, size - 1)), y), cfg)
+        elif kind != "none":
             rows = [0, 1, 2, 3, size - 4, size - 3, size - 2, size - 1]
             y = draw(st.sampled_from(rows)) if kind == "margin" else draw(st.floats(0, size - 1))
             frame = render_frame((draw(st.floats(0, size - 1)), y), cfg)
