@@ -4,9 +4,15 @@ Configurations are the 64 vertices of the factor hypercube, indexed so that
 factor A is the least significant bit and F the most significant
 (row = 32F + 16E + 8D + 4C + 2B + A), with labels like ``A1B0C1D0E0F0``.
 The design table is built once, at import: a :class:`FactorConfig` is its
-row, a label resolves through one lookup (surrounding whitespace ignored),
-and :class:`ResponseTable` keys each cell by the canonical label and rejects
-a repeated (config, replicate, metric).
+row, and a label resolves through one lookup (surrounding whitespace
+ignored).
+
+:class:`ResponseTable` holds the responses as arrays indexed by design row:
+a ``(64, replicates, metrics)`` value array and a presence mask of the same
+shape, with replicates and metrics kept sorted.  ``from_rows`` places a
+whole results table in one scatter and rejects a repeated (config,
+replicate, metric) by one count; gaps, a metric's response matrix and the
+enc_avg / dec_avg aggregates are mask and slice operations on those arrays.
 
 Effects use {-1, +1} contrast coding: the estimate for a term (any
 non-empty subset of factors) is the mean response where the term's contrast
@@ -24,6 +30,7 @@ scale) and the decoder average (mean of the six at the finer ones).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -51,6 +58,8 @@ N_CONFIGS = 1 << len(FACTORS)
 
 ENCODER_METRICS = tuple(f"{name}{SCALES[0]}" for name in "BHP")
 DECODER_METRICS = tuple(f"{name}{s}" for name in "BHP" for s in SCALES[1:])
+_NINE = ENCODER_METRICS + DECODER_METRICS
+_AGGREGATES = ("enc_avg", "dec_avg")
 
 
 class MissingCellsError(ValueError):
@@ -130,88 +139,155 @@ def _duplicate_cell(label: str, replicate: int, metric: str) -> ValueError:
     return ValueError(f"duplicate cell ({label}, r{replicate}, {metric})")
 
 
+def _codes(column, code: dict) -> np.ndarray:
+    """``code[entry]`` for each entry of ``column``, as one integer array."""
+    return np.fromiter(map(code.__getitem__, column), int, len(column))
+
+
 class ResponseTable:
-    """(config, replicate) -> {metric: value} storage for the design."""
+    """The design's responses as arrays: a ``(64, replicates, metrics)``
+    value array, a presence mask of that shape and, per (config, replicate)
+    cell, the order in which it was opened.  Replicates and metrics are held
+    sorted, so every slice is already in the order the methods return."""
 
     def __init__(self):
-        self._cells: dict[tuple[str, int], dict[str, float]] = {}
+        self._reps: list[int] = []
+        self._metrics: list[str] = []
+        self._values = np.zeros((N_CONFIGS, 0, 0))
+        self._present = np.zeros((N_CONFIGS, 0, 0), bool)
+        self._opened = np.zeros((N_CONFIGS, 0), int)  # values held when each cell was opened
+
+    def _slot(self, keys: list, key, axis: int) -> int:
+        """Index of ``key`` in the sorted ``keys``; a new key gets an empty slice on ``axis``."""
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
+            keys.insert(i, key)
+            self._values = np.insert(self._values, i, 0.0, axis)
+            self._present = np.insert(self._present, i, False, axis)
+            if axis == 1:
+                self._opened = np.insert(self._opened, i, 0, axis)
+        return i
 
     def add(self, config: FactorConfig | str, replicate: int, metric: str, value: float) -> None:
         """Store one value under the canonical label; a repeated cell raises ``ValueError``."""
-        label = _LABELS[_row(config) if isinstance(config, str) else config.index]
-        cell = self._cells.setdefault((label, replicate), {})
-        if metric in cell:
-            raise _duplicate_cell(label, replicate, metric)
-        cell[metric] = float(value)
+        row = _row(config) if isinstance(config, str) else config.index
+        value = float(value)
+        cell = row, self._slot(self._reps, replicate, 1)
+        at = *cell, self._slot(self._metrics, metric, 2)
+        if self._present[at]:
+            raise _duplicate_cell(_LABELS[row], replicate, metric)
+        if not self._present[cell].any():
+            self._opened[cell] = self._present.sum()
+        self._values[at], self._present[at] = value, True
 
     @classmethod
     def from_rows(cls, rows) -> "ResponseTable":
+        """Table of ``(config, replicate, metric, value)`` rows, placed in one
+        scatter.  Rows with a bad label or value or a repeated cell are
+        replayed through :meth:`add` instead, which raises at the first one."""
+        rows = list(rows)
+        if not rows or set(map(len, rows)) != {4}:  # nothing to place, or a row to reject
+            return cls()._replay(rows)
+        configs, reps, metrics, values = zip(*rows)
+        try:
+            row_of = {c: _row(c) if isinstance(c, str) else c.index for c in set(configs)}
+            values = np.fromiter(map(float, values), float, len(rows))
+        except (TypeError, ValueError):  # a bad label or value
+            return cls()._replay(rows)
         table = cls()
-        for config, replicate, metric, value in rows:
-            table.add(config, replicate, metric, value)
+        table._reps, table._metrics = sorted(set(reps)), sorted(set(metrics))
+        shape = (N_CONFIGS, len(table._reps), len(table._metrics))
+        cells = (_codes(configs, row_of) * shape[1]
+                 + _codes(reps, {r: i for i, r in enumerate(table._reps)}))
+        at = cells * shape[2] + _codes(metrics, {m: i for i, m in enumerate(table._metrics)})
+        counts = np.bincount(at, minlength=np.prod(shape))
+        if counts.max() > 1:  # a repeated cell
+            return cls()._replay(rows)
+        table._values = np.zeros(shape)
+        table._values.reshape(-1)[at] = values
+        table._present = counts.reshape(shape) > 0
+        table._opened = np.full(shape[:2], len(rows))
+        np.minimum.at(table._opened.reshape(-1), cells, np.arange(len(rows)))
         return table
+
+    def _replay(self, rows) -> "ResponseTable":
+        for config, replicate, metric, value in rows:
+            self.add(config, replicate, metric, value)
+        return self
 
     @property
     def replicates(self) -> list[int]:
-        return sorted({r for _, r in self._cells})
+        return list(self._reps)
 
     def metrics(self) -> list[str]:
-        names: set[str] = set()
-        for cell in self._cells.values():
-            names.update(cell)
-        return sorted(names)
+        return list(self._metrics)
+
+    def _column(self, metric: str) -> np.ndarray:
+        """(64, n_replicates) presence of one metric; all False for one never stored."""
+        if metric in self._metrics:
+            return self._present[:, :, self._metrics.index(metric)]
+        return np.zeros(self._present.shape[:2], bool)
 
     def value(self, label: str, replicate: int, metric: str) -> float:
-        return self._cells[(label, replicate)][metric]
+        """One stored value; ``KeyError`` for a cell that does not hold the metric."""
+        if replicate in self._reps and metric in self._metrics:
+            at = _ROW[label], self._reps.index(replicate), self._metrics.index(metric)
+            if self._present[at]:
+                return float(self._values[at])
+        raise KeyError((label, replicate, metric))
 
     def missing_cells(self, metric: str) -> list[tuple[str, int]]:
-        reps = self.replicates
-        return [(label, rep) for label in _LABELS for rep in reps
-                if metric not in self._cells.get((label, rep), ())]
+        rows, reps = np.nonzero(~self._column(metric))
+        return [(_LABELS[i], self._reps[r]) for i, r in zip(rows.tolist(), reps.tolist())]
 
     def responses(self, metric: str) -> np.ndarray:
         """(64, n_replicates) response matrix in row-index order."""
         return self._stack([metric])[:, :, 0]
 
     def _stack(self, metrics: list[str]) -> np.ndarray:
-        """(64, n_replicates, n_metrics) responses; raises on the first metric with gaps."""
+        """(64, n_replicates, n_metrics) responses, a new C-contiguous array;
+        raises on the first metric with gaps."""
         for metric in metrics:
-            missing = self.missing_cells(metric)
-            if missing:
-                raise MissingCellsError(metric, missing)
-        reps = self.replicates
-        values = [self._cells[(label, r)][m] for label in _LABELS for r in reps for m in metrics]
-        return np.array(values, dtype=float).reshape(N_CONFIGS, len(reps), len(metrics))
+            if metric not in self._metrics or not self._column(metric).all():
+                raise MissingCellsError(metric, self.missing_cells(metric))
+        # a list index on the last axis gives a transposed array; its mean and
+        # contrast product would round unlike those of the C-ordered stack
+        return np.ascontiguousarray(self._values[:, :, [self._metrics.index(m) for m in metrics]])
 
     def add_aggregates(self) -> None:
         """Derive enc_avg / dec_avg for every cell that has all nine metrics,
         by :func:`aggregate_responses`'s arithmetic; a cell that already holds
-        either raises :meth:`add`'s ``ValueError`` and nothing is added."""
-        cells = {key: cell for key, cell in self._cells.items()
-                 if all(m in cell for m in ENCODER_METRICS + DECODER_METRICS)}
-        for key, cell in cells.items():
-            for metric in ("enc_avg", "dec_avg"):
-                if metric in cell:
-                    raise _duplicate_cell(*key, metric)
-        for cell, e, d in zip(cells.values(), *_aggregates(list(cells.values()))):
-            cell.update(enc_avg=e, dec_avg=d)
+        either raises :meth:`add`'s ``ValueError`` (the first such cell opened)
+        and nothing is added."""
+        complete = np.logical_and.reduce([self._column(m) for m in _NINE])
+        rows, reps = np.nonzero(complete)
+        if not rows.size:
+            return
+        order = np.argsort(self._opened[rows, reps], kind="stable")
+        rows, reps = rows[order], reps[order]
+        held = np.stack([self._column(m)[rows, reps] for m in _AGGREGATES], axis=-1)
+        if held.any():
+            i, k = np.argwhere(held)[0]
+            raise _duplicate_cell(_LABELS[rows[i]], self._reps[reps[i]], _AGGREGATES[k])
+        nine = self._values[rows, reps][:, [self._metrics.index(m) for m in _NINE]]
+        for metric, values in zip(_AGGREGATES, _aggregates(nine)):
+            at = rows, reps, self._slot(self._metrics, metric, 2)
+            self._values[at], self._present[at] = values, True
 
 
-def _aggregates(runs: list[dict[str, float]]) -> tuple[list[float], list[float]]:
-    """Encoder and decoder averages of runs holding all nine metrics: one
-    (runs, 3) and one (runs, 6) mean, each row summed in np.mean's order."""
-    return tuple(np.mean(np.array([[run[m] for m in group] for run in runs])
-                         .reshape(len(runs), len(group)), axis=-1).tolist()
-                 for group in (ENCODER_METRICS, DECODER_METRICS))
+def _aggregates(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder and decoder averages of ``(runs, 9)`` values in ``_NINE``
+    order: one mean over each row's 3 and one over its 6, in np.mean's order."""
+    return runs[:, :3].mean(axis=-1), runs[:, 3:].mean(axis=-1)
 
 
 def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:
     """Encoder and decoder aggregate responses from one run's nine metrics."""
-    missing = [m for m in ENCODER_METRICS + DECODER_METRICS if m not in metrics]
+    missing = [m for m in _NINE if m not in metrics]
     if missing:
         raise MissingCellsError("aggregate", [(m, -1) for m in missing])
-    (enc,), (dec,) = _aggregates([metrics])
-    return enc, dec
+    (enc,), (dec,) = _aggregates(np.array([[metrics[m] for m in _NINE]]))
+    return float(enc), float(dec)
 
 
 def rank_effects(effects: dict[str, dict[str, float]], group: tuple[str, ...]) -> list[tuple[str, float]]:
@@ -220,12 +296,12 @@ def rank_effects(effects: dict[str, dict[str, float]], group: tuple[str, ...]) -
     ``effects`` maps term -> metric -> effect value.  Ties break by term
     in lexicographic order.  Returns (term, group-average effect) pairs.
     """
-    rows = [(term, float(np.mean([per_metric[m] for m in group])))
-            for term, per_metric in effects.items()]
-    return sorted(rows, key=lambda tv: (-abs(tv[1]), tv[0]))
+    values = np.array([[per_metric[m] for m in group] for per_metric in effects.values()])
+    means = values.reshape(len(effects), len(group)).mean(axis=-1).tolist()
+    return sorted(zip(effects, means), key=lambda tv: (-abs(tv[1]), tv[0]))
 
 
 def compute_all_effects(table: ResponseTable, metrics: list[str]) -> dict[str, dict[str, float]]:
     """Effect values for all 63 terms on each requested metric: S^T ybar / 32."""
     effects = _CONTRASTS.T @ table._stack(metrics).mean(axis=1) / (N_CONFIGS // 2)
-    return {term: dict(zip(metrics, map(float, row))) for term, row in zip(_TERMS, effects)}
+    return {term: dict(zip(metrics, row)) for term, row in zip(_TERMS, effects.tolist())}

@@ -31,7 +31,7 @@ its sequences in one ``evaluate`` call.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -65,6 +65,7 @@ SCALES = tuple(POOLING)
 _BLOCK = max(POOLING.values())  # image sizes and row bands come in whole blocks of this side
 _POOL_CHUNK_FRAMES = 4  # full frames' worth of rows that one strided pooling pass reads
 METRICS = tuple(f"{name}{s}" for name in ESTIMATES for s in SCALES)
+_CSV_HEADER = "config,replicate,metric,value"
 
 
 def __getattr__(name):
@@ -296,6 +297,8 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     the scales of ``POOLING``, with the estimates named in the module
     docstring.  Windows are independent of each other: each one sees only
     its own three frames, so there is no rollout and no error accumulation.
+    A frame holding a NaN or infinite pixel raises ``ValueError`` naming the
+    first such frame, before any transform.
     """
     n_frames = len(video.frames)
     if n_frames < 3:
@@ -304,6 +307,9 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
         factors = " and ".join(f"{k}x" for k in sorted(POOLING.values()) if k > 1)
         raise ValueError(f"image size {cfg.image_size} is not divisible by {_BLOCK}, which the "
                          f"{factors} pooling of the heatmap pyramid needs")
+    if not np.isfinite(video.frames).all():  # the correlator would blank such a frame silently
+        bad = np.flatnonzero(~np.isfinite(video.frames).all(axis=(1, 2)))[0]
+        raise ValueError(f"frame {bad} holds a non-finite pixel")
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
@@ -392,7 +398,7 @@ def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mea
 def metrics_to_csv(per_sequence: dict[str, np.ndarray], config_label: str, replicate: int) -> str:
     """Render each metric's mean over the sequences of :func:`track_split`'s
     per-sequence metrics as ``config,replicate,metric,value`` rows."""
-    return "config,replicate,metric,value\n" + "".join(
+    return _CSV_HEADER + "\n" + "".join(
         f"{config_label},{replicate},{metric},{float(v.mean()):.17g}\n" for metric, v in per_sequence.items())
 
 
@@ -419,27 +425,39 @@ def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
 
     Blank lines are skipped and whitespace around each field is ignored;
     ``ValueError`` names the line of a malformed row or of a value that is
-    not finite, or says that the file has no data rows.
+    not finite, or says that the file has no data rows.  A clean file is
+    parsed by column; the rows are walked one by one only to name the first
+    bad line.
     """
-    rows = []
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    body = lines[1:]
+    if (body and ",".join(map(str.strip, lines[0].split(","))).lower() == _CSV_HEADER
+            and set(map(str.count, body, repeat(","))) == {3}):  # four fields on every row
+        fields = list(map(str.strip, ",".join(body).split(",")))
+        try:
+            replicates, values = list(map(int, fields[1::4])), list(map(float, fields[3::4]))
+        except ValueError:
+            raise _first_bad_line(text) from None
+        if np.isfinite(values).all():
+            return list(zip(fields[0::4], replicates, fields[2::4], values))
+    raise _first_bad_line(text)
+
+
+def _first_bad_line(text: str) -> ValueError:
+    """The error for the first line of ``text`` that :func:`metrics_from_csv` rejects."""
     lines = [(i, [f.strip() for f in ln.split(",")])
              for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or ",".join(lines[0][1]).lower() != "config,replicate,metric,value":
+    if not lines or ",".join(lines[0][1]).lower() != _CSV_HEADER:
         first = lines[0][0] if lines else 1
-        raise ValueError(f"line {first}: results CSV must start with 'config,replicate,metric,value'")
+        return ValueError(f"line {first}: results CSV must start with '{_CSV_HEADER}'")
     if len(lines) == 1:
-        raise ValueError("no data rows")
+        return ValueError("no data rows")
     for i, fields in lines[1:]:
         if len(fields) != 4:
-            raise ValueError(f"line {i}: expected 4 fields (config,replicate,metric,value), "
-                             f"found {len(fields)}")
+            return ValueError(f"line {i}: expected 4 fields ({_CSV_HEADER}), found {len(fields)}")
         try:
-            rows.append((fields[0], int(fields[1]), fields[2], float(fields[3])))
+            int(fields[1]), float(fields[3])
         except ValueError as err:
-            raise ValueError(f"line {i}: {err}") from None
-    bad = np.flatnonzero(~np.isfinite(np.fromiter(map(itemgetter(3), rows), float, len(rows))))
-    if bad.size:
-        i, fields = lines[1 + bad[0]]
-        raise ValueError(f"line {i}: value {fields[3]!r} is not finite")
-    return rows
-
+            return ValueError(f"line {i}: {err}")
+    i, fields = next((i, f) for i, f in lines[1:] if not np.isfinite(float(f[3])))
+    return ValueError(f"line {i}: value {fields[3]!r} is not finite")

@@ -350,6 +350,22 @@ class TestTrack:
             main(["track", "--data", str(data / "sigma_0"), "--out", str(out)])
         assert not out.exists()
 
+    def test_non_finite_frame_reported_before_writing(self, small_dataset, tmp_path):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(small_dataset, broken)
+        sequences, cfg = read_dataset(broken, "test")
+        frames = sequences[1].frames.copy()
+        frames[3, 0, 0] = np.nan
+        sequences[1] = replace(sequences[1], frames=frames)
+        write_dataset(broken, "test", sequences, cfg)
+        out = tmp_path / "o"
+        message = rf"^error: {re.escape(str(broken))}: frame 3 holds a non-finite pixel$"
+        with pytest.raises(SystemExit, match=message):
+            main(["track", "--data", str(broken), "--out", str(out)])
+        assert not out.exists()
+
     def test_padded_config_label_written_canonical(self, small_dataset, tmp_path):
         out = tmp_path / "o"
         assert main(["track", "--data", str(small_dataset), "--out", str(out),
@@ -461,6 +477,19 @@ class TestEffects:
         assert len(rows) - 1 == 63 * 17
         report = (out / "effects_report.txt").read_text()
         assert "encoder" in report and "decoder" in report
+
+    def test_report_skips_a_group_without_its_metrics(self, tmp_path, capsys):
+        csv = _planted_csv(tmp_path / "results.csv")
+        keep = ("metric", "B56", "H56", "P56")  # the header and the encoder group
+        csv.write_text("".join(ln + "\n" for ln in csv.read_text().splitlines() if ln.split(",")[2] in keep))
+        out = tmp_path / "fx"
+        assert main(["effects", "--results", str(csv), "--out", str(out)]) == 0
+        report = (out / "effects_report.txt").read_text()
+        assert report.startswith("Top effects, encoder (56-scale metrics)")
+        assert report.count("Top effects") == 1 and "decoder" not in report
+        assert capsys.readouterr().out == report + "\n"
+        # no decoder metrics, so no aggregates: 63 terms x 3 metrics
+        assert len((out / "effects.csv").read_text().splitlines()) - 1 == 63 * 3
 
     def test_effects_csv_byte_stable(self, tmp_path):
         csv = _planted_csv(tmp_path / "results.csv")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balltrack.factorial import (
     DECODER_METRICS,
@@ -14,6 +16,7 @@ from balltrack.factorial import (
     enumerate_configs,
     rank_effects,
 )
+from balltrack.factorial import _CONTRASTS
 
 
 def _planted_table(n_reps=4, coefficients=None, intercept=3.0):
@@ -146,13 +149,23 @@ class TestEffectEstimate:
         assert compute_all_effects(table, ["err"])["AB"]["err"] == pytest.approx(direct, abs=1e-12)
 
     def test_missing_cells_reported_by_name(self):
-        table = _planted_table(n_reps=2)
-        # knock out one cell
-        del table._cells[("A0B0C0D0E0F0", 1)]
+        # a two-replicate grid with one cell never written
+        table = ResponseTable.from_rows((c.label, rep, "err", 1.0) for c in enumerate_configs()
+                                        for rep in range(2) if (c.index, rep) != (0, 1))
         with pytest.raises(MissingCellsError) as err:
             compute_all_effects(table, ["err"])
         assert "A0B0C0D0E0F0" in str(err.value)
         assert err.value.missing == [("A0B0C0D0E0F0", 1)]
+
+    def test_many_missing_cells_previewed(self):
+        # replicate 1 never written for configs 0..9: ten gaps, eight named
+        table = ResponseTable.from_rows((c.label, rep, "err", 1.0) for c in enumerate_configs()
+                                        for rep in range(2) if rep == 0 or c.index >= 10)
+        with pytest.raises(MissingCellsError) as err:
+            compute_all_effects(table, ["err"])
+        named = ", ".join(f"({c.label}, r1)" for c in enumerate_configs()[:8])
+        assert str(err.value) == f"metric 'err' missing 10 cells: {named}, ... 2 more"
+        assert len(err.value.missing) == 10
 
 
 def _loop_effect(table, term, metric):
@@ -193,14 +206,13 @@ class TestContrastProduct:
             assert effects[term]["err"] == pytest.approx(signs @ ybar / 32, abs=1e-12)
 
     def test_first_incomplete_metric_in_request_order_named(self):
+        gaps = {("A1B0C0D0E0F0", 0, "b"), ("A0B1C0D0E0F0", 1, "c"), ("A1B1C1D1E1F1", 0, "c")}
         table = ResponseTable()
         for config in enumerate_configs():
             for rep in range(2):
                 for m in ("a", "b", "c"):
-                    table.add(config, rep, m, 1.0)
-        del table._cells[("A1B0C0D0E0F0", 0)]["b"]
-        del table._cells[("A0B1C0D0E0F0", 1)]["c"]
-        del table._cells[("A1B1C1D1E1F1", 0)]["c"]
+                    if (config.label, rep, m) not in gaps:
+                        table.add(config, rep, m, 1.0)
         with pytest.raises(MissingCellsError) as err:
             compute_all_effects(table, ["a", "c", "b"])
         assert err.value.metric == "c"
@@ -211,13 +223,72 @@ class TestContrastProduct:
         assert err.value.missing == [("A1B0C0D0E0F0", 0)]
 
 
+class TestEffectBits:
+    """The effects keep the bits of the product over a C-ordered stack."""
+
+    METRICS = ["m3", "m0", "m2", "m1", "m4"]  # requested out of the table's sorted order
+
+    def _rows_and_stack(self, n_reps):
+        rng = np.random.default_rng(1937 + n_reps)
+        y = np.empty((64, n_reps, len(self.METRICS)))  # C-ordered, filled by a plain loop
+        rows = []
+        for config in enumerate_configs():
+            for rep in range(n_reps):
+                for k, m in enumerate(self.METRICS):
+                    y[config.index, rep, k] = float(rng.lognormal(0.0, 3.0)) * rng.choice([-1, 1])
+                    rows.append((config.label, rep, m, y[config.index, rep, k]))
+        rng.shuffle(rows)
+        return rows, y
+
+    @pytest.mark.parametrize("n_reps", [1, 3, 4])
+    def test_effects_are_the_contrast_product_of_the_stack(self, n_reps):
+        rows, y = self._rows_and_stack(n_reps)
+        assert y.flags.c_contiguous
+        want = _CONTRASTS.T @ y.mean(axis=1) / 32
+        effects = compute_all_effects(ResponseTable.from_rows(rows), self.METRICS)
+        got = np.array([[effects[t][m] for m in self.METRICS] for t in all_terms()])
+        assert got.tobytes() == want.tobytes()
+
+    def test_rank_effects_is_the_per_term_mean(self):
+        rows, _ = self._rows_and_stack(3)
+        effects = compute_all_effects(ResponseTable.from_rows(rows), self.METRICS)
+        for group in (("m0",), ("m2", "m0", "m4"), tuple(self.METRICS)):
+            want = sorted(((t, float(np.mean([effects[t][m] for m in group]))) for t in all_terms()),
+                          key=lambda tv: (-abs(tv[1]), tv[0]))
+            got = rank_effects(effects, group)
+            assert [(t, v.hex()) for t, v in got] == [(t, v.hex()) for t, v in want]
+
+
 class TestResponseTable:
     def test_padded_label_lands_in_the_canonical_cell(self):
         table = ResponseTable()
         table.add(" A1B0C0D0E0F0 ", 0, "err", 1.5)
-        assert list(table._cells) == [("A1B0C0D0E0F0", 0)]
+        assert (table.replicates, table.metrics()) == ([0], ["err"])
+        assert table.missing_cells("err") == [(c.label, 0) for c in enumerate_configs() if c.index != 1]
         assert table.value("A1B0C0D0E0F0", 0, "err") == 1.5
         assert ("A1B0C0D0E0F0", 0) not in table.missing_cells("err")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["A0B0C0D0E0F0", " A1B0C0D0E0F0", "ZZ"]),
+                                   st.integers(0, 2), st.sampled_from(["b", "a"]),
+                                   st.one_of(st.floats(allow_nan=False), st.just("x"))), max_size=12))
+    def test_from_rows_is_adding_row_by_row(self, rows):
+        def outcome(build):
+            try:
+                table = build()
+            except ValueError as err:
+                return str(err)
+            held = {(c.label, r, m): table.value(c.label, r, m) for m in "ab" for c in enumerate_configs()
+                    for r in table.replicates if (c.label, r) not in table.missing_cells(m)}
+            return table.replicates, table.metrics(), held
+
+        def by_row():
+            table = ResponseTable()
+            for config, replicate, metric, value in rows:
+                table.add(config, replicate, metric, value)
+            return table
+
+        assert outcome(lambda: ResponseTable.from_rows(rows)) == outcome(by_row)
 
     def test_padded_labels_fill_the_grid(self):
         rows = [(f" {c.label}", 0, "err", float(c.index)) for c in enumerate_configs()]
@@ -291,6 +362,13 @@ class TestAggregates:
         table.add("A0B1C0D0E0F0", 0, "enc_avg", 7.0)
         with pytest.raises(ValueError, match=r"duplicate cell \(A0B1C0D0E0F0, r0, enc_avg\)"):
             table.add_aggregates()
+
+    def test_first_duplicate_in_row_order_from_rows(self):
+        rows = [(label, 0, m, 1.0) for label in ("A0B1C0D0E0F0", "A1B0C0D0E0F0")
+                for m in ENCODER_METRICS + DECODER_METRICS]
+        rows += [("A1B0C0D0E0F0", 0, "enc_avg", 5.0), ("A0B1C0D0E0F0", 0, "dec_avg", 6.0)]
+        with pytest.raises(ValueError, match=r"duplicate cell \(A0B1C0D0E0F0, r0, dec_avg\)"):
+            ResponseTable.from_rows(rows).add_aggregates()
 
     def test_table_aggregates_are_bitwise_per_cell_means(self):
         rng = np.random.default_rng(64)

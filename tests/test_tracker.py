@@ -584,6 +584,18 @@ class TestTrackSequence:
         with pytest.raises(ValueError, match="^image size 226 is not divisible by 4, "):
             track_sequence(seq, cfg)
 
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected_before_any_transform(self, cfg, clean_seq, monkeypatch, pixel):
+        import dataclasses
+
+        import balltrack.tracker as tracker
+
+        frames = clean_seq.frames.copy()
+        frames[7, 5, 5] = frames[12, 100, 100] = pixel  # far from the ball, which a map would hide
+        monkeypatch.setattr(tracker, "ncc_heatmap", lambda *a, **k: pytest.fail("correlator ran"))
+        with pytest.raises(ValueError, match="^frame 7 holds a non-finite pixel$"):
+            track_sequence(dataclasses.replace(clean_seq, frames=frames), cfg)
+
     def test_windows_independent_and_deterministic(self, clean_seq, cfg):
         a = track_sequence(clean_seq, cfg)
         b = track_sequence(clean_seq, cfg)
@@ -736,6 +748,68 @@ class TestTrackSplit:
         assert abs(large - small) <= 0.1 * small, (small, large)
 
 
+def _rows_by_line(text):
+    """Row-by-row reference parser of a results CSV: each non-blank line is
+    split and checked in file order, then the values' finiteness."""
+    rows = []
+    lines = [(i, [f.strip() for f in ln.split(",")])
+             for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or ",".join(lines[0][1]).lower() != "config,replicate,metric,value":
+        first = lines[0][0] if lines else 1
+        raise ValueError(f"line {first}: results CSV must start with 'config,replicate,metric,value'")
+    if len(lines) == 1:
+        raise ValueError("no data rows")
+    for i, fields in lines[1:]:
+        if len(fields) != 4:
+            raise ValueError(f"line {i}: expected 4 fields (config,replicate,metric,value), "
+                             f"found {len(fields)}")
+        try:
+            rows.append((fields[0], int(fields[1]), fields[2], float(fields[3])))
+        except ValueError as err:
+            raise ValueError(f"line {i}: {err}") from None
+    for (i, fields), row in zip(lines[1:], rows):
+        if not np.isfinite(row[3]):
+            raise ValueError(f"line {i}: value {fields[3]!r} is not finite")
+    return rows
+
+
+_PAD = st.sampled_from(["", "", " ", "\t", " \t "])
+_GOOD = (st.sampled_from(["A0B0C0D0E0F0", "A1B1C1D1E1F1", "ZZ", ""]),
+         st.integers(-3, 12).map(str),
+         st.sampled_from(["B56", "H224", "enc_avg", ""]),
+         st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.just(" 2 ")))
+_BAD = {"replicate": st.sampled_from(["one", "1.5", "", "1e3"]),
+        "value": st.sampled_from(["x", "", "1.5.0", "0x1p3"]),
+        "non-finite": st.sampled_from(["nan", "inf", "-inf", "1e999", "-1E999", "NaN"])}
+
+
+@st.composite
+def _results_texts(draw):
+    """Results CSV text: a header (now and then a wrong one), then rows with
+    blank lines, padding and mixed line ends.  In half the texts every row
+    is good; in the others rows of 3 or 5 fields, bad replicates, bad values
+    and non-finite values are mixed in."""
+    header = draw(st.sampled_from(["config,replicate,metric,value"] * 9
+                                  + [" Config , REPLICATE,metric ,value", "config,replicate,metric",
+                                     "a,b,c,d"]))
+    kinds = ["row"] * 6 + ["blank"] + ([] if draw(st.booleans()) else ["3", "5", *_BAD])
+    lines = [draw(_PAD) for _ in range(draw(st.integers(0, 2)))] + [header]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(_PAD))
+            continue
+        fields = [draw(field) for field in _GOOD]
+        if kind in ("3", "5"):
+            fields = fields[:3] if kind == "3" else fields + [draw(_GOOD[3])]
+        elif kind != "row":
+            fields[1 if kind == "replicate" else 3] = draw(_BAD[kind])
+        lines.append(",".join(draw(_PAD) + f + draw(_PAD) for f in fields))
+    ends = st.sampled_from(["\n", "\n", "\r\n"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
 class TestMetricsCsv:
     def test_metric_names_pinned(self):
         # the names and the order of metrics.csv's rows and per_sequence_metrics.csv's columns
@@ -767,3 +841,14 @@ class TestMetricsCsv:
         text = f"config,replicate,metric,value\nA0B0C0D0E0F0,0,B56,1.0\n\n{bad_row}\n"
         with pytest.raises(ValueError, match=message):
             metrics_from_csv(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_results_texts())
+    def test_parse_matches_the_row_by_row_reference(self, text):
+        def outcome(parse):
+            try:
+                return repr(parse(text))
+            except ValueError as err:
+                return f"ValueError: {err}"
+
+        assert outcome(metrics_from_csv) == outcome(_rows_by_line)
