@@ -7,12 +7,13 @@ The design table is built once, at import: a :class:`FactorConfig` is its
 row, and a label resolves through one lookup (surrounding whitespace
 ignored).
 
-:class:`ResponseTable` holds the responses as arrays indexed by design row:
-a ``(64, replicates, metrics)`` value array and a presence mask of the same
-shape, with replicates and metrics kept sorted.  ``from_rows`` places a
-whole results table in one scatter and rejects a repeated (config,
-replicate, metric) by one count; gaps, a metric's response matrix and the
-enc_avg / dec_avg aggregates are mask and slice operations on those arrays.
+:class:`ResponseTable` holds the responses as one ``(64, replicates,
+metrics)`` float array indexed by design row, with replicates and metrics
+kept sorted.  Only finite values get in, so NaN marks every cell that lacks
+a metric.  ``from_rows`` scatters a whole results table into it at once;
+gaps, a metric's response matrix and the enc_avg / dec_avg aggregates are
+NaN tests and slices of that array, and a fault names the first cell in
+design order (config row, then replicate).
 
 Effects use {-1, +1} contrast coding: the estimate for a term (any
 non-empty subset of factors) is the mean response where the term's contrast
@@ -82,12 +83,14 @@ _LABELS = ["".join(f"{f}{b}" for f, b in zip(FACTORS, bits)) for bits in _BITS]
 _ROW = {label: row for row, label in enumerate(_LABELS)}
 
 
-def _row(label: str) -> int:
-    """Design row of a label; surrounding whitespace is ignored."""
+def _row(config: FactorConfig | str) -> int:
+    """Design row of a config or of its label; surrounding whitespace is ignored."""
+    if not isinstance(config, str):
+        return config.index
     try:
-        return _ROW[label.strip()]
+        return _ROW[config.strip()]
     except KeyError:
-        raise ValueError(f"bad config label {label.strip()!r}") from None
+        raise ValueError(f"bad config label {config.strip()!r}") from None
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,8 @@ _IN_TERM = np.array([[f in term for f in FACTORS] for term in _TERMS])
 _CONTRASTS = np.where(_IN_TERM, _SIGNS[:, None, :], 1).prod(axis=2)
 
 
-def _duplicate_cell(label: str, replicate: int, metric: str) -> ValueError:
-    return ValueError(f"duplicate cell ({label}, r{replicate}, {metric})")
+def _cell_error(problem: str, row: int, replicate: int, metric: str) -> ValueError:
+    return ValueError(f"{problem} ({_LABELS[row]}, r{replicate}, {metric})")
 
 
 def _codes(column, code: dict) -> np.ndarray:
@@ -145,69 +148,59 @@ def _codes(column, code: dict) -> np.ndarray:
 
 
 class ResponseTable:
-    """The design's responses as arrays: a ``(64, replicates, metrics)``
-    value array, a presence mask of that shape and, per (config, replicate)
-    cell, the order in which it was opened.  Replicates and metrics are held
-    sorted, so every slice is already in the order the methods return."""
+    """The design's responses as one ``(64, replicates, metrics)`` float
+    array, NaN wherever a cell lacks the metric.  Only finite values get in,
+    so NaN is never a response.  Replicates and metrics are held sorted, so
+    every slice is already in the order the methods return."""
 
     def __init__(self):
         self._reps: list[int] = []
         self._metrics: list[str] = []
-        self._values = np.zeros((N_CONFIGS, 0, 0))
-        self._present = np.zeros((N_CONFIGS, 0, 0), bool)
-        self._opened = np.zeros((N_CONFIGS, 0), int)  # values held when each cell was opened
+        self._values = np.empty((N_CONFIGS, 0, 0))
 
     def _slot(self, keys: list, key, axis: int) -> int:
-        """Index of ``key`` in the sorted ``keys``; a new key gets an empty slice on ``axis``."""
+        """Index of ``key`` in the sorted ``keys``; a new key gets a NaN slice on ``axis``."""
         i = bisect_left(keys, key)
         if i == len(keys) or keys[i] != key:
             keys.insert(i, key)
-            self._values = np.insert(self._values, i, 0.0, axis)
-            self._present = np.insert(self._present, i, False, axis)
-            if axis == 1:
-                self._opened = np.insert(self._opened, i, 0, axis)
+            self._values = np.insert(self._values, i, np.nan, axis)
         return i
 
     def add(self, config: FactorConfig | str, replicate: int, metric: str, value: float) -> None:
-        """Store one value under the canonical label; a repeated cell raises ``ValueError``."""
-        row = _row(config) if isinstance(config, str) else config.index
-        value = float(value)
-        cell = row, self._slot(self._reps, replicate, 1)
-        at = *cell, self._slot(self._metrics, metric, 2)
-        if self._present[at]:
-            raise _duplicate_cell(_LABELS[row], replicate, metric)
-        if not self._present[cell].any():
-            self._opened[cell] = self._present.sum()
-        self._values[at], self._present[at] = value, True
+        """Store one value under the canonical label; a NaN or +-inf value
+        or a repeated cell raises ``ValueError`` naming the cell."""
+        row, value = _row(config), float(value)
+        if not np.isfinite(value):
+            raise _cell_error(f"value {value!r} is not finite in cell", row, replicate, metric)
+        at = row, self._slot(self._reps, replicate, 1), self._slot(self._metrics, metric, 2)
+        if not np.isnan(self._values[at]):
+            raise _cell_error("duplicate cell", row, replicate, metric)
+        self._values[at] = value
 
     @classmethod
     def from_rows(cls, rows) -> "ResponseTable":
-        """Table of ``(config, replicate, metric, value)`` rows, placed in one
-        scatter.  Rows with a bad label or value or a repeated cell are
-        replayed through :meth:`add` instead, which raises at the first one."""
+        """Table of ``(config, replicate, metric, value)`` rows, scattered
+        into a NaN-filled array at once.  Rows with a bad label or value, a
+        value that is not finite or a repeated cell are replayed through
+        :meth:`add` instead, which raises at the first one."""
         rows = list(rows)
         if not rows or set(map(len, rows)) != {4}:  # nothing to place, or a row to reject
             return cls()._replay(rows)
         configs, reps, metrics, values = zip(*rows)
         try:
-            row_of = {c: _row(c) if isinstance(c, str) else c.index for c in set(configs)}
+            row_of = {c: _row(c) for c in set(configs)}
             values = np.fromiter(map(float, values), float, len(rows))
         except (TypeError, ValueError):  # a bad label or value
             return cls()._replay(rows)
         table = cls()
         table._reps, table._metrics = sorted(set(reps)), sorted(set(metrics))
-        shape = (N_CONFIGS, len(table._reps), len(table._metrics))
-        cells = (_codes(configs, row_of) * shape[1]
-                 + _codes(reps, {r: i for i, r in enumerate(table._reps)}))
-        at = cells * shape[2] + _codes(metrics, {m: i for i, m in enumerate(table._metrics)})
-        counts = np.bincount(at, minlength=np.prod(shape))
-        if counts.max() > 1:  # a repeated cell
+        table._values = np.full((N_CONFIGS, len(table._reps), len(table._metrics)), np.nan)
+        table._values[_codes(configs, row_of),
+                      _codes(reps, {r: i for i, r in enumerate(table._reps)}),
+                      _codes(metrics, {m: i for i, m in enumerate(table._metrics)})] = values
+        # one finite entry per row unless a value is not finite or a cell repeats
+        if np.count_nonzero(np.isfinite(table._values)) < len(rows):
             return cls()._replay(rows)
-        table._values = np.zeros(shape)
-        table._values.reshape(-1)[at] = values
-        table._present = counts.reshape(shape) > 0
-        table._opened = np.full(shape[:2], len(rows))
-        np.minimum.at(table._opened.reshape(-1), cells, np.arange(len(rows)))
         return table
 
     def _replay(self, rows) -> "ResponseTable":
@@ -223,21 +216,24 @@ class ResponseTable:
         return list(self._metrics)
 
     def _column(self, metric: str) -> np.ndarray:
-        """(64, n_replicates) presence of one metric; all False for one never stored."""
+        """(64, n_replicates) values of one metric; all NaN for one never stored."""
         if metric in self._metrics:
-            return self._present[:, :, self._metrics.index(metric)]
-        return np.zeros(self._present.shape[:2], bool)
+            return self._values[:, :, self._metrics.index(metric)]
+        return np.full(self._values.shape[:2], np.nan)
 
-    def value(self, label: str, replicate: int, metric: str) -> float:
-        """One stored value; ``KeyError`` for a cell that does not hold the metric."""
-        if replicate in self._reps and metric in self._metrics:
-            at = _ROW[label], self._reps.index(replicate), self._metrics.index(metric)
-            if self._present[at]:
-                return float(self._values[at])
-        raise KeyError((label, replicate, metric))
+    def value(self, label: FactorConfig | str, replicate: int, metric: str) -> float:
+        """One stored value, its config given as :meth:`add` takes it;
+        ``KeyError`` for a cell that does not hold the metric."""
+        try:
+            at = _row(label), self._reps.index(replicate), self._metrics.index(metric)
+        except ValueError:  # a bad label, or a replicate or metric never stored
+            raise KeyError((label, replicate, metric)) from None
+        if np.isnan(self._values[at]):
+            raise KeyError((label, replicate, metric))
+        return float(self._values[at])
 
     def missing_cells(self, metric: str) -> list[tuple[str, int]]:
-        rows, reps = np.nonzero(~self._column(metric))
+        rows, reps = np.nonzero(np.isnan(self._column(metric)))
         return [(_LABELS[i], self._reps[r]) for i, r in zip(rows.tolist(), reps.tolist())]
 
     def responses(self, metric: str) -> np.ndarray:
@@ -248,7 +244,7 @@ class ResponseTable:
         """(64, n_replicates, n_metrics) responses, a new C-contiguous array;
         raises on the first metric with gaps."""
         for metric in metrics:
-            if metric not in self._metrics or not self._column(metric).all():
+            if metric not in self._metrics or np.isnan(self._column(metric)).any():
                 raise MissingCellsError(metric, self.missing_cells(metric))
         # a list index on the last axis gives a transposed array; its mean and
         # contrast product would round unlike those of the C-ordered stack
@@ -257,22 +253,19 @@ class ResponseTable:
     def add_aggregates(self) -> None:
         """Derive enc_avg / dec_avg for every cell that has all nine metrics,
         by :func:`aggregate_responses`'s arithmetic; a cell that already holds
-        either raises :meth:`add`'s ``ValueError`` (the first such cell opened)
-        and nothing is added."""
-        complete = np.logical_and.reduce([self._column(m) for m in _NINE])
-        rows, reps = np.nonzero(complete)
+        either raises :meth:`add`'s ``ValueError`` (the first such cell in
+        design order) and nothing is added."""
+        nine = np.stack([self._column(m) for m in _NINE], axis=-1)
+        rows, reps = np.nonzero(~np.isnan(nine).any(axis=-1))
         if not rows.size:
             return
-        order = np.argsort(self._opened[rows, reps], kind="stable")
-        rows, reps = rows[order], reps[order]
-        held = np.stack([self._column(m)[rows, reps] for m in _AGGREGATES], axis=-1)
+        held = ~np.isnan(np.stack([self._column(m)[rows, reps] for m in _AGGREGATES], axis=-1))
         if held.any():
             i, k = np.argwhere(held)[0]
-            raise _duplicate_cell(_LABELS[rows[i]], self._reps[reps[i]], _AGGREGATES[k])
-        nine = self._values[rows, reps][:, [self._metrics.index(m) for m in _NINE]]
-        for metric, values in zip(_AGGREGATES, _aggregates(nine)):
-            at = rows, reps, self._slot(self._metrics, metric, 2)
-            self._values[at], self._present[at] = values, True
+            raise _cell_error("duplicate cell", rows[i], self._reps[reps[i]], _AGGREGATES[k])
+        for metric, values in zip(_AGGREGATES, _aggregates(nine[rows, reps])):
+            at = rows, reps, self._slot(self._metrics, metric, 2)  # may replace self._values
+            self._values[at] = values
 
 
 def _aggregates(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,7 +278,7 @@ def aggregate_responses(metrics: dict[str, float]) -> tuple[float, float]:
     """Encoder and decoder aggregate responses from one run's nine metrics."""
     missing = [m for m in _NINE if m not in metrics]
     if missing:
-        raise MissingCellsError("aggregate", [(m, -1) for m in missing])
+        raise ValueError(f"missing metrics: {', '.join(missing)}")
     (enc,), (dec,) = _aggregates(np.array([[metrics[m] for m in _NINE]]))
     return float(enc), float(dec)
 

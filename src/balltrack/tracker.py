@@ -456,8 +456,8 @@ def _first_bad_line(text: str) -> ValueError:
         if len(fields) != 4:
             return ValueError(f"line {i}: expected 4 fields ({_CSV_HEADER}), found {len(fields)}")
         try:
-            int(fields[1]), float(fields[3])
+            int(fields[1])
+            if not np.isfinite(float(fields[3])):
+                return ValueError(f"line {i}: value {fields[3]!r} is not finite")
         except ValueError as err:
             return ValueError(f"line {i}: {err}")
-    i, fields = next((i, f) for i, f in lines[1:] if not np.isfinite(float(f[3])))
-    return ValueError(f"line {i}: value {fields[3]!r} is not finite")

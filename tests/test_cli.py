@@ -533,6 +533,17 @@ class TestEffects:
             main(["effects", "--results", str(csv), "--out", str(out)])
         assert not out.exists()
 
+    def test_first_supplied_aggregate_in_design_order_reported(self, tmp_path):
+        csv = _planted_csv(tmp_path / "results.csv")
+        header, *body = csv.read_text().splitlines()
+        supplied = ["A0B1C0D0E0F0,0,enc_avg,99", "A1B0C0D0E0F0,1,enc_avg,99"]
+        csv.write_text("\n".join([header, *body[::-1], *supplied]) + "\n")  # rows against design order
+        out = tmp_path / "fx"
+        cell = re.escape("duplicate cell (A1B0C0D0E0F0, r1, enc_avg)")
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(csv))}: {cell}"):
+            main(["effects", "--results", str(csv), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [None, "a,b,c,d\n",
                                       "config,replicate,metric,value\nA0B0C0D0E0F0,0,B56\n",
                                       "config,replicate,metric,value\nA0B0C0D0E0F0,x,B56,1.0\n",

@@ -271,7 +271,7 @@ class TestResponseTable:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from(["A0B0C0D0E0F0", " A1B0C0D0E0F0", "ZZ"]),
                                    st.integers(0, 2), st.sampled_from(["b", "a"]),
-                                   st.one_of(st.floats(allow_nan=False), st.just("x"))), max_size=12))
+                                   st.one_of(st.floats(), st.just("x"))), max_size=12))
     def test_from_rows_is_adding_row_by_row(self, rows):
         def outcome(build):
             try:
@@ -289,6 +289,38 @@ class TestResponseTable:
             return table
 
         assert outcome(lambda: ResponseTable.from_rows(rows)) == outcome(by_row)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_and_names_the_cell(self, value):
+        cell = rf"value {value!r} is not finite in cell \(A1B0C0D0E0F0, r2, err\)"
+        table = ResponseTable()
+        with pytest.raises(ValueError, match=cell):
+            table.add(" A1B0C0D0E0F0", 2, "err", value)
+        rows = [(c.label, 2, "err", value if c.index == 1 else 1.0) for c in enumerate_configs()]
+        with pytest.raises(ValueError, match=cell):
+            ResponseTable.from_rows(rows)
+
+    def test_clean_rows_are_scattered_without_add(self, monkeypatch):
+        rows = [(f" {c.label}" if c.index % 2 else c, rep, m, float(c.index + rep))
+                for c in enumerate_configs() for rep in (2, 0) for m in ("b", "a")]
+
+        def refuse(*args):
+            raise AssertionError("a clean row went through add")
+
+        monkeypatch.setattr(ResponseTable, "add", refuse)
+        table = ResponseTable.from_rows(rows)
+        assert (table.replicates, table.metrics()) == ([0, 2], ["a", "b"])
+        assert table.responses("a").tolist() == [[float(i), float(i + 2)] for i in range(64)]
+
+    @pytest.mark.parametrize("config", [" A1B0C0D0E0F0", FactorConfig(1)], ids=["padded", "config"])
+    def test_value_resolves_its_config_as_add_does(self, config):
+        table = ResponseTable()
+        table.add(config, 0, "err", 1.5)
+        assert table.value(config, 0, "err") == table.value("A1B0C0D0E0F0", 0, "err") == 1.5
+        for key in ((config, 0, "other"), (config, 1, "err"), ("A0B0C0D0E0F0", 0, "err"), ("ZZ", 0, "err")):
+            with pytest.raises(KeyError) as err:
+                table.value(*key)
+            assert err.value.args == (key,)
 
     def test_padded_labels_fill_the_grid(self):
         rows = [(f" {c.label}", 0, "err", float(c.index)) for c in enumerate_configs()]
@@ -328,7 +360,8 @@ class TestAggregates:
         assert enc == 3.0
 
     def test_missing_metric_rejected(self):
-        with pytest.raises(MissingCellsError):
+        with pytest.raises(ValueError, match=r"^missing metrics: H56, P56, B112, B224, H112, H224, "
+                                             r"P112, P224$"):
             aggregate_responses({"B56": 1.0})
 
     def test_add_aggregates_to_table(self):
@@ -352,23 +385,22 @@ class TestAggregates:
             table.add_aggregates()
         assert table.value("A1B0C0D0E0F0", 3, supplied) == 99.0
 
+    # cells listed against design order: (row 2, r0) first, (row 1, r1) last; the first
+    # offending cell in design order (config row, then replicate) is (row 1, r1)
+    _CELLS = [("A0B1C0D0E0F0", 0), ("A1B0C0D0E0F0", 0), ("A1B0C0D0E0F0", 1)]
+    _ROWS = [(label, rep, m, 1.0) for label, rep in _CELLS for m in ENCODER_METRICS + DECODER_METRICS]
+    _ROWS += [("A0B1C0D0E0F0", 0, "enc_avg", 5.0), ("A1B0C0D0E0F0", 1, "dec_avg", 6.0)]
+
     def test_first_duplicate_in_cell_order_is_raised(self):
         table = ResponseTable()
-        for label in ("A0B1C0D0E0F0", "A1B0C0D0E0F0"):
-            for m in ENCODER_METRICS + DECODER_METRICS:
-                table.add(label, 0, m, 1.0)
-        table.add("A1B0C0D0E0F0", 0, "enc_avg", 5.0)
-        table.add("A0B1C0D0E0F0", 0, "dec_avg", 6.0)
-        table.add("A0B1C0D0E0F0", 0, "enc_avg", 7.0)
-        with pytest.raises(ValueError, match=r"duplicate cell \(A0B1C0D0E0F0, r0, enc_avg\)"):
+        for row in self._ROWS:
+            table.add(*row)
+        with pytest.raises(ValueError, match=r"duplicate cell \(A1B0C0D0E0F0, r1, dec_avg\)"):
             table.add_aggregates()
 
     def test_first_duplicate_in_row_order_from_rows(self):
-        rows = [(label, 0, m, 1.0) for label in ("A0B1C0D0E0F0", "A1B0C0D0E0F0")
-                for m in ENCODER_METRICS + DECODER_METRICS]
-        rows += [("A1B0C0D0E0F0", 0, "enc_avg", 5.0), ("A0B1C0D0E0F0", 0, "dec_avg", 6.0)]
-        with pytest.raises(ValueError, match=r"duplicate cell \(A0B1C0D0E0F0, r0, dec_avg\)"):
-            ResponseTable.from_rows(rows).add_aggregates()
+        with pytest.raises(ValueError, match=r"duplicate cell \(A1B0C0D0E0F0, r1, dec_avg\)"):
+            ResponseTable.from_rows(self._ROWS).add_aggregates()
 
     def test_table_aggregates_are_bitwise_per_cell_means(self):
         rng = np.random.default_rng(64)

@@ -750,7 +750,7 @@ class TestTrackSplit:
 
 def _rows_by_line(text):
     """Row-by-row reference parser of a results CSV: each non-blank line is
-    split and checked in file order, then the values' finiteness."""
+    split and checked in file order, its value's finiteness included."""
     rows = []
     lines = [(i, [f.strip() for f in ln.split(",")])
              for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
@@ -767,8 +767,7 @@ def _rows_by_line(text):
             rows.append((fields[0], int(fields[1]), fields[2], float(fields[3])))
         except ValueError as err:
             raise ValueError(f"line {i}: {err}") from None
-    for (i, fields), row in zip(lines[1:], rows):
-        if not np.isfinite(row[3]):
+        if not np.isfinite(rows[-1][3]):
             raise ValueError(f"line {i}: value {fields[3]!r} is not finite")
     return rows
 
@@ -836,6 +835,8 @@ class TestMetricsCsv:
         ("A0B0C0D0E0F0,0,B56,nan", r"line 4: value 'nan' is not finite"),
         ("A0B0C0D0E0F0,0,B56, -inf", r"line 4: value '-inf' is not finite"),
         ("A0B0C0D0E0F0,0,B56,1e999", r"line 4: value '1e999' is not finite"),
+        pytest.param("A0B0C0D0E0F0,0,B56,nan\n" + "A0B0C0D0E0F0,1,B56,1.0\n" * 4 + "A0B0C0D0E0F0,one,B56,1.0",
+                     r"line 4: value 'nan' is not finite", id="nan-then-bad-replicate"),
     ])
     def test_bad_row_names_its_line(self, bad_row, message):
         text = f"config,replicate,metric,value\nA0B0C0D0E0F0,0,B56,1.0\n\n{bad_row}\n"
