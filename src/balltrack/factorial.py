@@ -167,9 +167,14 @@ class ResponseTable:
         return i
 
     def add(self, config: FactorConfig | str, replicate: int, metric: str, value: float) -> None:
-        """Store one value under the canonical label; a NaN or +-inf value
-        or a repeated cell raises ``ValueError`` naming the cell."""
-        row, value = _row(config), float(value)
+        """Store one value under the canonical label; a NaN or +-inf value,
+        an integer too large for a float or a repeated cell raises
+        ``ValueError`` naming the cell."""
+        row = _row(config)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise _cell_error("value too large for a float in cell", row, replicate, metric) from None
         if not np.isfinite(value):
             raise _cell_error(f"value {value!r} is not finite in cell", row, replicate, metric)
         at = row, self._slot(self._reps, replicate, 1), self._slot(self._metrics, metric, 2)
@@ -181,8 +186,9 @@ class ResponseTable:
     def from_rows(cls, rows) -> "ResponseTable":
         """Table of ``(config, replicate, metric, value)`` rows, scattered
         into a NaN-filled array at once.  Rows with a bad label or value, a
-        value that is not finite or a repeated cell are replayed through
-        :meth:`add` instead, which raises at the first one."""
+        value that is not finite or too large for a float, or a repeated
+        cell are replayed through :meth:`add` instead, which raises at the
+        first one."""
         rows = list(rows)
         if not rows or set(map(len, rows)) != {4}:  # nothing to place, or a row to reject
             return cls()._replay(rows)
@@ -190,7 +196,7 @@ class ResponseTable:
         try:
             row_of = {c: _row(c) for c in set(configs)}
             values = np.fromiter(map(float, values), float, len(rows))
-        except (TypeError, ValueError):  # a bad label or value
+        except (TypeError, ValueError, OverflowError):  # a bad label or value
             return cls()._replay(rows)
         table = cls()
         table._reps, table._metrics = sorted(set(reps)), sorted(set(metrics))

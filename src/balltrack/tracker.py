@@ -9,9 +9,12 @@ average-pooled into the ``{scale: maps}`` pyramid of ``POOLING``.  Every
 stage reads only each frame's band of live rows, the correlator's widened to
 whole blocks of the largest pooling factor, and keeps the bits of the same
 stage over whole frames; a dense frame's band is the whole frame.  The
-correlator itself takes its window sums only on the rows that the frame's
-nonzero rows reach, guarded by a bound on the FFT rounding residue of the
-rows it skips.
+correlator's input is the stack's nonzero rows, which the temporal mean
+builds without a dense stack.  It takes its window sums only on the rows
+that each frame's nonzero rows reach, guarded by a bound on the FFT
+rounding residue of the rows it skips, and runs its row transforms and its
+elementwise tail once per batch of frames whose reached rows fit in one
+frame's height.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the (T, H, W) stack whose
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,9 +114,32 @@ def _residue_bound(x, sq, size, n):
         return float(np.sqrt(b2 + b1 * b1 / n))
 
 
-def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | None = None) -> np.ndarray:
-    """Zero-normalized cross-correlation heatmaps of (..., H, W) frames,
-    negatives suppressed.
+class _StackRows(NamedTuple):
+    """A ``(T, H, W)`` stack held as its nonzero rows: ``values[i]`` is row
+    ``row[i]`` of frame ``frame[i]``, in frame order and row order within a
+    frame, and every other row is zero.  ``values`` keeps its own dtype."""
+
+    shape: tuple[int, int, int]
+    frame: np.ndarray
+    row: np.ndarray
+    values: np.ndarray
+
+
+def _nonzero_rows(frames: np.ndarray) -> _StackRows:
+    """The nonzero rows of (..., H, W) frames; with no zero row, ``values``
+    is a view of the frames."""
+    *_, h, w = frames.shape
+    flat = frames.reshape(-1, w)
+    at = np.flatnonzero(flat.any(axis=-1))
+    frame, row = np.divmod(at, h)
+    return _StackRows((len(flat) // h, h, w), frame, row, flat if len(at) == len(flat) else flat[at])
+
+
+def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
+                bands: np.ndarray | None = None) -> np.ndarray:
+    """Zero-normalized cross-correlation heatmaps of (..., H, W) frames, or
+    of a (T, H, W) stack given as its nonzero rows (as
+    :func:`_detector_frames` gives it), negatives suppressed.
 
     Border pixels whose template window would leave the frame are zero, as
     are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
@@ -135,89 +162,194 @@ def ncc_heatmap(frames: np.ndarray, template: np.ndarray, bands: np.ndarray | No
     those other rows; they are skipped only when :func:`_residue_bound`, times
     the template norm, is below the cutoff, so that the residue could neither
     pass the cutoff nor move ``den.max()`` or the 1e-9 floor.  Otherwise (a
-    NaN, an infinity or a square that overflows) the window sums run on all
-    H rows.  For the numerator the inverse row pass runs only on the rows
-    where some window passes the cutoff (every other pixel is zero).
-    Transform shape, products and slice are those of ``fftconvolve``, so each
-    map has the bits of three ``fftconvolve`` calls.  Only a frame's nonzero
-    rows are converted to float64, and only the numerator rows inside the
-    border get the rest of the arithmetic; a frame of zeros gives a map of
-    zeros and runs no transform.
+    NaN, an infinity or a square that overflows) the frame is run again with
+    its window sums on all H rows.  For the numerator the inverse row pass
+    runs only on the rows where some window passes the cutoff (every other
+    pixel is zero).  Transform shape, products and slice are those of
+    ``fftconvolve``, so each map has the bits of three ``fftconvolve`` calls.
+
+    Row passes and the tail run per batch: consecutive frames whose reached
+    rows total at most H, so a dense frame is a batch of its own.  A batch
+    takes one forward row pass over its nonzero rows and one over those of
+    its frames that are not 0/1, squared.  Each frame's column passes run
+    one by one and copy the rows they reach into H-row buffers.  One
+    inverse row pass per window sum, one variance-to-live-mask tail (each
+    frame's cutoff from its own ``den.max()``) and one inverse row pass of
+    the live numerator rows serve the whole batch; the residue guard stays
+    per frame, and a frame it fails is swept alone.  A batch of one frame
+    runs the same passes without the buffers and the per-frame reductions,
+    whose bookkeeping would cost a dense frame a few percent.  Only a
+    batch's rows are converted to float64, and only the numerator rows
+    inside the border get the rest of the arithmetic; a frame of zeros gives
+    a map of zeros and runs no transform.  An array of frames is first
+    turned into its nonzero rows.
 
     ``bands``, a ``(..., 2)`` integer array if given, receives each map's
     ``[start, stop)`` band of rows written; the map is zero outside it, and
     ``(0, 0)`` marks a map of zeros.
     """
     from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2  # here, so only tracking loads scipy
-    frames = np.asarray(frames)
+    if isinstance(frames, _StackRows):
+        stack, shape = frames, frames.shape
+    else:
+        frames = np.asarray(frames)
+        stack, shape = _nonzero_rows(frames), frames.shape
     t0 = template - template.mean()
     t_norm = np.sqrt(np.sum(t0 * t0))
     n = template.size
 
-    (h, w), (kh, kw) = frames.shape[-2:], template.shape
+    (n_maps, h, w), (kh, kw) = stack.shape, template.shape
     fshape = p, q = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
     top, cols = (kh - 1) // 2, slice((kw - 1) // 2, (kw - 1) // 2 + w)
+    margin = kh // 2
     flipped_spec = rfft2(t0[::-1, ::-1], fshape)
     ones_spec = rfft2(np.ones_like(template), fshape)
     # irfft2's scale: pocketfft's long-double 1/(P*Q) rounds to this double
     # for every 5-smooth P*Q below 9e15
     scale = 1.0 / (p * q)
 
-    def spectrum(x, rows):
-        # rfft2 of the frame whose nonzero rows ``rows`` hold ``x``, at fshape
+    def column(spectra, rows):
+        # rfft2 at fshape of the frame whose nonzero rows ``rows`` have the row spectra ``spectra``
         buf = np.zeros((p, q // 2 + 1), complex)
-        buf[rows] = rfft(x, q, axis=-1)
+        buf[rows] = spectra
         return fft(buf, axis=0, overwrite_x=True)
 
-    def inverse(spec, rows):
-        # irfft2(spec, fshape)[rows, cols]
-        part = ifft(spec, axis=0, norm="forward", overwrite_x=True)[rows]
+    def column_inverse(frame_spec, kernel_spec, rows):
+        # rows ``rows`` of the inverse column pass of frame_spec * kernel_spec
+        return ifft(frame_spec * kernel_spec, axis=0, norm="forward", overwrite_x=True)[rows]
+
+    def inverse(part):
+        # irfft2(spec, fshape)[rows, cols] from those rows of the inverse column pass
         return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
 
-    def window_den(spec, sq_spec, lo, hi):
-        # the denominator on "same" rows [lo, hi) from the spectra of the frame and its square
-        s1 = inverse(spec * ones_spec, slice(top + lo, top + hi))
-        s2 = s1 if sq_spec is spec else inverse(sq_spec * ones_spec, slice(top + lo, top + hi))
+    def denominator(s1, s2):
+        # windows with no meaningful structure (near-zero variance, absolutely
+        # or relative to the frame's liveliest window) would normalize rounding
+        # residue up to O(1) correlations; the cutoff treats them as empty
         return t_norm * np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0))
 
-    margin = template.shape[0] // 2
-    out = np.zeros(frames.shape)
-    written = np.zeros((*frames.shape[:-2], 2), int)
-    for frame, hm, band in zip(frames.reshape(-1, h, w), out.reshape(-1, h, w), written.reshape(-1, 2)):
-        rows = np.flatnonzero(frame.any(axis=-1))
-        if not len(rows):
-            continue  # a map of zeros
-        x = frame[rows].astype(np.float64, copy=False)
-        sq = x * x
-        binary = np.array_equal(sq.view(np.uint64), x.view(np.uint64))
-        spec = spectrum(x, rows)
-        sq_spec = spec if binary else spectrum(sq, rows)  # a 0/1 frame: the same transforms of the same bits
-        # windows with no meaningful structure (near-zero variance, absolutely
-        # or relative to the liveliest window) would normalize rounding residue
-        # up to O(1) correlations; treat them as empty instead.  Only rows
-        # [lo, hi) read a nonzero frame row; the rest hold FFT rounding residue
-        # and are skipped when its bound cannot reach the cutoff
-        lo, hi = max(rows[0] - top, 0), min(rows[-1] + kh - top, h)
-        den = window_den(spec, sq_spec, lo, hi)
-        cutoff = max(1e-9, 1e-4 * float(den.max()))
-        if hi - lo < h and not _residue_bound(x, sq, p * q, n) * t_norm < cutoff:
-            lo, hi = 0, h
-            den = window_den(spec, sq_spec, lo, hi)
-            cutoff = max(1e-9, 1e-4 * float(den.max()))
-        live = den > cutoff
-        rows = lo + np.flatnonzero(live.any(axis=-1))
-        num = inverse(spec * flipped_spec, top + rows)
-        inner = slice(*np.searchsorted(rows, (margin, h - margin)))
-        rows = rows[inner]
-        kept = np.where(live[rows - lo], num[inner] / (den[rows - lo] + 1e-12), 0.0)
+    first = np.searchsorted(stack.frame, np.arange(n_maps + 1))  # frame f: stack rows first[f:f+2]
+    out = np.zeros(stack.shape)
+    written = np.zeros((n_maps, h), bool)  # the rows of each map written
+
+    def write(place, live, num, den):
+        # numerator rows ``num`` normalized where ``live``, into rows ``place`` of out
+        kept = np.where(live, num / (den + 1e-12), 0.0)
         kept[:, :margin] = 0.0
         kept[:, w - margin:] = 0.0
-        hm[rows] = np.maximum(kept, 0.0, out=kept)
-        if len(rows):
-            band[:] = rows[0], rows[-1] + 1
-    if bands is not None:
-        bands[...] = written
-    return out
+        out.reshape(-1, w)[place] = np.maximum(kept, 0.0, out=kept)
+        written.reshape(-1)[place] = True
+
+    def correlate_frame(f, lo, hi):
+        """Write the map of frame ``f`` alone, its window sums on rows
+        [lo, hi) unless its residue bound fails: a batch of one frame, or a
+        frame swept on every row.  Its passes run one after another, without
+        the buffers and per-frame reductions a batch needs."""
+        rows = stack.row[first[f]:first[f + 1]]
+        x = stack.values[first[f]:first[f + 1]].astype(np.float64, copy=False)
+        sq = x * x
+        spec = column(rfft(x, q, axis=-1), rows)
+        binary = np.array_equal(sq.view(np.uint64), x.view(np.uint64))
+        sq_spec = spec if binary else column(rfft(sq, q, axis=-1), rows)  # a 0/1 frame: the same bits
+
+        def window_den(lo, hi):
+            s1 = inverse(column_inverse(spec, ones_spec, slice(top + lo, top + hi)))
+            s2 = s1 if binary else inverse(column_inverse(sq_spec, ones_spec, slice(top + lo, top + hi)))
+            den = denominator(s1, s2)
+            return den, max(1e-9, 1e-4 * float(den.max()))
+
+        den, cutoff = window_den(lo, hi)
+        if hi - lo < h and not _residue_bound(x, sq, p * q, n) * t_norm < cutoff:
+            lo, hi = 0, h
+            den, cutoff = window_den(lo, hi)
+        live = den > cutoff
+        rows = lo + np.flatnonzero(live.any(axis=-1))
+        num = inverse(column_inverse(spec, flipped_spec, top + rows))
+        inner = slice(*np.searchsorted(rows, (margin, h - margin)))
+        rows = rows[inner]
+        write(f * h + rows, live[rows - lo], num[inner], den[rows - lo])
+
+    # a batch's rows of the inverse column passes: sum, sum of squares, numerator
+    s1_buf, s2_buf, num_buf = np.empty((3, h, q // 2 + 1), complex)
+
+    def correlate(fs, lo, hi):
+        """Write the maps of consecutive frames ``fs``, two or more, whose
+        window sums run on rows [lo, hi), at most H rows in all; return the
+        frames whose residue bound fails."""
+        reach = hi - lo
+        off = np.cumsum(reach) - reach  # each frame's first row in the buffers
+        starts, counts = first[fs] - first[fs[0]], first[fs + 1] - first[fs]  # each frame's rows in x
+        x = stack.values[first[fs[0]]:first[fs[-1] + 1]].astype(np.float64, copy=False)
+        sq = x * x
+        # a frame's rows are consecutive in x, den and the buffers, so each
+        # per-frame reduction is one reduceat over the flat array
+        binary = np.logical_and.reduceat((sq.view(np.uint64) == x.view(np.uint64)).ravel(), starts * w)
+        spectra = rfft(x, q, axis=-1)
+        if not binary.all():
+            sq_spectra = rfft(sq if not binary.any() else sq[np.repeat(~binary, counts)], q, axis=-1)
+        # each column pass's reached rows are copied, so that no view keeps a
+        # whole column pass alive
+        buffers, filled = [s1_buf, s2_buf, num_buf], [0, 0, 0]
+        sq_at = 0  # the frame's first row in sq_spectra
+        for f, a, m, l, r, is_binary in zip(fs.tolist(), starts.tolist(), counts.tolist(), lo.tolist(), hi.tolist(),
+                                            binary.tolist()):
+            rows, keep = stack.row[first[f]:first[f] + m], slice(top + l, top + r)
+            spec = column(spectra[a:a + m], rows)
+            passes = [(0, spec, ones_spec), (2, spec, flipped_spec)]
+            if not is_binary:
+                passes.append((1, column(sq_spectra[sq_at:sq_at + m], rows), ones_spec))
+                sq_at += m
+            for k, frame_spec, kernel_spec in passes:
+                buffers[k][filled[k]:filled[k] + r - l] = column_inverse(frame_spec, kernel_spec, keep)
+                filled[k] += r - l
+        s1 = inverse(s1_buf[:filled[0]])
+        s2 = s1
+        if filled[1]:
+            s2 = inverse(s2_buf[:filled[1]])
+            if filled[1] < filled[0]:  # 0/1 frames too: their sum of squares is their sum
+                s2, sq_sums = s1.copy(), s2
+                s2[np.repeat(~binary, reach)] = sq_sums
+        den = denominator(s1, s2)
+        cutoff = np.fmax(1e-9, 1e-4 * np.maximum.reduceat(den.ravel(), off * w))
+        live = den > np.repeat(cutoff, reach)[:, None]
+        # rows outside [lo, hi) hold FFT rounding residue; they are skipped
+        # only when its bound cannot reach the cutoff
+        swept = []
+        for i, (a, m) in enumerate(zip(starts.tolist(), counts.tolist())):
+            if reach[i] < h and not _residue_bound(x[a:a + m], sq[a:a + m], p * q, n) * t_norm < cutoff[i]:
+                swept.append(fs[i])
+                live[off[i]:off[i] + reach[i]] = False
+        place = np.repeat(fs * h + lo - off, reach) + np.arange(len(den))  # each buffer row's row of out
+        at = np.flatnonzero(live.any(axis=-1))
+        num = inverse(num_buf[at])
+        rows = place[at] % h
+        inner = (rows >= margin) & (rows < h - margin)
+        at, num = at[inner], num[inner]
+        write(place[at], live[at], num, den[at])
+        return swept
+
+    # batches of consecutive frames holding some nonzero row, whose reached
+    # rows [lo, hi) total at most H
+    held = np.flatnonzero(first[1:] > first[:-1])
+    lo = np.maximum(stack.row[first[held]] - top, 0)
+    hi = np.minimum(stack.row[first[held + 1] - 1] + kh - top, h)
+    batches, size = [], h
+    for i, reach in enumerate((hi - lo).tolist()):
+        if size + reach > h:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += reach
+    for batch in batches:
+        if len(batch) == 1:
+            correlate_frame(held[batch[0]], lo[batch[0]], hi[batch[0]])
+        else:
+            for f in correlate(held[batch], lo[batch], hi[batch]):  # the window sums on every row
+                correlate_frame(f, 0, h)
+    if bands is not None:  # each map's [first, last + 1) row written; (0, 0) for a map of zeros
+        band = np.stack([written.argmax(axis=-1), h - written[:, ::-1].argmax(axis=-1)], axis=-1)
+        bands[...] = (band * written.any(axis=-1)[:, None]).reshape(bands.shape)
+    return out.reshape(shape)
 
 
 def _avg_pool(hm: np.ndarray, k: int, chunk_rows: int) -> np.ndarray:
@@ -256,8 +388,9 @@ def downscale_heatmap(hm224: np.ndarray, rows=None) -> dict[int, np.ndarray]:
             for s, k in POOLING.items()}
 
 
-def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
-    """Frames fed to the correlator.
+def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> _StackRows:
+    """The nonzero rows of the frames fed to the correlator, in float64 with
+    ``temporal_mean`` and in the frames' own dtype without it.
 
     With ``temporal_mean`` each frame has the mean of its 3-frame
     neighborhood subtracted and is then rectified.  The noise background is
@@ -265,12 +398,13 @@ def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
     negative imprints of the neighboring frames' ball (which would otherwise
     correlate positively with the template ring and drag global centroids).
     Only rows that differ from a neighboring frame's, bit for bit, are
-    computed.  The rest are 0: for finite float32 ``x``, the frames' dtype,
-    the float64 ``(x + x) + x`` is exactly 3x, ``3x / 3`` exactly x, and
-    x - x is +0.0.
+    computed, and no dense stack is built.  The rest are 0: for finite
+    float32 ``x``, the frames' dtype, the float64 ``(x + x) + x`` is exactly
+    3x, ``3x / 3`` exactly x, and x - x is +0.0.  A computed row that
+    rectifies to zeros is left out too.
     """
     if not temporal_mean:
-        return frames
+        return _nonzero_rows(frames)
     n, h, w = frames.shape
     bits = frames.view(f"u{frames.itemsize}")
     step = (bits[1:] != bits[:-1]).any(axis=-1)  # (T-1, H): row r changes from t to t+1
@@ -284,9 +418,9 @@ def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> np.ndarray:
     mean[t > 0] += flat[at[t > 0] - h]
     mean[t < n - 1] += flat[at[t < n - 1] + h]
     mean /= np.where((t > 0) & (t < n - 1), 3.0, 2.0)[:, None]
-    out = np.zeros((n, h, w))
-    out.reshape(n * h, w)[at] = np.maximum(np.subtract(own, mean, out=mean), 0.0, out=mean)
-    return out
+    values = np.maximum(np.subtract(own, mean, out=mean), 0.0, out=mean)
+    keep = values.any(axis=-1)
+    return _StackRows((n, h, w), t[keep], r[keep], values[keep])
 
 
 def track_sequence(video: VideoSequence, cfg: SimConfig,

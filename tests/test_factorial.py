@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,27 +270,63 @@ class TestResponseTable:
         assert table.value("A1B0C0D0E0F0", 0, "err") == 1.5
         assert ("A1B0C0D0E0F0", 0) not in table.missing_cells("err")
 
+    @staticmethod
+    def _outcome(build):
+        """The error text of ``build()``, or the table's keys and held values."""
+        try:
+            table = build()
+        except ValueError as err:
+            return str(err)
+        held = {(c.label, r, m): table.value(c.label, r, m) for m in "ab" for c in enumerate_configs()
+                for r in table.replicates if (c.label, r) not in table.missing_cells(m)}
+        return table.replicates, table.metrics(), held
+
+    @staticmethod
+    def _by_row(rows):
+        table = ResponseTable()
+        for config, replicate, metric, value in rows:
+            table.add(config, replicate, metric, value)
+        return table
+
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from(["A0B0C0D0E0F0", " A1B0C0D0E0F0", "ZZ"]),
                                    st.integers(0, 2), st.sampled_from(["b", "a"]),
                                    st.one_of(st.floats(), st.just("x"))), max_size=12))
-    def test_from_rows_is_adding_row_by_row(self, rows):
-        def outcome(build):
-            try:
-                table = build()
-            except ValueError as err:
-                return str(err)
-            held = {(c.label, r, m): table.value(c.label, r, m) for m in "ab" for c in enumerate_configs()
-                    for r in table.replicates if (c.label, r) not in table.missing_cells(m)}
-            return table.replicates, table.metrics(), held
+    def test_from_rows_matches_add_on_any_rows(self, rows):
+        assert self._outcome(lambda: ResponseTable.from_rows(rows)) == self._outcome(lambda: self._by_row(rows))
 
-        def by_row():
-            table = ResponseTable()
-            for config, replicate, metric, value in rows:
-                table.add(config, replicate, metric, value)
-            return table
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["A0B0C0D0E0F0", " A1B0C0D0E0F0"]), st.integers(0, 2),
+                                   st.sampled_from(["b", "a"]), st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=12),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf, 10**400]), data=st.data())
+    def test_from_rows_is_adding_row_by_row(self, rows, bad, data):
+        # a clean row list with one value made NaN, +-inf or too large for a
+        # float: both paths raise at the first fault in row order, the bad value
+        # or a repeated cell before it, and name its cell
+        at = data.draw(st.integers(0, len(rows) - 1))
+        rows[at] = (*rows[at][:3], bad)
+        seen, want = set(), None
+        for config, replicate, metric, value in rows:
+            cell = f"({config.strip()}, r{replicate}, {metric})"
+            if value is bad:
+                want = (f"value too large for a float in cell {cell}" if isinstance(bad, int)
+                        else f"value {bad!r} is not finite in cell {cell}")
+            elif cell in seen:
+                want = f"duplicate cell {cell}"
+            seen.add(cell)
+            if want:
+                break
+        assert self._outcome(lambda: ResponseTable.from_rows(rows)) == want
+        assert self._outcome(lambda: self._by_row(rows)) == want
 
-        assert outcome(lambda: ResponseTable.from_rows(rows)) == outcome(by_row)
+    def test_too_large_integer_raises_and_names_the_cell(self):
+        # float(10**400) overflows; the error is add's ValueError naming the cell
+        cell = r"value too large for a float in cell \(A0B0C0D0E0F0, r0, a\)"
+        with pytest.raises(ValueError, match=cell):
+            ResponseTable().add("A0B0C0D0E0F0", 0, "a", 10**400)
+        with pytest.raises(ValueError, match=cell):
+            ResponseTable.from_rows([("A0B0C0D0E0F0", 0, "a", 10**400)])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises_and_names_the_cell(self, value):

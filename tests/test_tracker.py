@@ -20,6 +20,7 @@ from balltrack.tracker import (
     METRICS,
     SCALES,
     _detector_frames,
+    _StackRows,
     disk_template,
     downscale_heatmap,
     evaluate,
@@ -148,7 +149,7 @@ def _ncc_reference(frame, template):
     return np.maximum(out, 0.0)
 
 
-def _live_rows(frame, template):
+def _live_mask(frame, template):
     """Rows holding a window above the variance cutoff, by ``_ncc_reference``'s arithmetic."""
     frame = np.asarray(frame, dtype=np.float64)
     t0 = template - template.mean()
@@ -156,7 +157,25 @@ def _live_rows(frame, template):
     s1 = fftconvolve(frame, ones, mode="same")
     s2 = fftconvolve(frame * frame, ones, mode="same")
     den = np.sqrt(np.sum(t0 * t0)) * np.sqrt(np.maximum(s2 - s1 * s1 / template.size, 0.0))
-    return int(np.count_nonzero((den > max(1e-9, 1e-4 * float(den.max()))).any(axis=-1)))
+    return (den > max(1e-9, 1e-4 * float(den.max()))).any(axis=-1)
+
+
+def _live_rows(frame, template):
+    return int(np.count_nonzero(_live_mask(frame, template)))
+
+
+def _reference_band(frame, template):
+    """``[start, stop)`` of the live rows inside the template margin, ``(0, 0)`` if none."""
+    margin = template.shape[0] // 2
+    rows = np.flatnonzero(_live_mask(frame, template)[margin:len(frame) - margin]) + margin
+    return [int(rows[0]), int(rows[-1]) + 1] if len(rows) else [0, 0]
+
+
+def _dense(stack):
+    """The float64 (T, H, W) stack of which ``stack`` holds the nonzero rows."""
+    out = np.zeros(stack.shape)
+    out[stack.frame, stack.row] = stack.values
+    return out
 
 
 @st.composite
@@ -194,7 +213,7 @@ class TestNccStack:
     def _assert_bitwise(stack, template):
         got = ncc_heatmap(stack, template)
         assert got.shape == stack.shape
-        for frame, hm in zip(stack, got):
+        for frame, hm in zip(_dense(stack) if isinstance(stack, _StackRows) else stack, got):
             assert hm.tobytes() == _ncc_reference(frame, template).tobytes()
 
     def test_clean_frames_at_tie_phases(self, cfg):
@@ -243,12 +262,16 @@ class TestNccStack:
         monkeypatch.undo()
         return hm, calls
 
-    @pytest.mark.parametrize("n_binary, n_textured", [(1, 0), (0, 1), (3, 2)])
-    def test_transforms_per_frame(self, cfg, rng_np, monkeypatch, n_binary, n_textured):
+    @pytest.mark.parametrize("n_binary, n_textured, sparse", [(1, 0, False), (0, 1, False), (3, 2, False),
+                                                              (2, 2, True)], ids=["1-0", "0-1", "3-2", "2-2-sparse"])
+    def test_transforms_per_frame(self, cfg, rng_np, monkeypatch, n_binary, n_textured, sparse):
         template = disk_template(cfg.radius_px)
         # 13-pixel disks centered on a pixel: 5 nonzero rows each
         binary = [render_frame((60.0 + 20 * k, 120.0), cfg) for k in range(n_binary)]
-        textured = [rng_np.normal(size=(224, 224)) for _ in range(n_textured)]
+        if sparse:  # disks of 0.5, not their own square
+            textured = [0.5 * render_frame((50.0 + 30 * k, 40.0), cfg) for k in range(n_textured)]
+        else:
+            textured = [rng_np.normal(size=(224, 224)) for _ in range(n_textured)]
 
         p = 240  # next_fast_len(224 + 7 - 1), the padded column length
         want = {"rfft2": [7, 7], "rfft": [], "fft": [], "ifft": [], "irfft": []}
@@ -258,16 +281,25 @@ class TestNccStack:
             # the live rows, the same 11
             assert np.count_nonzero(frame.any(axis=-1)) == 5
             assert _live_rows(frame, template) == 11
-            want["rfft"] += [5]
-            want["fft"] += [p]
-            want["ifft"] += [p, p]
-            want["irfft"] += [11, 11]
-        for frame in textured:
-            # a dense frame reaches every row
-            want["rfft"] += [224, 224]
-            want["fft"] += [p, p]
-            want["ifft"] += [p, p, p]
-            want["irfft"] += [224, 224, _live_rows(frame, template)]
+        # (frame, textured, rows reached); each frame's column passes run on their own
+        frames = [(f, False, 11) for f in binary] + [(f, True, 11 if sparse else 224) for f in textured]
+        for _, tex, _ in frames:
+            want["fft"] += [p, p] if tex else [p]
+            want["ifft"] += [p, p, p] if tex else [p, p]
+        # each row pass runs once per batch, on the rows of all its frames: the
+        # 0/1 frames and the sparse textured ones share one batch, and a dense
+        # frame, which reaches every row, is a batch of its own
+        if sparse:
+            batches = [frames]
+        else:
+            batches = ([frames[:n_binary]] if n_binary else []) + [[f] for f in frames[n_binary:]]
+        for batch in batches:
+            squared = [(f, reach) for f, tex, reach in batch if tex]
+            want["rfft"] += [sum(np.count_nonzero(f.any(axis=-1)) for f, _, _ in batch)]
+            want["rfft"] += [sum(np.count_nonzero(f.any(axis=-1)) for f, _ in squared)] if squared else []
+            want["irfft"] += [sum(reach for _, _, reach in batch)]
+            want["irfft"] += [sum(reach for _, reach in squared)] if squared else []
+            want["irfft"] += [sum(_live_rows(f, template) for f, _, _ in batch)]
         _, calls = self._transforms(monkeypatch, np.array(binary + textured), template)
         assert {name: rows for name, rows in calls.items() if rows or name in want} == want
 
@@ -282,8 +314,9 @@ class TestNccStack:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
     def test_non_finite_bound_sweeps_every_row(self, cfg, monkeypatch, value):
         # a NaN or infinite pixel, or one whose square overflows, makes the residue
-        # bound non-finite: the window sums run again on all 224 rows, and the map
-        # is the full sweep's; a clean frame beside it keeps its 11 rows
+        # bound non-finite: the frame runs again with its window sums on all 224
+        # rows, and the map is the full sweep's; a clean frame in its batch keeps
+        # its 11 rows
         template = disk_template(cfg.radius_px)
         odd = render_frame((100.0, 80.0), cfg).astype(np.float64)
         odd[80, 100] = value
@@ -291,11 +324,42 @@ class TestNccStack:
         with np.errstate(invalid="ignore", over="ignore"):
             hm, calls = self._transforms(monkeypatch, stack, template)
             want = [_ncc_reference(frame, template) for frame in stack]
-        *odd_calls, clean_sum, clean_num = calls["irfft"]
-        assert odd_calls[0] == 11 and 224 in odd_calls  # the rows reached, then every row
-        assert (clean_sum, clean_num) == (11, 11)
+            squared = (odd * odd).tobytes() != odd.tobytes()  # not a 0/1 frame: its sum of squares runs
+            live = _live_rows(odd, template)
+        # the batch: both sums (11 + 11 rows), the odd frame's sum of squares and
+        # the clean frame's numerator; then the odd frame's sweep of every row
+        assert calls["irfft"] == [22] + [11] * squared + [11] + [224] + [224] * squared + [live]
         for got, ref in zip(hm, want):
             assert got.tobytes() == ref.tobytes()
+
+    def test_batch_boundaries(self, rng_np):
+        # 48-row frames, where a disk reaches 11 rows of a 7-row template's window
+        # sums: 0/1 disks, sparse textured frames (disks of 0.5, three noise rows),
+        # empty frames, a dense frame and a frame with a NaN pixel (its residue
+        # bound fails, so it runs again on every row) in the middle of a batch
+        small = SimConfig(image_size=48, v_max=1.0)
+        template = disk_template(small.radius_px)
+        disk = [render_frame(c, small).astype(np.float64) for c in
+                [(10.0, 10.0), (30.0, 20.0), (20.5, 30.5), (15.0, 25.0), (40.0, 45.0), (5.0, 2.0), (24.0, 12.5)]]
+        rows = np.zeros((48, 48))
+        rows[20:23] = rng_np.normal(size=(3, 48))
+        odd = disk[3].copy()
+        odd[25, 15] = np.nan
+        stack = np.array([disk[0], 0.5 * disk[1], np.zeros((48, 48)), odd, disk[2], rows,
+                          rng_np.normal(size=(48, 48)), disk[5], 0.5 * disk[4], disk[6], np.zeros((48, 48)),
+                          rows[::-1], disk[0], 0.5 * disk[2], disk[4], disk[1], 0.5 * disk[6]])
+        nonzero = [np.flatnonzero(f.any(axis=-1)) for f in stack]
+        reached = sum(min(r[-1] + 4, 48) - max(r[0] - 3, 0) for r in nonzero if len(r))
+        assert reached > 3 * 48  # batches of at most 48 reached rows: at least four of them
+        bands = np.empty((len(stack), 2), int)
+        with np.errstate(invalid="ignore"):
+            got = ncc_heatmap(stack, template, bands)
+            want = [_ncc_reference(frame, template) for frame in stack]
+            want_bands = [_reference_band(frame, template) for frame in stack]
+        for k, (hm, ref) in enumerate(zip(got, want)):
+            assert hm.tobytes() == ref.tobytes(), k
+        assert bands.tolist() == want_bands
+        assert want_bands[2] == want_bands[3] == [0, 0] and want_bands[6] == [3, 45]
 
     @settings(max_examples=150, deadline=None)
     @given(stack=_sparse_stacks(), radius=st.sampled_from([2.0, 3.0]))
@@ -353,7 +417,9 @@ def _detector_stacks(draw):
     0 or row H-1), a disk centered on row 0, 1, H-2 or H-1 scaled by -1, 1/2
     or 1 (a dark disk correlates positively at the rows where the window sums'
     reach ends), no disk, or dense noise; over zeros or one static noise
-    image, as the temporal mean expects."""
+    image, as the temporal mean expects.  A 7-row template makes a disk reach
+    up to 11 rows, so most stacks of two or more frames holding some nonzero
+    row fill more than one of the correlator's batches."""
     size, n = draw(st.sampled_from([16, 24, 32])), draw(st.integers(3, 6))
     cfg = SimConfig(image_size=size, frames_per_video=n, v_max=1.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -384,12 +450,13 @@ class TestBands:
     @given(case=_detector_stacks(), temporal_mean=st.booleans())
     def test_banded_stages_keep_the_bits(self, case, temporal_mean):
         frames, cfg = case
-        work = _detector_frames(frames, temporal_mean)
-        if temporal_mean:
-            assert work.tobytes() == _reference_temporal_mean(frames).tobytes()
+        rows = _detector_frames(frames, temporal_mean)
+        work = _dense(rows)
+        want = _reference_temporal_mean(frames) if temporal_mean else frames.astype(np.float64)
+        assert work.tobytes() == want.tobytes()
         template = disk_template(cfg.radius_px)
         bands = np.empty((len(frames), 2), int)
-        hm = ncc_heatmap(work, template, bands)
+        hm = ncc_heatmap(rows, template, bands)
         assert hm.tobytes() == np.array([_ncc_reference(f, template) for f in work]).tobytes()
         for m, (start, stop) in zip(hm, bands):
             assert not m[:start].any() and not m[stop:].any()
@@ -553,7 +620,7 @@ class TestStacks:
 
     def test_temporal_mean_matches_per_frame_definition(self, rng_np):
         frames = rng_np.normal(size=(5, 16, 16)).astype(np.float32)
-        out = _detector_frames(frames, temporal_mean=True)
+        out = _dense(_detector_frames(frames, temporal_mean=True))
         work = frames.astype(np.float64)
         for t in range(5):
             lo, hi = max(0, t - 1), min(5, t + 2)
