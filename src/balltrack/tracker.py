@@ -176,13 +176,11 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
     inverse row pass per window sum, one variance-to-live-mask tail (each
     frame's cutoff from its own ``den.max()``) and one inverse row pass of
     the live numerator rows serve the whole batch; the residue guard stays
-    per frame, and a frame it fails is swept alone.  A batch of one frame
-    runs the same passes without the buffers and the per-frame reductions,
-    whose bookkeeping would cost a dense frame a few percent.  Only a
-    batch's rows are converted to float64, and only the numerator rows
-    inside the border get the rest of the arithmetic; a frame of zeros gives
-    a map of zeros and runs no transform.  An array of frames is first
-    turned into its nonzero rows.
+    per frame, and a frame it fails is swept alone, as a batch of its own
+    that reaches every row.  Only a batch's rows are converted to float64,
+    and only its live numerator rows get the rest of the arithmetic; a frame
+    of zeros gives a map of zeros and runs no transform.  An array of frames
+    is first turned into its nonzero rows.
 
     ``bands``, a ``(..., 2)`` integer array if given, receives each map's
     ``[start, stop)`` band of rows written; the map is zero outside it, and
@@ -214,68 +212,20 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         buf[rows] = spectra
         return fft(buf, axis=0, overwrite_x=True)
 
-    def column_inverse(frame_spec, kernel_spec, rows):
-        # rows ``rows`` of the inverse column pass of frame_spec * kernel_spec
-        return ifft(frame_spec * kernel_spec, axis=0, norm="forward", overwrite_x=True)[rows]
-
     def inverse(part):
         # irfft2(spec, fshape)[rows, cols] from those rows of the inverse column pass
         return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
 
-    def denominator(s1, s2):
-        # windows with no meaningful structure (near-zero variance, absolutely
-        # or relative to the frame's liveliest window) would normalize rounding
-        # residue up to O(1) correlations; the cutoff treats them as empty
-        return t_norm * np.sqrt(np.maximum(s2 - s1 * s1 / n, 0.0))
-
     first = np.searchsorted(stack.frame, np.arange(n_maps + 1))  # frame f: stack rows first[f:f+2]
     out = np.zeros(stack.shape)
     written = np.zeros((n_maps, h), bool)  # the rows of each map written
-
-    def write(place, live, num, den):
-        # numerator rows ``num`` normalized where ``live``, into rows ``place`` of out
-        kept = np.where(live, num / (den + 1e-12), 0.0)
-        kept[:, :margin] = 0.0
-        kept[:, w - margin:] = 0.0
-        out.reshape(-1, w)[place] = np.maximum(kept, 0.0, out=kept)
-        written.reshape(-1)[place] = True
-
-    def correlate_frame(f, lo, hi):
-        """Write the map of frame ``f`` alone, its window sums on rows
-        [lo, hi) unless its residue bound fails: a batch of one frame, or a
-        frame swept on every row.  Its passes run one after another, without
-        the buffers and per-frame reductions a batch needs."""
-        rows = stack.row[first[f]:first[f + 1]]
-        x = stack.values[first[f]:first[f + 1]].astype(np.float64, copy=False)
-        sq = x * x
-        spec = column(rfft(x, q, axis=-1), rows)
-        binary = np.array_equal(sq.view(np.uint64), x.view(np.uint64))
-        sq_spec = spec if binary else column(rfft(sq, q, axis=-1), rows)  # a 0/1 frame: the same bits
-
-        def window_den(lo, hi):
-            s1 = inverse(column_inverse(spec, ones_spec, slice(top + lo, top + hi)))
-            s2 = s1 if binary else inverse(column_inverse(sq_spec, ones_spec, slice(top + lo, top + hi)))
-            den = denominator(s1, s2)
-            return den, max(1e-9, 1e-4 * float(den.max()))
-
-        den, cutoff = window_den(lo, hi)
-        if hi - lo < h and not _residue_bound(x, sq, p * q, n) * t_norm < cutoff:
-            lo, hi = 0, h
-            den, cutoff = window_den(lo, hi)
-        live = den > cutoff
-        rows = lo + np.flatnonzero(live.any(axis=-1))
-        num = inverse(column_inverse(spec, flipped_spec, top + rows))
-        inner = slice(*np.searchsorted(rows, (margin, h - margin)))
-        rows = rows[inner]
-        write(f * h + rows, live[rows - lo], num[inner], den[rows - lo])
-
     # a batch's rows of the inverse column passes: sum, sum of squares, numerator
     s1_buf, s2_buf, num_buf = np.empty((3, h, q // 2 + 1), complex)
 
     def correlate(fs, lo, hi):
-        """Write the maps of consecutive frames ``fs``, two or more, whose
-        window sums run on rows [lo, hi), at most H rows in all; return the
-        frames whose residue bound fails."""
+        """Write the maps of consecutive frames ``fs``, whose window sums run
+        on rows [lo, hi), at most H rows in all; return the frames whose
+        residue bound fails."""
         reach = hi - lo
         off = np.cumsum(reach) - reach  # each frame's first row in the buffers
         starts, counts = first[fs] - first[fs[0]], first[fs + 1] - first[fs]  # each frame's rows in x
@@ -287,21 +237,32 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         spectra = rfft(x, q, axis=-1)
         if not binary.all():
             sq_spectra = rfft(sq if not binary.any() else sq[np.repeat(~binary, counts)], q, axis=-1)
+        # rows outside [lo, hi) hold FFT rounding residue; they are skipped
+        # only when its bound cannot reach the cutoff.  The bounds are taken
+        # here so that x and sq are freed before the column passes, which
+        # keeps the working set small
+        bound = np.array([_residue_bound(x[a:a + m], sq[a:a + m], p * q, n) * t_norm if r < h else 0.0
+                          for a, m, r in zip(starts.tolist(), counts.tolist(), reach.tolist())])
+        del x, sq
         # each column pass's reached rows are copied, so that no view keeps a
-        # whole column pass alive
+        # whole column pass alive, and a frame's column spectrum is dropped
+        # before the next is formed
         buffers, filled = [s1_buf, s2_buf, num_buf], [0, 0, 0]
         sq_at = 0  # the frame's first row in sq_spectra
         for f, a, m, l, r, is_binary in zip(fs.tolist(), starts.tolist(), counts.tolist(), lo.tolist(), hi.tolist(),
                                             binary.tolist()):
             rows, keep = stack.row[first[f]:first[f] + m], slice(top + l, top + r)
-            spec = column(spectra[a:a + m], rows)
-            passes = [(0, spec, ones_spec), (2, spec, flipped_spec)]
+            passes = [(spectra[a:a + m], [(0, ones_spec), (2, flipped_spec)])]
             if not is_binary:
-                passes.append((1, column(sq_spectra[sq_at:sq_at + m], rows), ones_spec))
+                passes.append((sq_spectra[sq_at:sq_at + m], [(1, ones_spec)]))
                 sq_at += m
-            for k, frame_spec, kernel_spec in passes:
-                buffers[k][filled[k]:filled[k] + r - l] = column_inverse(frame_spec, kernel_spec, keep)
-                filled[k] += r - l
+            for row_spectra, kernels in passes:
+                spec = column(row_spectra, rows)
+                for k, kernel_spec in kernels:  # rows ``keep`` of the inverse column pass
+                    buffers[k][filled[k]:filled[k] + r - l] = ifft(spec * kernel_spec, axis=0, norm="forward",
+                                                                   overwrite_x=True)[keep]
+                    filled[k] += r - l
+                del spec
         s1 = inverse(s1_buf[:filled[0]])
         s2 = s1
         if filled[1]:
@@ -309,24 +270,33 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
             if filled[1] < filled[0]:  # 0/1 frames too: their sum of squares is their sum
                 s2, sq_sums = s1.copy(), s2
                 s2[np.repeat(~binary, reach)] = sq_sums
-        den = denominator(s1, s2)
+        # windows with no meaningful structure (near-zero variance, absolutely
+        # or relative to the frame's liveliest window) would normalize rounding
+        # residue up to O(1) correlations; the cutoff treats them as empty.
+        # den = t_norm * sqrt(max(s2 - s1 * s1 / n, 0)), in place
+        den = s1 * s1
+        den /= n
+        np.sqrt(np.maximum(np.subtract(s2, den, out=den), 0.0, out=den), out=den)
+        den *= t_norm
         cutoff = np.fmax(1e-9, 1e-4 * np.maximum.reduceat(den.ravel(), off * w))
         live = den > np.repeat(cutoff, reach)[:, None]
-        # rows outside [lo, hi) hold FFT rounding residue; they are skipped
-        # only when its bound cannot reach the cutoff
-        swept = []
-        for i, (a, m) in enumerate(zip(starts.tolist(), counts.tolist())):
-            if reach[i] < h and not _residue_bound(x[a:a + m], sq[a:a + m], p * q, n) * t_norm < cutoff[i]:
-                swept.append(fs[i])
-                live[off[i]:off[i] + reach[i]] = False
+        swept = ~(bound < cutoff)  # a NaN bound too
+        live[np.repeat(swept, reach)] = False
         place = np.repeat(fs * h + lo - off, reach) + np.arange(len(den))  # each buffer row's row of out
         at = np.flatnonzero(live.any(axis=-1))
-        num = inverse(num_buf[at])
-        rows = place[at] % h
-        inner = (rows >= margin) & (rows < h - margin)
-        at, num = at[inner], num[inner]
-        write(place[at], live[at], num, den[at])
-        return swept
+        num, place = inverse(num_buf[at]), place[at]
+        # the numerator normalized where live, in place; border rows and
+        # columns are zero
+        inner = (place % h >= margin) & (place % h < h - margin)
+        d = den[at]
+        d += 1e-12
+        np.divide(num, d, out=num)
+        np.copyto(num, 0.0, where=~(live[at] & inner[:, None]))
+        num[:, :margin] = 0.0
+        num[:, w - margin:] = 0.0
+        out.reshape(-1, w)[place] = np.maximum(num, 0.0, out=num)
+        written.reshape(-1)[place[inner]] = True
+        return fs[swept]
 
     # batches of consecutive frames holding some nonzero row, whose reached
     # rows [lo, hi) total at most H
@@ -341,11 +311,8 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         batches[-1].append(i)
         size += reach
     for batch in batches:
-        if len(batch) == 1:
-            correlate_frame(held[batch[0]], lo[batch[0]], hi[batch[0]])
-        else:
-            for f in correlate(held[batch], lo[batch], hi[batch]):  # the window sums on every row
-                correlate_frame(f, 0, h)
+        for f in correlate(held[batch], lo[batch], hi[batch]):
+            correlate(np.array([f]), np.array([0]), np.array([h]))  # the window sums on every row
     if bands is not None:  # each map's [first, last + 1) row written; (0, 0) for a map of zeros
         band = np.stack([written.argmax(axis=-1), h - written[:, ::-1].argmax(axis=-1)], axis=-1)
         bands[...] = (band * written.any(axis=-1)[:, None]).reshape(bands.shape)
