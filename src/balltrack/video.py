@@ -19,6 +19,12 @@ that :func:`write_dataset` and :func:`read_dataset` loop over.  A split is
 valid when its records have the shapes listed above (T = frames_per_video,
 H = W = image_size from the config, N >= 1) and its bounce flags are 0 or
 1: both check these rules, :func:`_record_shapes` and :func:`_binary_flags`.
+
+:func:`read_dataset` runs every check on both files before it returns
+(headers, exact payload sizes, record shapes, bounce flags) without reading
+a frame.  It reads the truth records and returns a read-only sequence of
+:class:`VideoSequence` whose every access reads that sequence's frames from
+the file anew, after checking that the file is still the one it checked.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,10 +201,10 @@ def _bytes_left(fh) -> int:
     return end - here
 
 
-def _read_record(fh, dtype: str, path) -> np.ndarray:
-    """Inverse of :func:`_write_record`; header sizes are checked against the
-    bytes left in ``fh`` before anything is allocated, and the payload is
-    read straight into the returned array."""
+def _read_header(fh, dtype: str, path) -> tuple[tuple[int, ...], int]:
+    """Parse the header of a record of :func:`_write_record` and return the
+    record's shape and payload size, both checked against the bytes left in
+    ``fh``; the payload is not read."""
     head = fh.read(12)
     if len(head) < 12:
         raise TruncatedFileError(f"{path}: truncated record header")
@@ -212,13 +219,26 @@ def _read_record(fh, dtype: str, path) -> np.ndarray:
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize  # Python ints: no wrap-around
     if nbytes > _bytes_left(fh):
         raise TruncatedFileError(f"{path}: truncated payload")
+    return shape, nbytes
+
+
+def _read_payload(fh, array: np.ndarray, path) -> np.ndarray:
+    """Fill ``array`` with the next ``array.nbytes`` bytes of ``fh``."""
+    if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+        raise TruncatedFileError(f"{path}: truncated payload")
+    return array
+
+
+def _read_record(fh, dtype: str, path) -> np.ndarray:
+    """Inverse of :func:`_write_record`; nothing is allocated before
+    :func:`_read_header` has checked the sizes, and the payload is read
+    straight into the returned array."""
+    shape, _ = _read_header(fh, dtype, path)
     try:
         array = np.empty(shape, dtype=dtype)
     except ValueError as err:  # numpy's limits on rank and extent
         raise ShapeMismatchError(f"{path}: unsupported record shape {shape}") from err
-    if fh.readinto(array.reshape(-1).view(np.uint8)) != nbytes:
-        raise TruncatedFileError(f"{path}: truncated payload")
-    return array
+    return _read_payload(fh, array, path)
 
 
 def _check_at_end(fh, path) -> None:
@@ -311,18 +331,74 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
-    """Load one split; inverse of :func:`write_dataset` (noise not stored).
+def _stamp(fh) -> tuple[int, int, int, int]:
+    """What identifies an open file's contents: device, inode, size and
+    modification time."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
-    A split name outside ``SPLITS``, a manifest configuration that
+
+@dataclass(frozen=True)
+class _Split(Sequence):
+    """The sequences of a split :func:`read_dataset` checked, read-only.
+
+    The truth is held as read-only ``(N, T, ...)`` arrays; each access opens
+    the frames file, checks that its :func:`_stamp` is still the one taken
+    when the split was read, and reads that one sequence's ``(T, H, W)``
+    slice of the payload into a fresh array.  Slices are splits of the same
+    file.
+    """
+
+    path: Path
+    stamp: tuple[int, int, int, int]
+    offset: int  # of the frames payload in the file
+    shape: tuple[int, ...]  # of one sequence's frames
+    dtype: str  # of the frames
+    truth: Trajectory
+    indices: range
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, indices=self.indices[index])
+        i = self.indices[index]  # range indexing: ints, numpy ints, negatives, IndexError
+        frames = np.empty(self.shape, dtype=self.dtype)
+        try:
+            fh = open(self.path, "rb")
+        except OSError as err:
+            raise DatasetError(f"{self.path}: cannot reopen the frames: {err.strerror}") from err
+        with fh:
+            if _stamp(fh) != self.stamp:
+                raise DatasetError(f"{self.path}: the file changed after its split was read")
+            fh.seek(self.offset + i * frames.nbytes)
+            _read_payload(fh, frames, self.path)
+        return VideoSequence(frames=frames,
+                             trajectory=Trajectory(**{k: v[i] for k, v in vars(self.truth).items()}))
+
+
+def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
+    """Check one split and return its sequences; inverse of
+    :func:`write_dataset` (noise not stored).
+
+    Every check runs before this returns, and none reads a frame: a split
+    name outside ``SPLITS``, a manifest configuration that
     :class:`SimConfig` rejects, or a split whose files are absent raises
     :class:`DatasetError`; the last names the splits the manifest lists.
-    Bytes after a file's last record raise :class:`TrailingBytesError`.
-    Records that are not the shapes
+    A record header that declares more bytes than its file holds raises
+    :class:`TruncatedFileError`, and bytes after a file's last record raise
+    :class:`TrailingBytesError`.  Records that are not the shapes
     :func:`write_dataset` accepts, each with a leading N, raise
     :class:`ShapeMismatchError`, where N is the frames header's sequence
     count, at least 1 and the manifest's count if it lists one.  Bounce
     flags other than 0 and 1 raise :class:`DatasetError`.
+
+    The truth records are read here; the frames are not.  The sequences
+    come back as a read-only sequence whose every access reads that
+    sequence's frames from the file anew, so iterating holds one sequence's
+    frames at a time.  An access after the frames file changed (another
+    device, inode, size or modification time) raises :class:`DatasetError`.
     """
     _check_split(split)
     path = Path(path)
@@ -338,24 +414,31 @@ def read_dataset(path, split: str) -> tuple[list[VideoSequence], SimConfig]:
         listed = ", ".join(manifest.get("splits", {})) or "none"
         raise DatasetError(f"{path}: no {split!r} split ({', '.join(missing)} missing); "
                            f"the manifest lists: {listed}")
-    arrays = {}
+    shapes, truth = {}, {}
     for file, records in _FILES:
         with open(paths[file], "rb") as fh:
             for name, dtype in records:
-                arrays[name] = _read_record(fh, dtype, paths[file])
+                if name == "frames":  # header only: each access reads its own sequence
+                    stamp, frames_dtype = _stamp(fh), dtype
+                    shapes[name], nbytes = _read_header(fh, dtype, paths[file])
+                    offset = fh.tell()
+                    fh.seek(nbytes, io.SEEK_CUR)
+                else:
+                    truth[name] = _read_record(fh, dtype, paths[file])
+                    shapes[name] = truth[name].shape
             _check_at_end(fh, paths[file])
 
-    frames = arrays.pop("frames")
-    n = frames.shape[0] if frames.ndim else 0
+    shapes = tuple(shapes.values())
+    n = shapes[0][0] if shapes[0] else 0
     n_listed = manifest.get("splits", {}).get(split)
-    shapes = (frames.shape, *(record.shape for record in arrays.values()))
     want = tuple((n, *shape) for shape in _record_shapes(cfg).values())
     if shapes != want or n < 1 or n_listed not in (None, n):
         raise ShapeMismatchError(f"{path}: split {split!r} has records of shapes {shapes}; under the "
                                  f"config, {n} sequences (the frames header's count, which must be at "
                                  f"least 1 and match the manifest's {n_listed}) give {want}")
-    if not _binary_flags(arrays["bounce_flags"]):
+    if not _binary_flags(truth["bounce_flags"]):
         raise DatasetError(f"{paths['truth']}: bounce flags other than 0 and 1")
-    arrays["bounce_flags"] = arrays["bounce_flags"].astype(bool)
-    return [VideoSequence(frames=frames[i], trajectory=Trajectory(**{k: v[i] for k, v in arrays.items()}))
-            for i in range(n)], cfg
+    truth["bounce_flags"] = truth["bounce_flags"].astype(bool)
+    for array in truth.values():  # every access hands out views of them
+        array.flags.writeable = False
+    return _Split(paths["frames"], stamp, offset, want[0][1:], frames_dtype, Trajectory(**truth), range(n)), cfg

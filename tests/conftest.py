@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from balltrack.sim import SimConfig
-from balltrack.video import _write_record, generate_split, write_dataset
+from balltrack.video import _write_record, generate_split, read_dataset, write_dataset
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +41,20 @@ def zero_sequence_split(tmp_path, small_cfg):
     meta["splits"]["test"] = 0
     (path / "meta.json").write_text(json.dumps(meta))
     return path
+
+
+@pytest.fixture
+def change_frames():
+    """Change a split's frames file on disk: ``"truncate"`` cuts its last byte,
+    ``"rewrite"`` writes the same split again with every pixel + 1 (a new
+    file renamed into place, of the same size), ``"delete"`` removes it."""
+    def change(path, how, split="test"):
+        frames = Path(path) / f"{split}_frames.bin"
+        if how == "truncate":
+            frames.write_bytes(frames.read_bytes()[:-1])
+        elif how == "rewrite":
+            sequences, cfg = read_dataset(path, split)
+            write_dataset(path, split, [replace(s, frames=s.frames + 1) for s in sequences], cfg)
+        else:
+            frames.unlink()
+    return change

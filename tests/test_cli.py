@@ -356,6 +356,7 @@ class TestTrack:
         broken = tmp_path / "broken"
         shutil.copytree(small_dataset, broken)
         sequences, cfg = read_dataset(broken, "test")
+        sequences = list(sequences)  # the split read is read-only
         frames = sequences[1].frames.copy()
         frames[3, 0, 0] = np.nan
         sequences[1] = replace(sequences[1], frames=frames)
@@ -364,6 +365,28 @@ class TestTrack:
         message = rf"^error: {re.escape(str(broken))}: frame 3 holds a non-finite pixel$"
         with pytest.raises(SystemExit, match=message):
             main(["track", "--data", str(broken), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["truncate", "rewrite"])
+    def test_frames_changed_after_reading_reported_before_writing(self, small_dataset, tmp_path,
+                                                                  monkeypatch, change_frames, how):
+        import shutil
+
+        import balltrack.cli
+
+        data = tmp_path / "data"
+        shutil.copytree(small_dataset, data)
+
+        def read_then_change(path, split):
+            read = read_dataset(path, split)
+            change_frames(path, how, split)
+            return read
+
+        monkeypatch.setattr(balltrack.cli, "read_dataset", read_then_change)
+        out = tmp_path / "o"
+        message = rf"^error: {re.escape(str(data / 'test_frames.bin'))}: the file changed after its split was read$"
+        with pytest.raises(SystemExit, match=message):
+            main(["track", "--data", str(data), "--out", str(out)])
         assert not out.exists()
 
     def test_padded_config_label_written_canonical(self, small_dataset, tmp_path):

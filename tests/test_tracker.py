@@ -30,7 +30,8 @@ from balltrack.tracker import (
     track_sequence,
     track_split,
 )
-from balltrack.video import VideoSequence, generate_sequence, render_frame, split_stream
+from balltrack.video import (VideoSequence, generate_sequence, generate_split, read_dataset, render_frame,
+                             split_stream, write_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -806,6 +807,25 @@ class TestTrackSplit:
             tracemalloc.start()
             try:
                 track_split(sequences, cfg, temporal_mean=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        track_split([generate_sequence(cfg, split_stream(cfg, "test", 0))], cfg)  # warm caches
+        small, large = peak(2), peak(6)
+        assert abs(large - small) <= 0.1 * small, (small, large)
+
+    def test_read_split_memory_does_not_grow_with_the_split(self, tmp_path):
+        import dataclasses
+
+        cfg = SimConfig(image_size=64, frames_per_video=8, noise_sigma=1.0)
+
+        def peak(n):
+            path, split_cfg = tmp_path / f"split{n}", dataclasses.replace(cfg, n_test=n)
+            write_dataset(path, "test", generate_split(split_cfg, "test"), split_cfg)
+            tracemalloc.start()
+            try:
+                track_split(read_dataset(path, "test")[0], cfg, temporal_mean=True)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -523,7 +523,8 @@ def fuzz_split(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     write_dataset(path, "test", generate_split(_FUZZ_CFG, "test"), _FUZZ_CFG)
     files = {p.name: p.read_bytes() for p in path.iterdir()}
-    return path, files, read_dataset(path, "test")
+    sequences, cfg = read_dataset(path, "test")
+    return path, files, (list(sequences), cfg)  # frames read now: the tests rewrite the files
 
 
 def _contents(loaded):
@@ -619,6 +620,58 @@ class TestSplitRoundTrip:
             write_dataset(second, "test", loaded, cfg_back)  # the loaded split writes the same files
             assert {p.name: p.read_bytes() for p in second.iterdir()} == \
                    {p.name: p.read_bytes() for p in first.iterdir()}
+
+
+class TestLazySplit:
+    """The split read_dataset returns: truth held, frames read per access."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(1, 4), sigma=st.sampled_from((0.0, 1.0)), seed=st.integers(0, 2**63),
+           data=st.data())
+    def test_indexes_like_the_written_list(self, n, sigma, seed, data):
+        cfg = replace(_FUZZ_CFG, n_test=n, noise_sigma=sigma, seed=seed)
+        written = generate_split(cfg, "test")
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(tmp, "test", written, cfg)
+            split, _ = read_dataset(tmp, "test")
+            assert len(split) == n
+            assert _split_bytes(split) == _split_bytes(written)  # iteration
+            i = data.draw(st.integers(-n, n - 1))
+            for index in (i, np.int64(i), np.uint8(i % n)):
+                assert _split_bytes([split[index]]) == _split_bytes([written[i]])
+            assert _split_bytes([split[i]]) == _split_bytes([split[i]])  # each access reads anew
+            cut, again = data.draw(st.slices(n)), data.draw(st.slices(n))
+            assert _split_bytes(split[cut]) == _split_bytes(written[cut])
+            assert _split_bytes(split[cut][again]) == _split_bytes(written[cut][again])
+            for index in (n, -n - 1, data.draw(st.integers(n, 2**62)), np.int64(n)):
+                with pytest.raises(IndexError):
+                    split[index]
+            with pytest.raises(TypeError):
+                split[0] = written[0]
+            with pytest.raises(ValueError):  # the truth is shared by every access
+                split[0].trajectory.positions_px[0] = 0.0
+
+    def test_read_allocates_less_than_one_sequence(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        tracemalloc.start()
+        try:
+            split, _ = read_dataset(tmp_path, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(split) == small_cfg.n_test
+        t, size = small_cfg.frames_per_video, small_cfg.image_size
+        assert peak < t * size * size * 4, peak
+
+    @pytest.mark.parametrize("how", ["truncate", "rewrite", "delete"])
+    def test_frames_file_changed_after_reading_raises(self, tmp_path, change_frames, how):
+        cfg = replace(_FUZZ_CFG, n_test=3)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        split, _ = read_dataset(tmp_path, "test")
+        change_frames(tmp_path, how)  # a cut last byte leaves sequences 0 and 1 whole
+        for i in range(len(split)):
+            with pytest.raises(DatasetError, match=re.escape(str(tmp_path / "test_frames.bin"))):
+                split[i]
 
 
 _RECORD_DTYPES = ("<f4", "<f8", "<u1")
