@@ -9,8 +9,8 @@ On disk a dataset is one directory per noise level:
 
     meta.json            all simulation parameters + format version
     <split>_frames.bin   one tensor record, float32 (N, T, H, W)
-    <split>_truth.bin    three records: positions f64 (N,T,2),
-                         velocities f64 (N,T,2), bounce flags u8 (N,T)
+    <split>_truth.bin    three records: positions f64 (N,T,2), velocities
+                         f64 (N,T,2) in px/frame, bounce flags u8 (N,T)
 
 A tensor record is ``b"PITD"``, u32 version, u32 ndims, ndims x u64 shape,
 then the row-major little-endian payload.  Element type is fixed by the
@@ -20,15 +20,23 @@ valid when its records have the shapes listed above (T = frames_per_video,
 H = W = image_size from the config, N >= 1) and its bounce flags are 0 or
 1: both check these rules, :func:`_record_shapes` and :func:`_binary_flags`.
 
-:func:`read_dataset` runs every check on both files before it returns
-(headers, exact payload sizes, record shapes, bounce flags) without reading
-a frame.  It reads the truth records and returns a read-only sequence of
-:class:`VideoSequence` whose every access reads that sequence's frames from
-the file anew, after checking that the file is still the one it checked.
+Both kinds of split are lazy, read-only sequences of :class:`VideoSequence`
+that share one indexing class, ``_LazySplit``, and hold no frames.  Each
+access to a split of :func:`generate_split` renders that sequence from its
+own stream.  Each access to a split of :func:`read_dataset` reads that
+sequence's frames from the file anew, after checking that the file is still
+the one it checked; :func:`read_dataset` runs every check on both files
+before it returns (headers, exact payload sizes, record shapes, bounce
+flags) without reading a frame.  :func:`write_dataset` makes one pass over
+a split: it takes each sequence once, checks it as it arrives and streams
+its frames to a staged file, so no split is held whole.  It renames the
+staged files into place only after the last sequence, so a rejected or
+failed write leaves the filesystem as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -146,11 +154,52 @@ def _check_split(split: str, error: type[Exception] = DatasetError) -> None:
         raise error(f"unknown split {split!r}; the splits are {', '.join(SPLITS)}")
 
 
-def generate_split(cfg: SimConfig, split: str) -> list[VideoSequence]:
-    """The sequences of one split of ``SPLITS``; another name raises ``ValueError``."""
+@dataclass(frozen=True)
+class _LazySplit(Sequence):
+    """A read-only split that makes sequence i on each access, with no cache.
+
+    Takes ints, numpy ints and negative indices (through ``indices``, a
+    ``range``, so an index out of range raises ``IndexError``) and slices,
+    which give a split of the same kind; items cannot be assigned.  A
+    subclass supplies :meth:`_load`."""
+
+    indices: range
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, indices=self.indices[index])
+        return self._load(self.indices[index])
+
+    def _load(self, i: int) -> VideoSequence:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class _GeneratedSplit(_LazySplit):
+    """The split :func:`generate_split` returns: each access renders its sequence."""
+
+    cfg: SimConfig
+    split: str
+
+    def _load(self, i: int) -> VideoSequence:
+        return generate_sequence(self.cfg, split_stream(self.cfg, self.split, i))
+
+
+def generate_split(cfg: SimConfig, split: str) -> Sequence[VideoSequence]:
+    """The sequences of one split of ``SPLITS``; another name raises ``ValueError``.
+
+    The split is read-only and lazy: nothing is rendered here, and each
+    access renders sequence i anew from its own stream
+    (:func:`split_stream`), so an access gives the same bits in any order
+    and the split holds no frames between accesses.  A configuration the
+    simulator cannot resolve raises on the access that meets it.
+    """
     _check_split(split, ValueError)
     n = {"train": cfg.n_train, "val": cfg.n_val, "test": cfg.n_test}[split]
-    return [generate_sequence(cfg, split_stream(cfg, split, i)) for i in range(n)]
+    return _GeneratedSplit(range(n), cfg, split)
 
 
 # ---- binary tensor records ----------------------------------------------
@@ -247,54 +296,79 @@ def _check_at_end(fh, path) -> None:
         raise TrailingBytesError(f"{path}: {extra} bytes after the last record")
 
 
-def write_dataset(path, split: str, sequences: list[VideoSequence], cfg: SimConfig) -> list[Path]:
+def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: SimConfig) -> list[Path]:
     """Persist one split and return the paths written, the split's files then
     the manifest; the manifest is (re)written with every call.
 
-    A split name outside ``SPLITS``, an empty split, or one with a sequence
-    whose records are not the shapes :func:`_record_shapes` gives for ``cfg``
-    or whose bounce flags are not all 0 or 1, is rejected before the
-    directory is touched, and so is a directory whose manifest holds another
-    configuration (:func:`existing_manifest`), so a rejected write leaves the
-    directory as it was.  The split files and the manifest are written under
-    temporary names in the same directory and then renamed over the old
-    ones, so a write that fails part-way leaves the previous files whole and
-    no temporary file behind.
+    ``sequences`` is any sequence of :class:`VideoSequence`, a list or a
+    lazy split of :func:`generate_split` or :func:`read_dataset`.  The
+    write is one pass: the record headers take the count from
+    ``len(sequences)``, each sequence is accessed exactly once, checked as
+    it arrives and its frames streamed to the frames file, and the truth
+    file, whose arrays are small, is written after the frames.
+
+    A split name outside ``SPLITS``, an empty split, or a directory whose
+    manifest holds another configuration (:func:`existing_manifest`) is
+    rejected before the directory is touched.  A sequence whose records are
+    not the shapes :func:`_record_shapes` gives for ``cfg``, or whose bounce
+    flags are not all 0 or 1, raises :class:`ShapeMismatchError` or
+    :class:`DatasetError` when it arrives.  The split files and the manifest
+    are written under temporary names in the same directory and renamed over
+    the old ones only after every sequence is written.  So a rejected write,
+    or one that fails part-way (a sequence that cannot be generated, a full
+    disk), leaves the filesystem as it was: the previous files whole, no
+    temporary file, and none of the directories this call created (each is
+    removed with ``os.rmdir``, deepest first).
     """
     _check_split(split)
-    if not sequences:
+    n = len(sequences)
+    if not n:
         raise DatasetError(f"{path}: no sequences to write for split {split!r}")
     want = _record_shapes(cfg)
-    for i, seq in enumerate(sequences):
-        shapes = tuple(np.shape(array) for array in _records(seq).values())
-        if shapes != tuple(want.values()):
-            raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
-                                     f"{shapes}, but the config's are {tuple(want.values())}")
-        if not _binary_flags(seq.trajectory.bounce_flags):
-            raise DatasetError(f"{path}: sequence {i} of split {split!r} has bounce flags other than 0 and 1")
     path = Path(path)
     manifest = existing_manifest(path, cfg)
+    created = [d for d in (path, *path.parents) if not d.exists()]  # deepest first
     path.mkdir(parents=True, exist_ok=True)
 
     manifest["format_version"] = FORMAT_VERSION
     manifest["config"] = asdict(cfg)
-    manifest.setdefault("splits", {})[split] = len(sequences)
+    manifest.setdefault("splits", {})[split] = n
 
+    dtypes = {name: dtype for _, records in _FILES for name, dtype in records}
     targets = {**_split_paths(path, split), "meta": path / "meta.json"}
     staged = {key: target.with_name(f".{target.name}.tmp") for key, target in targets.items()}
     try:
-        for file, records in _FILES:
-            with open(staged[file], "wb") as fh:
-                for name, dtype in records:
-                    _write_header(fh, (len(sequences), *want[name]))
-                    for seq in sequences:  # one sequence at a time: the split is never stacked
-                        _write_payload(fh, _records(seq)[name], dtype)
+        truth = {name: [] for name in want if name != "frames"}  # small: kept for the second file
+        with open(staged["frames"], "wb") as fh:
+            _write_header(fh, (n, *want["frames"]))
+            for i in range(n):
+                records = _records(sequences[i])
+                shapes = tuple(np.shape(array) for array in records.values())
+                if shapes != tuple(want.values()):
+                    raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
+                                             f"{shapes}, but the config's are {tuple(want.values())}")
+                if not _binary_flags(records["bounce_flags"]):
+                    raise DatasetError(f"{path}: sequence {i} of split {split!r} has bounce flags "
+                                       "other than 0 and 1")
+                _write_payload(fh, records["frames"], dtypes["frames"])
+                for name, values in truth.items():
+                    values.append(records[name])
+                del records  # else it holds this sequence while the next one is made
+        with open(staged["truth"], "wb") as fh:
+            for name, arrays in truth.items():
+                _write_header(fh, (n, *want[name]))
+                for array in arrays:
+                    _write_payload(fh, array, dtypes[name])
         staged["meta"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         for key, tmp in staged.items():
             os.replace(tmp, targets[key])
-    finally:
+    except BaseException:
         for tmp in staged.values():
             tmp.unlink(missing_ok=True)
+        for directory in created:
+            with contextlib.suppress(OSError):  # not empty: a file was put there meanwhile
+                os.rmdir(directory)
+        raise
     return list(targets.values())
 
 
@@ -339,14 +413,13 @@ def _stamp(fh) -> tuple[int, int, int, int]:
 
 
 @dataclass(frozen=True)
-class _Split(Sequence):
-    """The sequences of a split :func:`read_dataset` checked, read-only.
+class _Split(_LazySplit):
+    """The split :func:`read_dataset` checked: each access reads its sequence.
 
     The truth is held as read-only ``(N, T, ...)`` arrays; each access opens
     the frames file, checks that its :func:`_stamp` is still the one taken
     when the split was read, and reads that one sequence's ``(T, H, W)``
-    slice of the payload into a fresh array.  Slices are splits of the same
-    file.
+    slice of the payload into a fresh array.
     """
 
     path: Path
@@ -355,15 +428,8 @@ class _Split(Sequence):
     shape: tuple[int, ...]  # of one sequence's frames
     dtype: str  # of the frames
     truth: Trajectory
-    indices: range
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, indices=self.indices[index])
-        i = self.indices[index]  # range indexing: ints, numpy ints, negatives, IndexError
+    def _load(self, i: int) -> VideoSequence:
         frames = np.empty(self.shape, dtype=self.dtype)
         try:
             fh = open(self.path, "rb")
@@ -384,11 +450,12 @@ def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
 
     Every check runs before this returns, and none reads a frame: a split
     name outside ``SPLITS``, a manifest configuration that
-    :class:`SimConfig` rejects, or a split whose files are absent raises
-    :class:`DatasetError`; the last names the splits the manifest lists.
-    A record header that declares more bytes than its file holds raises
-    :class:`TruncatedFileError`, and bytes after a file's last record raise
-    :class:`TrailingBytesError`.  Records that are not the shapes
+    :class:`SimConfig` rejects (an image size, frame count, split size or
+    seed that is not an integer among them), or a split whose files are
+    absent raises :class:`DatasetError`; the last names the splits the
+    manifest lists.  A record header that declares more bytes than its
+    file holds raises :class:`TruncatedFileError`, and bytes after a file's
+    last record raise :class:`TrailingBytesError`.  Records that are not the shapes
     :func:`write_dataset` accepts, each with a leading N, raise
     :class:`ShapeMismatchError`, where N is the frames header's sequence
     count, at least 1 and the manifest's count if it lists one.  Bounce
@@ -441,4 +508,4 @@ def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
     truth["bounce_flags"] = truth["bounce_flags"].astype(bool)
     for array in truth.values():  # every access hands out views of them
         array.flags.writeable = False
-    return _Split(paths["frames"], stamp, offset, want[0][1:], frames_dtype, Trajectory(**truth), range(n)), cfg
+    return _Split(range(n), paths["frames"], stamp, offset, want[0][1:], frames_dtype, Trajectory(**truth)), cfg

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from balltrack.sim import SimConfig
-from balltrack.video import _write_record, generate_split, read_dataset, write_dataset
+import balltrack.video
+from balltrack.sim import SimConfig, SimulationError
+from balltrack.video import _write_record, generate_split, read_dataset, split_stream, write_dataset
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +59,19 @@ def change_frames():
         else:
             frames.unlink()
     return change
+
+
+@pytest.fixture
+def fail_generation(monkeypatch):
+    """Make generating sequence ``index`` of ``split`` under ``cfg`` raise the
+    simulator's ``SimulationError``, as an admitted config can today."""
+    def fail(cfg, split, index):
+        real, bad = balltrack.video.generate_sequence, split_stream(cfg, split, index).key
+
+        def generate(sequence_cfg, rng):
+            if rng.key == bad:
+                raise SimulationError("step crossed both walls; state unrecoverable")
+            return real(sequence_cfg, rng)
+
+        monkeypatch.setattr(balltrack.video, "generate_sequence", generate)
+    return fail

@@ -5,11 +5,15 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import balltrack
 from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, _sigma_dir, build_parser, main
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
@@ -114,6 +118,32 @@ class TestGen:
         with pytest.raises(SystemExit, match=r"sigma_1: directory already holds a dataset with a different"):
             main(["gen", "--out", str(out), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
         assert _snapshot(out) == before
+
+    def test_failure_part_way_through_a_split_reported(self, tmp_path, fail_generation):
+        out = tmp_path / "d"
+        cfg = _config_from_args(build_parser().parse_args(["gen", *GEN_SMALL, "--train", "3"]), 0.0)
+        fail_generation(cfg, "train", 1)
+        with pytest.raises(SystemExit, match=r"^error: step crossed both walls; state unrecoverable$"):
+            _gen(out, "--train", "3")
+        assert list(out.iterdir()) == []  # the lock is gone, and so is the sigma directory
+
+    def test_memory_does_not_grow_with_the_split(self, tmp_path):
+        code = ("import resource, sys\n"
+                "from balltrack.cli import main\n"
+                "main(sys.argv[1:])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(balltrack.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def peak_rss(n):
+            argv = ["gen", "--out", str(tmp_path / str(n)), "--sigma", "1", "--train", "1", "--val", "1",
+                    "--test", str(n)]
+            run = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120,
+                                 capture_output=True, text=True)
+            return int(run.stdout.split()[-1])
+
+        peaks = [peak_rss(n) for n in (4, 16, 48)]
+        assert max(peaks) <= 1.1 * min(peaks), peaks
 
     def test_lock_file_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "d"

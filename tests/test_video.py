@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from balltrack.rng import RandomStream
-from balltrack.sim import SimConfig
+from balltrack.sim import SimConfig, SimulationError
 from balltrack.video import (
     FORMAT_VERSION,
     MAGIC,
@@ -273,7 +273,7 @@ class TestDatasetIO:
 
     def test_write_does_not_stack_the_split(self, tmp_path):
         cfg = SimConfig(noise_sigma=1.0, frames_per_video=10, n_test=8)
-        seqs = generate_split(cfg, "test")
+        seqs = list(generate_split(cfg, "test"))  # held: this measures the writer's own overhead
         nbytes = sum(seq.frames.nbytes for seq in seqs)
         tracemalloc.start()
         try:
@@ -288,7 +288,7 @@ class TestDatasetIO:
     def test_mixed_frame_shapes_rejected_before_writing(self, tmp_path, small_cfg):
         write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        seqs = generate_split(small_cfg, "test")
+        seqs = list(generate_split(small_cfg, "test"))
         seqs[1] = replace(seqs[1], frames=seqs[1].frames[:-1])
         with pytest.raises(ShapeMismatchError, match=r"sequence 1 .* shapes \(\(11, 224, 224\)"):
             write_dataset(tmp_path, "test", seqs, small_cfg)
@@ -319,7 +319,7 @@ class TestDatasetIO:
     def test_trajectories_not_covering_the_frames_rejected_before_writing(self, tmp_path, small_cfg, bad):
         write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        seqs = generate_split(small_cfg, "test")
+        seqs = list(generate_split(small_cfg, "test"))
         short = [i for i in range(len(seqs)) if bad == "one_frame_short" or i == 1]
         for i in short:
             traj = seqs[i].trajectory
@@ -430,7 +430,7 @@ class TestDatasetIO:
         cfg = SimConfig(image_size=36, frames_per_video=3, n_test=2)
         write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        seqs = generate_split(cfg, "test")
+        seqs = list(generate_split(cfg, "test"))
         seqs[1] = replace(seqs[1], trajectory=replace(seqs[1].trajectory, bounce_flags=np.array(flags)))
         with pytest.raises(DatasetError, match="sequence 1 of split 'test' has bounce flags other than 0 and 1"):
             write_dataset(tmp_path, "test", seqs, cfg)
@@ -672,6 +672,69 @@ class TestLazySplit:
         for i in range(len(split)):
             with pytest.raises(DatasetError, match=re.escape(str(tmp_path / "test_frames.bin"))):
                 split[i]
+
+
+class TestStreamedWrite:
+    """write_dataset takes each sequence once, as it arrives."""
+
+    def test_read_split_is_read_once_per_sequence(self, tmp_path, monkeypatch):
+        import balltrack.video as video
+
+        cfg = replace(_FUZZ_CFG, n_test=3)
+        write_dataset(tmp_path / "first", "test", generate_split(cfg, "test"), cfg)
+        split, _ = read_dataset(tmp_path / "first", "test")
+        reads, real = [], video._read_payload
+
+        def counted(fh, array, path):
+            reads.append(path)
+            return real(fh, array, path)
+
+        monkeypatch.setattr(video, "_read_payload", counted)
+        write_dataset(tmp_path / "second", "test", split, cfg)
+        assert len(reads) == 3
+        assert {p.name: p.read_bytes() for p in (tmp_path / "second").iterdir()} == \
+               {p.name: p.read_bytes() for p in (tmp_path / "first").iterdir()}
+
+    def test_generated_split_is_rendered_once_per_sequence(self, tmp_path, monkeypatch):
+        import balltrack.video as video
+
+        cfg = replace(_FUZZ_CFG, n_test=3)
+        calls, real = [], video.generate_sequence
+
+        def counted(sequence_cfg, rng):
+            calls.append(rng.key)
+            return real(sequence_cfg, rng)
+
+        monkeypatch.setattr(video, "generate_sequence", counted)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        assert calls == [split_stream(cfg, "test", i).key for i in range(3)]
+
+    @pytest.mark.parametrize("target", ["existing", "fresh"])
+    def test_failure_part_way_leaves_the_filesystem_as_it_was(self, tmp_path, fail_generation, target):
+        cfg = replace(_FUZZ_CFG, n_test=3)
+        if target == "existing":  # a split unlike the one the failed write would give
+            path = tmp_path
+            old = [replace(s, frames=s.frames + 1) for s in generate_split(cfg, "test")]
+            write_dataset(path, "test", old, cfg)
+        else:
+            path = tmp_path / "fresh" / "nested"
+        before = {str(p.relative_to(tmp_path)): p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        fail_generation(cfg, "test", 1)
+        with pytest.raises(SimulationError, match="step crossed both walls"):
+            write_dataset(path, "test", generate_split(cfg, "test"), cfg)
+        assert {str(p.relative_to(tmp_path)): p.is_file() and p.read_bytes()
+                for p in tmp_path.rglob("*")} == before
+
+    def test_lazy_split_write_holds_under_two_sequences(self, tmp_path):
+        cfg = SimConfig(noise_sigma=1.0, frames_per_video=10, n_test=8)
+        one = cfg.frames_per_video * cfg.image_size ** 2 * 4
+        tracemalloc.start()
+        try:
+            write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one, peak
 
 
 _RECORD_DTYPES = ("<f4", "<f8", "<u1")
