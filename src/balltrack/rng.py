@@ -85,21 +85,27 @@ class RandomStream:
     # ---- distributions -------------------------------------------------
     def random(self, n: int | None = None):
         """Uniform doubles in [0, 1) with 53 random bits."""
-        block = (self._raw_block(1 if n is None else n) >> np.uint64(11)).astype(np.float64)
-        out = block * (1.0 / (1 << 53))
+        block = self._raw_block(1 if n is None else n)
+        out = np.right_shift(block, np.uint64(11), out=block).astype(np.float64)
+        out *= 1.0 / (1 << 53)
         return float(out[0]) if n is None else out
 
     def uniform(self, low: float, high: float, n: int | None = None):
         return low + (high - low) * self.random(n)
 
     def normal(self, n: int | None = None, sigma: float = 1.0):
-        """Gaussian draws via Box-Muller (two uniforms per pair)."""
+        """Gaussian draws via Box-Muller (two uniforms per pair), computed in place."""
         m = 1 if n is None else n
         pairs = (m + 1) // 2
-        u1 = 1.0 - self.random(pairs)  # (0, 1]: keeps log finite
-        u2 = self.random(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate(
-            [radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)]
-        )[:m] * sigma
+        radius = self.random(pairs)
+        np.log(np.subtract(1.0, radius, out=radius), out=radius)  # 1 - u in (0, 1]: keeps log finite
+        np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
+        angle = self.random(pairs)
+        angle *= 2.0 * np.pi
+        z = np.empty((2, pairs))  # the cosines, then the sines
+        np.cos(angle, out=z[0])
+        np.sin(angle, out=z[1])
+        z *= radius
+        z = z.reshape(-1)[:m]
+        z *= sigma
         return float(z[0]) if n is None else z

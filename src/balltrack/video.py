@@ -2,8 +2,11 @@
 
 A sequence is a stack of frames: a filled circle (intensity 1) drawn over a
 zero background plus one static Gaussian noise image shared by every frame
-of that sequence.  Frames are float32 and left unclamped; clamping to a
-display range is a presentation concern, not a data one.
+of that sequence.  :func:`generate_sequence` makes the stack in one pass: it
+fills every frame with ``0 + noise`` (a -0.0 noise pixel becomes 0.0) and
+sets every frame's disk pixels, from the one disk test :func:`_disk_pixels`,
+to ``1 + noise`` in one scatter.  Frames are float32 and left unclamped;
+clamping to a display range is a presentation concern, not a data one.
 
 On disk a dataset is one directory per noise level:
 
@@ -103,17 +106,26 @@ class VideoSequence:
     noise_image: np.ndarray | None = None
 
 
+def _disk_pixels(centers, radius: float, size: int) -> tuple[np.ndarray, ...]:
+    """Index arrays, into a ``(..., size, size)`` stack, of the pixels (i, j) in
+    the image with (j-x)^2 + (i-y)^2 <= r^2 for each sub-pixel center (x, y) of
+    ``centers`` (..., 2); the leading arrays pick the center.  Each center tests
+    one k x k box from floor(c - r), k = ceil(2r) + 2, which holds its disk."""
+    centers = np.asarray(centers, dtype=np.float64)
+    x, y = centers[..., 0, None, None], centers[..., 1, None, None]
+    k = np.arange(math.ceil(2 * radius) + 2)
+    jj, ii = np.floor(x - radius) + k, np.floor(y - radius) + k[:, None]  # (..., 1, k), (..., k, 1)
+    inside = (((jj - x) ** 2 + (ii - y) ** 2 <= radius * radius)
+              & (0 <= jj) & (jj < size) & (0 <= ii) & (ii < size))
+    idx = np.nonzero(inside)
+    return (*idx[:-2], *(np.broadcast_to(a, inside.shape)[idx].astype(np.intp) for a in (ii, jj)))
+
+
 def _disk(center, radius: float, size: int, dtype) -> np.ndarray:
-    """(size, size) image: pixel (i, j) is 1 iff (j-x)^2 + (i-y)^2 <= r^2 for the
-    sub-pixel center (x, y), else 0.  Only the disk's bounding box is tested."""
-    x, y = float(center[0]), float(center[1])
+    """(size, size) image: 1 at the pixels :func:`_disk_pixels` gives for the
+    sub-pixel center (x, y), else 0."""
     image = np.zeros((size, size), dtype=dtype)
-    # [start, stop) of the box inside the image per axis; a stop below 0 would wrap round
-    (i0, i1), (j0, j1) = ((max(0, int(np.floor(c - radius))),
-                           max(0, min(size, int(np.ceil(c + radius)) + 1))) for c in (y, x))
-    ii = np.arange(i0, i1, dtype=np.float64)[:, None]
-    jj = np.arange(j0, j1, dtype=np.float64)[None, :]
-    image[i0:i1, j0:j1] = (jj - x) ** 2 + (ii - y) ** 2 <= radius * radius
+    image[_disk_pixels(center, radius, size)] = 1
     return image
 
 
@@ -133,12 +145,17 @@ def make_noise_image(cfg: SimConfig, rng: RandomStream) -> np.ndarray:
 
 
 def generate_sequence(cfg: SimConfig, rng: RandomStream) -> VideoSequence:
-    """Simulate one trajectory and render it over a static noise background."""
+    """Simulate one trajectory and render it over a static noise background.
+
+    Frame t is ``render_frame(positions_px[t], cfg) + noise`` bit for bit, made in
+    one pass: every frame is filled with ``0 + noise``, the sum off the disk (a
+    -0.0 noise pixel becomes 0.0), then all disk pixels get ``1 + noise`` at once."""
     trajectory = simulate_trajectory(cfg, rng.spawn("trajectory"))
     noise = make_noise_image(cfg, rng.spawn("noise"))
     frames = np.empty((cfg.frames_per_video, cfg.image_size, cfg.image_size), dtype=np.float32)
-    for t in range(cfg.frames_per_video):
-        frames[t] = render_frame(trajectory.positions_px[t], cfg) + noise
+    np.add(noise, np.float32(0), out=frames)
+    t, i, j = _disk_pixels(trajectory.positions_px, cfg.radius_px, cfg.image_size)
+    frames[t, i, j] = np.float32(1) + noise[i, j]
     return VideoSequence(frames=frames, trajectory=trajectory, noise_image=noise)
 
 
@@ -218,7 +235,8 @@ def _record_shapes(cfg: SimConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _binary_flags(flags) -> bool:
-    return bool(np.isin(flags, (0, 1)).all())
+    flags = np.asarray(flags)
+    return bool(((flags == 0) | (flags == 1)).all())
 
 
 def _records(seq: VideoSequence) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -67,6 +68,16 @@ class TestTemplate:
             c = (size - 1) / 2.0
             disk = ((jj - c) ** 2 + (ii - c) ** 2 <= radius * radius).astype(float)
             assert disk_template(radius).tobytes() == (disk - disk.mean()).tobytes()
+
+    @pytest.mark.parametrize("radius, digest", [
+        (1, "179d1c6bfca012e1348c71f13aad673cb62ab403955d894bf57fea4e382aaa05"),
+        (1.5, "a3e80127049386207e1e4eacf767bcf5bdb1c9bb8751f94f74bd5e4d5585765c"),
+        (2, "db0fff585c9a3455fb27df0e43437dafda515a04d835a09eb93e870ad651837c"),
+        (3.3, "a22d445a20a7c248c9e056b8d9ea71d4e5d2930f387a31e245f75d637e8a9479"),
+        (7, "9e83b36f510140a586928ec223e25b6ebe0b0bbf31d25a2e6ae2a8e36f72fb52"),
+    ])
+    def test_bytes_match_recorded_digests(self, radius, digest):
+        assert hashlib.sha256(disk_template(radius).tobytes()).hexdigest() == digest
 
 
 class TestNcc:

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import balltrack.video
 from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig, SimulationError
 from balltrack.video import (
@@ -25,6 +27,9 @@ from balltrack.video import (
     ShapeMismatchError,
     TrailingBytesError,
     TruncatedFileError,
+    _binary_flags,
+    _disk,
+    _disk_pixels,
     generate_sequence,
     generate_split,
     make_noise_image,
@@ -74,6 +79,16 @@ class TestRenderFrame:
         want = ((jj - x) ** 2 + (ii - y) ** 2 <= radius * radius).astype(np.float32)
         assert render_frame((x, y), cfg).tobytes() == want.tobytes()
 
+    @settings(deadline=None)
+    @given(centers=arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=st.floats(-12.0, 44.0)),
+           radius=st.floats(0.5, 7.0))
+    @example(centers=np.array([[-9.0, 5.0], [40.0, 40.0], [-1.5, 31.7], [16.2, 15.9]]), radius=3.0)
+    def test_pixels_of_a_stack_are_each_centers_disk(self, centers, radius):
+        t, i, j = _disk_pixels(centers, radius, 32)
+        for k, center in enumerate(centers):  # off-image centers give no pixel or a clipped disk
+            want = np.nonzero(_disk(center, radius, 32, np.float32))
+            assert np.array_equal(i[t == k], want[0]) and np.array_equal(j[t == k], want[1])
+
     def test_subpixel_center_moves_support(self, cfg):
         a = render_frame((100.0, 100.0), cfg)
         b = render_frame((100.49, 100.0), cfg)
@@ -109,8 +124,34 @@ class TestSequence:
         seq = generate_sequence(cfg, _stream())
         for t in range(len(seq.frames)):
             clean = render_frame(seq.trajectory.positions_px[t], cfg)
-            residual = seq.frames[t] - clean
-            assert np.allclose(residual, seq.noise_image, atol=1e-6)
+            assert seq.frames[t].tobytes() == (clean + seq.noise_image).tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(size=st.integers(8, 64), place=st.floats(0.0, 1.0), frames=st.integers(3, 8),
+           sigma=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**32 - 1), signed_zeros=st.just(False))
+    @example(size=16, place=0.3, frames=5, sigma=1.0, seed=3, signed_zeros=True)
+    @example(size=9, place=1.0, frames=4, sigma=0.0, seed=5, signed_zeros=True)
+    def test_frames_are_the_rendered_frame_plus_the_noise(self, size, place, frames, sigma, seed, signed_zeros):
+        # radius from 0.5 to just under H/2: the largest that leaves the center
+        # 0.02 px to move in; scale and v_max keep a step under a quarter of it
+        radius = 0.5 + place * ((size - 1) / 2 - 0.01 - 0.5)
+        room = size - 1 - 2 * radius
+        scale = max(0.02, 8 * 9.81 * 0.04**2 * frames / room)
+        cfg = SimConfig(image_size=size, radius_px=radius, scale=scale, v_max=room * scale / (8 * 0.04),
+                        frames_per_video=frames, noise_sigma=sigma, seed=seed)
+        real = balltrack.video.make_noise_image
+
+        def noise_of_signed_zeros(cfg, rng):  # 0 + -0.0 is 0.0, and a subnormal stays
+            noise = np.full((cfg.image_size, cfg.image_size), -0.0, dtype=np.float32)
+            noise[::3, ::2] = np.float32(1e-45)
+            noise[1::3, ::2] = np.float32(-1e-45)
+            return noise
+
+        with mock.patch.object(balltrack.video, "make_noise_image",
+                               noise_of_signed_zeros if signed_zeros else real):
+            seq = generate_sequence(cfg, split_stream(cfg, "test", 0))
+        for t, center in enumerate(seq.trajectory.positions_px):
+            assert seq.frames[t].tobytes() == (render_frame(center, cfg) + seq.noise_image).tobytes()
 
     def test_ball_contrast_about_one_over_noise(self):
         cfg = SimConfig(noise_sigma=1.0, frames_per_video=40)
@@ -424,7 +465,35 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="test_truth.bin: bounce flags other than 0 and 1"):
             read_dataset(tmp_path, "test")
 
-    @pytest.mark.parametrize("flags", [[0, 2, 1], [0, -1, 0], [0.0, 0.7, 1.0]])
+    def test_bounce_byte_of_minus_one_raises(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        path = tmp_path / "test_truth.bin"
+        blob = bytearray(path.read_bytes())
+        blob[-2] = 255  # -1 written as a byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match="test_truth.bin: bounce flags other than 0 and 1"):
+            read_dataset(tmp_path, "test")
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.float32, np.float64])
+    def test_binary_flags_of_any_dtype(self, dtype):
+        assert _binary_flags(np.array([0, 1, 1, 0], dtype=dtype))
+        assert _binary_flags(np.zeros((2, 3), dtype=dtype))
+        bad = {"b": [], "u": [2, 255], "i": [2, -1], "f": [2, -1, 0.5, np.nan]}[np.dtype(dtype).kind]
+        for value in bad:  # 255 is -1 as a byte
+            assert not _binary_flags(np.array([0, value, 1]).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float64])
+    def test_bounce_flags_of_zero_and_one_written_in_any_dtype(self, tmp_path, dtype):
+        cfg = SimConfig(image_size=36, frames_per_video=3, n_test=2)
+        seqs = list(generate_split(cfg, "test"))
+        flags = [np.array([True, False, True]), np.array([False, False, True])]
+        seqs = [replace(seq, trajectory=replace(seq.trajectory, bounce_flags=f.astype(dtype)))
+                for seq, f in zip(seqs, flags)]
+        write_dataset(tmp_path, "test", seqs, cfg)
+        loaded, _ = read_dataset(tmp_path, "test")
+        assert [seq.trajectory.bounce_flags.tolist() for seq in loaded] == [f.tolist() for f in flags]
+
+    @pytest.mark.parametrize("flags", [[0, 2, 1], [0, -1, 0], [0.0, 0.7, 1.0], [0.0, 0.5, 1.0], [0.0, np.nan, 1.0]])
     def test_bounce_flags_other_than_zero_or_one_rejected_before_writing(self, tmp_path, flags):
         # a 0.7 would be written as 0, and the split would load cleanly but wrong
         cfg = SimConfig(image_size=36, frames_per_video=3, n_test=2)
@@ -486,10 +555,8 @@ class TestDatasetIO:
 
 
 # sha256 of every file of a sigma=0, seed-42 dataset (12 frames, 2/1/2
-# sequences).  Sigma=1 is left out on purpose: its Box-Muller noise goes
-# through np.log/cos/sin, whose last-bit rounding may differ across CPUs and
-# numpy builds, whereas sigma=0 needs only integer hashing and the correctly
-# rounded IEEE +, -, *, /.
+# sequences).  Sigma=0 needs only integer hashing and the correctly rounded
+# IEEE +, -, *, /, so its digests hold on any CPU and numpy build.
 _GOLDEN_SHA256 = {
     "meta.json": "d113d9da618059966efa528566152755607f2e01ec15145c446b80117426633c",
     "test_frames.bin": "3327c41954440ab6786a1cd8bedf291a24e34388a11ce13abec039e9d221ed8e",
@@ -500,14 +567,32 @@ _GOLDEN_SHA256 = {
     "val_truth.bin": "2bdadfbddb1923f891169a06c979db7abf9f86832b7f7486865dfd841830ded6",
 }
 
+# the same dataset at sigma=1: the truth is the same, the frames carry the
+# Box-Muller noise.  np.log/cos/sin may round the last bit differently on
+# another CPU or numpy build (recorded with numpy 2.4 on x86-64); there a
+# mismatch of the frames files alone means the libm differs, not the renderer
+_GOLDEN_SHA256_SIGMA_ONE = {
+    **_GOLDEN_SHA256,
+    "meta.json": "9203d7ed083b40b8e0b3101fe5317e8246f8626490591962368c807d33717f04",
+    "test_frames.bin": "19b30fcf220330da388aaef3006cf5fcd36dc0296fa214d696138ab519e6e6b7",
+    "train_frames.bin": "211a166eba67d0171b97114953043e58868bf893faeda43daf8e3d8de53a1c7f",
+    "val_frames.bin": "27db541a78132f927a7b895ed259b1ae943b75d6108bcf1e662cdf1dce2e1552",
+}
+
+
+def _dataset_digests(path, sigma):
+    cfg = SimConfig(noise_sigma=sigma, seed=42, frames_per_video=12, n_train=2, n_val=1, n_test=2)
+    for split in SPLITS:
+        write_dataset(path, split, generate_split(cfg, split), cfg)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in path.iterdir()}
+
 
 class TestGoldenBytes:
     def test_sigma_zero_dataset_matches_recorded_digests(self, tmp_path):
-        cfg = SimConfig(noise_sigma=0.0, seed=42, frames_per_video=12, n_train=2, n_val=1, n_test=2)
-        for split in SPLITS:
-            write_dataset(tmp_path, split, generate_split(cfg, split), cfg)
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-        assert digests == _GOLDEN_SHA256
+        assert _dataset_digests(tmp_path, 0.0) == _GOLDEN_SHA256
+
+    def test_sigma_one_dataset_matches_recorded_digests(self, tmp_path):
+        assert _dataset_digests(tmp_path, 1.0) == _GOLDEN_SHA256_SIGMA_ONE
 
 
 # the bench's probe split: 1 sequence of 3 frames of 16 x 16 px
