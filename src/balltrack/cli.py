@@ -28,7 +28,6 @@ from .factorial import (
     FactorConfig,
     MissingCellsError,
     ResponseTable,
-    all_terms,
     compute_all_effects,
     rank_effects,
     ENCODER_METRICS,
@@ -36,7 +35,7 @@ from .factorial import (
 )
 from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
-from .tracker import (SCALES, metrics_from_csv, metrics_to_csv, per_sequence_to_csv, track_split,
+from .tracker import (SCALES, metrics_columns_from_csv, metrics_to_csv, per_sequence_to_csv, track_split,
                       write_predictions)
 from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, write_dataset
 
@@ -189,7 +188,7 @@ def cmd_effects(args) -> int:
     out = _resolve_out(args, "effects")
     started = time.time()
     try:
-        table = ResponseTable.from_rows(metrics_from_csv(Path(args.results).read_text()))
+        table = ResponseTable.from_columns(*metrics_columns_from_csv(Path(args.results).read_text()))
         table.add_aggregates()
     except OSError as err:
         raise SystemExit(f"error: {args.results}: {err.strerror}")
@@ -203,11 +202,9 @@ def cmd_effects(args) -> int:
 
     with _OutputLock(out):
         csv_path = out / "effects.csv"
-        lines = ["term,metric,effect"]
-        for term in all_terms():
-            for metric in metrics:
-                lines.append(f"{term},{metric},{effects[term][metric]:.17g}")
-        csv_path.write_text("\n".join(lines) + "\n")
+        csv_path.write_text("term,metric,effect\n" + "".join([
+            f"{term},{metric},{value:.17g}\n"
+            for term, per_metric in effects.items() for metric, value in per_metric.items()]))
 
         report_path = out / "effects_report.txt"
         report = []

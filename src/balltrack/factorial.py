@@ -10,10 +10,11 @@ ignored).
 :class:`ResponseTable` holds the responses as one ``(64, replicates,
 metrics)`` float array indexed by design row, with replicates and metrics
 kept sorted.  Only finite values get in, so NaN marks every cell that lacks
-a metric.  ``from_rows`` scatters a whole results table into it at once;
-gaps, a metric's response matrix and the enc_avg / dec_avg aggregates are
-NaN tests and slices of that array, and a fault names the first cell in
-design order (config row, then replicate).
+a metric.  ``from_columns`` scatters a whole results table into it at once,
+from the columns that ``tracker.metrics_columns_from_csv`` parses;
+``from_rows`` unzips rows into it.  Gaps, a metric's response matrix and the
+enc_avg / dec_avg aggregates are NaN tests and slices of that array, and a
+fault names the first cell in design order (config row, then replicate).
 
 Effects use {-1, +1} contrast coding: the estimate for a term (any
 non-empty subset of factors) is the mean response where the term's contrast
@@ -184,28 +185,41 @@ class ResponseTable:
 
     @classmethod
     def from_rows(cls, rows) -> "ResponseTable":
-        """Table of ``(config, replicate, metric, value)`` rows, scattered
-        into a NaN-filled array at once.  Rows with a bad label or value, a
-        value that is not finite or too large for a float, or a repeated
-        cell are replayed through :meth:`add` instead, which raises at the
-        first one."""
+        """Table of ``(config, replicate, metric, value)`` rows: their columns
+        through :meth:`from_columns`.  A row of another length is replayed
+        through :meth:`add` instead, which raises at the first fault."""
         rows = list(rows)
         if not rows or set(map(len, rows)) != {4}:  # nothing to place, or a row to reject
             return cls()._replay(rows)
-        configs, reps, metrics, values = zip(*rows)
+        return cls.from_columns(*zip(*rows))
+
+    @classmethod
+    def from_columns(cls, configs, replicates, metrics, values) -> "ResponseTable":
+        """Table of equal-length columns, row i being ``(configs[i],
+        replicates[i], metrics[i], values[i])``, scattered into a NaN-filled
+        array at once; a float64 array of values is taken as it is.  When a
+        label or value is bad, a value is not finite or too large for a
+        float, or a cell repeats, the rows are replayed through :meth:`add`
+        instead, which raises at the first one."""
+        n = len(configs)
+        if not len(replicates) == len(metrics) == len(values) == n:
+            raise ValueError(f"columns of unequal length: {n}, {len(replicates)}, "
+                             f"{len(metrics)}, {len(values)}")
+        rows = zip(configs, replicates, metrics, values)
         try:
             row_of = {c: _row(c) for c in set(configs)}
-            values = np.fromiter(map(float, values), float, len(rows))
+            if not (isinstance(values, np.ndarray) and values.dtype == float and values.ndim == 1):
+                values = np.fromiter(map(float, values), float, n)
         except (TypeError, ValueError, OverflowError):  # a bad label or value
             return cls()._replay(rows)
         table = cls()
-        table._reps, table._metrics = sorted(set(reps)), sorted(set(metrics))
+        table._reps, table._metrics = sorted(set(replicates)), sorted(set(metrics))
         table._values = np.full((N_CONFIGS, len(table._reps), len(table._metrics)), np.nan)
         table._values[_codes(configs, row_of),
-                      _codes(reps, {r: i for i, r in enumerate(table._reps)}),
+                      _codes(replicates, {r: i for i, r in enumerate(table._reps)}),
                       _codes(metrics, {m: i for i, m in enumerate(table._metrics)})] = values
         # one finite entry per row unless a value is not finite or a cell repeats
-        if np.count_nonzero(np.isfinite(table._values)) < len(rows):
+        if np.count_nonzero(np.isfinite(table._values)) < n:
             return cls()._replay(rows)
         return table
 

@@ -10,8 +10,10 @@ and returns in the order of :func:`balltrack.physics.verlet_step_with_bounce`.
 Boundary convention: the ball center is confined to ``[r, W-1-r]`` pixels on
 each axis (the last valid pixel index is ``W-1``); an edge touch reflects.
 Reflections mirror the position overshoot about the wall and rescale the
-post-step velocity component by ``-e``.  Collisions are resolved per step,
-not at the exact sub-step impact time.  Ground truth leaves the module as a
+post-step velocity component by ``-e``; an overshoot that the mirror carries
+past the far wall is mirrored again, with ``-e`` once per reflection, until
+the center is inside.  Collisions are resolved per step, not at the exact
+sub-step impact time.  Ground truth leaves the module as a
 :class:`Trajectory`, the type the physics refinement returns too; its 3-frame
 windows come from :func:`trajectory_windows`, through :func:`window_index`.
 """
@@ -156,10 +158,15 @@ def step_physical(position: np.ndarray, velocity: np.ndarray, cfg: SimConfig):
     bounced = low | (raw > hi)
     if not bounced.any():  # most steps: no wall reached, so mirroring would change nothing
         return raw, v_new, bounced
-    position = np.where(bounced, 2.0 * np.where(low, lo, hi) - raw, raw)
-    if not np.all((lo <= position) & (position <= hi)):
-        raise SimulationError("step crossed both walls; state unrecoverable")
-    return position, np.where(bounced, -e * v_new, v_new), bounced
+    if not np.isfinite(raw).all():  # an infinite overshoot would mirror forever
+        raise SimulationError(f"step reached a non-finite position {tuple(raw.tolist())}")
+    position, velocity, out = raw, v_new, bounced
+    while out.any():  # an overshoot past the far wall too is mirrored again
+        position = np.where(out, 2.0 * np.where(low, lo, hi) - position, position)
+        velocity = np.where(out, -e * velocity, velocity)
+        low = position < lo
+        out = low | (position > hi)
+    return position, velocity, bounced
 
 
 def project_to_pixels(p_physical, cfg: SimConfig) -> np.ndarray:

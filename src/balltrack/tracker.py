@@ -57,6 +57,7 @@ __all__ = [
     "metrics_to_csv",
     "per_sequence_to_csv",
     "write_predictions",
+    "metrics_columns_from_csv",
     "metrics_from_csv",
 ]
 
@@ -521,31 +522,48 @@ def write_predictions(path, predictions: dict[int, dict[str, np.ndarray]]) -> No
                 _write_record(fh, predictions[s][name], dtype)
 
 
-def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
-    """Parse rows written by :func:`metrics_to_csv` (or compatible files).
+def metrics_columns_from_csv(text: str) -> tuple[list[str], list[int], list[str], np.ndarray]:
+    """Parse rows written by :func:`metrics_to_csv` (or compatible files) into
+    columns: configs, replicates and metrics as lists and values as one
+    float64 array, in file order.
 
     Blank lines are skipped and whitespace around each field is ignored;
     ``ValueError`` names the line of a malformed row or of a value that is
     not finite, or says that the file has no data rows.  A clean file is
-    parsed by column; the rows are walked one by one only to name the first
-    bad line.
+    parsed by column, with no strip when it holds no padding, one ``int``
+    per distinct replicate and one ``float`` per value; the rows are walked
+    one by one only to name the first bad line.
     """
-    lines = list(filter(None, map(str.strip, text.splitlines())))
+    # strip drops the whitespace that splitlines leaves inside a line: in
+    # ASCII that is only space, tab and \x1f, so a text without them needs none
+    padded = not text.isascii() or any(map(text.__contains__, " \t\x1f"))
+    lines = list(filter(None, map(str.strip, text.splitlines()) if padded else text.splitlines()))
     body = lines[1:]
     if (body and ",".join(map(str.strip, lines[0].split(","))).lower() == _CSV_HEADER
             and set(map(str.count, body, repeat(","))) == {3}):  # four fields on every row
-        fields = list(map(str.strip, ",".join(body).split(",")))
+        fields = ",".join(body).split(",")
+        if padded:
+            fields = list(map(str.strip, fields))
+        reps = fields[1::4]
         try:
-            replicates, values = list(map(int, fields[1::4])), list(map(float, fields[3::4]))
+            rep_of = {r: int(r) for r in set(reps)}
+            values = np.fromiter(map(float, fields[3::4]), float, len(body))
         except ValueError:
             raise _first_bad_line(text) from None
         if np.isfinite(values).all():
-            return list(zip(fields[0::4], replicates, fields[2::4], values))
+            return fields[0::4], list(map(rep_of.__getitem__, reps)), fields[2::4], values
     raise _first_bad_line(text)
 
 
+def metrics_from_csv(text: str) -> list[tuple[str, int, str, float]]:
+    """The ``(config, replicate, metric, value)`` rows of
+    :func:`metrics_columns_from_csv`, which raises as it does."""
+    configs, replicates, metrics, values = metrics_columns_from_csv(text)
+    return list(zip(configs, replicates, metrics, values.tolist()))
+
+
 def _first_bad_line(text: str) -> ValueError:
-    """The error for the first line of ``text`` that :func:`metrics_from_csv` rejects."""
+    """The error for the first line of ``text`` that :func:`metrics_columns_from_csv` rejects."""
     lines = [(i, [f.strip() for f in ln.split(",")])
              for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or ",".join(lines[0][1]).lower() != _CSV_HEADER:

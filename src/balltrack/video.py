@@ -110,8 +110,13 @@ def _disk_pixels(centers, radius: float, size: int) -> tuple[np.ndarray, ...]:
     """Index arrays, into a ``(..., size, size)`` stack, of the pixels (i, j) in
     the image with (j-x)^2 + (i-y)^2 <= r^2 for each sub-pixel center (x, y) of
     ``centers`` (..., 2); the leading arrays pick the center.  Each center tests
-    one k x k box from floor(c - r), k = ceil(2r) + 2, which holds its disk."""
+    one k x k box from floor(c - r), k = ceil(2r) + 2, which holds its disk.  A
+    NaN or infinite center has no disk and raises ``ValueError`` naming it."""
     centers = np.asarray(centers, dtype=np.float64)
+    if not np.isfinite(centers).all():
+        flat = centers.reshape(-1, 2)
+        bad = flat[~np.isfinite(flat).all(axis=1)][0]
+        raise ValueError(f"disk center {tuple(bad.tolist())} is not finite")
     x, y = centers[..., 0, None, None], centers[..., 1, None, None]
     k = np.arange(math.ceil(2 * radius) + 2)
     jj, ii = np.floor(x - radius) + k, np.floor(y - radius) + k[:, None]  # (..., 1, k), (..., k, 1)

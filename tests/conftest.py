@@ -63,14 +63,14 @@ def change_frames():
 
 @pytest.fixture
 def fail_generation(monkeypatch):
-    """Make generating sequence ``index`` of ``split`` under ``cfg`` raise the
-    simulator's ``SimulationError``, as an admitted config can today."""
+    """Make generating sequence ``index`` of ``split`` under ``cfg`` raise a
+    ``SimulationError``, a fault part-way through a split."""
     def fail(cfg, split, index):
         real, bad = balltrack.video.generate_sequence, split_stream(cfg, split, index).key
 
         def generate(sequence_cfg, rng):
             if rng.key == bad:
-                raise SimulationError("step crossed both walls; state unrecoverable")
+                raise SimulationError("injected simulator fault")
             return real(sequence_cfg, rng)
 
         monkeypatch.setattr(balltrack.video, "generate_sequence", generate)

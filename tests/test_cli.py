@@ -123,7 +123,7 @@ class TestGen:
         out = tmp_path / "d"
         cfg = _config_from_args(build_parser().parse_args(["gen", *GEN_SMALL, "--train", "3"]), 0.0)
         fail_generation(cfg, "train", 1)
-        with pytest.raises(SystemExit, match=r"^error: step crossed both walls; state unrecoverable$"):
+        with pytest.raises(SystemExit, match=r"^error: injected simulator fault$"):
             _gen(out, "--train", "3")
         assert list(out.iterdir()) == []  # the lock is gone, and so is the sigma directory
 
@@ -551,6 +551,35 @@ class TestEffects:
         main(["effects", "--results", str(csv), "--out", str(out_a)])
         main(["effects", "--results", str(csv), "--out", str(out_b)])
         assert (out_a / "effects.csv").read_bytes() == (out_b / "effects.csv").read_bytes()
+
+    # sha256 of effects.csv and effects_report.txt for _seeded_rows(), n = 4
+    EFFECTS_DIGESTS = {
+        "effects.csv": "ddcb9aff9d48f768127d5388577fffcff362ce256610211816225b5b3908d981",
+        "effects_report.txt": "f4098984b91022b51dc76445bd49b5219b53e629819b1a9b44ba95e902b0746d",
+    }
+
+    @staticmethod
+    def _seeded_rows(seed=4, n_reps=4):
+        """Results rows of uniform random values for the full design, shuffled."""
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 5.0, (64, n_reps, len(METRICS)))
+        rows = [f"{c.label},{r},{m},{float(values[c.index, r, k])!r}" for c in enumerate_configs()
+                for r in range(n_reps) for k, m in enumerate(METRICS)]
+        return [rows[i] for i in rng.permutation(len(rows))]
+
+    @pytest.mark.parametrize("layout", ["plain", "padded-crlf"])
+    def test_effects_outputs_pinned(self, tmp_path, capsys, layout):
+        rows = self._seeded_rows()
+        if layout == "plain":
+            text = "config,replicate,metric,value\n" + "".join(r + "\n" for r in rows)
+        else:
+            text = " config , replicate,metric ,value\r\n" + "".join(
+                " " + r.replace(",", " ,\t") + " \r\n" for r in rows)
+        csv = tmp_path / "results.csv"
+        csv.write_bytes(text.encode())
+        assert main(["effects", "--results", str(csv), "--out", str(tmp_path / "fx")]) == 0
+        for name, digest in self.EFFECTS_DIGESTS.items():
+            assert hashlib.sha256((tmp_path / "fx" / name).read_bytes()).hexdigest() == digest, name
 
     def test_missing_cell_named_in_error(self, tmp_path):
         csv = _planted_csv(tmp_path / "bad.csv", drop=("A1B0C1D0E0F1", 1))

@@ -293,7 +293,23 @@ class TestResponseTable:
                                    st.integers(0, 2), st.sampled_from(["b", "a"]),
                                    st.one_of(st.floats(), st.just("x"))), max_size=12))
     def test_from_rows_matches_add_on_any_rows(self, rows):
-        assert self._outcome(lambda: ResponseTable.from_rows(rows)) == self._outcome(lambda: self._by_row(rows))
+        columns = tuple(zip(*rows)) or ((),) * 4
+        want = self._outcome(lambda: self._by_row(rows))
+        assert self._outcome(lambda: ResponseTable.from_rows(rows)) == want
+        assert self._outcome(lambda: ResponseTable.from_columns(*columns)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["A0B0C0D0E0F0", " A1B0C0D0E0F0"]), st.integers(0, 2),
+                                   st.sampled_from(["b", "a"]), st.floats()), min_size=1, max_size=12))
+    def test_float_array_of_values_matches_their_list(self, rows):
+        configs, reps, metrics, values = zip(*rows)
+        as_array = np.array(values, dtype=np.float64)
+        assert self._outcome(lambda: ResponseTable.from_columns(configs, reps, metrics, as_array)) == \
+               self._outcome(lambda: ResponseTable.from_columns(configs, reps, metrics, values))
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^columns of unequal length: 2, 2, 1, 2$"):
+            ResponseTable.from_columns(["A0B0C0D0E0F0"] * 2, [0, 1], ["a"], np.ones(2))
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(st.sampled_from(["A0B0C0D0E0F0", " A1B0C0D0E0F0"]), st.integers(0, 2),
@@ -318,6 +334,7 @@ class TestResponseTable:
             if want:
                 break
         assert self._outcome(lambda: ResponseTable.from_rows(rows)) == want
+        assert self._outcome(lambda: ResponseTable.from_columns(*zip(*rows))) == want
         assert self._outcome(lambda: self._by_row(rows)) == want
 
     def test_too_large_integer_raises_and_names_the_cell(self):
@@ -346,9 +363,11 @@ class TestResponseTable:
             raise AssertionError("a clean row went through add")
 
         monkeypatch.setattr(ResponseTable, "add", refuse)
-        table = ResponseTable.from_rows(rows)
-        assert (table.replicates, table.metrics()) == ([0, 2], ["a", "b"])
-        assert table.responses("a").tolist() == [[float(i), float(i + 2)] for i in range(64)]
+        configs, reps, metrics, values = zip(*rows)
+        for table in (ResponseTable.from_rows(rows),
+                      ResponseTable.from_columns(configs, reps, metrics, np.array(values))):
+            assert (table.replicates, table.metrics()) == ([0, 2], ["a", "b"])
+            assert table.responses("a").tolist() == [[float(i), float(i + 2)] for i in range(64)]
 
     @pytest.mark.parametrize("config", [" A1B0C0D0E0F0", FactorConfig(1)], ids=["padded", "config"])
     def test_value_resolves_its_config_as_add_does(self, config):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import balltrack.autodiff as ad
@@ -157,10 +157,46 @@ class TestStep:
         assert abs(v[0]) == pytest.approx(8.0)
         assert v[0] < 0
 
-    def test_double_crossing_raises(self, cfg):
-        # mirroring about the far wall would land below the near wall
-        with pytest.raises(SimulationError):
-            step_physical(np.array([0.1, 0.1]), np.array([250.0, 0.0]), cfg)
+    def test_double_crossing_mirrors_until_inside(self, cfg):
+        # raw x = 10.1 m: mirrored about the far wall (hi = 4.42 m) it lands at
+        # -1.26, below the near wall (lo = 0.04 m), and mirrored again at 1.34;
+        # two reflections scale the post-step velocity by (-e)^2
+        p, v, bounced = step_physical(np.array([0.1, 0.1]), np.array([250.0, 0.0]), cfg)
+        assert bounced.tolist() == [True, False]
+        assert p[0] == pytest.approx(2 * 0.04 - (2 * 4.42 - 10.1), abs=1e-12)
+        assert v.tolist() == [(-cfg.restitution) ** 2 * 250.0, cfg.gravity * cfg.dt]
+
+    @settings(deadline=None)
+    @given(x=st.floats(0.04, 4.42), vx=st.floats(-2000.0, 2000.0), e=st.sampled_from([0.5, 0.75, 1.0]))
+    def test_any_overshoot_ends_inside_with_one_factor_per_reflection(self, x, vx, e):
+        cfg = SimConfig(restitution=e)
+        lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+        p, v, bounced = step_physical(np.array([x, 2.0]), np.array([vx, 0.0]), cfg)
+        assert lo <= p[0] <= hi
+        raw = x + vx * cfg.dt
+        if not bounced[0]:
+            assert (p[0], v[0]) == (raw, vx)
+            return
+        # the unfolded path crosses a wall once per domain width past the first;
+        # an overshoot of a whole number of widths ends on a wall, where
+        # rounding decides whether the last crossing counts
+        widths = (raw - hi if raw > hi else lo - raw) / (hi - lo)
+        assume(abs(widths - round(widths)) > 1e-9)
+        k = 1 + math.floor(widths)
+        assert p[0] == pytest.approx(lo + abs((raw - lo + (hi - lo)) % (2 * (hi - lo)) - (hi - lo)), abs=1e-9)
+        assert v[0] == pytest.approx((-e) ** k * vx, rel=1e-12)
+
+    def test_infinite_position_raises(self, cfg):
+        with pytest.raises(SimulationError, match=r"non-finite position \(inf, 2\.0"):
+            step_physical(np.array([np.inf, 2.0]), np.array([0.0, 0.0]), cfg)
+
+    def test_config_that_once_crossed_both_walls_generates(self):
+        # seed 66107 once raised "step crossed both walls" in its second step
+        cfg = SimConfig(image_size=8, v_max=1.0, frames_per_video=3, n_test=1, seed=66107)
+        (seq,) = generate_split(cfg, "test")
+        positions = seq.trajectory.positions_px
+        assert ((cfg.center_min_px <= positions) & (positions <= cfg.center_max_px)).all()
+        assert seq.trajectory.bounce_flags.tolist() == [False, False, True]
 
     def test_corner_hit_bounces_both_axes_in_one_step(self, cfg):
         # left wall (lo = 0.04 m) and floor (hi = 4.42 m) in the same step
@@ -179,10 +215,7 @@ class TestStep:
         g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
         p = data.draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2))
         v = data.draw(st.lists(st.floats(-cfg.v_max, cfg.v_max), min_size=2, max_size=2))
-        try:
-            new_p, new_v, bounced = step_physical(np.array(p), np.array(v), cfg)
-        except SimulationError:
-            return
+        new_p, new_v, bounced = step_physical(np.array(p), np.array(v), cfg)
         raw = [p[0] + v[0] * dt, p[1] + v[1] * dt + 0.5 * g * dt * dt]
         v_new = [v[0], v[1] + g * dt]
         for k in range(2):

@@ -25,6 +25,7 @@ from balltrack.tracker import (
     disk_template,
     downscale_heatmap,
     evaluate,
+    metrics_columns_from_csv,
     metrics_from_csv,
     metrics_to_csv,
     ncc_heatmap,
@@ -870,7 +871,9 @@ def _rows_by_line(text):
     return rows
 
 
-_PAD = st.sampled_from(["", "", " ", "\t", " \t "])
+# padding that splitlines leaves inside a line and strip drops: \x1f is the
+# one such ASCII character besides space and tab, \xa0 a non-ASCII one
+_PAD = st.sampled_from(["", "", " ", "\t", " \t ", "\x1f", "\xa0"])
 _GOOD = (st.sampled_from(["A0B0C0D0E0F0", "A1B1C1D1E1F1", "ZZ", ""]),
          st.integers(-3, 12).map(str),
          st.sampled_from(["B56", "H224", "enc_avg", ""]),
@@ -941,6 +944,16 @@ class TestMetricsCsv:
         with pytest.raises(ValueError, match=message):
             metrics_from_csv(text)
 
+    @pytest.mark.parametrize("pad", ["\x1f", "\xa0", "\u3000"])
+    def test_padding_without_space_or_tab_is_stripped(self, pad):
+        # a text with no space or tab can still hold padding that strip drops
+        rows = [("A0B0C0D0E0F0", 0, "B56", 1.5), ("A1B0C0D0E0F0", 2, "H56", -0.25)]
+        text = pad.join(["", "config,replicate,metric,value\n"] + [
+            pad + f"{pad},{pad}".join(map(str, row)) + pad + "\n" for row in rows])
+        assert metrics_from_csv(text) == rows
+        configs, replicates, metrics, values = metrics_columns_from_csv(text)
+        assert (configs, replicates, metrics, values.tolist()) == tuple(map(list, zip(*rows)))
+
     @settings(max_examples=400, deadline=None)
     @given(text=_results_texts())
     def test_parse_matches_the_row_by_row_reference(self, text):
@@ -950,4 +963,11 @@ class TestMetricsCsv:
             except ValueError as err:
                 return f"ValueError: {err}"
 
-        assert outcome(metrics_from_csv) == outcome(_rows_by_line)
+        def columns(text):
+            configs, replicates, metrics, values = metrics_columns_from_csv(text)
+            assert values.dtype == np.float64
+            return list(zip(configs, replicates, metrics, values.tolist()))
+
+        want = outcome(_rows_by_line)
+        assert outcome(metrics_from_csv) == want
+        assert outcome(columns) == want

@@ -89,6 +89,28 @@ class TestRenderFrame:
             want = np.nonzero(_disk(center, radius, 32, np.float32))
             assert np.array_equal(i[t == k], want[0]) and np.array_equal(j[t == k], want[1])
 
+    @pytest.mark.parametrize("center", [(np.nan, 5.0), (5.0, np.inf), (-np.inf, 5.0)])
+    def test_non_finite_center_raises_and_names_it(self, cfg, center):
+        message = re.escape(f"disk center {center} is not finite")
+        with pytest.raises(ValueError, match=message):
+            render_frame(center, cfg)
+        with pytest.raises(ValueError, match=message):
+            _disk(center, 2.0, 8, np.float32)
+        with pytest.raises(ValueError, match=message):  # the first bad center of a stack
+            _disk_pixels([(1.0, 2.0), center, (np.nan, np.nan)], 2.0, 8)
+
+    def test_sequence_with_a_non_finite_center_raises(self, monkeypatch):
+        real = balltrack.video.simulate_trajectory
+
+        def lost(cfg, rng):
+            trajectory = real(cfg, rng)
+            trajectory.positions_px[1] = np.nan, 3.0
+            return trajectory
+
+        monkeypatch.setattr(balltrack.video, "simulate_trajectory", lost)
+        with pytest.raises(ValueError, match=re.escape("disk center (nan, 3.0) is not finite")):
+            generate_sequence(_FUZZ_CFG, _stream())
+
     def test_subpixel_center_moves_support(self, cfg):
         a = render_frame((100.0, 100.0), cfg)
         b = render_frame((100.49, 100.0), cfg)
@@ -805,7 +827,7 @@ class TestStreamedWrite:
             path = tmp_path / "fresh" / "nested"
         before = {str(p.relative_to(tmp_path)): p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
         fail_generation(cfg, "test", 1)
-        with pytest.raises(SimulationError, match="step crossed both walls"):
+        with pytest.raises(SimulationError, match="injected simulator fault"):
             write_dataset(path, "test", generate_split(cfg, "test"), cfg)
         assert {str(p.relative_to(tmp_path)): p.is_file() and p.read_bytes()
                 for p in tmp_path.rglob("*")} == before
