@@ -37,7 +37,7 @@ from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
 from .tracker import (SCALES, metrics_columns_from_csv, metrics_to_csv, per_sequence_to_csv, track_split,
                       write_predictions)
-from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, write_dataset
+from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, staged, write_dataset
 
 ENV_OUT_ROOT = "BALLTRACK_OUT"
 
@@ -59,8 +59,12 @@ class _OutputLock:
                 owner = "unknown"
             raise SystemExit(f"output directory is locked by {self.path} (pid {owner}); "
                              "remove the file if no other run is active")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(f"{os.getpid()}\n")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(f"{os.getpid()}\n")
+        except BaseException:  # an empty lock would stop every later run
+            self.path.unlink(missing_ok=True)
+            raise
         return self
 
     def __exit__(self, *exc):
@@ -104,7 +108,7 @@ def _resolve_out(args, default_name: str) -> Path:
     return Path(root) / default_name
 
 
-def _write_manifest(directory: Path, command: str, config: dict, inputs, outputs, started: float) -> None:
+def _write_manifest(path: Path, command: str, config: dict, inputs, outputs, started: float) -> None:
     resolved = {k: v for k, v in config.items()
                 if k != "func" and isinstance(v, (str, int, float, bool, list, type(None)))}
     manifest = {
@@ -115,7 +119,7 @@ def _write_manifest(directory: Path, command: str, config: dict, inputs, outputs
         "artifact_version": __version__,
         "duration_s": round(time.time() - started, 3),
     }
-    (directory / f"{command}_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _sigma_dir(out: Path, sigma: float) -> Path:
@@ -147,7 +151,8 @@ def cmd_gen(args) -> int:
                 outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
             print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
                   f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
-        _write_manifest(out, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
+        with staged(out, ["gen_manifest.json"]) as (manifest,):
+            _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
     return 0
 
 
@@ -160,16 +165,14 @@ def cmd_track(args) -> int:
         per_sequence, predictions = track_split(sequences, cfg, temporal_mean=args.temporal_mean)
     except ValueError as err:
         raise SystemExit(f"error: {data}: {err}")
-    with _OutputLock(out):
-        csv_path = out / "metrics.csv"
+    names = ["metrics.csv", "per_sequence_metrics.csv", "predictions.bin", "track_manifest.json"]
+    with _OutputLock(out), staged(out, names) as (csv_path, per_seq_path, pred_path, manifest):
         csv_path.write_text(metrics_to_csv(per_sequence, args.config_label, args.replicate))
-        per_seq_path = out / "per_sequence_metrics.csv"
         per_seq_path.write_text(per_sequence_to_csv(per_sequence))
-        pred_path = out / "predictions.bin"
         write_predictions(pred_path, predictions)
         for metric, v in per_sequence.items():
             print(f"{metric:>10}: {float(v.mean()):.4f}")
-        _write_manifest(out, "track", vars(args), [data], [csv_path, per_seq_path, pred_path], started)
+        _write_manifest(manifest, "track", vars(args), [data], [out / n for n in names[:-1]], started)
     return 0
 
 
@@ -200,13 +203,12 @@ def cmd_effects(args) -> int:
     except MissingCellsError as err:
         raise SystemExit(f"incomplete design grid: {err}")
 
-    with _OutputLock(out):
-        csv_path = out / "effects.csv"
+    names = ["effects.csv", "effects_report.txt", "effects_manifest.json"]
+    with _OutputLock(out), staged(out, names) as (csv_path, report_path, manifest):
         csv_path.write_text("term,metric,effect\n" + "".join([
             f"{term},{metric},{value:.17g}\n"
             for term, per_metric in effects.items() for metric, value in per_metric.items()]))
 
-        report_path = out / "effects_report.txt"
         report = []
         for title, group in ((f"encoder ({SCALES[0]}-scale metrics)", ENCODER_METRICS),
                              (f"decoder ({'/'.join(map(str, SCALES[1:]))}-scale metrics)", DECODER_METRICS)):
@@ -225,7 +227,7 @@ def cmd_effects(args) -> int:
         text = "\n".join(report)
         report_path.write_text(text)
         print(text)
-        _write_manifest(out, "effects", vars(args), [args.results], [csv_path, report_path], started)
+        _write_manifest(manifest, "effects", vars(args), [args.results], [out / n for n in names[:-1]], started)
     return 0
 
 

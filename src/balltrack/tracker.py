@@ -400,7 +400,8 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     docstring.  Windows are independent of each other: each one sees only
     its own three frames, so there is no rollout and no error accumulation.
     A frame holding a NaN or infinite pixel raises ``ValueError`` naming the
-    first such frame, before any transform.
+    first such frame, and a radius below 1 px (``SimConfig`` admits it) raises
+    ``ValueError("template radius must be >= 1")``, both before any transform.
     """
     n_frames = len(video.frames)
     if n_frames < 3:

@@ -32,9 +32,10 @@ the one it checked; :func:`read_dataset` runs every check on both files
 before it returns (headers, exact payload sizes, record shapes, bounce
 flags) without reading a frame.  :func:`write_dataset` makes one pass over
 a split: it takes each sequence once, checks it as it arrives and streams
-its frames to a staged file, so no split is held whole.  It renames the
-staged files into place only after the last sequence, so a rejected or
-failed write leaves the filesystem as it was.
+its frames to a staged file, so no split is held whole.  Every output of
+the package lands through :func:`staged`, its manifest (``meta.json`` here)
+last, so a rejected or failed write leaves the filesystem as it was and no
+manifest ever names a mixed set.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "generate_sequence",
     "generate_split",
     "write_dataset",
+    "staged",
     "read_dataset",
     "read_manifest",
     "existing_manifest",
@@ -319,6 +321,33 @@ def _check_at_end(fh, path) -> None:
         raise TrailingBytesError(f"{path}: {extra} bytes after the last record")
 
 
+@contextlib.contextmanager
+def staged(directory, names: Sequence[str]):
+    """Make ``directory``, yield a temporary path ``.<name>.tmp`` in it for
+    each of ``names``, and when the block ends rename each over its name, in
+    order, after removing the old file of the last name (the manifest).  So a
+    manifest only ever names a complete set: a run stopped between two renames
+    leaves none.  If the block or a rename raises, the temporary files and each
+    directory this call made are removed (``os.rmdir``, deepest first).
+    """
+    directory = Path(directory)
+    created = [d for d in (directory, *directory.parents) if not d.exists()]  # deepest first
+    directory.mkdir(parents=True, exist_ok=True)
+    tmps = [directory / f".{name}.tmp" for name in names]
+    try:
+        yield tmps
+        (directory / names[-1]).unlink(missing_ok=True)
+        for name, tmp in zip(names, tmps):
+            os.replace(tmp, directory / name)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        for made in created:
+            with contextlib.suppress(OSError):  # not empty: a file was put there meanwhile
+                os.rmdir(made)
+        raise
+
+
 def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: SimConfig) -> list[Path]:
     """Persist one split and return the paths written, the split's files then
     the manifest; the manifest is (re)written with every call.
@@ -336,12 +365,12 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     not the shapes :func:`_record_shapes` gives for ``cfg``, or whose bounce
     flags are not all 0 or 1, raises :class:`ShapeMismatchError` or
     :class:`DatasetError` when it arrives.  The split files and the manifest
-    are written under temporary names in the same directory and renamed over
-    the old ones only after every sequence is written.  So a rejected write,
-    or one that fails part-way (a sequence that cannot be generated, a full
-    disk), leaves the filesystem as it was: the previous files whole, no
-    temporary file, and none of the directories this call created (each is
-    removed with ``os.rmdir``, deepest first).
+    land through :func:`staged`, ``meta.json`` last, only after every
+    sequence is written.  So a rejected write, or one that fails part-way (a
+    sequence that cannot be generated, a full disk), leaves the filesystem
+    as it was: the previous files whole, no temporary file, and none of the
+    directories this call created.  A rename that fails part-way leaves no
+    ``meta.json``, so the directory does not load as a dataset.
     """
     _check_split(split)
     n = len(sequences)
@@ -350,19 +379,15 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     want = _record_shapes(cfg)
     path = Path(path)
     manifest = existing_manifest(path, cfg)
-    created = [d for d in (path, *path.parents) if not d.exists()]  # deepest first
-    path.mkdir(parents=True, exist_ok=True)
-
     manifest["format_version"] = FORMAT_VERSION
     manifest["config"] = asdict(cfg)
     manifest.setdefault("splits", {})[split] = n
 
     dtypes = {name: dtype for _, records in _FILES for name, dtype in records}
-    targets = {**_split_paths(path, split), "meta": path / "meta.json"}
-    staged = {key: target.with_name(f".{target.name}.tmp") for key, target in targets.items()}
-    try:
+    names = [p.name for p in _split_paths(path, split).values()] + ["meta.json"]
+    with staged(path, names) as (frames_tmp, truth_tmp, meta_tmp):
         truth = {name: [] for name in want if name != "frames"}  # small: kept for the second file
-        with open(staged["frames"], "wb") as fh:
+        with open(frames_tmp, "wb") as fh:
             _write_header(fh, (n, *want["frames"]))
             for i in range(n):
                 records = _records(sequences[i])
@@ -377,22 +402,13 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
                 for name, values in truth.items():
                     values.append(records[name])
                 del records  # else it holds this sequence while the next one is made
-        with open(staged["truth"], "wb") as fh:
+        with open(truth_tmp, "wb") as fh:
             for name, arrays in truth.items():
                 _write_header(fh, (n, *want[name]))
                 for array in arrays:
                     _write_payload(fh, array, dtypes[name])
-        staged["meta"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        for key, tmp in staged.items():
-            os.replace(tmp, targets[key])
-    except BaseException:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
-        for directory in created:
-            with contextlib.suppress(OSError):  # not empty: a file was put there meanwhile
-                os.rmdir(directory)
-        raise
-    return list(targets.values())
+        meta_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return [path / name for name in names]
 
 
 def existing_manifest(path, cfg: SimConfig) -> dict:

@@ -1,5 +1,7 @@
+import errno
 import filecmp
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +20,7 @@ from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, _sigma_dir
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS, track_split
-from balltrack.video import _read_record, _write_record, generate_split, read_dataset, write_dataset
+from balltrack.video import DatasetError, _read_record, _write_record, generate_split, read_dataset, write_dataset
 
 from reference_tables import TRACK_SEED_42_METRICS, assert_pinned
 
@@ -127,6 +129,26 @@ class TestGen:
             _gen(out, "--train", "3")
         assert list(out.iterdir()) == []  # the lock is gone, and so is the sigma directory
 
+    def test_failure_in_a_later_split_keeps_the_splits_written(self, tmp_path, fail_generation):
+        # the set is incomplete, not wrong: meta.json lists only the splits on disk
+        argv = ["--sigma", "0", "--train", "2", "--val", "2", "--test", "2", "--frames", "4"]
+        assert main(["gen", "--out", str(tmp_path / "clean"), *argv]) == 0
+        fail_generation(_config_from_args(build_parser().parse_args(["gen", *argv]), 0.0), "val", 1)
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit, match=r"^error: injected simulator fault$"):
+            main(["gen", "--out", str(out), *argv])
+        assert not (out / "gen_manifest.json").exists()
+        data, clean = out / "sigma_0", tmp_path / "clean" / "sigma_0"
+        assert json.loads((data / "meta.json").read_text())["splits"] == {"train": 2}
+        assert sorted(p.name for p in data.iterdir()) == ["meta.json", "train_frames.bin", "train_truth.bin"]
+        for name in ("train_frames.bin", "train_truth.bin"):
+            assert (data / name).read_bytes() == (clean / name).read_bytes()
+        got, want = ([[np.asarray(a).tobytes() for a in (s.frames, *vars(s.trajectory).values())]
+                      for s in read_dataset(d, "train")[0]] for d in (data, clean))
+        assert got == want and len(got) == 2
+        with pytest.raises(DatasetError, match=r"no 'val' split .*; the manifest lists: train$"):
+            read_dataset(data, "val")
+
     def test_memory_does_not_grow_with_the_split(self, tmp_path):
         code = ("import resource, sys\n"
                 "from balltrack.cli import main\n"
@@ -164,6 +186,24 @@ class TestGen:
         with _OutputLock(tmp_path) as lock:
             assert lock.path.read_text().strip() == str(os.getpid())
         assert not lock.path.exists()
+
+    def test_lock_removed_when_its_pid_cannot_be_written(self, tmp_path, monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fdopen(fd, *args, **kwargs):
+            os.close(fd)
+            return FullDisk()
+
+        out = tmp_path / "d"
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        with pytest.raises(OSError) as err:
+            _gen(out)
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        assert list(out.iterdir()) == []  # no empty lock to stop the next run
+        assert _gen(out) == 0
 
 
 # one valid non-default value per gen flag
@@ -326,6 +366,33 @@ class TestTrack:
         written = {ln.split(",")[2]: float(ln.split(",")[3])
                    for ln in (out / "metrics.csv").read_text().splitlines()[1:]}
         assert_pinned(written, TRACK_SEED_42_METRICS[sigma, temporal_mean])
+
+    def test_failed_rerun_keeps_the_previous_outputs(self, small_dataset, tmp_path, monkeypatch):
+        import balltrack.cli
+
+        out = tmp_path / "res"
+        assert main(["track", "--data", str(small_dataset), "--out", str(out)]) == 0
+        before = _snapshot(out)
+        assert sorted(before) == ["metrics.csv", "per_sequence_metrics.csv", "predictions.bin",
+                                  "track_manifest.json"]
+
+        def full_disk(path, predictions):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(balltrack.cli, "write_predictions", full_disk)
+        with pytest.raises(OSError):
+            main(["track", "--data", str(small_dataset), "--out", str(out), "--replicate", "3"])
+        assert _snapshot(out) == before  # no temporary file and no lock either
+
+    def test_radius_below_one_reported_before_writing(self, tmp_path):
+        data = tmp_path / "d"
+        assert main(["gen", "--out", str(data), "--sigma", "0", "--train", "1", "--val", "1",
+                     "--test", "1", "--frames", "4", "--image-size", "32", "--radius", "0.5"]) == 0
+        out = tmp_path / "o"
+        message = rf"^error: {re.escape(str(data / 'sigma_0'))}: template radius must be >= 1$"
+        with pytest.raises(SystemExit, match=message):
+            main(["track", "--data", str(data / "sigma_0"), "--out", str(out)])
+        assert not out.exists()
 
     def test_temporal_mean_flag(self, small_dataset, tmp_path):
         out = tmp_path / "res2"
@@ -580,6 +647,24 @@ class TestEffects:
         assert main(["effects", "--results", str(csv), "--out", str(tmp_path / "fx")]) == 0
         for name, digest in self.EFFECTS_DIGESTS.items():
             assert hashlib.sha256((tmp_path / "fx" / name).read_bytes()).hexdigest() == digest, name
+
+    def test_failed_rerun_keeps_the_previous_outputs(self, tmp_path, monkeypatch):
+        out = tmp_path / "fx"
+        assert main(["effects", "--results", str(_planted_csv(tmp_path / "a.csv")), "--out", str(out)]) == 0
+        before = _snapshot(out)
+        assert sorted(before) == ["effects.csv", "effects_manifest.json", "effects_report.txt"]
+        real = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if "effects_report" in path.name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        other = _planted_csv(tmp_path / "b.csv", {"A": -1.0, "DF": 3.0})  # another effects.csv
+        with pytest.raises(OSError):
+            main(["effects", "--results", str(other), "--out", str(out)])
+        assert _snapshot(out) == before  # no temporary file and no lock either
 
     def test_missing_cell_named_in_error(self, tmp_path):
         csv = _planted_csv(tmp_path / "bad.csv", drop=("A1B0C1D0E0F1", 1))

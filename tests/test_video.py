@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import io
 import json
+import os
 import re
 import struct
 import tempfile
@@ -11,13 +13,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import balltrack.video
 from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig, SimulationError
+from balltrack.tracker import METRICS, track_split
 from balltrack.video import (
     FORMAT_VERSION,
     MAGIC,
@@ -38,6 +41,7 @@ from balltrack.video import (
     _read_record,
     _write_record,
     split_stream,
+    staged,
     write_dataset,
 )
 
@@ -727,6 +731,96 @@ class TestSplitRoundTrip:
             write_dataset(second, "test", loaded, cfg_back)  # the loaded split writes the same files
             assert {p.name: p.read_bytes() for p in second.iterdir()} == \
                    {p.name: p.read_bytes() for p in first.iterdir()}
+
+
+class TestAdmittedConfigs:
+    """Every configuration SimConfig admits generates, writes, reads back and
+    tracks, except that the tracker, which owns the rule, rejects a radius
+    below 1 px before any transform."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(size=st.integers(2, 16).map(lambda k: 4 * k), radius=st.floats(0.5, 6.0),
+           v_max=st.floats(0.2, 4.0), restitution=st.sampled_from((0.75, 1.0)), frames=st.integers(3, 8),
+           sigma=st.sampled_from((0.0, 1.0)), seed=st.integers(0, 2**63))
+    def test_generates_round_trips_and_tracks(self, size, radius, v_max, restitution, frames, sigma, seed):
+        try:
+            cfg = SimConfig(image_size=size, radius_px=radius, v_max=v_max, restitution=restitution,
+                            frames_per_video=frames, noise_sigma=sigma, n_train=1, n_val=1, n_test=2, seed=seed)
+        except SimulationError:
+            assume(False)
+        sequences = generate_split(cfg, "test")
+        with tempfile.TemporaryDirectory() as tmp:
+            write_dataset(tmp, "test", sequences, cfg)
+            loaded, cfg_back = read_dataset(tmp, "test")
+            assert cfg_back == cfg
+            assert _split_bytes(loaded) == _split_bytes(sequences)
+            if radius < 1:
+                with pytest.raises(ValueError, match=r"^template radius must be >= 1$"):
+                    track_split(loaded, cfg)
+                return
+            per_sequence, predictions = track_split(loaded, cfg)
+        assert {metric: values.shape for metric, values in per_sequence.items()} == \
+               {metric: (2,) for metric in METRICS}
+        assert all(p["B"].shape == (2, frames - 2, 3, 2) for p in predictions.values())
+
+
+class TestStaged:
+    """video.staged: files land together, the last name (the manifest) last."""
+
+    NAMES = ("a.bin", "b.bin", "manifest.json")
+
+    @staticmethod
+    def _contents(root):
+        return {str(p.relative_to(root)): p.is_file() and p.read_text() for p in root.rglob("*")}
+
+    def test_names_renamed_in_order_after_the_old_manifest_is_removed(self, tmp_path, monkeypatch):
+        for name in self.NAMES:
+            (tmp_path / name).write_text("old")
+        renames, real = [], os.replace
+
+        def rename(src, dst):
+            renames.append((Path(src).name, Path(dst).name, (tmp_path / "manifest.json").exists()))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", rename)
+        with staged(tmp_path, self.NAMES) as tmps:
+            assert tmps == [tmp_path / f".{name}.tmp" for name in self.NAMES]
+            for tmp in tmps:
+                tmp.write_text(f"new {tmp.name}")
+        assert renames == [(f".{name}.tmp", name, False) for name in self.NAMES]
+        assert self._contents(tmp_path) == {name: f"new .{name}.tmp" for name in self.NAMES}
+
+    @pytest.mark.parametrize("target", ["existing", "fresh"])
+    def test_raising_block_leaves_the_filesystem_as_it_was(self, tmp_path, target):
+        path = tmp_path if target == "existing" else tmp_path / "fresh" / "nested"
+        if target == "existing":
+            for name in self.NAMES:
+                (tmp_path / name).write_text("old")
+        before = self._contents(tmp_path)
+        with pytest.raises(ValueError, match="^stop$"):
+            with staged(path, self.NAMES) as tmps:
+                for tmp in tmps:
+                    tmp.write_text("new")
+                raise ValueError("stop")
+        assert self._contents(tmp_path) == before  # no temporary file, no directory the call made
+
+    def test_failed_second_rename_leaves_no_manifest_and_no_temporary_file(self, tmp_path, monkeypatch):
+        for name in self.NAMES:
+            (tmp_path / name).write_text("old")
+        renames, real = [], os.replace
+
+        def rename(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", rename)
+        with pytest.raises(OSError):
+            with staged(tmp_path, self.NAMES) as tmps:
+                for tmp in tmps:
+                    tmp.write_text("new")
+        assert self._contents(tmp_path) == {"a.bin": "new", "b.bin": "old"}
 
 
 class TestLazySplit:
