@@ -9,8 +9,10 @@ Subcommands:
 
 Every command writes a ``<command>_manifest.json`` next to its outputs with
 the fully resolved configuration, so a run can be reproduced bit-exactly.
-Output directories are guarded by a lock file; two commands cannot write
-the same directory concurrently.
+Every output directory is made, locked and written by ``video.staged``, so
+two commands cannot write one directory at once and a failed command leaves
+nothing it made.  A held lock or an ``OSError`` ends a command with
+``error: ...``.
 """
 
 from __future__ import annotations
@@ -40,35 +42,6 @@ from .tracker import (SCALES, metrics_columns_from_csv, metrics_to_csv, per_sequ
 from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, staged, write_dataset
 
 ENV_OUT_ROOT = "BALLTRACK_OUT"
-
-
-class _OutputLock:
-    """Single-writer lock per output directory; the file holds the owner's PID."""
-
-    def __init__(self, directory: Path):
-        self.path = Path(directory) / ".balltrack.lock"
-
-    def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                owner = self.path.read_text().strip() or "unknown"
-            except OSError:
-                owner = "unknown"
-            raise SystemExit(f"output directory is locked by {self.path} (pid {owner}); "
-                             "remove the file if no other run is active")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(f"{os.getpid()}\n")
-        except BaseException:  # an empty lock would stop every later run
-            self.path.unlink(missing_ok=True)
-            raise
-        return self
-
-    def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
 
 
 # gen flag -> SimConfig field; types and defaults come from the field
@@ -131,13 +104,13 @@ def cmd_gen(args) -> int:
     out = _resolve_out(args, "dataset")
     sigmas = args.sigma if args.sigma else [0.0, 1.0]
     started = time.time()
-    targets = {}  # every input is checked before the lock creates the directory
+    targets = {}  # every input is checked before staged creates the directory
     for sigma in sigmas:
         try:
             cfg = _config_from_args(args, sigma)
         except SimulationError as err:
             raise SystemExit(f"invalid configuration: {err}")
-        target = _sigma_dir(out, sigma)
+        target = _sigma_dir(out, cfg.noise_sigma)
         if target in targets:
             raise SystemExit(f"--sigma {targets[target].noise_sigma} and --sigma {sigma} "
                              f"both map to {target}")
@@ -145,14 +118,13 @@ def cmd_gen(args) -> int:
     for target, cfg in targets.items():  # a dataset already there must have the same config
         existing_manifest(target, cfg)
     outputs = {}  # each path once, in the order first written
-    with _OutputLock(out):
+    with staged(out, ["gen_manifest.json"]) as (manifest,):  # write_dataset locks each sigma_* directory
         for target, cfg in targets.items():
             for split in SPLITS:
                 outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
             print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
                   f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
-        with staged(out, ["gen_manifest.json"]) as (manifest,):
-            _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
+        _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
     return 0
 
 
@@ -166,7 +138,7 @@ def cmd_track(args) -> int:
     except ValueError as err:
         raise SystemExit(f"error: {data}: {err}")
     names = ["metrics.csv", "per_sequence_metrics.csv", "predictions.bin", "track_manifest.json"]
-    with _OutputLock(out), staged(out, names) as (csv_path, per_seq_path, pred_path, manifest):
+    with staged(out, names) as (csv_path, per_seq_path, pred_path, manifest):
         csv_path.write_text(metrics_to_csv(per_sequence, args.config_label, args.replicate))
         per_seq_path.write_text(per_sequence_to_csv(per_sequence))
         write_predictions(pred_path, predictions)
@@ -193,8 +165,6 @@ def cmd_effects(args) -> int:
     try:
         table = ResponseTable.from_columns(*metrics_columns_from_csv(Path(args.results).read_text()))
         table.add_aggregates()
-    except OSError as err:
-        raise SystemExit(f"error: {args.results}: {err.strerror}")
     except ValueError as err:  # malformed rows, config labels or repeated cells
         raise SystemExit(f"error: {args.results}: {err}")
     metrics = table.metrics()
@@ -204,7 +174,7 @@ def cmd_effects(args) -> int:
         raise SystemExit(f"incomplete design grid: {err}")
 
     names = ["effects.csv", "effects_report.txt", "effects_manifest.json"]
-    with _OutputLock(out), staged(out, names) as (csv_path, report_path, manifest):
+    with staged(out, names) as (csv_path, report_path, manifest):
         csv_path.write_text("term,metric,effect\n" + "".join([
             f"{term},{metric},{value:.17g}\n"
             for term, per_metric in effects.items() for metric, value in per_metric.items()]))
@@ -289,6 +259,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DatasetError, SimulationError) as err:
         raise SystemExit(f"error: {err}")
+    except OSError as err:  # a missing input, an --out that names a file, a full disk
+        where = f"{err.filename}: " if err.filename else ""
+        raise SystemExit(f"error: {where}{err.strerror or err}")
 
 
 if __name__ == "__main__":

@@ -33,9 +33,9 @@ before it returns (headers, exact payload sizes, record shapes, bounce
 flags) without reading a frame.  :func:`write_dataset` makes one pass over
 a split: it takes each sequence once, checks it as it arrives and streams
 its frames to a staged file, so no split is held whole.  Every output of
-the package lands through :func:`staged`, its manifest (``meta.json`` here)
-last, so a rejected or failed write leaves the filesystem as it was and no
-manifest ever names a mixed set.
+the package lands through :func:`staged`, under the directory's lock, its
+manifest (``meta.json`` here) last, so a rejected or failed write leaves the
+filesystem as it was and no manifest ever names a mixed set.
 """
 
 from __future__ import annotations
@@ -323,29 +323,45 @@ def _check_at_end(fh, path) -> None:
 
 @contextlib.contextmanager
 def staged(directory, names: Sequence[str]):
-    """Make ``directory``, yield a temporary path ``.<name>.tmp`` in it for
-    each of ``names``, and when the block ends rename each over its name, in
-    order, after removing the old file of the last name (the manifest).  So a
-    manifest only ever names a complete set: a run stopped between two renames
-    leaves none.  If the block or a rename raises, the temporary files and each
-    directory this call made are removed (``os.rmdir``, deepest first).
-    """
+    """Make ``directory``, lock it and yield a temporary path ``.<name>.tmp``
+    in it for each of ``names``; when the block ends, remove the old file of
+    the last name (the manifest), rename each temporary file over its name in
+    order and unlock.  So a manifest only ever names a complete set: a run
+    stopped between two renames leaves none.  The lock is a file made with
+    ``O_EXCL`` that holds this PID; a held lock raises :class:`DatasetError`
+    naming its PID, so ``staged`` cannot be nested on one directory.  If the
+    PID write, the block or a rename raises, the temporary files, the lock and
+    each directory this call made are removed (``os.rmdir``, deepest first)."""
     directory = Path(directory)
     created = [d for d in (directory, *directory.parents) if not d.exists()]  # deepest first
-    directory.mkdir(parents=True, exist_ok=True)
-    tmps = [directory / f".{name}.tmp" for name in names]
+    lock, tmps = directory / ".balltrack.lock", [directory / f".{name}.tmp" for name in names]
+    owned = []  # the lock and the temporary files, once the lock is this call's
     try:
+        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            try:
+                owner = lock.read_text().strip() or "unknown"
+            except OSError:
+                owner = "unknown"
+            raise DatasetError(f"output directory is locked by {lock} (pid {owner}); "
+                               "remove the file if no other run is active") from None
+        owned = [*tmps, lock]
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         yield tmps
         (directory / names[-1]).unlink(missing_ok=True)
         for name, tmp in zip(names, tmps):
             os.replace(tmp, directory / name)
     except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+        for path in owned:
+            path.unlink(missing_ok=True)
         for made in created:
             with contextlib.suppress(OSError):  # not empty: a file was put there meanwhile
                 os.rmdir(made)
         raise
+    lock.unlink()
 
 
 def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: SimConfig) -> list[Path]:
@@ -366,11 +382,13 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     flags are not all 0 or 1, raises :class:`ShapeMismatchError` or
     :class:`DatasetError` when it arrives.  The split files and the manifest
     land through :func:`staged`, ``meta.json`` last, only after every
-    sequence is written.  So a rejected write, or one that fails part-way (a
-    sequence that cannot be generated, a full disk), leaves the filesystem
-    as it was: the previous files whole, no temporary file, and none of the
-    directories this call created.  A rename that fails part-way leaves no
-    ``meta.json``, so the directory does not load as a dataset.
+    sequence is written, under the directory's lock: a directory another
+    writer holds raises :class:`DatasetError`.  So a rejected write, or one
+    that fails part-way (a sequence that cannot be generated, a full disk),
+    leaves the filesystem as it was: the previous files whole, no temporary
+    file, no lock, and none of the directories this call created.  A rename
+    that fails part-way leaves no ``meta.json``, so the directory does not
+    load as a dataset.
     """
     _check_split(split)
     n = len(sequences)
@@ -497,7 +515,8 @@ def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
     last record raise :class:`TrailingBytesError`.  Records that are not the shapes
     :func:`write_dataset` accepts, each with a leading N, raise
     :class:`ShapeMismatchError`, where N is the frames header's sequence
-    count, at least 1 and the manifest's count if it lists one.  Bounce
+    count, at least 1 and the manifest's count if it lists one; a listed
+    count that is a bool or a float raises :class:`DatasetError`.  Bounce
     flags other than 0 and 1 raise :class:`DatasetError`.
 
     The truth records are read here; the frames are not.  The sequences
@@ -537,6 +556,8 @@ def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
     shapes = tuple(shapes.values())
     n = shapes[0][0] if shapes[0] else 0
     n_listed = manifest.get("splits", {}).get(split)
+    if isinstance(n_listed, (bool, float)):  # true == 1 and 1.0 == 1 would pass the check below
+        raise DatasetError(f"{path}: the manifest's {split!r} count {n_listed!r} is not an integer")
     want = tuple((n, *shape) for shape in _record_shapes(cfg).values())
     if shapes != want or n < 1 or n_listed not in (None, n):
         raise ShapeMismatchError(f"{path}: split {split!r} has records of shapes {shapes}; under the "

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import balltrack
-from balltrack.cli import _OutputLock, _SIM_FLAGS, _config_from_args, _sigma_dir, build_parser, main
+from balltrack.cli import _SIM_FLAGS, _config_from_args, _sigma_dir, build_parser, main
 from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS, track_split
-from balltrack.video import DatasetError, _read_record, _write_record, generate_split, read_dataset, write_dataset
+from balltrack.video import (DatasetError, _read_record, _write_record, generate_split, read_dataset, staged,
+                             write_dataset)
 
 from reference_tables import TRACK_SEED_42_METRICS, assert_pinned
 
@@ -104,7 +105,7 @@ class TestGen:
             _gen(tmp_path / "d", "--sigma", "-1")
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("sigmas", [("0.1234561", "0.1234562"), ("1", "1.0")])
+    @pytest.mark.parametrize("sigmas", [("0.1234561", "0.1234562"), ("1", "1.0"), ("-0", "0")])
     def test_sigmas_sharing_a_directory_rejected_before_writing(self, tmp_path, sigmas):
         argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL]
         for sigma in sigmas:
@@ -112,6 +113,12 @@ class TestGen:
         with pytest.raises(SystemExit, match=r"both map to .*sigma_"):
             main(argv)
         assert not (tmp_path / "d").exists()
+
+    def test_negative_zero_sigma_writes_the_clean_dataset(self, tmp_path):
+        assert _gen(tmp_path / "a") == 0
+        assert main(["gen", "--out", str(tmp_path / "b"), "--sigma", "-0", *GEN_SMALL]) == 0
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["gen_manifest.json", "sigma_0"]
+        assert _snapshot(tmp_path / "b" / "sigma_0") == _snapshot(tmp_path / "a" / "sigma_0")
 
     def test_dataset_of_another_config_rejected_before_writing(self, tmp_path):
         out = tmp_path / "d"
@@ -127,7 +134,7 @@ class TestGen:
         fail_generation(cfg, "train", 1)
         with pytest.raises(SystemExit, match=r"^error: injected simulator fault$"):
             _gen(out, "--train", "3")
-        assert list(out.iterdir()) == []  # the lock is gone, and so is the sigma directory
+        assert not out.exists()  # nor the lock or the sigma directory in it
 
     def test_failure_in_a_later_split_keeps_the_splits_written(self, tmp_path, fail_generation):
         # the set is incomplete, not wrong: meta.json lists only the splits on disk
@@ -171,8 +178,10 @@ class TestGen:
         out = tmp_path / "d"
         out.mkdir()
         (out / ".balltrack.lock").touch()
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match=r"^error: output directory is locked by .*\.balltrack\.lock "
+                                             r"\(pid unknown\); remove the file if no other run is active$"):
             _gen(out)
+        assert _snapshot(tmp_path) == {"d/.balltrack.lock": (0, b"")}
 
 
     def test_lock_conflict_names_the_owner_pid(self, tmp_path):
@@ -183,9 +192,11 @@ class TestGen:
             _gen(out)
 
     def test_lock_file_holds_own_pid(self, tmp_path):
-        with _OutputLock(tmp_path) as lock:
-            assert lock.path.read_text().strip() == str(os.getpid())
-        assert not lock.path.exists()
+        lock = tmp_path / ".balltrack.lock"
+        with staged(tmp_path, ["gen_manifest.json"]) as (manifest,):
+            assert lock.read_text().strip() == str(os.getpid())
+            manifest.write_text("{}")
+        assert not lock.exists()
 
     def test_lock_removed_when_its_pid_cannot_be_written(self, tmp_path, monkeypatch):
         class FullDisk(io.StringIO):
@@ -198,11 +209,10 @@ class TestGen:
 
         out = tmp_path / "d"
         monkeypatch.setattr(os, "fdopen", fdopen)
-        with pytest.raises(OSError) as err:
+        with pytest.raises(SystemExit, match="^error: No space left on device$"):
             _gen(out)
         monkeypatch.undo()
-        assert err.value.errno == errno.ENOSPC
-        assert list(out.iterdir()) == []  # no empty lock to stop the next run
+        assert not out.exists()  # no empty lock to stop the next run
         assert _gen(out) == 0
 
 
@@ -246,7 +256,8 @@ def seed_42_dataset(tmp_path_factory):
 
 
 class TestOutRoot:
-    """Without ``--out``, gen, track and effects write to ``$BALLTRACK_OUT/<name>``."""
+    """Without ``--out``, gen, track and effects write to ``$BALLTRACK_OUT/<name>``;
+    an ``--out`` that cannot be a directory is reported, not raised."""
 
     @staticmethod
     def _argv(command, small_dataset, tmp_path):
@@ -269,6 +280,19 @@ class TestOutRoot:
         with pytest.raises(SystemExit, match=r"--out not given and \$BALLTRACK_OUT is unset"):
             main(self._argv(command, small_dataset, tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == (["results.csv"] if command == "effects" else [])
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["gen", "track", "effects"])
+    def test_out_naming_a_file_reported(self, small_dataset, tmp_path, command, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = blocker / "sub" if under else blocker
+        argv = self._argv(command, small_dataset, tmp_path)
+        before = _snapshot(tmp_path)
+        reason = os.strerror(errno.ENOTDIR if under else errno.EEXIST)
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(out))}: {reason}$"):
+            main([*argv, "--out", str(out)])
+        assert _snapshot(tmp_path) == before
 
 
 class TestTrack:
@@ -380,9 +404,20 @@ class TestTrack:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(balltrack.cli, "write_predictions", full_disk)
-        with pytest.raises(OSError):
+        with pytest.raises(SystemExit, match="^error: No space left on device$"):
             main(["track", "--data", str(small_dataset), "--out", str(out), "--replicate", "3"])
         assert _snapshot(out) == before  # no temporary file and no lock either
+
+    def test_failed_run_into_a_fresh_out_leaves_no_directory(self, small_dataset, tmp_path, monkeypatch):
+        import balltrack.cli
+
+        def full_disk(path, predictions):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(balltrack.cli, "write_predictions", full_disk)
+        with pytest.raises(SystemExit, match="^error: No space left on device$"):
+            main(["track", "--data", str(small_dataset), "--out", str(tmp_path / "a" / "b")])
+        assert not (tmp_path / "a").exists()
 
     def test_radius_below_one_reported_before_writing(self, tmp_path):
         data = tmp_path / "d"
@@ -662,9 +697,23 @@ class TestEffects:
 
         monkeypatch.setattr(Path, "write_text", full_disk)
         other = _planted_csv(tmp_path / "b.csv", {"A": -1.0, "DF": 3.0})  # another effects.csv
-        with pytest.raises(OSError):
+        with pytest.raises(SystemExit, match="^error: No space left on device$"):
             main(["effects", "--results", str(other), "--out", str(out)])
         assert _snapshot(out) == before  # no temporary file and no lock either
+
+    def test_failed_run_into_a_fresh_out_leaves_no_directory(self, tmp_path, monkeypatch):
+        real = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if "effects_report" in path.name:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(path, *args, **kwargs)
+
+        csv = _planted_csv(tmp_path / "results.csv")
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        with pytest.raises(SystemExit, match="^error: No space left on device$"):
+            main(["effects", "--results", str(csv), "--out", str(tmp_path / "a" / "b")])
+        assert not (tmp_path / "a").exists()
 
     def test_missing_cell_named_in_error(self, tmp_path):
         csv = _planted_csv(tmp_path / "bad.csv", drop=("A1B0C1D0E0F1", 1))

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -86,6 +88,11 @@ class TestConfig:
         assert all(type(getattr(cfg, name)) is int for name in _INT_FIELDS)
         write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
         assert read_dataset(tmp_path, "test")[1] == cfg
+
+    def test_negative_zero_sigma_stored_as_zero(self):
+        cfg = SimConfig(noise_sigma=-0.0)
+        assert cfg == SimConfig() and math.copysign(1.0, cfg.noise_sigma) == 1.0
+        assert json.dumps(asdict(cfg)) == json.dumps(asdict(SimConfig()))
 
     def test_wall_crossing_config_rejected(self):
         # a single step must not be able to span the whole domain

@@ -282,6 +282,16 @@ class TestDatasetIO:
             with pytest.raises(ShapeMismatchError):
                 read_dataset(tmp_path, "test")
 
+    @pytest.mark.parametrize("listed", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_split_count_raises(self, tmp_path, small_cfg, listed):
+        cfg = replace(small_cfg, n_test=1)  # a count equal to 1 once passed as the split's size
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["splits"]["test"] = listed
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match=rf"'test' count {listed!r} is not an integer$"):
+            read_dataset(tmp_path, "test")
+
     def test_regeneration_is_bit_identical(self, tmp_path, small_cfg):
         a_dir = tmp_path / "a"
         b_dir = tmp_path / "b"
@@ -820,7 +830,40 @@ class TestStaged:
             with staged(tmp_path, self.NAMES) as tmps:
                 for tmp in tmps:
                     tmp.write_text("new")
-        assert self._contents(tmp_path) == {"a.bin": "new", "b.bin": "old"}
+        assert self._contents(tmp_path) == {"a.bin": "new", "b.bin": "old"}  # and no lock
+
+    def test_block_runs_under_a_lock_holding_this_pid(self, tmp_path):
+        lock = tmp_path / "fresh" / ".balltrack.lock"
+        with staged(lock.parent, self.NAMES) as tmps:
+            assert lock.read_text() == f"{os.getpid()}\n"
+            for tmp in tmps:
+                tmp.write_text("new")
+        assert not lock.exists()
+        assert self._contents(lock.parent) == {name: "new" for name in self.NAMES}
+
+    def test_nested_on_one_directory_raises(self, tmp_path):
+        with pytest.raises(DatasetError, match=rf"locked by .*\.balltrack\.lock \(pid {os.getpid()}\)"):
+            with staged(tmp_path / "out", self.NAMES):
+                with staged(tmp_path / "out", ["other.json"]):
+                    pass
+        assert self._contents(tmp_path) == {}  # the outer call cleaned up after the inner one raised
+
+    def test_held_lock_raises_and_touches_nothing(self, tmp_path):
+        (tmp_path / ".balltrack.lock").write_text("4242\n")
+        (tmp_path / ".a.bin.tmp").write_text("the other writer's")
+        before = self._contents(tmp_path)
+        with pytest.raises(DatasetError, match=r"\(pid 4242\); remove the file if no other run is active$"):
+            with staged(tmp_path, self.NAMES):
+                pytest.fail("the block ran without the lock")
+        assert self._contents(tmp_path) == before
+
+    def test_write_dataset_into_a_locked_directory_raises(self, tmp_path, small_cfg):
+        write_dataset(tmp_path, "test", generate_split(small_cfg, "test"), small_cfg)
+        (tmp_path / ".balltrack.lock").write_text("4242\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(DatasetError, match=r"locked by .* \(pid 4242\)"):
+            write_dataset(tmp_path, "val", generate_split(small_cfg, "val"), small_cfg)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestLazySplit:
