@@ -112,14 +112,13 @@ def cmd_gen(args) -> int:
             raise SystemExit(f"invalid configuration: {err}")
         target = _sigma_dir(out, cfg.noise_sigma)
         if target in targets:
-            raise SystemExit(f"--sigma {targets[target].noise_sigma} and --sigma {sigma} "
-                             f"both map to {target}")
-        targets[target] = cfg
-    for target, cfg in targets.items():  # a dataset already there must have the same config
+            raise SystemExit(f"--sigma {targets[target][0]} and --sigma {sigma} both map to {target}")
+        targets[target] = sigma, cfg  # the sigma as given
+    for target, (_, cfg) in targets.items():  # a dataset already there must have the same config
         existing_manifest(target, cfg)
     outputs = {}  # each path once, in the order first written
     with staged(out, ["gen_manifest.json"]) as (manifest,):  # write_dataset locks each sigma_* directory
-        for target, cfg in targets.items():
+        for target, (_, cfg) in targets.items():
             for split in SPLITS:
                 outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
             print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "

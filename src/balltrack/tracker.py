@@ -146,8 +146,7 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
     are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
     the flipped template and of the all-ones window are taken once per call;
     each frame needs its spectrum, its square's, and the inverses giving the
-    numerator, sum and sum of squares.  A frame whose values are all 0 or 1
-    is bitwise its own square, so its sum of squares is its sum.
+    numerator, sum and sum of squares.
 
     Each 2-D transform is a row pass and a column pass, run as ``rfft2`` and
     ``irfft2`` run them: forward r2c along rows then c2c along columns, inverse
@@ -171,8 +170,11 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
 
     Row passes and the tail run per batch: consecutive frames whose reached
     rows total at most H, so a dense frame is a batch of its own.  A batch
-    takes one forward row pass over its nonzero rows and one over those of
-    its frames that are not 0/1, squared.  Each frame's column passes run
+    takes one forward row pass over its nonzero rows.  A batch whose values
+    are all 0 or 1 is bitwise its own square, so it reuses its sum as its sum
+    of squares; any other batch takes one more row pass, over its rows
+    squared, and a sum-of-squares column pass per frame (a 0/1 frame among
+    them gets the bits of its sum).  Each frame's column passes run
     one by one and copy the rows they reach into H-row buffers.  One
     inverse row pass per window sum, one variance-to-live-mask tail (each
     frame's cutoff from its own ``den.max()``) and one inverse row pass of
@@ -232,12 +234,11 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         starts, counts = first[fs] - first[fs[0]], first[fs + 1] - first[fs]  # each frame's rows in x
         x = stack.values[first[fs[0]]:first[fs[-1] + 1]].astype(np.float64, copy=False)
         sq = x * x
-        # a frame's rows are consecutive in x, den and the buffers, so each
-        # per-frame reduction is one reduceat over the flat array
-        binary = np.logical_and.reduceat((sq.view(np.uint64) == x.view(np.uint64)).ravel(), starts * w)
-        spectra = rfft(x, q, axis=-1)
-        if not binary.all():
-            sq_spectra = rfft(sq if not binary.any() else sq[np.repeat(~binary, counts)], q, axis=-1)
+        binary = np.array_equal(sq.view(np.uint64), x.view(np.uint64))  # every value 0 or 1
+        # each row spectrum's column passes and the buffer of their rows
+        passes = [(rfft(x, q, axis=-1), [(s1_buf, ones_spec), (num_buf, flipped_spec)])]
+        if not binary:
+            passes.append((rfft(sq, q, axis=-1), [(s2_buf, ones_spec)]))
         # rows outside [lo, hi) hold FFT rounding residue; they are skipped
         # only when its bound cannot reach the cutoff.  The bounds are taken
         # here so that x and sq are freed before the column passes, which
@@ -248,29 +249,16 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         # each column pass's reached rows are copied, so that no view keeps a
         # whole column pass alive, and a frame's column spectrum is dropped
         # before the next is formed
-        buffers, filled = [s1_buf, s2_buf, num_buf], [0, 0, 0]
-        sq_at = 0  # the frame's first row in sq_spectra
-        for f, a, m, l, r, is_binary in zip(fs.tolist(), starts.tolist(), counts.tolist(), lo.tolist(), hi.tolist(),
-                                            binary.tolist()):
+        for f, a, m, o, l, r in zip(fs.tolist(), starts.tolist(), counts.tolist(), off.tolist(), lo.tolist(),
+                                    hi.tolist()):
             rows, keep = stack.row[first[f]:first[f] + m], slice(top + l, top + r)
-            passes = [(spectra[a:a + m], [(0, ones_spec), (2, flipped_spec)])]
-            if not is_binary:
-                passes.append((sq_spectra[sq_at:sq_at + m], [(1, ones_spec)]))
-                sq_at += m
             for row_spectra, kernels in passes:
-                spec = column(row_spectra, rows)
-                for k, kernel_spec in kernels:  # rows ``keep`` of the inverse column pass
-                    buffers[k][filled[k]:filled[k] + r - l] = ifft(spec * kernel_spec, axis=0, norm="forward",
-                                                                   overwrite_x=True)[keep]
-                    filled[k] += r - l
+                spec = column(row_spectra[a:a + m], rows)
+                for buf, kernel_spec in kernels:  # rows ``keep`` of the inverse column pass
+                    buf[o:o + r - l] = ifft(spec * kernel_spec, axis=0, norm="forward", overwrite_x=True)[keep]
                 del spec
-        s1 = inverse(s1_buf[:filled[0]])
-        s2 = s1
-        if filled[1]:
-            s2 = inverse(s2_buf[:filled[1]])
-            if filled[1] < filled[0]:  # 0/1 frames too: their sum of squares is their sum
-                s2, sq_sums = s1.copy(), s2
-                s2[np.repeat(~binary, reach)] = sq_sums
+        s1 = inverse(s1_buf[:reach.sum()])
+        s2 = s1 if binary else inverse(s2_buf[:reach.sum()])  # a 0/1 batch's sum of squares is its sum
         # windows with no meaningful structure (near-zero variance, absolutely
         # or relative to the frame's liveliest window) would normalize rounding
         # residue up to O(1) correlations; the cutoff treats them as empty.

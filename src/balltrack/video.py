@@ -422,9 +422,7 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
                 del records  # else it holds this sequence while the next one is made
         with open(truth_tmp, "wb") as fh:
             for name, arrays in truth.items():
-                _write_header(fh, (n, *want[name]))
-                for array in arrays:
-                    _write_payload(fh, array, dtypes[name])
+                _write_record(fh, np.stack(arrays), dtypes[name])
         meta_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return [path / name for name in names]
 

@@ -85,6 +85,20 @@ REFERENCE_ENCODER_ERRORS = {
 # than PIN_TOLERANCE; last-bit drift of the FFTs on another CPU stays inside it.
 PIN_TOLERANCE = 1e-9
 
+# numpy's complex128 multiply kernel on the machine that recorded the pins.
+# The spectral products of ``ncc_heatmap`` take its bits: the X86_V3 kernel
+# fuses a multiply and an add, the baseline one does not, and one last bit of
+# a map can flip an argmax tie.
+PINNED_KERNEL = "X86_V3"
+
+
+def multiply_kernel():
+    """The complex128 multiply kernel numpy dispatches to on this machine."""
+    from numpy.lib.introspect import opt_func_info
+    (kernel,) = opt_func_info(func_name="^multiply$", signature="complex128")["multiply"].values()
+    return kernel["current"]
+
+
 # criteria 7 and 8: the 15 split means of the default 100-sequence test split,
 # at sigma 0 and at sigma 1 with the temporal mean
 CRITERION_7_MEANS = {
@@ -181,11 +195,13 @@ TRACK_SEED_42_METRICS = {
 
 def assert_pinned(got, pinned):
     """Each metric of ``got`` within PIN_TOLERANCE of its pinned value; on
-    failure, name the metric with the largest deviation."""
+    failure, name the metric with the largest deviation and the multiply
+    kernels of the pins and of this run."""
     assert list(got) == list(pinned)
     deviation = {metric: abs(float(got[metric]) - pinned[metric]) for metric in pinned}
     deviation = {metric: math.inf if math.isnan(d) else d for metric, d in deviation.items()}
     worst = max(deviation, key=deviation.get)
     assert deviation[worst] <= PIN_TOLERANCE, (
         f"largest deviation from the pinned values: {worst} = {float(got[worst]):.17g}, "
-        f"pinned {pinned[worst]:.17g} (|deviation| {deviation[worst]:.3g} > {PIN_TOLERANCE:g})")
+        f"pinned {pinned[worst]:.17g} (|deviation| {deviation[worst]:.3g} > {PIN_TOLERANCE:g}); the pins were "
+        f"recorded on the {PINNED_KERNEL} complex128 multiply kernel, this run has {multiply_kernel()}")

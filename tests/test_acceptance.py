@@ -31,7 +31,8 @@ from balltrack.sim import SimConfig, simulate_trajectory, trajectory_windows
 from balltrack.tracker import metrics_to_csv, track_split
 from balltrack.video import generate_sequence, generate_split, split_stream, write_dataset
 
-from reference_tables import CRITERION_7_MEANS, CRITERION_8_MEANS, REFERENCE_ENCODER_ERRORS, assert_pinned
+from reference_tables import (CRITERION_7_MEANS, CRITERION_8_MEANS, PINNED_KERNEL, REFERENCE_ENCODER_ERRORS,
+                              assert_pinned, multiply_kernel)
 
 
 def _report(criterion, detail):
@@ -234,6 +235,15 @@ def test_criterion_8_end_to_end_noisy():
     assert med_p <= 2.0
     assert_pinned({m: v.mean() for m, v in per_sequence.items()}, CRITERION_8_MEANS)
     _report(8, f"sigma=1 + temporal mean: median P224 = {med_p:.3f} px (<= 2.0)")
+
+
+def test_pin_failure_names_both_multiply_kernels():
+    # a pin that fails on another CPU says which complex multiply kernel ran
+    moved = dict(CRITERION_7_MEANS, H112=CRITERION_7_MEANS["H112"] + 1e-6)
+    with pytest.raises(AssertionError, match=rf"^largest deviation from the pinned values: H112 = .*; the pins were "
+                                             rf"recorded on the {PINNED_KERNEL} complex128 multiply kernel, "
+                                             rf"this run has {multiply_kernel()}$"):
+        assert_pinned(moved, CRITERION_7_MEANS)
 
 
 def test_criterion_9_determinism_and_formats(tmp_path):

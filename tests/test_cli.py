@@ -110,7 +110,8 @@ class TestGen:
         argv = ["gen", "--out", str(tmp_path / "d"), *GEN_SMALL]
         for sigma in sigmas:
             argv += ["--sigma", sigma]
-        with pytest.raises(SystemExit, match=r"both map to .*sigma_"):
+        given = re.escape(f"--sigma {float(sigmas[0])} and --sigma {float(sigmas[1])}")  # each as given
+        with pytest.raises(SystemExit, match=rf"^{given} both map to .*sigma_[0-9p]+$"):
             main(argv)
         assert not (tmp_path / "d").exists()
 

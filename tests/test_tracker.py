@@ -251,7 +251,7 @@ class TestNccStack:
         self._assert_bitwise(stack, disk_template(2.0))
 
     def test_mixed_stack(self, cfg):
-        # 0/1 frames reuse the sum map as the sum of squares, the rest transform their square
+        # 0/1, textured, all-ones and empty frames in one stack each keep their bits
         noisy = SimConfig(noise_sigma=1.0, frames_per_video=3)
         textured = generate_sequence(noisy, split_stream(noisy, "ncc-stack", 1)).frames[1]
         stack = np.array([render_frame((100.5, 80.5), cfg), textured, np.ones((224, 224)),
@@ -294,11 +294,8 @@ class TestNccStack:
             # the live rows, the same 11
             assert np.count_nonzero(frame.any(axis=-1)) == 5
             assert _live_rows(frame, template) == 11
-        # (frame, textured, rows reached); each frame's column passes run on their own
+        # (frame, textured, rows reached)
         frames = [(f, False, 11) for f in binary] + [(f, True, 11 if sparse else 224) for f in textured]
-        for _, tex, _ in frames:
-            want["fft"] += [p, p] if tex else [p]
-            want["ifft"] += [p, p, p] if tex else [p, p]
         # each row pass runs once per batch, on the rows of all its frames: the
         # 0/1 frames and the sparse textured ones share one batch, and a dense
         # frame, which reaches every row, is a batch of its own
@@ -307,14 +304,20 @@ class TestNccStack:
         else:
             batches = ([frames[:n_binary]] if n_binary else []) + [[f] for f in frames[n_binary:]]
         for batch in batches:
-            squared = [(f, reach) for f, tex, reach in batch if tex]
-            want["rfft"] += [sum(np.count_nonzero(f.any(axis=-1)) for f, _, _ in batch)]
-            want["rfft"] += [sum(np.count_nonzero(f.any(axis=-1)) for f, _ in squared)] if squared else []
-            want["irfft"] += [sum(reach for _, _, reach in batch)]
-            want["irfft"] += [sum(reach for _, reach in squared)] if squared else []
+            # a batch that is not all 0/1 squares all its rows, and each of its
+            # frames runs the sum-of-squares column pass
+            squared = any(tex for _, tex, _ in batch)
+            for _ in batch:  # each frame's column passes run on their own
+                want["fft"] += [p] * (1 + squared)
+                want["ifft"] += [p] * (2 + squared)
+            want["rfft"] += [sum(np.count_nonzero(f.any(axis=-1)) for f, _, _ in batch)] * (1 + squared)
+            want["irfft"] += [sum(reach for _, _, reach in batch)] * (1 + squared)
             want["irfft"] += [sum(_live_rows(f, template) for f, _, _ in batch)]
-        _, calls = self._transforms(monkeypatch, np.array(binary + textured), template)
+        stack = np.array(binary + textured)
+        hm, calls = self._transforms(monkeypatch, stack, template)
         assert {name: rows for name, rows in calls.items() if rows or name in want} == want
+        for frame, got in zip(stack, hm):
+            assert got.tobytes() == _ncc_reference(frame, template).tobytes()
 
     def test_transforms_of_a_sparse_textured_frame(self, cfg, monkeypatch):
         # a disk of 0.5: not its own square, so both window sums run, each on the 11 rows reached
@@ -339,9 +342,10 @@ class TestNccStack:
             want = [_ncc_reference(frame, template) for frame in stack]
             squared = (odd * odd).tobytes() != odd.tobytes()  # not a 0/1 frame: its sum of squares runs
             live = _live_rows(odd, template)
-        # the batch: both sums (11 + 11 rows), the odd frame's sum of squares and
-        # the clean frame's numerator; then the odd frame's sweep of every row
-        assert calls["irfft"] == [22] + [11] * squared + [11] + [224] + [224] * squared + [live]
+        # the batch: both sums (11 + 11 rows), both sums of squares if the odd
+        # frame is not 0/1, and the clean frame's numerator; then the odd
+        # frame's sweep of every row
+        assert calls["irfft"] == [22] + [22] * squared + [11] + [224] + [224] * squared + [live]
         for got, ref in zip(hm, want):
             assert got.tobytes() == ref.tobytes()
 
