@@ -18,6 +18,7 @@ nothing it made.  A held lock or an ``OSError`` ends a command with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,8 +83,7 @@ def _resolve_out(args, default_name: str) -> Path:
 
 
 def _write_manifest(path: Path, command: str, config: dict, inputs, outputs, started: float) -> None:
-    resolved = {k: v for k, v in config.items()
-                if k != "func" and isinstance(v, (str, int, float, bool, list, type(None)))}
+    resolved = {k: v for k, v in config.items() if isinstance(v, (str, int, float, bool, list, type(None)))}
     manifest = {
         "command": command,
         "config": resolved,
@@ -216,7 +216,10 @@ def _config_label(text: str) -> str:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parse with it, do not change it."""
     parser = argparse.ArgumentParser(prog="balltrack",
                                      description="bouncing-ball tracking toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -226,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--sigma", type=float, action="append", default=None,
                      help="noise level; repeatable (default: 0 and 1)")
     _add_sim_flags(gen)
-    gen.set_defaults(func=cmd_gen)
 
     track = sub.add_parser("track", help="track a dataset split and write metrics")
     track.add_argument("--data", required=True, help="dataset directory (one sigma level)")
@@ -238,24 +240,22 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--config-label", type=_config_label, default="A0B0C0D0E0F0",
                        help="config column stamped into the results CSV")
     track.add_argument("--replicate", type=int, default=0)
-    track.set_defaults(func=cmd_track)
 
     check = sub.add_parser("selfcheck", help="run numerical self-checks")
     check.add_argument("--trials", type=_int_at_least(0), default=100, help="derivative probe count")
-    check.set_defaults(func=cmd_selfcheck)
 
     effects = sub.add_parser("effects", help="factorial effects from a results CSV")
     effects.add_argument("--results", required=True, help="CSV: config,replicate,metric,value")
     effects.add_argument("--out", default=None)
     effects.add_argument("--top", type=_int_at_least(1), default=10, help="rows in the ranked report")
-    effects.set_defaults(func=cmd_effects)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, so a wrapper put in its place is called
     try:
-        return args.func(args)
+        return command(args)
     except (DatasetError, SimulationError) as err:
         raise SystemExit(f"error: {err}")
     except OSError as err:  # a missing input, an --out that names a file, a full disk

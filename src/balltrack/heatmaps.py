@@ -20,16 +20,17 @@ and column sums); every second pass reads a small block of each map.  Input
 may be an array or an array-valued :class:`~balltrack.autodiff.Dual`, in
 which case tangents propagate through everything except the detached argmax.
 
-``hard_argmax`` and the operators also take ``rows``, a ``(..., 2)`` integer
-array of ``[start, stop)`` row bands: each map is zero outside its band and
-non-negative.  They then read each map's band only, as rows of one common
-height; bands as tall as the maps are the maps themselves, not a copy.  The
-row sums of a band are placed in full-length vectors, zeros included, so
-every sum runs in the order of the whole map's and the landmarks keep its
-bits.
+``hard_argmax`` and the operators also take a :class:`RowBands`: maps held
+as windows of rows, each map non-negative and zero outside its window, all
+windows of one common height.  They then read the windows only; windows as
+tall as the maps are the maps themselves.  The row sums of a window are
+placed in full-length vectors, zeros included, so every sum runs in the
+order of the whole map's and the landmarks keep its bits.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from . import autodiff as ad
 
 __all__ = [
     "EPS",
+    "RowBands",
     "gaussian_target",
     "default_target_sigma",
     "hard_argmax",
@@ -67,26 +69,32 @@ def gaussian_target(center, size: int, sigma: float) -> np.ndarray:
     return _gaussian((size, size), center, sigma)
 
 
-def _band(hm, rows, least=1):
-    """Each map's window of rows ``[first, first + height)`` and the (...,)
-    ``first`` rows: ``height`` is the tallest ``[start, stop)`` band of ``rows``,
-    at least ``least``, and a window that would run off the bottom moves up.
-    No bands, or bands that need the maps' full height, give the maps themselves."""
+class RowBands(NamedTuple):
+    """(..., H, W) maps held as windows of their rows: map ``i`` is
+    ``windows[i]`` at rows ``[first[i], first[i] + b)`` and zero elsewhere,
+    for (..., b, W) ``windows`` (an array or an array-valued ``Dual``), (...,)
+    integer ``first`` and ``height`` H."""
+
+    windows: np.ndarray | ad.Dual
+    first: np.ndarray
+    height: int
+
+    def dense(self):
+        """The (..., H, W) maps; the windows themselves when they are as tall."""
+        return _unband(self.windows, self.first, self.height, axis=-2)
+
+
+def _bands(hm) -> RowBands:
+    """``hm`` as row windows: a :class:`RowBands` itself, maps as windows of their full height."""
+    if isinstance(hm, RowBands):
+        return hm
     *lead, h, _ = np.shape(ad.value(hm))
-    if rows is None:
-        return hm, np.zeros(lead, int)
-    rows = np.asarray(rows)
-    height = int(np.max(rows[..., 1] - rows[..., 0], initial=least))
-    first = np.minimum(rows[..., 0], h - height)
-    if height == h:
-        return hm, first
-    batch = tuple(ix[..., None] for ix in np.indices(lead, sparse=True))
-    return hm[(*batch, first[..., None] + np.arange(height))], first
+    return RowBands(hm, np.zeros(lead, int), h)
 
 
 def _unband(x, first, n, axis=-1):
     """Zeros of length n along ``axis`` (-1, or -2 for rows of maps) holding
-    the m values ``x`` of band windows there at their ``first`` rows; ``x``
+    the m values ``x`` of row windows there at their ``first`` rows; ``x``
     itself when m == n."""
     m = np.shape(ad.value(x))[axis]
     if m == n:
@@ -106,9 +114,9 @@ def _unband(x, first, n, axis=-1):
 
 
 def _argmax(window, first, h):
-    """Flat-index argmax of maps seen through band windows (see ``_band``) as
-    (..., 2) integer (x, y); a band with no positive value gives (0, 0), the
-    first of the zeros around it."""
+    """Flat-index argmax of maps seen through row windows (see :class:`RowBands`)
+    as (..., 2) integer (x, y); a window with no positive value gives (0, 0),
+    the first of the zeros around it."""
     *lead, height, w = window.shape
     flat = window.reshape(*lead, height * w)
     k = np.argmax(flat, axis=-1)
@@ -117,13 +125,13 @@ def _argmax(window, first, h):
     return np.stack([k % w, k // w], axis=-1)
 
 
-def hard_argmax(hm, rows=None):
+def hard_argmax(hm):
     """Integer ``(..., 2)`` (x, y) of each map's maximum; ties go to the smallest flat index.
 
-    With ``rows`` only the bands are searched, and a map of zeros gives (0, 0).
+    Of a :class:`RowBands` only the windows are searched, and a map of zeros gives (0, 0).
     """
-    values = np.asarray(ad.value(hm))
-    return _argmax(*_band(values, rows), values.shape[-2])
+    window, first, h = _bands(hm)
+    return _argmax(np.asarray(ad.value(window)), first, h)
 
 
 def _centroid(cols, rows, corner=(0, 0)):
@@ -142,13 +150,13 @@ def _block_centroid(block, corner):
 
 
 def _global_centroid(window, first, h):
-    """Centroid of whole maps from their band windows; the row sums go back
+    """Centroid of whole maps from their row windows; the row sums go back
     to full length, so the sums keep the whole maps' order."""
     return _centroid(ad.asum(window, axis=-2), _unband(ad.asum(window, axis=-1), first, h))
 
 
 def _block(window, corner, k, first):
-    """(..., k, k) block of maps seen through band windows, starting at the
+    """(..., k, k) block of maps seen through row windows, starting at the
     (..., 2) integer ``corner`` in map coordinates; pixels that fall off the
     window read as 0, as the map holds there."""
     *lead, h, w = np.shape(ad.value(window))
@@ -159,32 +167,32 @@ def _block(window, corner, k, first):
     return ad.where(inside, block, 0.0)
 
 
-def _rectified(hm, rows):
-    """Rectified band windows of the maps, their first rows and the map height."""
-    window, first = _band(hm, rows)
-    return ad.relu(window), first, np.shape(ad.value(hm))[-2]
+def _rectified(hm):
+    """Rectified row windows of the maps, their first rows and the map height."""
+    window, first, h = _bands(hm)
+    return ad.relu(window), first, h
 
 
-def bilinear_expectation(hm, rows=None):
+def bilinear_expectation(hm):
     """Global weighted centroid of the rectified heatmap."""
-    return _global_centroid(*_rectified(hm, rows))
+    return _global_centroid(*_rectified(hm))
 
 
-def coarse_to_fine_expectation(hm, rows=None):
+def coarse_to_fine_expectation(hm):
     """Centroid restricted to the 7x7 window around the (detached) peak.
 
     The argmax step carries no derivative; gradients flow through the local
     centroid only.  The window is clipped at the grid border.
     """
-    window, first, h = _rectified(hm, rows)
+    window, first, h = _rectified(hm)
     corner = _argmax(ad.value(window), first, h) - 3
     return _block_centroid(_block(window, corner, 7, first), corner)
 
 
-def _two_pass(hm, rows, kernel):
+def _two_pass(hm, kernel):
     """Centroid reweighted by ``kernel(dx, dy)`` around the first one; both kernels
     vanish at |d| >= 2, so pass two reads the 4x4 block at ``floor(first) - 1``."""
-    window, first, h = _rectified(hm, rows)
+    window, first, h = _rectified(hm)
     center = _global_centroid(window, first, h)
     corner = np.floor(ad.value(center)).astype(int) - 1
     d = corner[..., None, :] + np.arange(4)[:, None] - center[..., None, :]  # (..., 4, 2)
@@ -192,14 +200,14 @@ def _two_pass(hm, rows, kernel):
     return _block_centroid(weights * _block(window, corner, 4, first), corner)
 
 
-def biquadratic_expectation(hm, rows=None):
+def biquadratic_expectation(hm):
     """Two-pass centroid; pass two reweights with 1 - d^2/4 (clipped at 0)."""
-    return _two_pass(hm, rows, lambda dx, dy: ad.relu(1.0 - (dx * dx + dy * dy) / 4.0))
+    return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - (dx * dx + dy * dy) / 4.0))
 
 
-def bicubic_expectation(hm, rows=None):
+def bicubic_expectation(hm):
     """Two-pass centroid with separable cubic kernels max(1 - |d|^3/8, 0)."""
-    return _two_pass(hm, rows, lambda dx, dy: ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0)
+    return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0)
                      * ad.relu(1.0 - ad.absolute(dy) ** 3 / 8.0))
 
 

@@ -4,11 +4,14 @@ The detector is a zero-normalized cross-correlation against a disk
 template.  It is deliberately not a learned model: it exists so the
 extraction operators, the physics refinement, the losses and the metric
 protocol can run end to end without any training.  Heatmaps are produced
-as a (T, H, W) stack by one correlator call (:func:`ncc_heatmap`) and
-average-pooled into the ``{scale: maps}`` pyramid of ``POOLING``.  Every
-stage reads only each frame's band of live rows, the correlator's widened to
-whole blocks of the largest pooling factor, and keeps the bits of the same
-stage over whole frames; a dense frame's band is the whole frame.  The
+for a (T, H, W) stack by one correlator call (:func:`ncc_heatmap`) and
+average-pooled into the ``{scale: maps}`` pyramid of ``POOLING``.  From the
+correlator to the operators the maps are held as row windows
+(:class:`~balltrack.heatmaps.RowBands`), and no stage builds a dense (T, H,
+W) map: each window, of one common height, holds the rows its frame
+reaches in whole blocks of the largest pooling factor, and every stage keeps
+the bits of the same stage over whole frames; a dense frame makes the
+windows whole frames.  The
 correlator's input is the stack's nonzero rows, which the temporal mean
 builds without a dense stack.  It takes its window sums only on the rows
 that each frame's nonzero rows reach, guarded by a bound on the FFT
@@ -17,7 +20,7 @@ elementwise tail once per batch of frames whose reached rows fit in one
 frame's height.
 
 Per 3-frame window and per scale, three position estimates are extracted:
-B (the scale's expectation operator, one call on the (T, H, W) stack whose
+B (the scale's expectation operator, one call on the stack's windows whose
 second pass reads a 7x7 or 4x4 block of each frame), H (hard argmax) and
 P (physics-refined B, all windows in one physics call), plus velocities V
 and bounce indicators, each as one array over the windows.  The output
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .heatmaps import _band, _unband, expectation_for_scale, hard_argmax
+from .heatmaps import RowBands, _bands, expectation_for_scale, hard_argmax
 from .physics import physics_refine_window, to_frame_units
 from .sim import SimConfig, Trajectory, window_index
 from .video import VideoSequence, _disk, _write_record
@@ -67,7 +70,7 @@ ESTIMATES = {"B": "<f8", "H": "<f8", "P": "<f8", "V": "<f8", "bounce": "<u1"}
 # pyramid scale -> average-pooling factor of its heatmaps from the full-resolution ones
 POOLING = {56: 4, 112: 2, 224: 1}
 SCALES = tuple(POOLING)
-_BLOCK = max(POOLING.values())  # image sizes and row bands come in whole blocks of this side
+_BLOCK = max(POOLING.values())  # image sizes and row windows come in whole blocks of this side
 _POOL_CHUNK_FRAMES = 4  # full frames' worth of rows that one strided pooling pass reads
 METRICS = tuple(f"{name}{s}" for name in ESTIMATES for s in SCALES)
 _CSV_HEADER = "config,replicate,metric,value"
@@ -136,11 +139,12 @@ def _nonzero_rows(frames: np.ndarray) -> _StackRows:
     return _StackRows((len(flat) // h, h, w), frame, row, flat if len(at) == len(flat) else flat[at])
 
 
-def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
-                bands: np.ndarray | None = None) -> np.ndarray:
+def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.ndarray | RowBands:
     """Zero-normalized cross-correlation heatmaps of (..., H, W) frames, or
     of a (T, H, W) stack given as its nonzero rows (as
-    :func:`_detector_frames` gives it), negatives suppressed.
+    :func:`_detector_frames` gives it), negatives suppressed.  Frames give
+    (..., H, W) maps; a stack of nonzero rows gives its (T, H, W) maps as a
+    :class:`~balltrack.heatmaps.RowBands`.
 
     Border pixels whose template window would leave the frame are zero, as
     are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
@@ -185,13 +189,17 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
     of zeros gives a map of zeros and runs no transform.  An array of frames
     is first turned into its nonzero rows.
 
-    ``bands``, a ``(..., 2)`` integer array if given, receives each map's
-    ``[start, stop)`` band of rows written; the map is zero outside it, and
-    ``(0, 0)`` marks a map of zeros.
+    A stack's maps are written straight into their row windows, sized
+    before any transform: each window holds the rows its frame's window sums
+    reach, rounded out to whole aligned blocks of the largest ``POOLING``
+    factor so that the pooled windows line up too, and all windows take the
+    tallest one's height, at least one block.  A dense frame reaches every
+    row, so its stack's windows are whole maps, as are all windows once the
+    residue guard sweeps a frame.  An array of frames gets whole maps.
     """
     from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2  # here, so only tracking loads scipy
     if isinstance(frames, _StackRows):
-        stack, shape = frames, frames.shape
+        stack, shape = frames, None
     else:
         frames = np.asarray(frames)
         stack, shape = _nonzero_rows(frames), frames.shape
@@ -220,8 +228,16 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
 
     first = np.searchsorted(stack.frame, np.arange(n_maps + 1))  # frame f: stack rows first[f:f+2]
-    out = np.zeros(stack.shape)
-    written = np.zeros((n_maps, h), bool)  # the rows of each map written
+    # the frames holding some nonzero row and the rows [lo, hi) their window sums reach
+    held = np.flatnonzero(first[1:] > first[:-1])
+    lo = np.maximum(stack.row[first[held]] - top, 0)
+    hi = np.minimum(stack.row[first[held + 1] - 1] + kh - top, h)
+    base, b = np.zeros(n_maps, int), h  # each map's window: rows [base, base + b)
+    if shape is None:
+        start, stop = lo // _BLOCK * _BLOCK, -(-hi // _BLOCK) * _BLOCK
+        b = min(int(np.max(stop - start, initial=_BLOCK)), h)
+        base[held] = np.minimum(start, h - b)
+    maps = np.zeros((n_maps, b, w))
     # a batch's rows of the inverse column passes: sum, sum of squares, numerator
     s1_buf, s2_buf, num_buf = np.empty((3, h, q // 2 + 1), complex)
 
@@ -271,27 +287,24 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         live = den > np.repeat(cutoff, reach)[:, None]
         swept = ~(bound < cutoff)  # a NaN bound too
         live[np.repeat(swept, reach)] = False
-        place = np.repeat(fs * h + lo - off, reach) + np.arange(len(den))  # each buffer row's row of out
         at = np.flatnonzero(live.any(axis=-1))
-        num, place = inverse(num_buf[at]), place[at]
+        num = inverse(num_buf[at])
+        row = (np.repeat(lo - off, reach) + np.arange(len(den)))[at]  # each numerator row's row of its map
+        frame = np.repeat(fs, reach)[at]
         # the numerator normalized where live, in place; border rows and
         # columns are zero
-        inner = (place % h >= margin) & (place % h < h - margin)
+        inner = (row >= margin) & (row < h - margin)
         d = den[at]
         d += 1e-12
         np.divide(num, d, out=num)
         np.copyto(num, 0.0, where=~(live[at] & inner[:, None]))
         num[:, :margin] = 0.0
         num[:, w - margin:] = 0.0
-        out.reshape(-1, w)[place] = np.maximum(num, 0.0, out=num)
-        written.reshape(-1)[place[inner]] = True
+        maps.reshape(-1, w)[frame * b + row - base[frame]] = np.maximum(num, 0.0, out=num)
         return fs[swept]
 
     # batches of consecutive frames holding some nonzero row, whose reached
     # rows [lo, hi) total at most H
-    held = np.flatnonzero(first[1:] > first[:-1])
-    lo = np.maximum(stack.row[first[held]] - top, 0)
-    hi = np.minimum(stack.row[first[held + 1] - 1] + kh - top, h)
     batches, size = [], h
     for i, reach in enumerate((hi - lo).tolist()):
         if size + reach > h:
@@ -301,11 +314,10 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray,
         size += reach
     for batch in batches:
         for f in correlate(held[batch], lo[batch], hi[batch]):
+            if b < h:  # the frame reaches every row: every window becomes its whole map
+                maps, base, b = RowBands(maps, base, h).dense(), np.zeros(n_maps, int), h
             correlate(np.array([f]), np.array([0]), np.array([h]))  # the window sums on every row
-    if bands is not None:  # each map's [first, last + 1) row written; (0, 0) for a map of zeros
-        band = np.stack([written.argmax(axis=-1), h - written[:, ::-1].argmax(axis=-1)], axis=-1)
-        bands[...] = (band * written.any(axis=-1)[:, None]).reshape(bands.shape)
-    return out.reshape(shape)
+    return RowBands(maps, base, h) if shape is None else maps.reshape(shape)
 
 
 def _avg_pool(hm: np.ndarray, k: int, chunk_rows: int) -> np.ndarray:
@@ -329,19 +341,22 @@ def _avg_pool(hm: np.ndarray, k: int, chunk_rows: int) -> np.ndarray:
     return out.reshape(*lead, h // k, w // k)
 
 
-def downscale_heatmap(hm224: np.ndarray, rows=None) -> dict[int, np.ndarray]:
+def downscale_heatmap(hm224: np.ndarray | RowBands) -> dict[int, np.ndarray | RowBands]:
     """``{scale: maps}`` over ``SCALES``: full-resolution heatmaps (..., H, W)
     average-pooled by each ``POOLING`` factor, the factor-1 entry ``hm224`` itself.
 
-    ``rows``, ``(..., 2)`` ``[start, stop)`` bands in multiples of the largest
-    pooling factor outside which each map is zero, limits the pooling to the
-    bands; every other pooled pixel is a sum of zeros, so it is written as 0.
+    Of a :class:`~balltrack.heatmaps.RowBands` whose windows start and end on
+    whole blocks of the largest pooling factor, as :func:`ncc_heatmap` makes
+    them, only the windows are pooled, into a ``RowBands`` per scale: every
+    other pooled pixel is a sum of zeros.
     """
-    window, first = _band(hm224, rows, least=_BLOCK)
-    h = hm224.shape[-2]
-    chunk_rows = _POOL_CHUNK_FRAMES * h
-    return {s: hm224 if k == 1 else _unband(_avg_pool(window, k, chunk_rows), first // k, h // k, axis=-2)
-            for s, k in POOLING.items()}
+    window, first, h = _bands(hm224)
+
+    def pooled(k):
+        maps = _avg_pool(window, k, _POOL_CHUNK_FRAMES * h)
+        return RowBands(maps, first // k, h // k) if isinstance(hm224, RowBands) else maps
+
+    return {s: hm224 if k == 1 else pooled(k) for s, k in POOLING.items()}
 
 
 def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> _StackRows:
@@ -404,19 +419,15 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
-    bands = np.empty((n_frames, 2), int)
-    hm224 = ncc_heatmap(_detector_frames(video.frames, temporal_mean), template, bands)
-    rows = np.stack([bands[:, 0] // _BLOCK, -(-bands[:, 1] // _BLOCK)], axis=-1) * _BLOCK  # whole blocks
-    pyramid = downscale_heatmap(hm224, rows)
+    pyramid = downscale_heatmap(ncc_heatmap(_detector_frames(video.frames, temporal_mean), template))
 
     windows = window_index(n_frames)
     predictions = {}
     for s, k in POOLING.items():
         # the operator is looked up on each call, not kept in a table, so that a wrapper
         # put in heatmaps' namespace (a tracer's) is the one called
-        band = rows // k
-        b = float(k) * expectation_for_scale(s)(pyramid[s], band)[windows]
-        h = float(k) * hard_argmax(pyramid[s], band)[windows]
+        b = float(k) * expectation_for_scale(s)(pyramid[s])[windows]
+        h = float(k) * hard_argmax(pyramid[s])[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions_px, "V": win.velocities_fu,
                           "bounce": win.bounce_flags}

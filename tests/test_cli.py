@@ -76,6 +76,15 @@ class TestGen:
         assert sorted(outputs) == sorted(str(p) for p in out.rglob("*")
                                          if p.is_file() and p.name != "gen_manifest.json")
 
+    def test_repeated_calls_keep_their_own_sigmas(self, tmp_path):
+        # one parser serves every call in a process; each call's --sigma list is its own
+        assert build_parser() is build_parser()
+        for name, sigma in (("a", "0"), ("b", "1")):
+            assert main(["gen", "--out", str(tmp_path / name), "--sigma", sigma, *GEN_SMALL]) == 0
+        configs = [json.loads((tmp_path / name / "gen_manifest.json").read_text())["config"] for name in "ab"]
+        assert [config["sigma"] for config in configs] == [[0.0], [1.0]]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == ["gen_manifest.json", "sigma_1"]
+
     def test_both_sigma_levels(self, tmp_path):
         main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
         assert (tmp_path / "d" / "sigma_0").is_dir()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from balltrack import autodiff as ad
 from balltrack.heatmaps import (
     EPS,
+    RowBands,
     bicubic_expectation,
     bilinear_expectation,
     biquadratic_expectation,
@@ -367,18 +368,32 @@ def _banded_maps(draw):
     return maps, np.array(rows), rng.normal(size=maps.shape)
 
 
+def _row_bands(maps, rows):
+    """``maps`` as the :class:`RowBands` of their ``[start, stop)`` row bands:
+    windows of the tallest band's height, at least 1, moved up where they
+    would run off the bottom."""
+    *lead, h, _ = np.shape(ad.value(maps))
+    height = int(np.max(rows[..., 1] - rows[..., 0], initial=1))
+    first = np.minimum(rows[..., 0], h - height)
+    batch = tuple(ix[..., None] for ix in np.indices(lead, sparse=True))
+    return RowBands(maps[(*batch, first[..., None] + np.arange(height))], first, h)
+
+
 class TestBands:
-    """Operators that read only each map's row band keep the whole map's bits."""
+    """Operators that read only each map's row window keep the whole map's bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=_banded_maps())
     def test_banded_operators_keep_the_bits(self, case):
         maps, rows, direction = case
-        assert hard_argmax(maps, rows).tolist() == hard_argmax(maps).tolist()
-        assert hard_argmax(maps[0], rows[0]).tolist() == hard_argmax(maps[0]).tolist()
+        bands, one = _row_bands(maps, rows), _row_bands(maps[0], rows[0])
+        assert bands.dense().tobytes() == maps.tobytes() and one.dense().tobytes() == maps[0].tobytes()
+        assert hard_argmax(bands).tolist() == hard_argmax(maps).tolist()
+        assert hard_argmax(one).tolist() == hard_argmax(maps[0]).tolist()
+        dual = ad.Dual(maps, direction)
         for op in OPS:
-            assert op(maps, rows).tobytes() == op(maps).tobytes(), op.__name__
-            assert op(maps[0], rows[0]).tobytes() == op(maps[0]).tobytes(), op.__name__
-            got, want = op(ad.Dual(maps, direction), rows), op(ad.Dual(maps, direction))
+            assert op(bands).tobytes() == op(maps).tobytes(), op.__name__
+            assert op(one).tobytes() == op(maps[0]).tobytes(), op.__name__
+            got, want = op(_row_bands(dual, rows)), op(dual)
             assert got.value.tobytes() == want.value.tobytes(), op.__name__
             assert got.tangent.tobytes() == want.tangent.tobytes(), op.__name__

@@ -21,6 +21,7 @@ from balltrack.tracker import (
     METRICS,
     SCALES,
     _detector_frames,
+    _nonzero_rows,
     _StackRows,
     disk_template,
     downscale_heatmap,
@@ -177,13 +178,6 @@ def _live_rows(frame, template):
     return int(np.count_nonzero(_live_mask(frame, template)))
 
 
-def _reference_band(frame, template):
-    """``[start, stop)`` of the live rows inside the template margin, ``(0, 0)`` if none."""
-    margin = template.shape[0] // 2
-    rows = np.flatnonzero(_live_mask(frame, template)[margin:len(frame) - margin]) + margin
-    return [int(rows[0]), int(rows[-1]) + 1] if len(rows) else [0, 0]
-
-
 def _dense(stack):
     """The float64 (T, H, W) stack of which ``stack`` holds the nonzero rows."""
     out = np.zeros(stack.shape)
@@ -225,6 +219,8 @@ class TestNccStack:
     @staticmethod
     def _assert_bitwise(stack, template):
         got = ncc_heatmap(stack, template)
+        if isinstance(stack, _StackRows):
+            got = got.dense()
         assert got.shape == stack.shape
         for frame, hm in zip(_dense(stack) if isinstance(stack, _StackRows) else stack, got):
             assert hm.tobytes() == _ncc_reference(frame, template).tobytes()
@@ -348,6 +344,13 @@ class TestNccStack:
         assert calls["irfft"] == [22] + [22] * squared + [11] + [224] + [224] * squared + [live]
         for got, ref in zip(hm, want):
             assert got.tobytes() == ref.tobytes()
+        # given as nonzero rows, the clean frame alone gets 16-row windows; the
+        # sweep widens every window to its whole map, keeping the clean frame's rows
+        assert ncc_heatmap(_nonzero_rows(stack[1:]), template).windows.shape == (1, 16, 224)
+        with np.errstate(invalid="ignore", over="ignore"):
+            bands = ncc_heatmap(_nonzero_rows(stack), template)
+        assert bands.windows.shape == stack.shape and not bands.first.any()
+        assert bands.windows.tobytes() == hm.tobytes()
 
     def test_batch_boundaries(self, rng_np):
         # 48-row frames, where a disk reaches 11 rows of a 7-row template's window
@@ -368,15 +371,14 @@ class TestNccStack:
         nonzero = [np.flatnonzero(f.any(axis=-1)) for f in stack]
         reached = sum(min(r[-1] + 4, 48) - max(r[0] - 3, 0) for r in nonzero if len(r))
         assert reached > 3 * 48  # batches of at most 48 reached rows: at least four of them
-        bands = np.empty((len(stack), 2), int)
         with np.errstate(invalid="ignore"):
-            got = ncc_heatmap(stack, template, bands)
+            got = ncc_heatmap(stack, template)
+            bands = ncc_heatmap(_nonzero_rows(stack), template)
             want = [_ncc_reference(frame, template) for frame in stack]
-            want_bands = [_reference_band(frame, template) for frame in stack]
         for k, (hm, ref) in enumerate(zip(got, want)):
             assert hm.tobytes() == ref.tobytes(), k
-        assert bands.tolist() == want_bands
-        assert want_bands[2] == want_bands[3] == [0, 0] and want_bands[6] == [3, 45]
+        # the NaN frame is swept, so every window became its whole map
+        assert bands.windows.tobytes() == got.tobytes() and not bands.first.any() and bands.height == 48
 
     @settings(max_examples=150, deadline=None)
     @given(stack=_sparse_stacks(), radius=st.sampled_from([2.0, 3.0]))
@@ -430,7 +432,7 @@ def _reference_track(frames, cfg, temporal_mean):
 @st.composite
 def _detector_stacks(draw):
     """float32 frames and their config: per frame a disk anywhere, a disk in
-    the template margin rows (so the bands, once whole 4x4 blocks, reach row
+    the template margin rows (so the windows, in whole 4x4 blocks, reach row
     0 or row H-1), a disk centered on row 0, 1, H-2 or H-1 scaled by -1, 1/2
     or 1 (a dark disk correlates positively at the rows where the window sums'
     reach ends), no disk, or dense noise; over zeros or one static noise
@@ -460,7 +462,7 @@ def _detector_stacks(draw):
 
 
 class TestBands:
-    """Every stage that reads only each frame's live-row band has the bits
+    """Every stage that reads only each frame's row window has the bits
     of the same stage over whole frames."""
 
     @settings(max_examples=60, deadline=None)
@@ -472,15 +474,13 @@ class TestBands:
         want = _reference_temporal_mean(frames) if temporal_mean else frames.astype(np.float64)
         assert work.tobytes() == want.tobytes()
         template = disk_template(cfg.radius_px)
-        bands = np.empty((len(frames), 2), int)
-        hm = ncc_heatmap(rows, template, bands)
+        bands = ncc_heatmap(rows, template)
+        hm = bands.dense()
         assert hm.tobytes() == np.array([_ncc_reference(f, template) for f in work]).tobytes()
-        for m, (start, stop) in zip(hm, bands):
-            assert not m[:start].any() and not m[stop:].any()
-        rows = np.stack([bands[:, 0] // 4 * 4, -(-bands[:, 1] // 4) * 4], axis=-1)
-        for k, m in zip((4, 2, 1), downscale_heatmap(hm, rows).values()):
-            assert m.tobytes() == _reference_pool(hm, k).tobytes()
-            assert hard_argmax(m, rows // k).tolist() == _reference_argmax(m).tolist()
+        assert bands.windows.shape[1] % 4 == 0 and not (bands.first % 4).any()  # whole 4x4 blocks
+        for k, m in zip((4, 2, 1), downscale_heatmap(bands).values()):
+            assert m.dense().tobytes() == _reference_pool(hm, k).tobytes()
+            assert hard_argmax(m).tolist() == _reference_argmax(m.dense()).tolist()
 
         got = track_sequence(VideoSequence(frames, trajectory=None), cfg, temporal_mean)
         want = _reference_track(frames, cfg, temporal_mean)
@@ -492,12 +492,42 @@ class TestBands:
         cfg = SimConfig(image_size=32, frames_per_video=3)
         for frames in (np.zeros((3, 32, 32), np.float32),
                        np.random.default_rng(5).normal(size=(3, 32, 32)).astype(np.float32)):
-            bands = np.empty((3, 2), int)
-            ncc_heatmap(frames, disk_template(cfg.radius_px), bands)
-            assert bands.tolist() == ([[0, 0]] * 3 if not frames.any() else [[3, 29]] * 3)
+            template = disk_template(cfg.radius_px)
+            bands = ncc_heatmap(_detector_frames(frames, False), template)
+            # no nonzero row: windows of one 4-row block; dense frames: the whole maps
+            assert bands.windows.shape == ((3, 4, 32) if not frames.any() else (3, 32, 32))
+            assert not bands.first.any()
+            assert bands.dense().tobytes() == ncc_heatmap(frames, template).tobytes()
             got = track_sequence(VideoSequence(frames, trajectory=None), cfg)
             want = _reference_track(frames, cfg, False)
             assert all(got[s][k].tobytes() == want[s][k].tobytes() for s in want for k in want[s])
+
+
+class TestPeakMemory:
+    """tracemalloc peak of ``track_sequence`` on one default 40-frame, 224 px
+    sequence, after a first call has loaded scipy.fft and its plans."""
+
+    @staticmethod
+    def _peak_mb(cfg, temporal_mean=False):
+        seq = generate_sequence(cfg, split_stream(cfg, "test", 0))
+        track_sequence(seq, cfg, temporal_mean)
+        tracemalloc.start()
+        try:
+            track_sequence(seq, cfg, temporal_mean)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_sparse_frames_build_no_dense_stack(self):
+        # one (40, 224, 224) float64 stack is 16 MB; with one the peak read 22.7 MB
+        peak = self._peak_mb(SimConfig())
+        assert peak < 10.0, peak
+
+    def test_dense_frames_keep_their_peak(self):
+        # dense frames make every window its whole map, one dense stack, as before
+        # the maps were held as row windows, when the peak read 25.1 MB
+        peak = self._peak_mb(SimConfig(noise_sigma=1.0))
+        assert peak <= 25.1 + 1.0, peak
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -537,6 +567,8 @@ totals = tracer.totals()
 tracer.uninstall()
 
 assert totals["heatmaps.calls"] == 9, totals["heatmaps.calls"]
+for stage in ("ncc_heatmap", "downscale_heatmap"):  # the track path's per-layer figures
+    assert totals.get(f"tracker.{stage}.calls") == 1, (stage, totals.get(f"tracker.{stage}.calls"))
 operators = {heatmaps.expectation_for_scale(s).__name__ for s in tracker.SCALES}
 assert len(operators) == 3, operators
 for op in operators:
