@@ -11,8 +11,8 @@ Every command writes a ``<command>_manifest.json`` next to its outputs with
 the fully resolved configuration, so a run can be reproduced bit-exactly.
 Every output directory is made, locked and written by ``video.staged``, so
 two commands cannot write one directory at once and a failed command leaves
-nothing it made.  A held lock or an ``OSError`` ends a command with
-``error: ...``.
+nothing it made.  Every failure, a rejected input, a held lock or an
+``OSError``, ends a command with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -78,15 +78,14 @@ def _resolve_out(args, default_name: str) -> Path:
         return Path(args.out)
     root = os.environ.get(ENV_OUT_ROOT)
     if root is None:
-        raise SystemExit(f"--out not given and ${ENV_OUT_ROOT} is unset")
+        raise SystemExit(f"error: --out not given and ${ENV_OUT_ROOT} is unset")
     return Path(root) / default_name
 
 
 def _write_manifest(path: Path, command: str, config: dict, inputs, outputs, started: float) -> None:
-    resolved = {k: v for k, v in config.items() if isinstance(v, (str, int, float, bool, list, type(None)))}
     manifest = {
         "command": command,
-        "config": resolved,
+        "config": config,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "artifact_version": __version__,
@@ -109,10 +108,10 @@ def cmd_gen(args) -> int:
         try:
             cfg = _config_from_args(args, sigma)
         except SimulationError as err:
-            raise SystemExit(f"invalid configuration: {err}")
+            raise SystemExit(f"error: invalid configuration: {err}")
         target = _sigma_dir(out, cfg.noise_sigma)
         if target in targets:
-            raise SystemExit(f"--sigma {targets[target][0]} and --sigma {sigma} both map to {target}")
+            raise SystemExit(f"error: --sigma {targets[target][0]} and --sigma {sigma} both map to {target}")
         targets[target] = sigma, cfg  # the sigma as given
     for target, (_, cfg) in targets.items():  # a dataset already there must have the same config
         existing_manifest(target, cfg)
@@ -170,7 +169,7 @@ def cmd_effects(args) -> int:
     try:
         effects = compute_all_effects(table, metrics)
     except MissingCellsError as err:
-        raise SystemExit(f"incomplete design grid: {err}")
+        raise SystemExit(f"error: incomplete design grid: {err}")
 
     names = ["effects.csv", "effects_report.txt", "effects_manifest.json"]
     with staged(out, names) as (csv_path, report_path, manifest):

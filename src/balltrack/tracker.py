@@ -11,13 +11,14 @@ correlator to the operators the maps are held as row windows
 W) map: each window, of one common height, holds the rows its frame
 reaches in whole blocks of the largest pooling factor, and every stage keeps
 the bits of the same stage over whole frames; a dense frame makes the
-windows whole frames.  The
-correlator's input is the stack's nonzero rows, which the temporal mean
-builds without a dense stack.  It takes its window sums only on the rows
-that each frame's nonzero rows reach, guarded by a bound on the FFT
-rounding residue of the rows it skips, and runs its row transforms and its
-elementwise tail once per batch of frames whose reached rows fit in one
-frame's height.
+windows whole frames.  The correlator's input is the stack's nonzero rows,
+which the temporal mean builds without a dense stack; an array of frames is
+turned into its nonzero rows and takes the same path, and only
+``RowBands.dense()`` turns its windows back into whole maps.  It takes its
+window sums only on the rows that each frame's nonzero rows reach, guarded
+by a bound on the FFT rounding residue of the rows it skips, and runs its
+row transforms and its elementwise tail once per batch of frames whose
+reached rows fit in one frame's height.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the stack's windows whose
@@ -140,11 +141,11 @@ def _nonzero_rows(frames: np.ndarray) -> _StackRows:
 
 
 def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.ndarray | RowBands:
-    """Zero-normalized cross-correlation heatmaps of (..., H, W) frames, or
-    of a (T, H, W) stack given as its nonzero rows (as
-    :func:`_detector_frames` gives it), negatives suppressed.  Frames give
-    (..., H, W) maps; a stack of nonzero rows gives its (T, H, W) maps as a
-    :class:`~balltrack.heatmaps.RowBands`.
+    """Zero-normalized cross-correlation heatmaps, negatives suppressed, of
+    a (T, H, W) stack given as its nonzero rows (as :func:`_detector_frames`
+    gives it) as a :class:`~balltrack.heatmaps.RowBands`.  (..., H, W) frames
+    are first turned into their nonzero rows and take the same path; their
+    maps come back through ``RowBands.dense()`` in the frames' shape.
 
     Border pixels whose template window would leave the frame are zero, as
     are windows with (near-)zero variance.  As in Lewis 1995, the spectra of
@@ -186,23 +187,18 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
     per frame, and a frame it fails is swept alone, as a batch of its own
     that reaches every row.  Only a batch's rows are converted to float64,
     and only its live numerator rows get the rest of the arithmetic; a frame
-    of zeros gives a map of zeros and runs no transform.  An array of frames
-    is first turned into its nonzero rows.
+    of zeros gives a map of zeros and runs no transform.
 
-    A stack's maps are written straight into their row windows, sized
-    before any transform: each window holds the rows its frame's window sums
-    reach, rounded out to whole aligned blocks of the largest ``POOLING``
-    factor so that the pooled windows line up too, and all windows take the
-    tallest one's height, at least one block.  A dense frame reaches every
-    row, so its stack's windows are whole maps, as are all windows once the
-    residue guard sweeps a frame.  An array of frames gets whole maps.
+    The maps are written straight into their row windows, sized before any
+    transform: each window holds the rows its frame's window sums reach,
+    rounded out to whole aligned blocks of the largest ``POOLING`` factor so
+    that the pooled windows line up too, and all windows take the tallest
+    one's height, at least one block.  A dense frame reaches every row, so
+    its stack's windows are whole maps, as are all windows once the residue
+    guard sweeps a frame; ``dense()`` then hands back the windows themselves.
     """
     from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2  # here, so only tracking loads scipy
-    if isinstance(frames, _StackRows):
-        stack, shape = frames, None
-    else:
-        frames = np.asarray(frames)
-        stack, shape = _nonzero_rows(frames), frames.shape
+    stack = frames if isinstance(frames, _StackRows) else _nonzero_rows(np.asarray(frames))
     t0 = template - template.mean()
     t_norm = np.sqrt(np.sum(t0 * t0))
     n = template.size
@@ -232,11 +228,11 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
     held = np.flatnonzero(first[1:] > first[:-1])
     lo = np.maximum(stack.row[first[held]] - top, 0)
     hi = np.minimum(stack.row[first[held + 1] - 1] + kh - top, h)
-    base, b = np.zeros(n_maps, int), h  # each map's window: rows [base, base + b)
-    if shape is None:
-        start, stop = lo // _BLOCK * _BLOCK, -(-hi // _BLOCK) * _BLOCK
-        b = min(int(np.max(stop - start, initial=_BLOCK)), h)
-        base[held] = np.minimum(start, h - b)
+    # each map's window: rows [base, base + b), its reach in whole blocks, as tall as the tallest one
+    start, stop = lo // _BLOCK * _BLOCK, -(-hi // _BLOCK) * _BLOCK
+    b = min(int(np.max(stop - start, initial=_BLOCK)), h)
+    base = np.zeros(n_maps, int)
+    base[held] = np.minimum(start, h - b)
     maps = np.zeros((n_maps, b, w))
     # a batch's rows of the inverse column passes: sum, sum of squares, numerator
     s1_buf, s2_buf, num_buf = np.empty((3, h, q // 2 + 1), complex)
@@ -317,7 +313,8 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
             if b < h:  # the frame reaches every row: every window becomes its whole map
                 maps, base, b = RowBands(maps, base, h).dense(), np.zeros(n_maps, int), h
             correlate(np.array([f]), np.array([0]), np.array([h]))  # the window sums on every row
-    return RowBands(maps, base, h) if shape is None else maps.reshape(shape)
+    bands = RowBands(maps, base, h)
+    return bands if stack is frames else bands.dense().reshape(np.shape(frames))
 
 
 def _avg_pool(hm: np.ndarray, k: int, chunk_rows: int) -> np.ndarray:
@@ -402,9 +399,9 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     the scales of ``POOLING``, with the estimates named in the module
     docstring.  Windows are independent of each other: each one sees only
     its own three frames, so there is no rollout and no error accumulation.
-    A frame holding a NaN or infinite pixel raises ``ValueError`` naming the
-    first such frame, and a radius below 1 px (``SimConfig`` admits it) raises
-    ``ValueError("template radius must be >= 1")``, both before any transform.
+    Frames not of ``cfg.image_size`` and a frame holding a NaN or infinite
+    pixel (the first such is named) raise ``ValueError``, and so does a radius
+    below 1 px (``SimConfig`` admits it), all before any transform.
     """
     n_frames = len(video.frames)
     if n_frames < 3:
@@ -413,6 +410,9 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
         factors = " and ".join(f"{k}x" for k in sorted(POOLING.values()) if k > 1)
         raise ValueError(f"image size {cfg.image_size} is not divisible by {_BLOCK}, which the "
                          f"{factors} pooling of the heatmap pyramid needs")
+    if video.frames.shape[1:] != (cfg.image_size,) * 2:
+        size = "x".join(map(str, video.frames.shape[1:]))
+        raise ValueError(f"frames of {size} px do not match the image size {cfg.image_size}")
     if not np.isfinite(video.frames).all():  # the correlator would blank such a frame silently
         bad = np.flatnonzero(~np.isfinite(video.frames).all(axis=(1, 2)))[0]
         raise ValueError(f"frame {bad} holds a non-finite pixel")

@@ -514,8 +514,8 @@ def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
     :func:`write_dataset` accepts, each with a leading N, raise
     :class:`ShapeMismatchError`, where N is the frames header's sequence
     count, at least 1 and the manifest's count if it lists one; a listed
-    count that is a bool or a float raises :class:`DatasetError`.  Bounce
-    flags other than 0 and 1 raise :class:`DatasetError`.
+    count that is not an integer, a bool and a string among them, raises
+    :class:`DatasetError`.  Bounce flags other than 0 and 1 raise it too.
 
     The truth records are read here; the frames are not.  The sequences
     come back as a read-only sequence whose every access reads that
@@ -554,7 +554,7 @@ def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:
     shapes = tuple(shapes.values())
     n = shapes[0][0] if shapes[0] else 0
     n_listed = manifest.get("splits", {}).get(split)
-    if isinstance(n_listed, (bool, float)):  # true == 1 and 1.0 == 1 would pass the check below
+    if isinstance(n_listed, bool) or not isinstance(n_listed, (int, type(None))):  # true == 1 and 1.0 == 1
         raise DatasetError(f"{path}: the manifest's {split!r} count {n_listed!r} is not an integer")
     want = tuple((n, *shape) for shape in _record_shapes(cfg).values())
     if shapes != want or n < 1 or n_listed not in (None, n):

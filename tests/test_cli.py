@@ -99,7 +99,7 @@ class TestGen:
                                tmp_path / "b" / "sigma_0" / name, shallow=False)
 
     def test_two_frames_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="invalid configuration"):
+        with pytest.raises(SystemExit, match="^error: invalid configuration: "):
             main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--frames", "2"])
         assert not (tmp_path / "d").exists()
 
@@ -120,7 +120,7 @@ class TestGen:
         for sigma in sigmas:
             argv += ["--sigma", sigma]
         given = re.escape(f"--sigma {float(sigmas[0])} and --sigma {float(sigmas[1])}")  # each as given
-        with pytest.raises(SystemExit, match=rf"^{given} both map to .*sigma_[0-9p]+$"):
+        with pytest.raises(SystemExit, match=rf"^error: {given} both map to .*sigma_[0-9p]+$"):
             main(argv)
         assert not (tmp_path / "d").exists()
 
@@ -287,7 +287,7 @@ class TestOutRoot:
     def test_unset_root_is_an_error(self, small_dataset, tmp_path, monkeypatch, command):
         monkeypatch.delenv("BALLTRACK_OUT", raising=False)
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match=r"--out not given and \$BALLTRACK_OUT is unset"):
+        with pytest.raises(SystemExit, match=r"^error: --out not given and \$BALLTRACK_OUT is unset$"):
             main(self._argv(command, small_dataset, tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == (["results.csv"] if command == "effects" else [])
 
@@ -730,6 +730,13 @@ class TestEffects:
         with pytest.raises(SystemExit) as err:
             main(["effects", "--results", str(csv), "--out", str(tmp_path / "fx")])
         assert "A1B0C1D0E0F1" in str(err.value)
+
+    def test_incomplete_grid_reported_before_writing(self, tmp_path):
+        csv = _planted_csv(tmp_path / "results.csv", n_reps=1, drop=("A1B0C0D0E0F0", 0))
+        with pytest.raises(SystemExit, match=r"^error: incomplete design grid: metric 'B112' missing 1 cells: "
+                                             r"\(A1B0C0D0E0F0, r0\)$"):
+            main(["effects", "--results", str(csv), "--out", str(tmp_path / "fx")])
+        assert not (tmp_path / "fx").exists()
 
     def test_spaces_around_fields_ignored(self, tmp_path):
         csv = _planted_csv(tmp_path / "results.csv")

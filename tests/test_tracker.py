@@ -712,6 +712,18 @@ class TestTrackSequence:
         with pytest.raises(ValueError, match="^frame 7 holds a non-finite pixel$"):
             track_sequence(dataclasses.replace(clean_seq, frames=frames), cfg)
 
+    @pytest.mark.parametrize("size", [30, 64])
+    def test_frames_of_another_size_rejected_before_any_transform(self, monkeypatch, size):
+        import balltrack.tracker as tracker
+
+        cfg = SimConfig(image_size=32, v_max=1.0, frames_per_video=6)
+        seq = generate_sequence(cfg, split_stream(cfg, "test", 0))
+        frames = np.zeros((6, size, size), np.float32)
+        frames[:, :min(size, 32), :min(size, 32)] = seq.frames[:, :size, :size]
+        monkeypatch.setattr(tracker, "ncc_heatmap", lambda *a, **k: pytest.fail("correlator ran"))
+        with pytest.raises(ValueError, match=f"^frames of {size}x{size} px do not match the image size 32$"):
+            track_sequence(VideoSequence(frames, seq.trajectory), cfg)
+
     def test_windows_independent_and_deterministic(self, clean_seq, cfg):
         a = track_sequence(clean_seq, cfg)
         b = track_sequence(clean_seq, cfg)

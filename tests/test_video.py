@@ -276,20 +276,20 @@ class TestDatasetIO:
         import json
 
         meta = json.loads((tmp_path / "meta.json").read_text())
-        for listed in (len(seqs) - 1, str(len(seqs))):  # a string count is no count, not a TypeError
-            meta["splits"]["test"] = listed
-            (tmp_path / "meta.json").write_text(json.dumps(meta))
-            with pytest.raises(ShapeMismatchError):
-                read_dataset(tmp_path, "test")
+        meta["splits"]["test"] = len(seqs) - 1
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ShapeMismatchError):
+            read_dataset(tmp_path, "test")
 
-    @pytest.mark.parametrize("listed", [True, 1.0], ids=["bool", "float"])
+    @pytest.mark.parametrize("listed", [True, 1.0, "8", [8], {"n": 8}],
+                             ids=["bool", "float", "string", "list", "object"])
     def test_non_integer_split_count_raises(self, tmp_path, small_cfg, listed):
         cfg = replace(small_cfg, n_test=1)  # a count equal to 1 once passed as the split's size
         write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
         meta = json.loads((tmp_path / "meta.json").read_text())
         meta["splits"]["test"] = listed
         (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DatasetError, match=rf"'test' count {listed!r} is not an integer$"):
+        with pytest.raises(DatasetError, match=re.escape(f"'test' count {listed!r} is not an integer") + "$"):
             read_dataset(tmp_path, "test")
 
     def test_regeneration_is_bit_identical(self, tmp_path, small_cfg):
