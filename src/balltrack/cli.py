@@ -8,7 +8,9 @@ Subcommands:
 * ``effects``    estimate factorial effects from a results CSV
 
 Every command writes a ``<command>_manifest.json`` next to its outputs with
-the fully resolved configuration, so a run can be reproduced bit-exactly.
+the fully resolved configuration and the platform (the Python, numpy and
+scipy versions and numpy's complex128 multiply kernel), so a run can be
+reproduced bit-exactly on a machine whose multiply kernel is the same.
 Every output directory is made, locked and written by ``video.staged``, so
 two commands cannot write one directory at once and a failed command leaves
 nothing it made.  Every failure, a rejected input, a held lock or an
@@ -82,6 +84,26 @@ def _resolve_out(args, default_name: str) -> Path:
     return Path(root) / default_name
 
 
+@functools.cache
+def _platform() -> dict:
+    """The Python, numpy and scipy versions, and the complex128 multiply
+    kernel numpy dispatches to: a fused multiply-add kernel and the plain one
+    give the tracker's spectral products different last bits."""
+    import platform
+
+    import numpy
+    import scipy
+
+    try:
+        from numpy.lib.introspect import opt_func_info
+        (dispatch,) = opt_func_info(func_name="^multiply$", signature="complex128")["multiply"].values()
+        kernel = dispatch["current"]
+    except (ImportError, KeyError, ValueError):  # numpy < 2.0, or a build with no dispatched kernel
+        kernel = None
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "complex128_multiply": kernel}
+
+
 def _write_manifest(path: Path, command: str, config: dict, inputs, outputs, started: float) -> None:
     manifest = {
         "command": command,
@@ -89,6 +111,7 @@ def _write_manifest(path: Path, command: str, config: dict, inputs, outputs, sta
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "artifact_version": __version__,
+        "platform": _platform(),
         "duration_s": round(time.time() - started, 3),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

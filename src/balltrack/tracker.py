@@ -14,11 +14,14 @@ the bits of the same stage over whole frames; a dense frame makes the
 windows whole frames.  The correlator's input is the stack's nonzero rows,
 which the temporal mean builds without a dense stack; an array of frames is
 turned into its nonzero rows and takes the same path, and only
-``RowBands.dense()`` turns its windows back into whole maps.  It takes its
-window sums only on the rows that each frame's nonzero rows reach, guarded
-by a bound on the FFT rounding residue of the rows it skips, and runs its
-row transforms and its elementwise tail once per batch of frames whose
-reached rows fit in one frame's height.
+``RowBands.dense()`` turns its windows back into whole maps.  The pixels are
+checked for NaN and infinity on those gathered rows and frame 0, not on the
+whole stack.  The correlator takes its window sums only on the rows that
+each frame's nonzero rows reach, guarded by a bound on the FFT rounding
+residue of the rows it skips, and runs its row transforms, its residue
+bounds and its elementwise tail once per batch of frames whose reached rows
+fit in one frame's height.  Its column passes, the template's included, run
+along the last axis of transposed spectra, over each image's nonzero rows.
 
 Per 3-frame window and per scale, three position estimates are extracted:
 B (the scale's expectation operator, one call on the stack's windows whose
@@ -96,27 +99,29 @@ def disk_template(radius: float) -> np.ndarray:
     return disk - disk.mean()
 
 
-# safety factor of the FFT rounding bound in ``_residue_bound``
+# safety factor of the FFT rounding bound in ``_residue_bounds``
 _FFT_ERROR_FACTOR = 10.0
 
 
-def _residue_bound(x, sq, size, n):
-    """Bound on the square root of the window variance, computed by FFT, at a
-    row that no nonzero value of the frame reaches.
+def _residue_bounds(sq, starts, size, n):
+    """Bounds on the square root of the window variance, computed by FFT, at
+    the rows that no nonzero value of a frame reaches, one per frame whose
+    squared values are the rows of ``sq`` from ``starts``.
 
     Such a window sum is exact zero plus the FFT convolution's rounding
     error, at most ``c log2(size) u ||k||_1 ||x||_2`` (Higham, *Accuracy and
     Stability of Numerical Algorithms*, ch. 24): ``B1`` with the frame's
-    values ``x``, ``B2`` with their squares ``sq``, for the all-ones window of
-    ``n`` pixels (``||k||_1 = n``) and transforms of ``size`` points.  The
-    variance ``s2 - s1^2/n`` is then at most ``B2 + B1^2/n``.  A frame with a
-    non-finite value or square gives a non-finite bound.
+    values x, ``B2`` with their squares, for the all-ones window of ``n``
+    pixels (``||k||_1 = n``) and transforms of ``size`` points.  The variance
+    ``s2 - s1^2/n`` is then at most ``B2 + B1^2/n``.  The norms are summed
+    row by row, so they round unlike a frame's own sum, far inside the
+    bound's safety factor.  A frame with a non-finite value or square gives a
+    non-finite bound.
     """
     scale = _FFT_ERROR_FACTOR * np.log2(size) * np.finfo(np.float64).eps / 2 * n
     with np.errstate(over="ignore", invalid="ignore"):
-        b1 = scale * np.sqrt(np.sum(sq))
-        b2 = scale * np.sqrt(np.sum(sq * sq))
-        return float(np.sqrt(b2 + b1 * b1 / n))
+        b1, b2 = scale * np.sqrt(np.add.reduceat([sq.sum(axis=-1), (sq * sq).sum(axis=-1)], starts, axis=-1))
+        return np.sqrt(b2 + b1 * b1 / n)
 
 
 class _StackRows(NamedTuple):
@@ -155,16 +160,22 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
 
     Each 2-D transform is a row pass and a column pass, run as ``rfft2`` and
     ``irfft2`` run them: forward r2c along rows then c2c along columns, inverse
-    c2c along columns then c2r along rows with the one 1/(P*Q) scale.  A zero
-    row has a zero spectrum row, so the forward row pass takes only the
-    frame's nonzero rows; each row of the inverse row pass depends only on its
-    own row, so it runs only on the rows kept.  For the two window sums these
+    c2c along columns then c2r along rows with the one 1/(P*Q) scale.  The
+    column spectra are held transposed, (Q//2+1, P), the two kernels' too, so
+    every column pass is a c2c along the contiguous last axis; each column is
+    the same transform either way.  A zero row has a zero spectrum row, so the
+    forward row pass takes only an image's nonzero rows, and only those are
+    copied into the zero-padded column buffer: the template's kh rows, for
+    both kernels in one row pass and one column pass, and each frame's
+    nonzero rows.  Each row of the inverse row pass depends only on its own
+    row, so only the rows kept are copied out of the inverse column pass, and
+    the inverse row pass runs on those alone.  For the two window sums these
     are the rows the frame's nonzero rows ``r`` reach: "same" row i reads
     frame rows i+top-kh+1 .. i+top of a kh-row template, so rows
     ``[r[0] - top, r[-1] + kh - 1 - top]`` within the frame.  The variance,
     the denominator, the cutoff and the live mask are taken on those rows
     only, and every other row is not live.  An FFT leaves rounding residue on
-    those other rows; they are skipped only when :func:`_residue_bound`, times
+    those other rows; they are skipped only when :func:`_residue_bounds`, times
     the template norm, is below the cutoff, so that the residue could neither
     pass the cutoff nor move ``den.max()`` or the 1e-9 floor.  Otherwise (a
     NaN, an infinity or a square that overflows) the frame is run again with
@@ -183,7 +194,9 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
     one by one and copy the rows they reach into H-row buffers.  One
     inverse row pass per window sum, one variance-to-live-mask tail (each
     frame's cutoff from its own ``den.max()``) and one inverse row pass of
-    the live numerator rows serve the whole batch; the residue guard stays
+    the live numerator rows serve the whole batch.  The residue bounds of a
+    batch's frames come from one pass over its rows (a batch that is one
+    frame reaching every row skips nothing and needs none); the guard stays
     per frame, and a frame it fails is swept alone, as a batch of its own
     that reaches every row.  Only a batch's rows are converted to float64,
     and only its live numerator rows get the rest of the arithmetic; a frame
@@ -197,30 +210,31 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
     its stack's windows are whole maps, as are all windows once the residue
     guard sweeps a frame; ``dense()`` then hands back the windows themselves.
     """
-    from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2  # here, so only tracking loads scipy
+    from scipy.fft import fft, ifft, irfft, next_fast_len, rfft  # here, so only tracking loads scipy
     stack = frames if isinstance(frames, _StackRows) else _nonzero_rows(np.asarray(frames))
     t0 = template - template.mean()
     t_norm = np.sqrt(np.sum(t0 * t0))
     n = template.size
 
     (n_maps, h, w), (kh, kw) = stack.shape, template.shape
-    fshape = p, q = (next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True))
+    p, q = next_fast_len(h + kh - 1, True), next_fast_len(w + kw - 1, True)
     top, cols = (kh - 1) // 2, slice((kw - 1) // 2, (kw - 1) // 2 + w)
     margin = kh // 2
-    flipped_spec = rfft2(t0[::-1, ::-1], fshape)
-    ones_spec = rfft2(np.ones_like(template), fshape)
     # irfft2's scale: pocketfft's long-double 1/(P*Q) rounds to this double
     # for every 5-smooth P*Q below 9e15
     scale = 1.0 / (p * q)
 
     def column(spectra, rows):
-        # rfft2 at fshape of the frame whose nonzero rows ``rows`` have the row spectra ``spectra``
-        buf = np.zeros((p, q // 2 + 1), complex)
-        buf[rows] = spectra
-        return fft(buf, axis=0, overwrite_x=True)
+        # rfft2 at (P, Q), transposed to (..., Q//2+1, P), of the images whose
+        # nonzero rows ``rows`` have the (..., rows, Q//2+1) row spectra ``spectra``
+        buf = np.zeros((*spectra.shape[:-2], q // 2 + 1, p), complex)
+        buf[..., rows] = np.swapaxes(spectra, -1, -2)
+        return fft(buf, axis=-1, overwrite_x=True)
+
+    flipped_spec, ones_spec = column(rfft([t0[::-1, ::-1], np.ones_like(template)], q, axis=-1), np.arange(kh))
 
     def inverse(part):
-        # irfft2(spec, fshape)[rows, cols] from those rows of the inverse column pass
+        # irfft2(spec, (P, Q))[rows, cols] from those rows of the inverse column pass
         return irfft(part, q, axis=-1, norm="forward")[:, cols] * scale
 
     first = np.searchsorted(stack.frame, np.arange(n_maps + 1))  # frame f: stack rows first[f:f+2]
@@ -252,11 +266,11 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
         if not binary:
             passes.append((rfft(sq, q, axis=-1), [(s2_buf, ones_spec)]))
         # rows outside [lo, hi) hold FFT rounding residue; they are skipped
-        # only when its bound cannot reach the cutoff.  The bounds are taken
-        # here so that x and sq are freed before the column passes, which
-        # keeps the working set small
-        bound = np.array([_residue_bound(x[a:a + m], sq[a:a + m], p * q, n) * t_norm if r < h else 0.0
-                          for a, m, r in zip(starts.tolist(), counts.tolist(), reach.tolist())])
+        # only when its bound cannot reach the cutoff.  A frame that reaches
+        # every row, always a batch of its own, skips none.  The bounds are
+        # taken here so that x and sq are freed before the column passes,
+        # which keeps the working set small
+        bound = np.zeros(1) if reach[0] == h else _residue_bounds(sq, starts, p * q, n) * t_norm
         del x, sq
         # each column pass's reached rows are copied, so that no view keeps a
         # whole column pass alive, and a frame's column spectrum is dropped
@@ -267,7 +281,7 @@ def ncc_heatmap(frames: np.ndarray | _StackRows, template: np.ndarray) -> np.nda
             for row_spectra, kernels in passes:
                 spec = column(row_spectra[a:a + m], rows)
                 for buf, kernel_spec in kernels:  # rows ``keep`` of the inverse column pass
-                    buf[o:o + r - l] = ifft(spec * kernel_spec, axis=0, norm="forward", overwrite_x=True)[keep]
+                    buf[o:o + r - l] = ifft(spec * kernel_spec, norm="forward", overwrite_x=True)[:, keep].T
                 del spec
         s1 = inverse(s1_buf[:reach.sum()])
         s2 = s1 if binary else inverse(s2_buf[:reach.sum()])  # a 0/1 batch's sum of squares is its sum
@@ -356,6 +370,14 @@ def downscale_heatmap(hm224: np.ndarray | RowBands) -> dict[int, np.ndarray | Ro
     return {s: hm224 if k == 1 else pooled(k) for s, k in POOLING.items()}
 
 
+def _check_finite(frames: np.ndarray, *rows: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of ``frames`` with a NaN or
+    infinite pixel when one of ``rows``, rows of those frames, holds one."""
+    if not all(np.isfinite(part).all() for part in rows):
+        bad = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))[0]
+        raise ValueError(f"frame {bad} holds a non-finite pixel")
+
+
 def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> _StackRows:
     """The nonzero rows of the frames fed to the correlator, in float64 with
     ``temporal_mean`` and in the frames' own dtype without it.
@@ -370,9 +392,18 @@ def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> _StackRows:
     float32 ``x``, the frames' dtype, the float64 ``(x + x) + x`` is exactly
     3x, ``3x / 3`` exactly x, and x - x is +0.0.  A computed row that
     rectifies to zeros is left out too.
+
+    A NaN or infinite pixel raises ``ValueError`` naming the first frame that
+    holds one, before any arithmetic on it.  Only frame 0 and the rows
+    gathered here are checked, which covers every pixel: such a pixel makes
+    its row nonzero, and with ``temporal_mean`` a row that did not change has
+    the bits of the first row of its run of equal rows, which is in frame 0 or
+    changed.  The whole stack is scanned only to name the frame.
     """
     if not temporal_mean:
-        return _nonzero_rows(frames)
+        stack = _nonzero_rows(frames)
+        _check_finite(frames, stack.values)
+        return stack
     n, h, w = frames.shape
     bits = frames.view(f"u{frames.itemsize}")
     step = (bits[1:] != bits[:-1]).any(axis=-1)  # (T-1, H): row r changes from t to t+1
@@ -381,7 +412,9 @@ def _detector_frames(frames: np.ndarray, temporal_mean: bool) -> _StackRows:
     changed[:-1] |= step
     t, r = np.nonzero(changed)
     flat, at = frames.reshape(n * h, w), t * h + r
-    own = flat[at].astype(np.float64)
+    own = flat[at]
+    _check_finite(frames, frames[0], own)
+    own = own.astype(np.float64)
     mean = own.copy()  # neighborhood sums in the order (previous + own) + next
     mean[t > 0] += flat[at[t > 0] - h]
     mean[t < n - 1] += flat[at[t < n - 1] + h]
@@ -413,13 +446,11 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     if video.frames.shape[1:] != (cfg.image_size,) * 2:
         size = "x".join(map(str, video.frames.shape[1:]))
         raise ValueError(f"frames of {size} px do not match the image size {cfg.image_size}")
-    if not np.isfinite(video.frames).all():  # the correlator would blank such a frame silently
-        bad = np.flatnonzero(~np.isfinite(video.frames).all(axis=(1, 2)))[0]
-        raise ValueError(f"frame {bad} holds a non-finite pixel")
+    rows = _detector_frames(video.frames, temporal_mean)  # checks the pixels the correlator would blank silently
 
     template = disk_template(cfg.radius_px)
     params = to_frame_units(cfg)
-    pyramid = downscale_heatmap(ncc_heatmap(_detector_frames(video.frames, temporal_mean), template))
+    pyramid = downscale_heatmap(ncc_heatmap(rows, template))
 
     windows = window_index(n_frames)
     predictions = {}

@@ -23,7 +23,7 @@ from balltrack.tracker import METRICS, track_split
 from balltrack.video import (DatasetError, _read_record, _write_record, generate_split, read_dataset, staged,
                              write_dataset)
 
-from reference_tables import TRACK_SEED_42_METRICS, assert_pinned
+from reference_tables import TRACK_SEED_7_DIGESTS, TRACK_SEED_42_METRICS, assert_pinned, multiply_kernel
 
 
 GEN_SMALL = ["--train", "2", "--val", "1", "--test", "2", "--frames", "10"]
@@ -265,6 +265,14 @@ def seed_42_dataset(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def seed_7_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed7")
+    main(["gen", "--out", str(out), "--train", "1", "--val", "1", "--test", "3", "--frames", "12", "--seed", "7",
+          "--sigma", "0", "--sigma", "1"])
+    return out
+
+
 class TestOutRoot:
     """Without ``--out``, gen, track and effects write to ``$BALLTRACK_OUT/<name>``;
     an ``--out`` that cannot be a directory is reported, not raised."""
@@ -282,6 +290,18 @@ class TestOutRoot:
         monkeypatch.setenv("BALLTRACK_OUT", str(tmp_path / "root"))
         assert main(self._argv(command, small_dataset, tmp_path)) == 0
         assert (tmp_path / "root" / name / f"{command}_manifest.json").is_file()
+
+    @pytest.mark.parametrize("command", ["gen", "track", "effects"])
+    def test_manifest_names_the_platform(self, small_dataset, tmp_path, command):
+        import platform
+
+        import scipy
+
+        out = tmp_path / "o"
+        assert main([*self._argv(command, small_dataset, tmp_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["platform"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                        "scipy": scipy.__version__, "complex128_multiply": multiply_kernel()}
 
     @pytest.mark.parametrize("command", ["gen", "track", "effects"])
     def test_unset_root_is_an_error(self, small_dataset, tmp_path, monkeypatch, command):
@@ -400,6 +420,14 @@ class TestTrack:
         written = {ln.split(",")[2]: float(ln.split(",")[3])
                    for ln in (out / "metrics.csv").read_text().splitlines()[1:]}
         assert_pinned(written, TRACK_SEED_42_METRICS[sigma, temporal_mean])
+
+    @pytest.mark.parametrize("sigma, temporal_mean", list(TRACK_SEED_7_DIGESTS))
+    def test_outputs_hold_the_pinned_digests(self, seed_7_dataset, tmp_path, sigma, temporal_mean):
+        out = tmp_path / "res"
+        flags = ["--temporal-mean"] if temporal_mean else []
+        assert main(["track", "--data", str(_sigma_dir(seed_7_dataset, sigma)), "--out", str(out), *flags]) == 0
+        pinned = TRACK_SEED_7_DIGESTS[sigma, temporal_mean]
+        assert_pinned({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}, pinned)
 
     def test_failed_rerun_keeps_the_previous_outputs(self, small_dataset, tmp_path, monkeypatch):
         import balltrack.cli

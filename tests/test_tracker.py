@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +257,10 @@ class TestNccStack:
 
     @staticmethod
     def _transforms(monkeypatch, stack, template):
-        """ncc_heatmap of ``stack`` and the rows each scipy.fft transform received,
-        ``{name: [rows per call]}``."""
+        """ncc_heatmap of ``stack`` and the length of the first axis of each
+        scipy.fft transform's input, ``{name: [length per call]}``: the rows of
+        a row pass, the spectrum columns of a column pass (each column is a
+        row of its transposed input) and the two images of the template pass."""
         # the tracker imports the transforms from scipy.fft when it runs, so it
         # calls these wrappers
         calls = {name: [] for name in scipy.fft.__all__
@@ -282,8 +285,10 @@ class TestNccStack:
         else:
             textured = [rng_np.normal(size=(224, 224)) for _ in range(n_textured)]
 
-        p = 240  # next_fast_len(224 + 7 - 1), the padded column length
-        want = {"rfft2": [7, 7], "rfft": [], "fft": [], "ifft": [], "irfft": []}
+        cols = 121  # Q//2+1 spectrum columns for Q = next_fast_len(224 + 7 - 1) = 240
+        # the flipped template and the all-ones window: one row pass and one
+        # column pass over both
+        want = {"rfft": [2], "fft": [2], "ifft": [], "irfft": []}
         for frame in binary:
             # a 0/1 frame: r2c of its nonzero rows, one sum map on the 11 rows the
             # disk's 5 reach (the template's 3 either side), and the numerator on
@@ -304,14 +309,15 @@ class TestNccStack:
             # frames runs the sum-of-squares column pass
             squared = any(tex for _, tex, _ in batch)
             for _ in batch:  # each frame's column passes run on their own
-                want["fft"] += [p] * (1 + squared)
-                want["ifft"] += [p] * (2 + squared)
+                want["fft"] += [cols] * (1 + squared)
+                want["ifft"] += [cols] * (2 + squared)
             want["rfft"] += [sum(np.count_nonzero(f.any(axis=-1)) for f, _, _ in batch)] * (1 + squared)
             want["irfft"] += [sum(reach for _, _, reach in batch)] * (1 + squared)
             want["irfft"] += [sum(_live_rows(f, template) for f, _, _ in batch)]
         stack = np.array(binary + textured)
         hm, calls = self._transforms(monkeypatch, stack, template)
         assert {name: rows for name, rows in calls.items() if rows or name in want} == want
+        assert not calls["rfft2"]
         for frame, got in zip(stack, hm):
             assert got.tobytes() == _ncc_reference(frame, template).tobytes()
 
@@ -320,8 +326,9 @@ class TestNccStack:
         template = disk_template(cfg.radius_px)
         frame = 0.5 * render_frame((100.0, 80.0), cfg)
         _, calls = self._transforms(monkeypatch, frame[None], template)
-        assert calls["rfft"] == [5, 5]
+        assert calls["rfft"] == [2, 5, 5]  # the template pass, then the frame and its square
         assert calls["irfft"] == [11, 11, _live_rows(frame, template)]
+        assert not calls["rfft2"]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
     def test_non_finite_bound_sweeps_every_row(self, cfg, monkeypatch, value):
@@ -677,6 +684,36 @@ class TestStacks:
             assert out[t].tobytes() == ref.tobytes()
 
 
+@st.composite
+def _non_finite_stacks(draw):
+    """float32 frames and their config with NaN, +inf or -inf at one pixel, at
+    one pixel of every frame (the same pixel or one drawn per frame), or at one
+    pixel through a run of frames; over zeros or one static noise image, with
+    a disk in some frames, so that with the temporal mean a non-finite row may
+    change in no frame, start a run of equal rows or end one."""
+    size, n = draw(st.sampled_from([16, 32])), draw(st.integers(3, 6))
+    cfg = SimConfig(image_size=size, frames_per_video=n, v_max=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = np.zeros((n, size, size)) + (rng.normal(size=(size, size)) if draw(st.booleans()) else 0.0)
+    for t in range(n):
+        if draw(st.booleans()):
+            frames[t] += render_frame((draw(st.floats(0, size - 1)), draw(st.floats(0, size - 1))), cfg)
+    frames = frames.astype(np.float32)
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    pixel = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    where = draw(st.sampled_from(["one", "every", "run"]))
+    if where == "every":
+        same = draw(pixel) if draw(st.booleans()) else None
+        for t in range(n):
+            frames[(t, *(same or draw(pixel)))] = value
+    else:
+        start = draw(st.integers(0, n - 1))
+        stop = start + 1 if where == "one" else draw(st.integers(start + 1, n))
+        y, x = draw(pixel)
+        frames[start:stop, y, x] = value
+    return frames, cfg
+
+
 class TestTrackSequence:
     def test_window_count(self, clean_seq, cfg):
         preds = track_sequence(clean_seq, cfg)
@@ -711,6 +748,20 @@ class TestTrackSequence:
         monkeypatch.setattr(tracker, "ncc_heatmap", lambda *a, **k: pytest.fail("correlator ran"))
         with pytest.raises(ValueError, match="^frame 7 holds a non-finite pixel$"):
             track_sequence(dataclasses.replace(clean_seq, frames=frames), cfg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_non_finite_stacks())
+    def test_non_finite_pixel_names_the_first_frame_holding_one(self, case):
+        # only frame 0 and the rows the detector gathers are checked; the error
+        # names the frame that a scan of the whole stack finds first, and
+        # nothing warns on the way
+        frames, cfg = case
+        first = np.flatnonzero(~np.isfinite(frames).all(axis=(1, 2)))[0]
+        for temporal_mean in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^frame {first} holds a non-finite pixel$"):
+                    track_sequence(VideoSequence(frames, trajectory=None), cfg, temporal_mean)
 
     @pytest.mark.parametrize("size", [30, 64])
     def test_frames_of_another_size_rejected_before_any_transform(self, monkeypatch, size):
