@@ -102,21 +102,6 @@ class Dual:
         sign = np.sign(self.value)
         return Dual(self.value * sign, self.tangent * sign)
 
-    # ---- elementary functions ----------------------------------------
-    def exp(self):
-        e = np.exp(self.value)
-        return Dual(e, e * self.tangent)
-
-    def log(self):
-        return Dual(np.log(self.value), self.tangent / self.value)
-
-    def log1p(self):
-        return Dual(np.log1p(self.value), self.tangent / (1.0 + self.value))
-
-    def sqrt(self):
-        s = np.sqrt(self.value)
-        return Dual(s, 0.5 * self.tangent / s)
-
     # ---- array plumbing ----------------------------------------------
     def __getitem__(self, idx):
         t = self.tangent[idx] if isinstance(self.tangent, np.ndarray) else self.tangent
@@ -199,19 +184,25 @@ def amean(x, axis=None):
 
 
 def exp(x):
-    return x.exp() if isinstance(x, Dual) else np.exp(x)
+    if isinstance(x, Dual):
+        e = np.exp(x.value)
+        return Dual(e, e * x.tangent)
+    return np.exp(x)
 
 
 def log(x):
-    return x.log() if isinstance(x, Dual) else np.log(x)
+    return Dual(np.log(x.value), x.tangent / x.value) if isinstance(x, Dual) else np.log(x)
 
 
 def log1p(x):
-    return x.log1p() if isinstance(x, Dual) else np.log1p(x)
+    return Dual(np.log1p(x.value), x.tangent / (1.0 + x.value)) if isinstance(x, Dual) else np.log1p(x)
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Dual) else np.sqrt(x)
+    if isinstance(x, Dual):
+        s = np.sqrt(x.value)
+        return Dual(s, 0.5 * x.tangent / s)
+    return np.sqrt(x)
 
 
 def stack(xs, axis=-1):

@@ -3,8 +3,9 @@
 Each check runs on the default :class:`SimConfig` and returns (name,
 passed, detail).  ``run_all`` is what the CLI ``selfcheck`` command
 executes; it is also intended as a quick smoke test after installing on a
-new platform.  The checks that run the physics kernel take it as
-``physics_window``, so a test can pass a wrong one and see them fail.
+new platform.  The checks that run the physics kernel read
+``balltrack.selfcheck.physics_refine_window`` when they run; assign another
+kernel there to certify it instead.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ GRAD_TOL = 1e-4
 FD_STEP = 1e-4
 
 
-def _window_fn(params, physics_window=physics_refine_window):
+def _window_fn(params):
     """(..., 6) landmarks -> (..., 12) refined positions then velocities."""
     def f(x):
-        win = physics_window(x.reshape(*x.shape[:-1], 3, 2), params)
+        win = physics_refine_window(x.reshape(*x.shape[:-1], 3, 2), params)
         return ad.stack([win.positions_px, win.velocities_fu], axis=-3).reshape(*x.shape[:-1], 12)
 
     return f
@@ -74,7 +75,7 @@ def interior_probe_windows(params, n, rng: RandomStream):
     return probes.reshape(-1, 6)
 
 
-def _l1_kink_margin(x, params, truth: Trajectory, physics_window):
+def _l1_kink_margin(x, params, truth: Trajectory):
     """Per window, the smallest |argument| among the L1 terms of both losses.
 
     The losses are differentiable except where an L1 argument crosses zero.
@@ -85,7 +86,7 @@ def _l1_kink_margin(x, params, truth: Trajectory, physics_window):
     the ground truth ``(P, 1, 3)`` frames; the result is ``(P,)``.
     """
     lms = x.reshape(truth.positions_px.shape)
-    win = physics_window(lms, params)
+    win = physics_refine_window(lms, params)
     bounced = win.bounce_flags[..., 1] | win.bounce_flags[..., 2]
     moved = np.stack([np.zeros_like(bounced), np.ones_like(bounced), bounced], axis=-1)
     gaps = [np.where(moved[..., None], np.abs(win.positions_px - lms), np.inf),
@@ -116,7 +117,7 @@ def check_frame_units():
             worst <= 1e-12, f"max abs deviation {worst:.3e}")
 
 
-def check_parabola_fixed_point(physics_window=physics_refine_window):
+def check_parabola_fixed_point():
     """Exact ballistic windows of 20 simulated sequences must be fixed points of the refinement."""
     cfg = SimConfig()
     params = to_frame_units(cfg)
@@ -126,13 +127,13 @@ def check_parabola_fixed_point(physics_window=physics_refine_window):
     pos, flags = windows.positions_px, windows.bounce_flags
     # bounce-free windows; integrator overshoot could graze the floor
     pos = pos[~flags[..., 1:].any(axis=-1) & (pos[..., 1].max(axis=-1) <= params.center_max - params.g_frame)]
-    refined = physics_window(pos, params).positions_px
+    refined = physics_refine_window(pos, params).positions_px
     worst = float(np.max(np.abs(refined - pos), initial=0.0))
     passed = len(pos) > 0 and worst < 1e-9
     return ("parabola fixed point", passed, f"{len(pos)} windows, worst |err| {worst:.3e}")
 
 
-def check_gradients(trials: int = 100, physics_window=physics_refine_window):
+def check_gradients(trials: int = 100):
     """Forward-mode vs central-difference jacobians on interior probes.
 
     The physics window and both losses check all their probes in one
@@ -144,7 +145,7 @@ def check_gradients(trials: int = 100, physics_window=physics_refine_window):
     results = []
 
     x = interior_probe_windows(params, trials, rng.spawn("window"))
-    f = _window_fn(params, physics_window)
+    f = _window_fn(params)
     results.append(_gradient_result("physics window", _jacobian_errors(f, x)))
 
     op_rng = rng.spawn("operators")
@@ -169,15 +170,15 @@ def check_gradients(trials: int = 100, physics_window=physics_refine_window):
     truth = Trajectory(positions, np.diff(positions, axis=-2, prepend=positions[..., :1, :]) + 0.2,
                        np.broadcast_to([0.0, 0.0, 1.0], positions.shape[:-1]))
     # |.| arguments too close to zero for a clean stencil drop their probe
-    keep = _l1_kink_margin(x, params, truth, physics_window) >= 10 * FD_STEP
+    keep = _l1_kink_margin(x, params, truth) >= 10 * FD_STEP
     x, truth = x[keep], Trajectory(*(a[keep] for a in vars(truth).values()))
 
     def fc(z):
         landmarks = z.reshape(*z.shape[:-1], 3, 2)
-        return ad.stack([physics_consistency_loss(physics_window(landmarks, params), landmarks)])
+        return ad.stack([physics_consistency_loss(physics_refine_window(landmarks, params), landmarks)])
 
     def fs(z):
-        win = physics_window(z.reshape(*z.shape[:-1], 3, 2), params)
+        win = physics_refine_window(z.reshape(*z.shape[:-1], 3, 2), params)
         return ad.stack([physics_supervised_loss(win, truth)])
 
     for name, fn in (("physics consistency loss", fc), ("physics supervised loss", fs)):
@@ -185,7 +186,7 @@ def check_gradients(trials: int = 100, physics_window=physics_refine_window):
     return results
 
 
-def check_unit_scaling(physics_window=physics_refine_window):
+def check_unit_scaling():
     """Doubling meters/px while halving pixel inputs halves the outputs."""
     cfg = SimConfig()
     params = to_frame_units(cfg)
@@ -193,16 +194,16 @@ def check_unit_scaling(physics_window=physics_refine_window):
 
     rng = RandomStream.from_seed(cfg.seed, "selfcheck-units")
     lms = interior_probe_windows(params, 50, rng).reshape(-1, 3, 2)
-    p1 = physics_window(lms, params).positions_px
-    p2 = physics_window(lms / 2, params2).positions_px
+    p1 = physics_refine_window(lms, params).positions_px
+    p2 = physics_refine_window(lms / 2, params2).positions_px
     worst = float(np.max(np.abs(p2 - p1 / 2)))
     passed = worst < 1e-9
     return ("unit scaling consistency", passed, f"worst |err| {worst:.3e}")
 
 
-def run_all(trials: int = 100, physics_window=physics_refine_window):
+def run_all(trials: int = 100):
     """Run every check; returns a list of (name, passed, detail)."""
     return [check_frame_units(),
-            check_parabola_fixed_point(physics_window),
-            *check_gradients(trials, physics_window),
-            check_unit_scaling(physics_window)]
+            check_parabola_fixed_point(),
+            *check_gradients(trials),
+            check_unit_scaling()]

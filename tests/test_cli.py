@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import balltrack
+from balltrack import autodiff as ad
 from balltrack.cli import _SIM_FLAGS, _config_from_args, _sigma_dir, build_parser, main
 from balltrack.factorial import contrast_sign, enumerate_configs
+from balltrack.physics import physics_refine_window
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS, track_split
 from balltrack.video import (DatasetError, _read_record, _write_record, generate_split, read_dataset, staged,
@@ -576,6 +578,20 @@ class TestTrack:
         assert not out.exists()
 
 
+# wrong physics kernels, each put in place of selfcheck's physics_refine_window
+def _doubled_gravity(landmarks, params):
+    return physics_refine_window(landmarks, replace(params, g_frame=2 * params.g_frame))
+
+
+def _value_only(landmarks, params):
+    return physics_refine_window(ad.value(landmarks), params)
+
+
+def _shifted_1px(landmarks, params):
+    win = physics_refine_window(landmarks, params)
+    return replace(win, positions_px=win.positions_px + 1.0)
+
+
 class TestSelfcheck:
     def test_passes_and_prints_constant_check(self, capsys):
         assert main(["selfcheck", "--trials", "8"]) == 0
@@ -619,37 +635,28 @@ class TestSelfcheck:
         assert err.value.code == 2
         assert f"argument --trials: must be >= 0, got {trials}" in capsys.readouterr().err
 
-    def test_broken_kernel_fails(self):
-        from balltrack.physics import physics_refine_window
-        from balltrack.selfcheck import run_all
+    @pytest.mark.parametrize("kernel, failing", [
+        (_doubled_gravity, {"parabola fixed point"}),
+        (_value_only, {"gradients: physics window", "gradients: physics consistency loss",
+                       "gradients: physics supervised loss"}),
+        (_shifted_1px, {"parabola fixed point", "unit scaling consistency"}),
+    ], ids=["doubled_gravity", "value_only", "shifted_1px"])
+    def test_wrong_kernel_in_the_module_binding_fails_its_checks(self, monkeypatch, kernel, failing):
+        # every check reads the kernel from balltrack.selfcheck when it runs;
+        # together the three wrong kernels fail all five checks that call it,
+        # and frame units and the four operator checks pass throughout
+        from balltrack import selfcheck
 
-        def doubled_gravity(landmarks, params):
-            return physics_refine_window(landmarks, replace(params, g_frame=2 * params.g_frame))
-
-        results = {name: passed for name, passed, _ in run_all(trials=4, physics_window=doubled_gravity)}
-        assert not results["parabola fixed point"]
+        monkeypatch.setattr(selfcheck, "physics_refine_window", kernel)
+        results = selfcheck.run_all(trials=4)
+        assert len(results) == 10
+        assert {name for name, passed, _ in results if not passed} == failing
 
     def test_no_hidden_kernel_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["selfcheck", "--inject-broken-kernel"])
         assert err.value.code == 2
         assert "unrecognized arguments: --inject-broken-kernel" in capsys.readouterr().err
-
-    def test_consistency_check_uses_the_given_kernel(self):
-        # right values, no derivatives: every check that differentiates
-        # through the kernel must notice, the consistency loss included
-        from balltrack import autodiff as ad
-        from balltrack.physics import physics_refine_window
-        from balltrack.selfcheck import check_gradients
-
-        def flat_kernel(landmarks, params):
-            return physics_refine_window(ad.value(landmarks), params)
-
-        results = {name: passed for name, passed, _ in
-                   check_gradients(trials=4, physics_window=flat_kernel)}
-        assert not results["gradients: physics consistency loss"]
-        assert not results["gradients: physics window"]
-        assert results["gradients: bilinear expectation"]
 
 
 class TestEffects:

@@ -9,8 +9,8 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
-# 06_tracking.py tracks 24 full sequences (~9 s); the tracker's own tests
-# and the acceptance criteria cover that path
+# 06_tracking.py tracks 24 full sequences; CI runs it against the installed
+# package, after the console-script commands
 FAST_DEMOS = ["01_simulate.py", "02_dataset.py", "03_landmarks.py",
               "04_physics_window.py", "05_losses.py", "07_factorial.py"]
 

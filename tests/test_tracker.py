@@ -587,16 +587,20 @@ assert all(vars(cls)[k] is v for (cls, k), v in methods.items())
 
 
 _TRACED_SELFCHECK = """
+import types
 import balltrack, spans
 from balltrack import physics, selfcheck
 
-# the physics_window=physics_refine_window defaults
-seams = {f: f.__defaults__ for f in vars(selfcheck).values()
-         if any(d is physics.physics_refine_window for d in getattr(f, "__defaults__", None) or ())}
-assert len(seams) >= 5, sorted(f.__name__ for f in seams)
+kernel = physics.physics_refine_window
+functions = [f for f in vars(selfcheck).values() if isinstance(f, types.FunctionType)]
+with_function_defaults = [f.__name__ for f in functions
+                          if any(callable(d) for d in [*(f.__defaults__ or ()), *(f.__kwdefaults__ or {}).values()])]
+assert not with_function_defaults, with_function_defaults
+assert selfcheck.physics_refine_window is kernel
 
 tracer = spans.Tracer()
 tracer.install(balltrack)
+assert selfcheck.physics_refine_window is not kernel  # the binding holds the tracer's wrapper
 tracer.active = True
 results = selfcheck.run_all(trials=2)
 tracer.active = False
@@ -604,8 +608,10 @@ totals = tracer.totals()
 tracer.uninstall()
 
 assert all(passed for _, passed, _ in results), results
-assert totals.get("physics.physics_refine_window.calls", 0) > 0, totals
-assert all(f.__defaults__ is d for f, d in seams.items())
+# every kernel call of run_all goes through the binding: fixed point 1, window
+# jacobians 3, kink margin 1, both loss jacobians 3 each, unit scaling 2
+assert totals.get("physics.physics_refine_window.calls") == 13, totals
+assert selfcheck.physics_refine_window is kernel
 """
 
 
@@ -625,10 +631,11 @@ def test_bench_tracer_sees_every_stage_of_track_sequence():
     _run_with_bench(_TRACED_TRACK)
 
 
-def test_bench_tracer_sees_physics_through_selfcheck_defaults():
-    # selfcheck reaches the physics kernel only through its physics_window
-    # defaults, which the tracer patches; the refinement must be traced, and
-    # uninstall must put every default back
+def test_bench_tracer_sees_physics_through_selfcheck_binding():
+    # selfcheck reaches the physics kernel only through its module binding,
+    # which the tracer patches like any other namespace; no selfcheck function
+    # holds a function as a default, the refinement must be traced, and
+    # uninstall must put the binding back
     _run_with_bench(_TRACED_SELFCHECK)
 
 
