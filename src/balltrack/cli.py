@@ -13,8 +13,8 @@ scipy versions and numpy's complex128 multiply kernel), so a run can be
 reproduced bit-exactly on a machine whose multiply kernel is the same.
 Every output directory is made, locked and written by ``video.staged``, so
 two commands cannot write one directory at once and a failed command leaves
-nothing it made.  Every failure, a rejected input, a held lock or an
-``OSError``, ends a command with ``error: ...``.
+nothing it made.  Every failure, a rejected input, a held lock, an
+``OSError`` or a ``MemoryError``, ends a command with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -283,6 +283,8 @@ def main(argv=None) -> int:
     except OSError as err:  # a missing input, an --out that names a file, a full disk
         where = f"{err.filename}: " if err.filename else ""
         raise SystemExit(f"error: {where}{err.strerror or err}")
+    except MemoryError as err:  # an array too large to allocate, such as the frames of a huge --image-size
+        raise SystemExit(f"error: {str(err) or 'out of memory'}")
 
 
 if __name__ == "__main__":

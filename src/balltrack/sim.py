@@ -3,9 +3,14 @@
 The simulator works in physical units (meters, seconds) and converts a
 whole trajectory to pixels and frame units once, after its last step.
 Coordinates follow the image convention: origin top-left, x right, y down,
-so gravity is positive.  The state is a ``(2,)`` (x, y) position and a
-``(2,)`` velocity array, and each step moves both axes at once: arguments
-and returns in the order of :func:`balltrack.physics.verlet_step_with_bounce`.
+so gravity is positive.  The state is an (x, y) position and a velocity.
+The axes meet only in the bounce flag, so a step moves each axis on its own,
+on Python floats: :func:`simulate_trajectory` holds the state as four floats
+and builds its arrays once, after the last step, and :func:`step_physical`
+takes and returns ``(2,)`` arrays, in the order of
+:func:`balltrack.physics.verlet_step_with_bounce`.  Both run the one float
+step, whose IEEE operations are those of the array form, so either gives
+the bits of the other.
 
 Boundary convention: the ball center is confined to ``[r, W-1-r]`` pixels on
 each axis (the last valid pixel index is ``W-1``); an edge touch reflects.
@@ -148,27 +153,47 @@ def sample_initial_conditions(cfg: SimConfig, rng: RandomStream) -> tuple[np.nda
     return position, rng.uniform(-cfg.v_max, cfg.v_max, 2)
 
 
+def _step_axis(p: float, v: float, drift: float, kick: float, dt: float, lo: float, hi: float, e: float):
+    """One axis of one step on floats: advance by ``p + v dt + drift`` and
+    ``v + kick``, then, while the position lies outside ``[lo, hi]``, mirror it
+    about the wall it crossed and scale the velocity by ``-e``.  Returns the
+    position, the velocity and whether the axis bounced.  An infinite
+    overshoot is returned unmirrored, since mirroring it would never end; the
+    caller rejects it."""
+    p, v = p + v * dt + drift, v + kick
+    low = p < lo
+    if not (low or p > hi):  # most steps: no wall reached (a NaN reaches none)
+        return p, v, False
+    while math.isfinite(p):
+        p, v = 2.0 * (lo if low else hi) - p, -e * v
+        low = p < lo
+        if not (low or p > hi):
+            break
+    return p, v, True
+
+
+def _check_finite(x: float, y: float, bounced: bool) -> None:
+    """Reject a step that bounced into a non-finite position, such as the
+    infinite overshoot :func:`_step_axis` leaves unmirrored."""
+    if bounced and not (math.isfinite(x) and math.isfinite(y)):
+        raise SimulationError(f"step reached a non-finite position {(x, y)}")
+
+
 def step_physical(position: np.ndarray, velocity: np.ndarray, cfg: SimConfig):
     """Advance one frame; returns the new position and velocity and the
-    (2,) per-axis bounce flags."""
+    (2,) per-axis bounce flags.
+
+    Runs :func:`_step_axis` once per axis, as :func:`simulate_trajectory` does.  The x
+    axis gets the ``+ 0.0`` drift and kick of the array form
+    ``position + velocity * dt + (0.0, g dt^2 / 2)``, ``velocity + (0.0, g dt)``,
+    which turn a -0.0 into 0.0, so the results have that form's bits."""
     g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
-    lo = cfg.center_min_px * cfg.scale
-    hi = cfg.center_max_px * cfg.scale
-    raw = position + velocity * dt + (0.0, g * dt * dt / 2)
-    v_new = velocity + (0.0, g * dt)
-    low = raw < lo
-    bounced = low | (raw > hi)
-    if not bounced.any():  # most steps: no wall reached, so mirroring would change nothing
-        return raw, v_new, bounced
-    if not np.isfinite(raw).all():  # an infinite overshoot would mirror forever
-        raise SimulationError(f"step reached a non-finite position {tuple(raw.tolist())}")
-    position, velocity, out = raw, v_new, bounced
-    while out.any():  # an overshoot past the far wall too is mirrored again
-        position = np.where(out, 2.0 * np.where(low, lo, hi) - position, position)
-        velocity = np.where(out, -e * velocity, velocity)
-        low = position < lo
-        out = low | (position > hi)
-    return position, velocity, bounced
+    lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+    (x, y), (vx, vy) = map(float, position), map(float, velocity)
+    x, vx, bx = _step_axis(x, vx, 0.0, 0.0, dt, lo, hi, e)
+    y, vy, by = _step_axis(y, vy, g * dt * dt / 2, g * dt, dt, lo, hi, e)
+    _check_finite(x, y, bx or by)
+    return np.array([x, y]), np.array([vx, vy]), np.array([bx, by])
 
 
 def project_to_pixels(p_physical, cfg: SimConfig) -> np.ndarray:
@@ -179,18 +204,26 @@ def project_to_pixels(p_physical, cfg: SimConfig) -> np.ndarray:
 def simulate_trajectory(cfg: SimConfig, rng: RandomStream) -> Trajectory:
     """Full ground-truth trajectory for one sequence.
 
-    Velocities are stored in frame units (px/frame = v * dt / S) so that
-    downstream consumers need no further conversion.
+    The state is four Python floats, and each frame runs the float step
+    :func:`_step_axis` once per axis; the ``(T, 2)`` arrays are built once, at
+    the end.  Velocities are stored in frame units (px/frame = v * dt / S) so
+    that downstream consumers need no further conversion.
     """
-    n = cfg.frames_per_video
-    positions, velocities = np.empty((n, 2)), np.empty((n, 2))
-    flags = np.zeros(n, dtype=bool)
-    positions[0], velocities[0] = sample_initial_conditions(cfg, rng)
-    for t in range(1, n):
-        positions[t], velocities[t], bounced = step_physical(positions[t - 1], velocities[t - 1], cfg)
-        flags[t] = bounced.any()
-    return Trajectory(positions_px=project_to_pixels(positions, cfg),
-                      velocities_fu=velocities * (cfg.dt / cfg.scale), bounce_flags=flags)
+    g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
+    lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+    drift, kick = g * dt * dt / 2, g * dt
+    position, velocity = sample_initial_conditions(cfg, rng)
+    (x, y), (vx, vy) = position.tolist(), velocity.tolist()
+    states, flags = [(x, y, vx, vy)], [False]
+    for _ in range(1, cfg.frames_per_video):
+        x, vx, bx = _step_axis(x, vx, 0.0, 0.0, dt, lo, hi, e)
+        y, vy, by = _step_axis(y, vy, drift, kick, dt, lo, hi, e)
+        _check_finite(x, y, bx or by)
+        states.append((x, y, vx, vy))
+        flags.append(bx or by)
+    state = np.array(states)
+    return Trajectory(positions_px=project_to_pixels(state[:, :2], cfg),
+                      velocities_fu=state[:, 2:] * (dt / cfg.scale), bounce_flags=np.array(flags))
 
 
 def window_index(n_frames: int) -> np.ndarray:

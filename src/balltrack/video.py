@@ -3,7 +3,7 @@
 A sequence is a stack of frames: a filled circle (intensity 1) drawn over a
 zero background plus one static Gaussian noise image shared by every frame
 of that sequence.  :func:`generate_sequence` makes the stack in one pass: it
-fills every frame with ``0 + noise`` (a -0.0 noise pixel becomes 0.0) and
+copies ``0 + noise`` into every frame (a -0.0 noise pixel becomes 0.0) and
 sets every frame's disk pixels, from the one disk test :func:`_disk_pixels`,
 to ``1 + noise`` in one scatter.  Frames are float32 and left unclamped;
 clamping to a display range is a presentation concern, not a data one.
@@ -155,12 +155,13 @@ def generate_sequence(cfg: SimConfig, rng: RandomStream) -> VideoSequence:
     """Simulate one trajectory and render it over a static noise background.
 
     Frame t is ``render_frame(positions_px[t], cfg) + noise`` bit for bit, made in
-    one pass: every frame is filled with ``0 + noise``, the sum off the disk (a
-    -0.0 noise pixel becomes 0.0), then all disk pixels get ``1 + noise`` at once."""
+    one pass: the one image ``0 + noise``, the sum off the disk (a -0.0 noise
+    pixel becomes 0.0), is copied into every frame, then all disk pixels get
+    ``1 + noise`` at once."""
     trajectory = simulate_trajectory(cfg, rng.spawn("trajectory"))
     noise = make_noise_image(cfg, rng.spawn("noise"))
     frames = np.empty((cfg.frames_per_video, cfg.image_size, cfg.image_size), dtype=np.float32)
-    np.add(noise, np.float32(0), out=frames)
+    frames[:] = noise + np.float32(0)
     t, i, j = _disk_pixels(trajectory.positions_px, cfg.radius_px, cfg.image_size)
     frames[t, i, j] = np.float32(1) + noise[i, j]
     return VideoSequence(frames=frames, trajectory=trajectory, noise_image=noise)

@@ -1,4 +1,4 @@
-"""Reference tables for the acceptance and CLI tests.
+"""Reference tables for the acceptance, CLI and simulator tests.
 
 ``REFERENCE_ENCODER_ERRORS``: one row per configuration index (0-63) of the
 full 2^6 factor grid, giving the mean B56 / H56 / P56 test errors reported by
@@ -9,6 +9,8 @@ ranking checks, not magnitude reproduction.
 The ``*_MEANS`` and ``TRACK_SEED_42_METRICS`` tables pin this tracker's own
 metrics and ``TRACK_SEED_7_DIGESTS`` the bytes of its outputs;
 :func:`assert_pinned` checks a result against them.
+``BOUNCE_HEAVY_TRUTH_DIGESTS`` pins the simulator's bytes where bounces are
+dense.
 """
 
 import math
@@ -214,6 +216,18 @@ TRACK_SEED_7_DIGESTS = {
         "metrics.csv": "e309592708cda10e043253804bdc67e2936c65d2c83c9292617de460d340677c",
         "per_sequence_metrics.csv": "6d6264e38cc236e1f16c287662c76304d4788c30cbb9692ac503b64961120b2c",
     },
+}
+
+# sha256 of ``test_truth.bin`` of the test split of configurations where bounces
+# are dense: SimConfig keyword arguments, digest.  Of their 252, 1016 and 510
+# steps, 171, 741 and 78 bounce; 17 steps of "both_walls" cross both walls.
+BOUNCE_HEAVY_TRUTH_DIGESTS = {
+    "elastic": (dict(image_size=32, restitution=1.0, frames_per_video=64, n_test=4, seed=11),
+                "900caf1580e0148035a40cdbea52f1d1e998f656ad126b7a6f1039246d68180f"),
+    "both_walls": (dict(image_size=16, v_max=5.4, restitution=1.0, frames_per_video=128, n_test=8, seed=21),
+                   "582cafdc5105bc1b5157903a7a8422bd1959d0de7c905d986ee3b579b49a7152"),
+    "long": (dict(image_size=48, frames_per_video=256, n_test=2, seed=13),
+             "163995c328e480b0306897cd097372a530c4846e1105ab1afa3ad521323e6889"),
 }
 
 def assert_pinned(got, pinned):

@@ -6,6 +6,7 @@ dominate the runtime (about half a minute each).
 """
 
 import filecmp
+import re
 
 import numpy as np
 import pytest
@@ -240,9 +241,10 @@ def test_criterion_8_end_to_end_noisy():
 def test_pin_failure_names_both_multiply_kernels():
     # a pin that fails on another CPU says which complex multiply kernel ran
     moved = dict(CRITERION_7_MEANS, H112=CRITERION_7_MEANS["H112"] + 1e-6)
+    # the kernel names are escaped: the baseline one, baseline(X86_V2), holds a regex group
     with pytest.raises(AssertionError, match=rf"^largest deviation from the pinned values: H112 = .*; the pins were "
-                                             rf"recorded on the {PINNED_KERNEL} complex128 multiply kernel, "
-                                             rf"this run has {multiply_kernel()}$"):
+                                             rf"recorded on the {re.escape(PINNED_KERNEL)} complex128 multiply "
+                                             rf"kernel, this run has {re.escape(multiply_kernel())}$"):
         assert_pinned(moved, CRITERION_7_MEANS)
 
 

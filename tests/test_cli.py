@@ -227,6 +227,25 @@ class TestGen:
         assert not out.exists()  # no empty lock to stop the next run
         assert _gen(out) == 0
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 37.3 GiB for an array with shape (100000, 100000) and data type float32",
+         "Unable to allocate 37.3 GiB for an array with shape (100000, 100000) and data type float32"),
+        ("", "out of memory"),
+    ])
+    def test_memory_error_ends_with_error_and_leaves_nothing(self, tmp_path, monkeypatch, message, shown):
+        # the noise image of a huge --image-size cannot be allocated; the failing
+        # allocation is faked, never made
+        import balltrack.video
+
+        def noise_image(cfg, rng):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(balltrack.video, "make_noise_image", noise_image)
+        with pytest.raises(SystemExit) as err:
+            _gen(tmp_path / "d")
+        assert str(err.value.code) == f"error: {shown}"
+        assert list(tmp_path.iterdir()) == []  # no directory, lock or .tmp file
+
 
 # one valid non-default value per gen flag
 _FLAG_VALUES = {"--image-size": "128", "--scale": "0.03", "--dt": "0.05", "--gravity": "9.0",
@@ -412,7 +431,8 @@ class TestTrack:
         with open(path, "rb") as fh:
             records = [_read_record(fh, dtype, path) for _ in range(3) for dtype in ("<f8",) * 4 + ("<u1",)]
         digest = hashlib.sha256(b"".join(records[i].tobytes() for i in (1, 4, 6, 9, 11, 14)))
-        assert digest.hexdigest() == "29655063fbaf37e70365745ba18d3df623b5557fafd376f64ae1d1c4d0417283"
+        assert_pinned({"H and bounce records": digest.hexdigest()},
+                      {"H and bounce records": "29655063fbaf37e70365745ba18d3df623b5557fafd376f64ae1d1c4d0417283"})
 
     @pytest.mark.parametrize("sigma, temporal_mean", list(TRACK_SEED_42_METRICS))
     def test_metrics_csv_holds_the_pinned_values(self, seed_42_dataset, tmp_path, sigma, temporal_mean):
@@ -651,6 +671,27 @@ class TestSelfcheck:
         results = selfcheck.run_all(trials=4)
         assert len(results) == 10
         assert {name for name, passed, _ in results if not passed} == failing
+
+    def test_kink_margin_calls_the_kernel_through_the_module_binding(self, monkeypatch):
+        # the probes check_gradients keeps come from the kernel in the binding
+        from balltrack import selfcheck
+
+        real_margin, margins, callers = selfcheck._l1_kink_margin, [], []
+
+        def margin(*args):
+            margins.append(real_margin(*args))
+            return margins[-1]
+
+        def spy(landmarks, params):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return physics_refine_window(landmarks, params)
+
+        monkeypatch.setattr(selfcheck, "_l1_kink_margin", margin)
+        before = selfcheck.check_gradients(trials=8)
+        monkeypatch.setattr(selfcheck, "physics_refine_window", spy)
+        after = selfcheck.check_gradients(trials=8)
+        assert callers.count("_l1_kink_margin") == 1
+        assert margins[0].tobytes() == margins[1].tobytes() and after == before
 
     def test_no_hidden_kernel_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -23,12 +24,57 @@ from balltrack.sim import (
 )
 from balltrack.video import generate_split, read_dataset, write_dataset
 
+from reference_tables import BOUNCE_HEAVY_TRUTH_DIGESTS
+
 # the SimConfig fields that hold sizes, counts and the seed
 _INT_FIELDS = ("image_size", "frames_per_video", "n_train", "n_val", "n_test", "seed")
 
 
 def _stream(i=0):
     return RandomStream.from_seed(42, "test-sim", i)
+
+
+def _array_step(position, velocity, cfg):
+    """The reference step on (2,) arrays, both axes in each numpy call, with the
+    same IEEE operations in the same order as the package's float step."""
+    g, dt, e = cfg.gravity, cfg.dt, cfg.restitution
+    lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+    position = position + velocity * dt + (0.0, g * dt * dt / 2)
+    velocity = velocity + (0.0, g * dt)
+    low = position < lo
+    out = bounced = low | (position > hi)
+    while out.any():
+        position = np.where(out, 2.0 * np.where(low, lo, hi) - position, position)
+        velocity = np.where(out, -e * velocity, velocity)
+        low = position < lo
+        out = low | (position > hi)
+    return position, velocity, bounced
+
+
+def _array_loop_trajectory(cfg, rng):
+    """The reference simulator: positions [px], velocities [px/frame] and bounce
+    flags from a loop of :func:`_array_step`."""
+    n = cfg.frames_per_video
+    positions, velocities = np.empty((n, 2)), np.empty((n, 2))
+    flags = np.zeros(n, dtype=bool)
+    positions[0], velocities[0] = sample_initial_conditions(cfg, rng)
+    for t in range(1, n):
+        positions[t], velocities[t], bounced = _array_step(positions[t - 1], velocities[t - 1], cfg)
+        flags[t] = bounced.any()
+    return positions / cfg.scale, velocities * (cfg.dt / cfg.scale), flags
+
+
+@st.composite
+def _sim_configs(draw):
+    """Valid configurations over every simulator parameter; v_max is drawn as a
+    share of its limit, the domain width per frame, so fast wall-to-wall steps
+    and multi-reflection steps at e = 1 are common."""
+    size = draw(st.integers(8, 64))
+    radius, scale, dt = draw(st.floats(0.5, 3.0)), draw(st.floats(0.005, 0.05)), draw(st.floats(0.01, 0.1))
+    width = (size - 1 - 2 * radius) * scale
+    return SimConfig(image_size=size, radius_px=radius, scale=scale, dt=dt, gravity=draw(st.floats(0.5, 30.0)),
+                     restitution=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
+                     v_max=draw(st.floats(0.01, 0.999)) * width / dt, frames_per_video=draw(st.integers(3, 120)))
 
 
 class TestConfig:
@@ -229,6 +275,46 @@ class TestStep:
             assert lo <= new_p[k] <= hi
             assert bounced[k] == (not lo <= raw[k] <= hi)
             assert new_v[k] == (-e * v_new[k] if bounced[k] else v_new[k])
+
+
+def _same_bits(got, want):
+    return all((np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes()) ==
+               (np.asarray(b).dtype, np.shape(b), np.asarray(b).tobytes()) for a, b in zip(got, want, strict=True))
+
+
+class TestAgainstArrayReference:
+    @settings(deadline=None)
+    @given(data=st.data(), cfg=_sim_configs())
+    def test_step_equals_the_array_step_bit_for_bit(self, data, cfg):
+        # positions on and inside the walls, velocities up to 3 v_max, signed zeros included
+        lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+        position = np.array(data.draw(st.lists(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)),
+                                               min_size=2, max_size=2)))
+        velocity = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                                                         st.floats(-3 * cfg.v_max, 3 * cfg.v_max)),
+                                               min_size=2, max_size=2)))
+        assert _same_bits(step_physical(position, velocity, cfg), _array_step(position, velocity, cfg))
+
+    def test_negative_zero_x_velocity_steps_to_positive_zero(self, cfg):
+        # the x axis gets the + 0.0 of the (0, g dt) kick, as in the array step
+        _, v, _ = step_physical(np.array([2.0, 2.0]), np.array([-0.0, 0.0]), cfg)
+        assert math.copysign(1.0, v[0]) == 1.0
+
+    @settings(deadline=None)
+    @given(cfg=_sim_configs(), seed=st.integers(0, 2**32))
+    def test_equals_the_array_loop_bit_for_bit(self, cfg, seed):
+        traj = simulate_trajectory(cfg, RandomStream.from_seed(seed, "test-sim"))
+        reference = _array_loop_trajectory(cfg, RandomStream.from_seed(seed, "test-sim"))
+        assert _same_bits(vars(traj).values(), reference)
+
+
+class TestBounceHeavyBytes:
+    @pytest.mark.parametrize("name", list(BOUNCE_HEAVY_TRUTH_DIGESTS))
+    def test_truth_matches_recorded_digest(self, tmp_path, name):
+        kwargs, digest = BOUNCE_HEAVY_TRUTH_DIGESTS[name]
+        cfg = SimConfig(**kwargs)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        assert hashlib.sha256((tmp_path / "test_truth.bin").read_bytes()).hexdigest() == digest
 
 
 class TestProjection:
