@@ -121,9 +121,8 @@ def check_parabola_fixed_point():
     """Exact ballistic windows of 20 simulated sequences must be fixed points of the refinement."""
     cfg = SimConfig()
     params = to_frame_units(cfg)
-    trajectories = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
-                    for i in range(20))
-    windows = trajectory_windows(Trajectory(*map(np.stack, zip(*(vars(t).values() for t in trajectories)))))
+    windows = trajectory_windows(Trajectory.stack(
+        simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i)) for i in range(20)))
     pos, flags = windows.positions_px, windows.bounce_flags
     # bounce-free windows; integrator overshoot could graze the floor
     pos = pos[~flags[..., 1:].any(axis=-1) & (pos[..., 1].max(axis=-1) <= params.center_max - params.g_frame)]
@@ -171,7 +170,7 @@ def check_gradients(trials: int = 100):
                        np.broadcast_to([0.0, 0.0, 1.0], positions.shape[:-1]))
     # |.| arguments too close to zero for a clean stencil drop their probe
     keep = _l1_kink_margin(x, params, truth) >= 10 * FD_STEP
-    x, truth = x[keep], Trajectory(*(a[keep] for a in vars(truth).values()))
+    x, truth = x[keep], truth[keep]
 
     def fc(z):
         landmarks = z.reshape(*z.shape[:-1], 3, 2)

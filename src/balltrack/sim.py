@@ -19,8 +19,8 @@ post-step velocity component by ``-e``; an overshoot that the mirror carries
 past the far wall is mirrored again, with ``-e`` once per reflection, until
 the center is inside.  Collisions are resolved per step, not at the exact
 sub-step impact time.  Ground truth leaves the module as a
-:class:`Trajectory`, the type the physics refinement returns too; its 3-frame
-windows come from :func:`trajectory_windows`, through :func:`window_index`.
+:class:`Trajectory`, the type the physics refinement returns too; it indexes
+and stacks itself, and its 3-frame windows are ``traj[..., window_index(T)]``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import autodiff as ad
 from .rng import RandomStream
 
 __all__ = [
@@ -44,6 +45,9 @@ __all__ = [
     "window_index",
     "trajectory_windows",
 ]
+
+_MAX_NORMAL = math.sqrt(106 * math.log(2))  # RandomStream.normal's largest |z|, Box-Muller at 1 - u = 2^-53
+_MAX_MIRRORS = 2**20  # domain widths an overshoot may span: a step mirrors it once per width
 
 
 class SimulationError(ValueError):
@@ -97,10 +101,14 @@ class SimConfig:
             raise SimulationError("need at least 3 frames per video")
         if self.noise_sigma < 0:
             raise SimulationError("noise_sigma must be non-negative")
+        if float(self.noise_sigma) * _MAX_NORMAL >= float(np.finfo(np.float32).max):
+            raise SimulationError(f"noise_sigma={self.noise_sigma} can overflow the float32 noise image")
         if math.copysign(1.0, self.noise_sigma) < 0:  # -0.0: the same dataset as 0.0, stored as it
             object.__setattr__(self, "noise_sigma", 0.0)
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise SimulationError("n_train, n_val and n_test must each be at least 1")
+        if not 0 <= self.seed < 2**64:  # the stream keys are 64 bits: any other seed aliases one of these
+            raise SimulationError(f"seed={self.seed} must lie in [0, 2**64)")
         if self.v_max * self.dt > self.domain_width_m:
             raise SimulationError(
                 "v_max*dt exceeds the domain width; a step could cross both walls"
@@ -143,6 +151,17 @@ class Trajectory:
     def __len__(self):
         return len(self.positions_px)
 
+    def __getitem__(self, index) -> "Trajectory":
+        """Index the axes of ``bounce_flags``; vectors keep their ``(x, y)`` axis; basic indices: views."""
+        key = (*(index if isinstance(index, tuple) else (index,)), slice(None))
+        return Trajectory(self.positions_px[key], self.velocities_fu[key], self.bounce_flags[index])
+
+    @classmethod
+    def stack(cls, trajectories) -> "Trajectory":
+        """Trajectories of one shape stacked along a new leading axis; dual vectors too."""
+        *vectors, flags = zip(*(vars(t).values() for t in trajectories))
+        return cls(*(ad.stack(v, axis=0) for v in vectors), np.stack(flags))
+
 
 def sample_initial_conditions(cfg: SimConfig, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     """Position [m] and velocity [m/s]: a uniform start anywhere in the valid
@@ -159,17 +178,19 @@ def _step_axis(p: float, v: float, drift: float, kick: float, dt: float, lo: flo
     about the wall it crossed and scale the velocity by ``-e``.  Returns the
     position, the velocity and whether the axis bounced.  An infinite
     overshoot is returned unmirrored, since mirroring it would never end; the
-    caller rejects it."""
-    p, v = p + v * dt + drift, v + kick
-    low = p < lo
-    if not (low or p > hi):  # most steps: no wall reached (a NaN reaches none)
-        return p, v, False
-    while math.isfinite(p):
-        p, v = 2.0 * (lo if low else hi) - p, -e * v
-        low = p < lo
-        if not (low or p > hi):
+    caller rejects it; a finite one past ``_MAX_MIRRORS`` domain widths raises."""
+    q, w = p + v * dt + drift, v + kick
+    low = q < lo
+    if not (low or q > hi):  # most steps: no wall reached (a NaN reaches none)
+        return q, w, False
+    if math.isfinite(q) and (lo - q if low else q - hi) > _MAX_MIRRORS * (hi - lo):
+        raise SimulationError(f"step from {p} m at {v} m/s overshoots a wall by over {_MAX_MIRRORS} widths")
+    while math.isfinite(q):
+        q, w = 2.0 * (lo if low else hi) - q, -e * w
+        low = q < lo
+        if not (low or q > hi):
             break
-    return p, v, True
+    return q, w, True
 
 
 def _check_finite(x: float, y: float, bounced: bool) -> None:
@@ -235,6 +256,4 @@ def window_index(n_frames: int) -> np.ndarray:
 def trajectory_windows(traj: Trajectory) -> Trajectory:
     """The ``(..., T-2, 3)`` windows of the trajectory's last frame axis (see
     :func:`window_index`), ``(..., T-2, 3, 2)`` vectors."""
-    index = window_index(np.shape(traj.bounce_flags)[-1])
-    return Trajectory(traj.positions_px[..., index, :], traj.velocities_fu[..., index, :],
-                      traj.bounce_flags[..., index])
+    return traj[..., window_index(np.shape(traj.bounce_flags)[-1])]

@@ -524,8 +524,7 @@ def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mea
         raise ValueError("no sequences to track")
     predictions = {s: {key: np.stack([p[s][key] for p in tracked]) for key in arrays}
                    for s, arrays in tracked[0].items()}
-    gt = Trajectory(**{field: np.stack([vars(t)[field] for t in truths]) for field in vars(truths[0])})
-    return evaluate(predictions, gt), predictions
+    return evaluate(predictions, Trajectory.stack(truths)), predictions
 
 
 def metrics_to_csv(per_sequence: dict[str, np.ndarray], config_label: str, replicate: int) -> str:

@@ -31,11 +31,11 @@ sequence's frames from the file anew, after checking that the file is still
 the one it checked; :func:`read_dataset` runs every check on both files
 before it returns (headers, exact payload sizes, record shapes, bounce
 flags) without reading a frame.  :func:`write_dataset` makes one pass over
-a split: it takes each sequence once, checks it as it arrives and streams
-its frames to a staged file, so no split is held whole.  Every output of
-the package lands through :func:`staged`, under the directory's lock, its
-manifest (``meta.json`` here) last, so a rejected or failed write leaves the
-filesystem as it was and no manifest ever names a mixed set.
+a split: it takes each sequence once, checks it as it arrives, streams its
+frames to a staged file and keeps its trajectory for the truth file, their
+``Trajectory.stack``.  Every output lands through :func:`staged`, under the
+directory's lock, its manifest (``meta.json`` here) last, so a rejected or
+failed write leaves the filesystem as it was and no manifest names a mixed set.
 """
 
 from __future__ import annotations
@@ -247,11 +247,6 @@ def _binary_flags(flags) -> bool:
     return bool(((flags == 0) | (flags == 1)).all())
 
 
-def _records(seq: VideoSequence) -> dict:
-    """One sequence's records by name (see ``_FILES``)."""
-    return {"frames": seq.frames, **vars(seq.trajectory)}
-
-
 def _split_paths(path: Path, split: str) -> dict[str, Path]:
     return {file: path / f"{split}_{file}.bin" for file, _ in _FILES}
 
@@ -373,8 +368,8 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     lazy split of :func:`generate_split` or :func:`read_dataset`.  The
     write is one pass: the record headers take the count from
     ``len(sequences)``, each sequence is accessed exactly once, checked as
-    it arrives and its frames streamed to the frames file, and the truth
-    file, whose arrays are small, is written after the frames.
+    it arrives and its frames streamed to the frames file; the truth file is
+    written after the frames, from the kept trajectories' ``Trajectory.stack``.
 
     A split name outside ``SPLITS``, an empty split, or a directory whose
     manifest holds another configuration (:func:`existing_manifest`) is
@@ -405,25 +400,24 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     dtypes = {name: dtype for _, records in _FILES for name, dtype in records}
     names = [p.name for p in _split_paths(path, split).values()] + ["meta.json"]
     with staged(path, names) as (frames_tmp, truth_tmp, meta_tmp):
-        truth = {name: [] for name in want if name != "frames"}  # small: kept for the second file
+        trajectories = []  # small: kept for the second file
         with open(frames_tmp, "wb") as fh:
             _write_header(fh, (n, *want["frames"]))
             for i in range(n):
-                records = _records(sequences[i])
-                shapes = tuple(np.shape(array) for array in records.values())
+                seq = sequences[i]
+                shapes = (np.shape(seq.frames), *map(np.shape, vars(seq.trajectory).values()))
                 if shapes != tuple(want.values()):
                     raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
                                              f"{shapes}, but the config's are {tuple(want.values())}")
-                if not _binary_flags(records["bounce_flags"]):
+                if not _binary_flags(seq.trajectory.bounce_flags):
                     raise DatasetError(f"{path}: sequence {i} of split {split!r} has bounce flags "
                                        "other than 0 and 1")
-                _write_payload(fh, records["frames"], dtypes["frames"])
-                for name, values in truth.items():
-                    values.append(records[name])
-                del records  # else it holds this sequence while the next one is made
+                _write_payload(fh, seq.frames, dtypes["frames"])
+                trajectories.append(seq.trajectory)
+                del seq  # else it holds this sequence's frames while the next one is made
         with open(truth_tmp, "wb") as fh:
-            for name, arrays in truth.items():
-                _write_record(fh, np.stack(arrays), dtypes[name])
+            for name, array in vars(Trajectory.stack(trajectories)).items():
+                _write_record(fh, array, dtypes[name])
         meta_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return [path / name for name in names]
 
@@ -472,10 +466,10 @@ def _stamp(fh) -> tuple[int, int, int, int]:
 class _Split(_LazySplit):
     """The split :func:`read_dataset` checked: each access reads its sequence.
 
-    The truth is held as read-only ``(N, T, ...)`` arrays; each access opens
-    the frames file, checks that its :func:`_stamp` is still the one taken
-    when the split was read, and reads that one sequence's ``(T, H, W)``
-    slice of the payload into a fresh array.
+    The truth is one :class:`Trajectory` of read-only ``(N, T, ...)`` arrays;
+    each access hands out ``truth[i]``, views of them, opens the frames file,
+    checks that its :func:`_stamp` is still the one taken when the split was
+    read, and reads that sequence's ``(T, H, W)`` slice of the payload.
     """
 
     path: Path
@@ -496,8 +490,7 @@ class _Split(_LazySplit):
                 raise DatasetError(f"{self.path}: the file changed after its split was read")
             fh.seek(self.offset + i * frames.nbytes)
             _read_payload(fh, frames, self.path)
-        return VideoSequence(frames=frames,
-                             trajectory=Trajectory(**{k: v[i] for k, v in vars(self.truth).items()}))
+        return VideoSequence(frames=frames, trajectory=self.truth[i])
 
 
 def read_dataset(path, split: str) -> tuple[Sequence[VideoSequence], SimConfig]:

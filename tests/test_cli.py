@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,6 +105,25 @@ class TestGen:
         with pytest.raises(SystemExit, match="^error: invalid configuration: "):
             main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--frames", "2"])
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", "-1"), "seed=-1 must lie in [0, 2**64)"),  # once wrote the bytes of seed 2**64 - 1
+        (("--seed", str(2**64)), f"seed={2**64} must lie in [0, 2**64)"),
+        (("--sigma", "1e308"), "noise_sigma=1e+308 can overflow the float32 noise image"),  # once inf frames
+    ])
+    def test_seed_or_sigma_out_of_range_rejected_before_writing(self, tmp_path, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(SystemExit) as err:
+                _gen(tmp_path / "d", *flags)
+        assert str(err.value.code) == f"error: invalid configuration: {message}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sigma_1e30_writes_finite_frames(self, tmp_path):
+        assert main(["gen", "--out", str(tmp_path), "--sigma", "1e30", *GEN_SMALL]) == 0
+        split, _ = read_dataset(_sigma_dir(tmp_path, 1e30), "train")
+        assert all(np.isfinite(seq.frames).all() for seq in split)
+        assert np.abs(split[0].frames).max() > 1e30
 
     @pytest.mark.parametrize("flag", ["--train", "--val", "--test"])
     def test_empty_split_rejected_before_writing(self, tmp_path, flag):

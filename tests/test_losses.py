@@ -173,7 +173,7 @@ class TestBatchedPhysicsLosses:
             one = physics_refine_window(lms[k], params)
             assert values["full"][k] == physics_consistency_loss(one, lms[k])
             assert values["last"][k] == physics_consistency_loss(one, lms[k], last_frame_only=True)
-            one_truth = Trajectory(truth.positions_px[k], truth.velocities_fu[k], truth.bounce_flags[k])
+            one_truth = truth[k]
             assert values["sup"][k] == physics_supervised_loss(one, one_truth)
             assert values["bce"][k] == physics_supervised_loss(one, one_truth, bounce_bce=True)
 
@@ -228,7 +228,7 @@ class TestSupervisedLoss:
         # with no bounce, neither in the truth nor flagged by the refinement
         trajs = (simulate_trajectory(cfg, RandomStream.from_seed(cfg.seed, "selfcheck", i))
                  for i in range(20))
-        truth = trajectory_windows(Trajectory(*map(np.stack, zip(*(vars(t).values() for t in trajs)))))
+        truth = trajectory_windows(Trajectory.stack(trajs))
         win = physics_refine_window(truth.positions_px, params)
         loss = physics_supervised_loss(win, truth)  # one value per window
         quiet = ~truth.bounce_flags.any(axis=-1)

@@ -1,17 +1,21 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import balltrack.autodiff as ad
 from balltrack.physics import to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.sim import (
+    _MAX_MIRRORS,
+    _MAX_NORMAL,
     SimConfig,
     SimulationError,
     Trajectory,
@@ -108,6 +112,10 @@ class TestConfig:
             {"n_train": 0},
             {"n_val": -1},
             {"n_test": 0},
+            {"seed": -1},  # the seeds outside 64 bits, which once aliased seeds inside them
+            {"seed": 2**64},
+            {"noise_sigma": 1e308},  # float32 noise that can overflow to inf
+            {"noise_sigma": 4e37},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -134,6 +142,21 @@ class TestConfig:
         assert all(type(getattr(cfg, name)) is int for name in _INT_FIELDS)
         write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
         assert read_dataset(tmp_path, "test")[1] == cfg
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_64_bits_admitted(self, seed):
+        assert SimConfig(seed=seed).seed == seed
+
+    def test_sigma_bound_is_the_largest_normal_draw(self):
+        # Box-Muller's largest radius comes from the smallest 1 - u, 2^-53; an
+        # ulp either way is far below the half float32 ulp that rounds to inf
+        radius = np.sqrt(-2.0 * np.log(np.subtract(1.0, 1.0 - 2.0**-53)))
+        assert radius == pytest.approx(_MAX_NORMAL, rel=1e-15) and _MAX_NORMAL == pytest.approx(8.5717, abs=1e-4)
+        largest = np.nextafter(float(np.finfo(np.float32).max) / _MAX_NORMAL, 0.0)
+        assert SimConfig(noise_sigma=largest).noise_sigma == largest
+        assert np.isfinite(np.float32(largest * radius))
+        with pytest.raises(SimulationError, match="can overflow the float32 noise image"):
+            SimConfig(noise_sigma=largest * 1.000001)
 
     def test_negative_zero_sigma_stored_as_zero(self):
         cfg = SimConfig(noise_sigma=-0.0)
@@ -242,6 +265,21 @@ class TestStep:
     def test_infinite_position_raises(self, cfg):
         with pytest.raises(SimulationError, match=r"non-finite position \(inf, 2\.0"):
             step_physical(np.array([np.inf, 2.0]), np.array([0.0, 0.0]), cfg)
+
+    @pytest.mark.parametrize("vx", [1e9, 1e20])
+    def test_overshoot_of_too_many_domain_widths_raises(self, cfg, vx):
+        # mirrored one wall at a time, 1e9 m/s once took seconds, and at 1e20 a
+        # mirror pair rounded back to where it started, so the step never ended
+        message = f"step from 0.1 m at {vx} m/s overshoots a wall by over {2**20} widths"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            step_physical(np.array([0.1, 2.0]), np.array([vx, 0.0]), cfg)
+
+    def test_overshoot_just_inside_the_mirror_bound_steps(self):
+        cfg = SimConfig(restitution=1.0)
+        lo, hi = cfg.center_min_px * cfg.scale, cfg.center_max_px * cfg.scale
+        vx = (hi + (_MAX_MIRRORS - 0.5) * (hi - lo) - 1.0) / cfg.dt  # from x = 1 m
+        p, v, bounced = step_physical(np.array([1.0, 2.0]), np.array([vx, 0.0]), cfg)
+        assert bounced[0] and lo <= p[0] <= hi and abs(v[0]) == vx
 
     def test_config_that_once_crossed_both_walls_generates(self):
         # seed 66107 once raised "step crossed both walls" in its second step
@@ -406,7 +444,7 @@ class TestTrajectory:
 
     def test_windows_of_stacked_trajectories_are_each_ones_windows(self, cfg):
         trajs = [simulate_trajectory(cfg, _stream(i)) for i in range(2)]
-        stacked = trajectory_windows(Trajectory(*map(np.stack, zip(*(vars(t).values() for t in trajs)))))
+        stacked = trajectory_windows(Trajectory.stack(trajs))
         assert np.shape(stacked.bounce_flags) == (2, 38, 3)
         for k, traj in enumerate(trajs):
             for field, own in vars(trajectory_windows(traj)).items():
@@ -445,3 +483,60 @@ class TestTrajectory:
             p, v, (bx, by) = step_physical(p, v, cfg)
             if not (bx or by):
                 assert energy(p, v) == pytest.approx(e0, abs=1e-9)
+
+
+def _bits(traj):
+    """dtype, shape and bytes of each array of a trajectory, a dual vector's
+    value and tangent each."""
+    parts = [part for a in vars(traj).values()
+             for part in ((ad.value(a), np.broadcast_to(ad.tangent(a), np.shape(a))) if isinstance(a, ad.Dual)
+                          else (a,))]
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, parts)]
+
+
+def _per_field_windows(traj):
+    """The windows by per-field indexing, as :func:`trajectory_windows` once
+    gathered them."""
+    index = window_index(np.shape(traj.bounce_flags)[-1])
+    return Trajectory(traj.positions_px[..., index, :], traj.velocities_fu[..., index, :],
+                      traj.bounce_flags[..., index])
+
+
+@st.composite
+def _trajectories(draw, count):
+    """``count`` trajectories of one drawn shape, 0-2 leading axes and 3-6
+    frames, every float drawn (signed zeros, NaN and infinities too); the
+    vectors are arrays, or duals with a tangent of their shape."""
+    shape = (*draw(st.lists(st.integers(1, 3), max_size=2)), draw(st.integers(3, 6)))
+    dual = draw(st.booleans())
+
+    def vector():
+        value = draw(arrays(np.float64, (*shape, 2)))
+        return ad.Dual(value, draw(arrays(np.float64, (*shape, 2)))) if dual else value
+
+    return [Trajectory(vector(), vector(), draw(arrays(np.bool_, shape))) for _ in range(count)]
+
+
+class TestIndexAndStack:
+    @given(data=st.data(), count=st.integers(1, 3))
+    def test_stack_then_index_gives_each_trajectory_bit_for_bit(self, data, count):
+        trajs = data.draw(_trajectories(count))
+        stacked = Trajectory.stack(trajs)
+        assert np.shape(stacked.bounce_flags) == (count, *np.shape(trajs[0].bounce_flags))
+        for i in (*range(count), -1):
+            assert _bits(stacked[i]) == _bits(trajs[i])
+            # a basic index is a view of the stack
+            assert np.shares_memory(ad.value(stacked[i].positions_px), ad.value(stacked.positions_px))
+
+    @given(data=st.data())
+    def test_windows_equal_per_field_indexing(self, data):
+        (traj,) = data.draw(_trajectories(1))
+        assert _bits(trajectory_windows(traj)) == _bits(_per_field_windows(traj))
+
+    def test_stack_keeps_the_flags_type_and_rejects_mixed_shapes(self, cfg):
+        trajs = [simulate_trajectory(cfg, _stream(i)) for i in range(2)]
+        stacked = Trajectory.stack(iter(trajs))  # any iterable
+        assert stacked.bounce_flags.dtype == bool
+        assert _bits(stacked[:, 5]) == _bits(Trajectory.stack(t[5] for t in trajs))
+        with pytest.raises(ValueError):
+            Trajectory.stack([trajs[0], trajs[1][:-1]])

@@ -901,8 +901,7 @@ class TestTrackSplit:
         trajs = [simulate_trajectory(cfg, RandomStream.from_seed(4, "eval-lead", i)) for i in range(3)]
         preds = [_exact_predictions(t, params) for t in trajs[:n_pred]]
         batch = {224: {key: np.stack([p[224][key] for p in preds]) for key in preds[0][224]}}
-        truth = Trajectory(*(np.stack([getattr(t, name) for t in trajs[:n_truth]])
-                             for name in ("positions_px", "velocities_fu", "bounce_flags")))
+        truth = Trajectory.stack(trajs[:n_truth])
         with pytest.raises(ValueError, match="windows of shape"):
             evaluate(batch, truth)
 

@@ -421,7 +421,8 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match=r"no 'test' split.*lists: train, val"):
             read_dataset(tmp_path, "test")
 
-    @pytest.mark.parametrize("change", [{"n_test": 0}, {"colour": 1}, {"noise_sigma": float("nan")}])
+    @pytest.mark.parametrize("change", [{"n_test": 0}, {"colour": 1}, {"noise_sigma": float("nan")},
+                                        {"seed": -1}, {"seed": 2**64}, {"noise_sigma": 1e308}])
     def test_invalid_manifest_config_is_dataset_error(self, tmp_path, small_cfg, change):
         import json
 
@@ -884,6 +885,7 @@ class TestLazySplit:
             for index in (i, np.int64(i), np.uint8(i % n)):
                 assert _split_bytes([split[index]]) == _split_bytes([written[i]])
             assert _split_bytes([split[i]]) == _split_bytes([split[i]])  # each access reads anew
+            assert not any(a.flags.writeable for a in vars(split[i].trajectory).values())
             cut, again = data.draw(st.slices(n)), data.draw(st.slices(n))
             assert _split_bytes(split[cut]) == _split_bytes(written[cut])
             assert _split_bytes(split[cut][again]) == _split_bytes(written[cut][again])
