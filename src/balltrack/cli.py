@@ -13,13 +13,16 @@ scipy versions and numpy's complex128 multiply kernel), so a run can be
 reproduced bit-exactly on a machine whose multiply kernel is the same.
 Every output directory is made, locked and written by ``video.staged``, so
 two commands cannot write one directory at once and a failed command leaves
-nothing it made.  Every failure, a rejected input, a held lock, an
-``OSError`` or a ``MemoryError``, ends a command with ``error: ...``.
+nothing it made; a failed ``gen`` also removes the splits it landed in each
+``sigma_*`` directory that held no dataset before it.  Every failure, a
+rejected input, a held lock, an ``OSError`` or a ``MemoryError``, ends a
+command with ``error: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -138,14 +141,24 @@ def cmd_gen(args) -> int:
         targets[target] = sigma, cfg  # the sigma as given
     for target, (_, cfg) in targets.items():  # a dataset already there must have the same config
         existing_manifest(target, cfg)
+    fresh = {target for target in targets if not (target / "meta.json").exists()}  # no dataset there yet
     outputs = {}  # each path once, in the order first written
     with staged(out, ["gen_manifest.json"]) as (manifest,):  # write_dataset locks each sigma_* directory
-        for target, (_, cfg) in targets.items():
-            for split in SPLITS:
-                outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
-            print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
-                  f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
-        _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
+        try:
+            for target, (_, cfg) in targets.items():
+                for split in SPLITS:
+                    outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
+                print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
+                      f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
+            _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
+        except BaseException:  # remove the datasets this run began, not one that was there
+            for path in outputs:
+                if path.parent in fresh:
+                    path.unlink(missing_ok=True)
+            for target in fresh:
+                with contextlib.suppress(OSError):  # absent, or holding files this run did not write
+                    os.rmdir(target)
+            raise
     return 0
 
 

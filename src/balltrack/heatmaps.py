@@ -209,8 +209,3 @@ def bicubic_expectation(hm):
     """Two-pass centroid with separable cubic kernels max(1 - |d|^3/8, 0)."""
     return _two_pass(hm, lambda dx, dy: ad.relu(1.0 - ad.absolute(dx) ** 3 / 8.0)
                      * ad.relu(1.0 - ad.absolute(dy) ** 3 / 8.0))
-
-
-def expectation_for_scale(scale: int):
-    """The operator used at each pyramid scale."""
-    return {56: coarse_to_fine_expectation, 112: biquadratic_expectation, 224: bicubic_expectation}[scale]

@@ -29,13 +29,13 @@ second pass reads a 7x7 or 4x4 block of each frame), H (hard argmax) and
 P (physics-refined B, all windows in one physics call), plus velocities V
 and bounce indicators, each as one array over the windows.  The output
 schema is two tables: ``ESTIMATES`` (names and record types) and
-``POOLING`` (scales and pooling factors); ``METRICS``, ``evaluate``'s
-metrics and the records of ``predictions.bin`` loop over them.  Metrics are
-mean L1 errors in full-resolution image coordinates; each frame's
-prediction is taken from the window in which it is the center frame
-(sequence endpoints use the only covering window).  ``track_split`` tracks a
-split one sequence at a time and scores the stacked window arrays of all
-its sequences in one ``evaluate`` call.
+``POOLING`` (scales, pooling factors and the B operators' names);
+``METRICS``, ``evaluate``'s metrics and the records of ``predictions.bin``
+loop over them.  Metrics are mean L1 errors in full-resolution image
+coordinates; each frame's prediction is taken from the window in which it
+is the center frame (sequence endpoints use the only covering window).
+``track_split`` tracks a split one sequence at a time and scores the
+stacked window arrays of all its sequences in one ``evaluate`` call.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .heatmaps import RowBands, _bands, expectation_for_scale, hard_argmax
+from . import heatmaps
+from .heatmaps import RowBands, _bands, hard_argmax
 from .physics import physics_refine_window, to_frame_units
 from .sim import SimConfig, Trajectory, window_index
-from .video import VideoSequence, _disk, _write_record
+from .video import VideoSequence, _disk, _Split, _write_record
 
 __all__ = [
     "ESTIMATES",
@@ -71,10 +72,12 @@ __all__ = [
 # each window estimate and its record type in predictions.bin: B, H and P
 # positions and V velocities (..., 3, 2), bounce flags (..., 3)
 ESTIMATES = {"B": "<f8", "H": "<f8", "P": "<f8", "V": "<f8", "bounce": "<u1"}
-# pyramid scale -> average-pooling factor of its heatmaps from the full-resolution ones
-POOLING = {56: 4, 112: 2, 224: 1}
+# pyramid scale -> average-pooling factor of its heatmaps from the full-resolution ones,
+# and the name of the ``heatmaps`` operator that extracts B at that scale
+POOLING = {56: (4, "coarse_to_fine_expectation"), 112: (2, "biquadratic_expectation"),
+           224: (1, "bicubic_expectation")}
 SCALES = tuple(POOLING)
-_BLOCK = max(POOLING.values())  # image sizes and row windows come in whole blocks of this side
+_BLOCK = max(k for k, _ in POOLING.values())  # image sizes and row windows come in whole blocks of this side
 _POOL_CHUNK_FRAMES = 4  # full frames' worth of rows that one strided pooling pass reads
 METRICS = tuple(f"{name}{s}" for name in ESTIMATES for s in SCALES)
 _CSV_HEADER = "config,replicate,metric,value"
@@ -367,7 +370,7 @@ def downscale_heatmap(hm224: np.ndarray | RowBands) -> dict[int, np.ndarray | Ro
         maps = _avg_pool(window, k, _POOL_CHUNK_FRAMES * h)
         return RowBands(maps, first // k, h // k) if isinstance(hm224, RowBands) else maps
 
-    return {s: hm224 if k == 1 else pooled(k) for s, k in POOLING.items()}
+    return {s: hm224 if k == 1 else pooled(k) for s, (k, _) in POOLING.items()}
 
 
 def _check_finite(frames: np.ndarray, *rows: np.ndarray) -> None:
@@ -440,7 +443,7 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
     if n_frames < 3:
         raise ValueError("tracking needs at least 3 frames")
     if cfg.image_size % _BLOCK != 0:
-        factors = " and ".join(f"{k}x" for k in sorted(POOLING.values()) if k > 1)
+        factors = " and ".join(f"{k}x" for k, _ in sorted(POOLING.values()) if k > 1)
         raise ValueError(f"image size {cfg.image_size} is not divisible by {_BLOCK}, which the "
                          f"{factors} pooling of the heatmap pyramid needs")
     if video.frames.shape[1:] != (cfg.image_size,) * 2:
@@ -454,10 +457,9 @@ def track_sequence(video: VideoSequence, cfg: SimConfig,
 
     windows = window_index(n_frames)
     predictions = {}
-    for s, k in POOLING.items():
-        # the operator is looked up on each call, not kept in a table, so that a wrapper
-        # put in heatmaps' namespace (a tracer's) is the one called
-        b = float(k) * expectation_for_scale(s)(pyramid[s])[windows]
+    for s, (k, operator) in POOLING.items():
+        # looked up by name on each call, so that a wrapper put in heatmaps' namespace (a tracer's) is called
+        b = float(k) * getattr(heatmaps, operator)(pyramid[s])[windows]
         h = float(k) * hard_argmax(pyramid[s])[windows]
         win = physics_refine_window(b, params)
         predictions[s] = {"B": b, "H": h, "P": win.positions_px, "V": win.velocities_fu,
@@ -511,12 +513,17 @@ def track_split(sequences: Iterable[VideoSequence], cfg: SimConfig, temporal_mea
     ``sequences`` may be any iterable, a generator included: each sequence is
     tracked with :func:`track_sequence` and only its window predictions and
     trajectory are kept, so a generator holds one sequence's frames at a time.
+    A split of :func:`~balltrack.video.read_dataset` is read into one frames
+    buffer, reused for every sequence, so memory stays flat over a long split.
     Returns the per-sequence metrics, :func:`evaluate`'s ``{metric: (N,)
     array}`` in ``METRICS`` order, and the predictions stacked in sequence
     order, ``{scale: {"B", "H", "P", "V": (N, T-2, 3, 2), "bounce": (N, T-2,
     3)}}``, the arrays :func:`write_predictions` writes.
     """
     tracked, truths = [], []
+    if isinstance(sequences, _Split):  # no sequence read into the buffer leaves this loop
+        split, frames = sequences, np.empty(sequences.shape, sequences.dtype)
+        sequences = (split._load(i, frames) for i in split.indices)
     for seq in sequences:
         tracked.append(track_sequence(seq, cfg, temporal_mean))
         truths.append(seq.trajectory)

@@ -236,10 +236,10 @@ _FILES = (("frames", (("frames", "<f4"),)),
 
 
 def _record_shapes(cfg: SimConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of each of one sequence's records under ``cfg``, by name, in file order."""
-    t = cfg.frames_per_video
-    return {"frames": (t, cfg.image_size, cfg.image_size), "positions_px": (t, 2),
-            "velocities_fu": (t, 2), "bounce_flags": (t,)}
+    """Shape of each of one sequence's records under ``cfg``, by name, in the file order of ``_FILES``."""
+    t, size = cfg.frames_per_video, cfg.image_size
+    shapes = {"frames": (t, size, size), "positions_px": (t, 2), "velocities_fu": (t, 2), "bounce_flags": (t,)}
+    return {name: shapes[name] for _, records in _FILES for name, _ in records}
 
 
 def _binary_flags(flags) -> bool:
@@ -370,6 +370,7 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     ``len(sequences)``, each sequence is accessed exactly once, checked as
     it arrives and its frames streamed to the frames file; the truth file is
     written after the frames, from the kept trajectories' ``Trajectory.stack``.
+    Both the checks and the files take their records by name, in ``_FILES`` order.
 
     A split name outside ``SPLITS``, an empty split, or a directory whose
     manifest holds another configuration (:func:`existing_manifest`) is
@@ -405,7 +406,8 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
             _write_header(fh, (n, *want["frames"]))
             for i in range(n):
                 seq = sequences[i]
-                shapes = (np.shape(seq.frames), *map(np.shape, vars(seq.trajectory).values()))
+                shapes = tuple(np.shape(seq.frames if name == "frames" else getattr(seq.trajectory, name))
+                               for name in want)
                 if shapes != tuple(want.values()):
                     raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
                                              f"{shapes}, but the config's are {tuple(want.values())}")
@@ -415,9 +417,10 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
                 _write_payload(fh, seq.frames, dtypes["frames"])
                 trajectories.append(seq.trajectory)
                 del seq  # else it holds this sequence's frames while the next one is made
+        truth = Trajectory.stack(trajectories)
         with open(truth_tmp, "wb") as fh:
-            for name, array in vars(Trajectory.stack(trajectories)).items():
-                _write_record(fh, array, dtypes[name])
+            for name, dtype in dict(_FILES)["truth"]:
+                _write_record(fh, getattr(truth, name), dtype)
         meta_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return [path / name for name in names]
 
@@ -469,7 +472,9 @@ class _Split(_LazySplit):
     The truth is one :class:`Trajectory` of read-only ``(N, T, ...)`` arrays;
     each access hands out ``truth[i]``, views of them, opens the frames file,
     checks that its :func:`_stamp` is still the one taken when the split was
-    read, and reads that sequence's ``(T, H, W)`` slice of the payload.
+    read, and reads that sequence's ``(T, H, W)`` slice of the payload into a
+    fresh array.  Only :func:`~balltrack.tracker.track_split` passes
+    :meth:`_load` a buffer of its own to read into instead.
     """
 
     path: Path
@@ -479,8 +484,9 @@ class _Split(_LazySplit):
     dtype: str  # of the frames
     truth: Trajectory
 
-    def _load(self, i: int) -> VideoSequence:
-        frames = np.empty(self.shape, dtype=self.dtype)
+    def _load(self, i: int, frames: np.ndarray | None = None) -> VideoSequence:
+        if frames is None:
+            frames = np.empty(self.shape, dtype=self.dtype)
         try:
             fh = open(self.path, "rb")
         except OSError as err:

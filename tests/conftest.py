@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,3 +78,21 @@ def fail_generation(monkeypatch):
 
         monkeypatch.setattr(balltrack.video, "generate_sequence", generate)
     return fail
+
+
+@pytest.fixture(scope="session")
+def peak_rss():
+    """Run ``python -c code *args`` in a fresh process that imports this
+    package and return its peak RSS (``ru_maxrss``) at exit.  A small launcher
+    starts it: a process's ``ru_maxrss`` starts at its parent's peak when it
+    forks, and the test process's peak is larger than most commands'."""
+    src = str(Path(balltrack.video.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    launch = [sys.executable, "-c", "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"]
+
+    def run(code, *args):
+        code += "\nimport resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        done = subprocess.run([*launch, sys.executable, "-c", code, *map(str, args)], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        return int(done.stdout.split()[-1])
+    return run

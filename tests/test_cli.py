@@ -23,8 +23,7 @@ from balltrack.factorial import contrast_sign, enumerate_configs
 from balltrack.physics import physics_refine_window
 from balltrack.sim import SimConfig
 from balltrack.tracker import METRICS, track_split
-from balltrack.video import (DatasetError, _read_record, _write_record, generate_split, read_dataset, staged,
-                             write_dataset)
+from balltrack.video import _read_record, _write_record, generate_split, read_dataset, staged, write_dataset
 
 from reference_tables import TRACK_SEED_7_DIGESTS, TRACK_SEED_42_METRICS, assert_pinned, multiply_kernel
 
@@ -168,42 +167,21 @@ class TestGen:
             _gen(out, "--train", "3")
         assert not out.exists()  # nor the lock or the sigma directory in it
 
-    def test_failure_in_a_later_split_keeps_the_splits_written(self, tmp_path, fail_generation):
-        # the set is incomplete, not wrong: meta.json lists only the splits on disk
+    def test_failure_in_a_later_split_removes_the_splits_written(self, tmp_path, fail_generation):
+        # the train split and a meta.json listing it had landed; the failed gen removes them
         argv = ["--sigma", "0", "--train", "2", "--val", "2", "--test", "2", "--frames", "4"]
-        assert main(["gen", "--out", str(tmp_path / "clean"), *argv]) == 0
         fail_generation(_config_from_args(build_parser().parse_args(["gen", *argv]), 0.0), "val", 1)
         out = tmp_path / "d"
         with pytest.raises(SystemExit, match=r"^error: injected simulator fault$"):
             main(["gen", "--out", str(out), *argv])
-        assert not (out / "gen_manifest.json").exists()
-        data, clean = out / "sigma_0", tmp_path / "clean" / "sigma_0"
-        assert json.loads((data / "meta.json").read_text())["splits"] == {"train": 2}
-        assert sorted(p.name for p in data.iterdir()) == ["meta.json", "train_frames.bin", "train_truth.bin"]
-        for name in ("train_frames.bin", "train_truth.bin"):
-            assert (data / name).read_bytes() == (clean / name).read_bytes()
-        got, want = ([[np.asarray(a).tobytes() for a in (s.frames, *vars(s.trajectory).values())]
-                      for s in read_dataset(d, "train")[0]] for d in (data, clean))
-        assert got == want and len(got) == 2
-        with pytest.raises(DatasetError, match=r"no 'val' split .*; the manifest lists: train$"):
-            read_dataset(data, "val")
+        assert not out.exists()  # nor any split, manifest, lock or temporary file in it
 
-    def test_memory_does_not_grow_with_the_split(self, tmp_path):
-        code = ("import resource, sys\n"
-                "from balltrack.cli import main\n"
-                "main(sys.argv[1:])\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        src = str(Path(balltrack.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    def test_memory_does_not_grow_with_the_split(self, tmp_path, peak_rss):
+        def peak(n):
+            return peak_rss("import sys\nfrom balltrack.cli import main\nmain(sys.argv[1:])", "gen", "--out",
+                            tmp_path / str(n), "--sigma", "1", "--train", "1", "--val", "1", "--test", n)
 
-        def peak_rss(n):
-            argv = ["gen", "--out", str(tmp_path / str(n)), "--sigma", "1", "--train", "1", "--val", "1",
-                    "--test", str(n)]
-            run = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, timeout=120,
-                                 capture_output=True, text=True)
-            return int(run.stdout.split()[-1])
-
-        peaks = [peak_rss(n) for n in (4, 16, 48)]
+        peaks = [peak(n) for n in (4, 16, 48)]
         assert max(peaks) <= 1.1 * min(peaks), peaks
 
     def test_lock_file_blocks_concurrent_use(self, tmp_path):
@@ -265,6 +243,44 @@ class TestGen:
             _gen(tmp_path / "d")
         assert str(err.value.code) == f"error: {shown}"
         assert list(tmp_path.iterdir()) == []  # no directory, lock or .tmp file
+
+    @staticmethod
+    def _fail_noise_image(monkeypatch, at):
+        """Fake a ``MemoryError`` in the ``at``-th noise image that gen makes (from 1)."""
+        import balltrack.video
+
+        real, made = balltrack.video.make_noise_image, []
+
+        def noise_image(cfg, rng):
+            made.append(cfg)
+            if len(made) == at:
+                raise MemoryError("faked")
+            return real(cfg, rng)
+
+        monkeypatch.setattr(balltrack.video, "make_noise_image", noise_image)
+
+    def test_failure_after_two_splits_leaves_no_dataset(self, tmp_path, monkeypatch):
+        # the fourth noise image is the test split's first: train and val have landed
+        self._fail_noise_image(monkeypatch, 4)
+        with pytest.raises(SystemExit, match="^error: faked$"):
+            _gen(tmp_path / "d")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_in_the_second_sigma_removes_the_first_ones_dataset(self, tmp_path, monkeypatch):
+        self._fail_noise_image(monkeypatch, 7)  # sigma 1's second train sequence
+        with pytest.raises(SystemExit, match="^error: faked$"):
+            main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_a_dataset_that_was_there(self, tmp_path, monkeypatch):
+        out = tmp_path / "d"
+        _gen(out)
+        before = _snapshot(out)
+        self._fail_noise_image(monkeypatch, 9)  # sigma 1's test split, after sigma 0 is rewritten
+        with pytest.raises(SystemExit, match="^error: faked$"):
+            main(["gen", "--out", str(out), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
+        assert _snapshot(out) == before  # sigma_0 rewritten with the same bytes, no sigma_1
+        assert [len(read_dataset(out / "sigma_0", split)[0]) for split in ("train", "val", "test")] == [2, 1, 2]
 
 
 # one valid non-default value per gen flag
@@ -916,3 +932,35 @@ class TestEffects:
         assert err.value.code == 2
         assert f"argument --top: must be >= 1, got {top}" in capsys.readouterr().err
         assert not out.exists()
+
+
+_SCIPY_LOADED = """
+import sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+from balltrack.cli import main
+assert not scipy_modules(), scipy_modules()
+if sys.argv[1] == "selfcheck":
+    main(["selfcheck", "--trials", "0"])
+    assert not scipy_modules(), scipy_modules()
+else:
+    out = Path(sys.argv[2])
+    main(["gen", "--out", str(out / "d"), "--sigma", "0", "--train", "1", "--val", "1", "--test", "1",
+          "--frames", "3", "--image-size", "16", "--radius", "2", "--vmax", "2"])
+    main(["effects", "--results", sys.argv[1], "--out", str(out / "fx")])
+    assert not {"scipy.fft", "scipy.signal"} & set(sys.modules), scipy_modules()
+"""
+
+
+def test_only_track_loads_scipy_transforms(tmp_path):
+    # importing the CLI loads no scipy module, so start-up does not pay for it;
+    # gen and effects import only scipy's top-level package, for its version in
+    # their manifests, and selfcheck none at all
+    src = str(Path(balltrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["selfcheck"], [_planted_csv(tmp_path / "results.csv"), tmp_path]):
+        subprocess.run([sys.executable, "-c", _SCIPY_LOADED, *map(str, argv)], env=env, check=True, timeout=60,
+                       stdout=subprocess.DEVNULL)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import balltrack
-from balltrack.heatmaps import expectation_for_scale, hard_argmax
+from balltrack.heatmaps import (bicubic_expectation, biquadratic_expectation, coarse_to_fine_expectation,
+                                hard_argmax)
 from balltrack.physics import physics_refine_window, to_frame_units
 from balltrack.rng import RandomStream
 from balltrack.sim import SimConfig, Trajectory, simulate_trajectory, trajectory_windows, window_index
@@ -427,9 +429,11 @@ def _reference_track(frames, cfg, temporal_mean):
     hm224 = np.array([_ncc_reference(frame, template) for frame in work])
     windows = window_index(len(frames))
     predictions = {}
-    for s, hm in ((56, _reference_pool(hm224, 4)), (112, _reference_pool(hm224, 2)), (224, hm224)):
+    for s, hm, operator in ((56, _reference_pool(hm224, 4), coarse_to_fine_expectation),
+                            (112, _reference_pool(hm224, 2), biquadratic_expectation),
+                            (224, hm224, bicubic_expectation)):
         a = 224 / s
-        b = a * expectation_for_scale(s)(hm)[windows]
+        b = a * operator(hm)[windows]
         win = physics_refine_window(b, to_frame_units(cfg))
         predictions[s] = {"B": b, "H": a * _reference_argmax(hm)[windows], "P": win.positions_px,
                           "V": win.velocities_fu, "bounce": win.bounce_flags}
@@ -538,7 +542,7 @@ class TestPeakMemory:
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy loads when the correlator first runs; gen, effects and selfcheck never load it
+    # the correlator loads scipy.fft when it first runs, and tracker.fftconvolve loads scipy.signal on access
     code = ("import sys, balltrack.cli\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
@@ -573,10 +577,10 @@ tracer.active = False
 totals = tracer.totals()
 tracer.uninstall()
 
-assert totals["heatmaps.calls"] == 9, totals["heatmaps.calls"]
+assert totals["heatmaps.calls"] == 6, totals["heatmaps.calls"]
 for stage in ("ncc_heatmap", "downscale_heatmap"):  # the track path's per-layer figures
     assert totals.get(f"tracker.{stage}.calls") == 1, (stage, totals.get(f"tracker.{stage}.calls"))
-operators = {heatmaps.expectation_for_scale(s).__name__ for s in tracker.SCALES}
+operators = {operator for _, operator in tracker.POOLING.values()}
 assert len(operators) == 3, operators
 for op in operators:
     assert totals.get(f"heatmaps.{op}.calls") == 1, (op, totals.get(f"heatmaps.{op}.calls"))
@@ -625,9 +629,9 @@ def _run_with_bench(code):
 
 def test_bench_tracer_sees_every_stage_of_track_sequence():
     # bench/spans.py wraps the program's functions from outside, by module
-    # namespace; a traced track_sequence must enter heatmaps 9 times (operator
-    # lookup, operator and hard argmax per scale), and uninstall must put every
-    # original back.
+    # namespace; a traced track_sequence must enter heatmaps 6 times (the
+    # operator that POOLING names and the hard argmax, per scale), and uninstall
+    # must put every original back.
     _run_with_bench(_TRACED_TRACK)
 
 
@@ -950,6 +954,46 @@ class TestTrackSplit:
         track_split([generate_sequence(cfg, split_stream(cfg, "test", 0))], cfg)  # warm caches
         small, large = peak(2), peak(6)
         assert abs(large - small) <= 0.1 * small, (small, large)
+
+    @pytest.mark.parametrize("temporal_mean", [False, True])
+    def test_read_split_tracks_to_the_bytes_of_its_list(self, tmp_path, temporal_mean):
+        # a split of read_dataset is read into one reused frames buffer; a list
+        # of its sequences holds fresh arrays
+        cfg = SimConfig(image_size=64, frames_per_video=8, noise_sigma=1.0, n_test=3)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        split, _ = read_dataset(tmp_path, "test")
+        (got, got_predictions), (want, want_predictions) = (track_split(sequences, cfg, temporal_mean)
+                                                            for sequences in (split, list(split)))
+        assert all(got[m].tobytes() == want[m].tobytes() for m in METRICS)
+        assert all(got_predictions[s][k].tobytes() == want_predictions[s][k].tobytes()
+                   for s in want_predictions for k in want_predictions[s])
+
+    def test_accesses_after_tracking_return_distinct_arrays(self, tmp_path):
+        cfg = SimConfig(image_size=64, frames_per_video=8, noise_sigma=1.0, n_test=2)
+        written = generate_split(cfg, "test")
+        write_dataset(tmp_path, "test", written, cfg)
+        split, _ = read_dataset(tmp_path, "test")
+        track_split(split, cfg)
+        first, second = split[0].frames, split[1].frames
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == written[0].frames.tobytes() and second.tobytes() == written[1].frames.tobytes()
+
+    def test_read_split_peak_rss_is_flat(self, tmp_path, peak_rss):
+        # one fresh process per size: tracking a read split must not step up its
+        # peak RSS as 8 MB frame arrays fragment the heap (about 9 % from 4 to 48
+        # sequences when each access reads into a fresh array)
+        cfg = SimConfig(noise_sigma=1.0, n_test=48)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        code = ("import sys\n"
+                "from balltrack.tracker import track_split\n"
+                "from balltrack.video import read_dataset\n"
+                "split, cfg = read_dataset(sys.argv[1], 'test')\n"
+                "track_split(split[:int(sys.argv[2])], cfg, temporal_mean=True)\n")
+        try:
+            peak = {n: peak_rss(code, tmp_path, n) for n in (4, 16, 48)}
+        finally:
+            shutil.rmtree(tmp_path)  # 385 MB of frames
+        assert max(peak.values()) <= 1.03 * peak[4], peak
 
 
 def _rows_by_line(text):

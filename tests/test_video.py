@@ -216,6 +216,20 @@ class TestDatasetIO:
             assert a.trajectory.velocities_fu.tobytes() == b.trajectory.velocities_fu.tobytes()
             assert np.array_equal(a.trajectory.bounce_flags, b.trajectory.bounce_flags)
 
+    def test_records_are_written_and_read_in_the_order_of_the_record_table(self, tmp_path, monkeypatch):
+        # _FILES alone orders a split's records: with its truth records reversed,
+        # the truth file starts with the (N, T) bounce flags and reads back the same
+        files = dict(balltrack.video._FILES)
+        monkeypatch.setattr(balltrack.video, "_FILES", (("frames", files["frames"]), ("truth", files["truth"][::-1])))
+        cfg = replace(_FUZZ_CFG, n_test=2)
+        written = generate_split(cfg, "test")
+        write_dataset(tmp_path, "test", written, cfg)
+        blob = (tmp_path / "test_truth.bin").read_bytes()
+        assert struct.unpack_from("<I2Q", blob, 8) == (2, 2, cfg.frames_per_video)
+        assert _header_offsets(blob, ("<u1", "<f8", "<f8"))
+        split, _ = read_dataset(tmp_path, "test")
+        assert _split_bytes(split) == _split_bytes(written)
+
     def test_default_split_sizes_match_standard_setup(self, cfg):
         assert (cfg.n_train, cfg.n_val, cfg.n_test) == (100, 50, 100)
         assert cfg.frames_per_video == 40
