@@ -13,10 +13,10 @@ scipy versions and numpy's complex128 multiply kernel), so a run can be
 reproduced bit-exactly on a machine whose multiply kernel is the same.
 Every output directory is made, locked and written by ``video.staged``, so
 two commands cannot write one directory at once and a failed command leaves
-nothing it made; a failed ``gen`` also removes the splits it landed in each
-``sigma_*`` directory that held no dataset before it.  Every failure, a
-rejected input, a held lock, an ``OSError`` or a ``MemoryError``, ends a
-command with ``error: ...``.
+nothing it made.  ``gen`` lands every ``sigma_*`` directory at once, after
+every split of every noise level is written, so a failed ``gen`` changes no
+file.  Every failure, a rejected input, a held lock, an ``OSError`` or a
+``MemoryError``, ends a command with ``error: ...``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .selfcheck import run_all
 from .sim import SimConfig, SimulationError
 from .tracker import (SCALES, metrics_columns_from_csv, metrics_to_csv, per_sequence_to_csv, track_split,
                       write_predictions)
-from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, staged, write_dataset
+from .video import DatasetError, SPLITS, existing_manifest, generate_split, read_dataset, staged, staged_dataset
 
 ENV_OUT_ROOT = "BALLTRACK_OUT"
 
@@ -139,26 +139,17 @@ def cmd_gen(args) -> int:
         if target in targets:
             raise SystemExit(f"error: --sigma {targets[target][0]} and --sigma {sigma} both map to {target}")
         targets[target] = sigma, cfg  # the sigma as given
-    for target, (_, cfg) in targets.items():  # a dataset already there must have the same config
+    for target, (_, cfg) in targets.items():  # a dataset there must share the config: checked before any write
         existing_manifest(target, cfg)
-    fresh = {target for target in targets if not (target / "meta.json").exists()}  # no dataset there yet
-    outputs = {}  # each path once, in the order first written
-    with staged(out, ["gen_manifest.json"]) as (manifest,):  # write_dataset locks each sigma_* directory
-        try:
-            for target, (_, cfg) in targets.items():
-                for split in SPLITS:
-                    outputs.update(dict.fromkeys(write_dataset(target, split, generate_split(cfg, split), cfg)))
-                print(f"wrote {target} (sigma={cfg.noise_sigma:g}, "
-                      f"{cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
-            _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
-        except BaseException:  # remove the datasets this run began, not one that was there
-            for path in outputs:
-                if path.parent in fresh:
-                    path.unlink(missing_ok=True)
-            for target in fresh:
-                with contextlib.suppress(OSError):  # absent, or holding files this run did not write
-                    os.rmdir(target)
-            raise
+    with contextlib.ExitStack() as stack:  # nothing lands before it closes, gen_manifest.json last
+        (manifest,) = stack.enter_context(staged(out, ["gen_manifest.json"]))
+        outputs = []
+        for target, (_, cfg) in targets.items():  # each directory lands as the stack closes
+            splits = {split: generate_split(cfg, split) for split in SPLITS}
+            outputs += stack.enter_context(staged_dataset(target, splits, cfg))
+        _write_manifest(manifest, "gen", {**vars(args), "sigma": sigmas}, [], outputs, started)
+    for target, (_, cfg) in targets.items():
+        print(f"wrote {target} (sigma={cfg.noise_sigma:g}, {cfg.n_train}/{cfg.n_val}/{cfg.n_test} sequences)")
     return 0
 
 

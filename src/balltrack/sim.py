@@ -84,6 +84,10 @@ class SimConfig:
             raise SimulationError(f"parameters must be integers: {', '.join(bad)}")
         for name, value in ints.items():  # numpy integers become ints, as the manifest and the rng take them
             object.__setattr__(self, name, int(value))
+        # nor is a bool a measure: True would pass as 1.0, and a manifest would hold it as true
+        if bad := [f"{name}={value!r}" for name, value in vars(self).items()
+                   if isinstance(value, (bool, np.bool_))]:
+            raise SimulationError(f"parameters must not be bools: {', '.join(bad)}")
         # NaN fails every comparison below, and +inf passes some of them
         if bad := [f"{name}={value}" for name, value in vars(self).items() if not math.isfinite(value)]:
             raise SimulationError(f"parameters must be finite: {', '.join(bad)}")

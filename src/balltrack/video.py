@@ -18,7 +18,7 @@ On disk a dataset is one directory per noise level:
 A tensor record is ``b"PITD"``, u32 version, u32 ndims, ndims x u64 shape,
 then the row-major little-endian payload.  Element type is fixed by the
 record's position in the file, listed above and in ``_FILES``, the one table
-that :func:`write_dataset` and :func:`read_dataset` loop over.  A split is
+that :func:`staged_dataset` and :func:`read_dataset` loop over.  A split is
 valid when its records have the shapes listed above (T = frames_per_video,
 H = W = image_size from the config, N >= 1) and its bounce flags are 0 or
 1: both check these rules, :func:`_record_shapes` and :func:`_binary_flags`.
@@ -30,12 +30,14 @@ own stream.  Each access to a split of :func:`read_dataset` reads that
 sequence's frames from the file anew, after checking that the file is still
 the one it checked; :func:`read_dataset` runs every check on both files
 before it returns (headers, exact payload sizes, record shapes, bounce
-flags) without reading a frame.  :func:`write_dataset` makes one pass over
-a split: it takes each sequence once, checks it as it arrives, streams its
-frames to a staged file and keeps its trajectory for the truth file, their
-``Trajectory.stack``.  Every output lands through :func:`staged`, under the
-directory's lock, its manifest (``meta.json`` here) last, so a rejected or
-failed write leaves the filesystem as it was and no manifest names a mixed set.
+flags) without reading a frame.  :func:`staged_dataset` writes any splits
+of one directory, making one pass over each: it takes each sequence once,
+checks it as it arrives, streams its frames to a staged file and keeps its
+trajectory for the truth file, their ``Trajectory.stack``;
+:func:`write_dataset` is it with one split.  Every output lands through
+:func:`staged`, under the directory's lock, its manifest (``meta.json``
+here) last, so a rejected or failed write leaves the filesystem as it was
+and no manifest names a mixed set.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
     "generate_sequence",
     "generate_split",
     "write_dataset",
+    "staged_dataset",
     "staged",
     "read_dataset",
     "read_manifest",
@@ -361,8 +364,16 @@ def staged(directory, names: Sequence[str]):
 
 
 def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: SimConfig) -> list[Path]:
-    """Persist one split and return the paths written, the split's files then
-    the manifest; the manifest is (re)written with every call.
+    """Persist one split through :func:`staged_dataset`; return the paths it yields."""
+    with staged_dataset(path, {split: sequences}, cfg) as paths:
+        return paths
+
+
+@contextlib.contextmanager
+def staged_dataset(path, splits: dict[str, Sequence[VideoSequence]], cfg: SimConfig):
+    """Write each split of ``splits``, ``{split: sequences}``, and the merged
+    manifest under one :func:`staged` call and yield their paths, the manifest
+    last.  They land when the block ends; a block that raises lands nothing.
 
     ``sequences`` is any sequence of :class:`VideoSequence`, a list or a
     lazy split of :func:`generate_split` or :func:`read_dataset`.  The
@@ -387,42 +398,42 @@ def write_dataset(path, split: str, sequences: Sequence[VideoSequence], cfg: Sim
     that fails part-way leaves no ``meta.json``, so the directory does not
     load as a dataset.
     """
-    _check_split(split)
-    n = len(sequences)
-    if not n:
-        raise DatasetError(f"{path}: no sequences to write for split {split!r}")
+    for split, sequences in splits.items():
+        _check_split(split)
+        if not len(sequences):
+            raise DatasetError(f"{path}: no sequences to write for split {split!r}")
     want = _record_shapes(cfg)
     path = Path(path)
     manifest = existing_manifest(path, cfg)
-    manifest["format_version"] = FORMAT_VERSION
-    manifest["config"] = asdict(cfg)
-    manifest.setdefault("splits", {})[split] = n
+    manifest.update(format_version=FORMAT_VERSION, config=asdict(cfg))
+    manifest.setdefault("splits", {}).update({split: len(sequences) for split, sequences in splits.items()})
 
     dtypes = {name: dtype for _, records in _FILES for name, dtype in records}
-    names = [p.name for p in _split_paths(path, split).values()] + ["meta.json"]
-    with staged(path, names) as (frames_tmp, truth_tmp, meta_tmp):
-        trajectories = []  # small: kept for the second file
-        with open(frames_tmp, "wb") as fh:
-            _write_header(fh, (n, *want["frames"]))
-            for i in range(n):
-                seq = sequences[i]
-                shapes = tuple(np.shape(seq.frames if name == "frames" else getattr(seq.trajectory, name))
-                               for name in want)
-                if shapes != tuple(want.values()):
-                    raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of shapes "
-                                             f"{shapes}, but the config's are {tuple(want.values())}")
-                if not _binary_flags(seq.trajectory.bounce_flags):
-                    raise DatasetError(f"{path}: sequence {i} of split {split!r} has bounce flags "
-                                       "other than 0 and 1")
-                _write_payload(fh, seq.frames, dtypes["frames"])
-                trajectories.append(seq.trajectory)
-                del seq  # else it holds this sequence's frames while the next one is made
-        truth = Trajectory.stack(trajectories)
-        with open(truth_tmp, "wb") as fh:
-            for name, dtype in dict(_FILES)["truth"]:
-                _write_record(fh, getattr(truth, name), dtype)
-        meta_tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return [path / name for name in names]
+    names = [p.name for split in splits for p in _split_paths(path, split).values()] + ["meta.json"]
+    with staged(path, names) as tmps:
+        for (split, sequences), frames_tmp, truth_tmp in zip(splits.items(), tmps[::2], tmps[1::2]):
+            trajectories = []  # small: kept for the second file
+            with open(frames_tmp, "wb") as fh:
+                _write_header(fh, (len(sequences), *want["frames"]))
+                for i in range(len(sequences)):
+                    seq = sequences[i]
+                    shapes = tuple(np.shape(seq.frames if name == "frames" else getattr(seq.trajectory, name))
+                                   for name in want)
+                    if shapes != tuple(want.values()):
+                        raise ShapeMismatchError(f"{path}: sequence {i} of split {split!r} has records of "
+                                                 f"shapes {shapes}, but the config's are {tuple(want.values())}")
+                    if not _binary_flags(seq.trajectory.bounce_flags):
+                        raise DatasetError(f"{path}: sequence {i} of split {split!r} has bounce flags "
+                                           "other than 0 and 1")
+                    _write_payload(fh, seq.frames, dtypes["frames"])
+                    trajectories.append(seq.trajectory)
+                    del seq  # else it holds this sequence's frames while the next one is made
+            truth = Trajectory.stack(trajectories)
+            with open(truth_tmp, "wb") as fh:
+                for name, dtype in dict(_FILES)["truth"]:
+                    _write_record(fh, getattr(truth, name), dtype)
+        tmps[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        yield [path / name for name in names]
 
 
 def existing_manifest(path, cfg: SimConfig) -> dict:
@@ -449,7 +460,8 @@ def read_manifest(path) -> dict:
         raise DatasetError(f"{manifest_path}: the manifest is not valid JSON: {err}") from err
     if not isinstance(manifest, dict):
         raise DatasetError(f"{manifest_path}: the manifest is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    version = manifest.get("format_version")  # true == 1 == 1.0, but neither is this format's version
+    if isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
         raise FormatVersionError(f"{manifest_path}: incompatible manifest version")
     if not isinstance(manifest.get("config"), dict):
         raise DatasetError(f"{manifest_path}: the manifest holds no configuration object")

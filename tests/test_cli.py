@@ -55,6 +55,12 @@ def _snapshot(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _stamps(root):
+    """Every file under ``root``: relative name -> (inode, modification time)."""
+    return {str(p.relative_to(root)): (p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestGen:
     def test_writes_all_splits_and_manifest(self, tmp_path):
         assert _gen(tmp_path / "d") == 0
@@ -266,21 +272,50 @@ class TestGen:
             _gen(tmp_path / "d")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failure_in_the_second_sigma_removes_the_first_ones_dataset(self, tmp_path, monkeypatch):
+    def test_failure_in_the_second_sigma_removes_the_first_ones_dataset(self, tmp_path, monkeypatch, capsys):
         self._fail_noise_image(monkeypatch, 7)  # sigma 1's second train sequence
         with pytest.raises(SystemExit, match="^error: faked$"):
             main(["gen", "--out", str(tmp_path / "d"), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
         assert list(tmp_path.iterdir()) == []
+        assert "wrote" not in capsys.readouterr().out  # not even for sigma_0, whose splits were all written
 
     def test_failure_keeps_a_dataset_that_was_there(self, tmp_path, monkeypatch):
         out = tmp_path / "d"
         _gen(out)
-        before = _snapshot(out)
-        self._fail_noise_image(monkeypatch, 9)  # sigma 1's test split, after sigma 0 is rewritten
+        before, stamps = _snapshot(out), _stamps(out)
+        self._fail_noise_image(monkeypatch, 9)  # sigma 1's test split, after sigma 0's splits are written
         with pytest.raises(SystemExit, match="^error: faked$"):
             main(["gen", "--out", str(out), "--sigma", "0", "--sigma", "1", *GEN_SMALL])
-        assert _snapshot(out) == before  # sigma_0 rewritten with the same bytes, no sigma_1
+        assert _snapshot(out) == before  # no sigma_1
+        assert _stamps(out) == stamps  # sigma_0 was not landed again: the same files, not copies of them
         assert [len(read_dataset(out / "sigma_0", split)[0]) for split in ("train", "val", "test")] == [2, 1, 2]
+
+    def test_every_directory_lands_once_after_every_sequence_is_made(self, tmp_path, monkeypatch):
+        import balltrack.video
+
+        events, generate, rename = [], balltrack.video.generate_sequence, os.replace
+
+        def generated(cfg, rng):
+            events.append(None)
+            return generate(cfg, rng)
+
+        def renamed(src, dst):
+            events.append(Path(dst))
+            rename(src, dst)
+
+        monkeypatch.setattr(balltrack.video, "generate_sequence", generated)
+        monkeypatch.setattr(os, "replace", renamed)
+        out = tmp_path / "d"
+        assert main(["gen", "--out", str(out), "--sigma", "0", "--sigma", "1", *GEN_SMALL]) == 0
+        made = events.count(None)  # two sigmas of 2/1/2 sequences
+        assert made == 10 and events[:made] == [None] * made  # no file lands before the last one is made
+        renames = events[made:]
+        for tag in ("0", "1"):
+            landed = [path.name for path in renames if path.parent == out / f"sigma_{tag}"]
+            assert landed.count("meta.json") == 1 and landed[-1] == "meta.json", landed
+            assert sorted(landed) == sorted(p.name for p in (out / f"sigma_{tag}").iterdir())
+        assert renames[-1] == out / "gen_manifest.json"
+        assert len(renames) == 2 * 7 + 1
 
 
 # one valid non-default value per gen flag

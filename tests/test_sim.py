@@ -135,6 +135,19 @@ class TestConfig:
         with pytest.raises(SimulationError, match=f"must be integers: {field}="):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("field", ["scale", "dt", "gravity", "restitution", "radius_px",
+                                       "v_max", "noise_sigma"])
+    def test_bools_in_real_valued_fields_rejected(self, field, value):
+        # True once passed as 1.0 wherever 1.0 is valid, and False as 0.0 for noise_sigma
+        with pytest.raises(SimulationError, match=f"^parameters must not be bools: {field}={value!r}$"):
+            SimConfig(**{field: value})
+
+    def test_every_bool_named(self):
+        with pytest.raises(SimulationError, match=r"^parameters must not be bools: scale=True, dt=True, "
+                                                  r"restitution=True$"):
+            SimConfig(restitution=True, scale=True, dt=True)
+
     def test_numpy_integers_accepted_as_ints(self, tmp_path):
         cfg = SimConfig(image_size=np.int64(64), frames_per_video=np.int32(5), n_test=np.uint8(2),
                         seed=np.int64(7))

@@ -42,6 +42,7 @@ from balltrack.video import (
     _write_record,
     split_stream,
     staged,
+    staged_dataset,
     write_dataset,
 )
 
@@ -254,10 +255,12 @@ class TestDatasetIO:
         with pytest.raises(FormatVersionError):
             read_dataset(tmp_path, "val")
 
-    def test_manifest_of_another_format_version_raises(self, tmp_path, small_cfg):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, True, float(FORMAT_VERSION)],
+                             ids=["next", "bool", "float"])  # true == 1 == 1.0
+    def test_manifest_of_another_format_version_raises(self, tmp_path, small_cfg, version):
         write_dataset(tmp_path, "val", generate_split(small_cfg, "val"), small_cfg)
         meta = json.loads((tmp_path / "meta.json").read_text())
-        meta["format_version"] = FORMAT_VERSION + 1
+        meta["format_version"] = version
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(FormatVersionError, match="incompatible manifest version"):
             read_dataset(tmp_path, "val")
@@ -436,7 +439,8 @@ class TestDatasetIO:
             read_dataset(tmp_path, "test")
 
     @pytest.mark.parametrize("change", [{"n_test": 0}, {"colour": 1}, {"noise_sigma": float("nan")},
-                                        {"seed": -1}, {"seed": 2**64}, {"noise_sigma": 1e308}])
+                                        {"seed": -1}, {"seed": 2**64}, {"noise_sigma": 1e308},
+                                        {"restitution": True}, {"radius_px": True}])  # true once loaded as True
     def test_invalid_manifest_config_is_dataset_error(self, tmp_path, small_cfg, change):
         import json
 
@@ -879,6 +883,39 @@ class TestStaged:
         with pytest.raises(DatasetError, match=r"locked by .* \(pid 4242\)"):
             write_dataset(tmp_path, "val", generate_split(small_cfg, "val"), small_cfg)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestStagedDataset:
+    """video.staged_dataset: every split of a directory and its manifest land at once, when the block ends."""
+
+    @staticmethod
+    def _files(root):
+        return {str(p.relative_to(root)): (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in root.rglob("*") if p.is_file()}
+
+    def test_lands_the_bytes_of_one_write_per_split_when_the_block_ends(self, tmp_path, small_cfg):
+        splits = {split: generate_split(small_cfg, split) for split in SPLITS}
+        with staged_dataset(tmp_path / "all", splits, small_cfg) as paths:
+            assert paths == [tmp_path / "all" / f"{split}_{file}.bin"
+                             for split in SPLITS for file in ("frames", "truth")] + [tmp_path / "all" / "meta.json"]
+            assert not any(path.exists() for path in paths)
+        for split in SPLITS:
+            write_dataset(tmp_path / "each", split, splits[split], small_cfg)
+        assert {p.name: p.read_bytes() for p in (tmp_path / "all").iterdir()} == \
+               {p.name: p.read_bytes() for p in (tmp_path / "each").iterdir()}
+
+    @pytest.mark.parametrize("target", ["existing", "fresh"])
+    def test_raising_block_leaves_the_filesystem_as_it_was(self, tmp_path, small_cfg, target):
+        path = tmp_path / "d"
+        if target == "existing":
+            for split in SPLITS:
+                write_dataset(path, split, generate_split(small_cfg, split), small_cfg)
+        before = self._files(tmp_path)
+        with pytest.raises(ValueError, match="^stop$"):
+            with staged_dataset(path, {split: generate_split(small_cfg, split) for split in SPLITS}, small_cfg):
+                raise ValueError("stop")
+        assert self._files(tmp_path) == before  # the same files, not copies; no lock or .tmp file
+        assert path.exists() == (target == "existing")
 
 
 class TestLazySplit:
