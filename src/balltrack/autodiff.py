@@ -13,7 +13,10 @@ Numerical code elsewhere in the package is written against the small helper
 functions below (``where``, ``relu``, ``asum`` ...) which dispatch on the
 input type: plain floats/arrays take the fast numpy path, duals propagate
 tangents.  Branches (``where``, clipping, bounce selection) carry the tangent
-of the chosen branch only, i.e. subgradient semantics at the kink.
+of the chosen branch only, i.e. subgradient semantics at the kink.  A helper
+that would change nothing returns its input uncopied (``where`` on a scalar
+condition, ``relu`` of positive values), so a result may share memory with an
+argument: callers must not write into results.
 """
 
 from __future__ import annotations
@@ -152,10 +155,17 @@ def where(cond, a, b):
 
 
 def relu(x):
-    """max(x, 0); a float array with no sign bit set (no negative, no -0.0)
-    is returned as it is, not copied."""
+    """max(x, 0), returning the input itself where that changes nothing.
+
+    A dual whose values are all > 0 comes back as it is; any other dual has
+    the tangent zeroed wherever its value is not > 0, so +0.0 too is past the
+    kink.  A float array with no sign bit set (no negative, no -0.0) is
+    returned as it is, not copied.
+    """
     if isinstance(x, Dual):
         keep = x.value > 0
+        if np.all(keep):  # not keep.all(): a scalar dual's keep is a Python bool
+            return x
         return Dual(np.where(keep, x.value, 0.0), np.where(keep, x.tangent, 0.0))
     if isinstance(x, np.ndarray) and x.dtype.kind == "f" and not np.signbit(x).any():
         return x
@@ -170,10 +180,15 @@ def absolute(x):
     return abs(x) if isinstance(x, Dual) else np.abs(x)
 
 
+def _full_tangent(t, shape):
+    """``t`` broadcast to ``shape``; ``t`` itself when it has that shape."""
+    return t if np.shape(t) == shape else np.broadcast_to(t, shape)
+
+
 def asum(x, axis=None):
     # np.add.reduce is what np.sum runs, minus its Python dispatch layer
     if isinstance(x, Dual):
-        t = np.broadcast_to(x.tangent, np.shape(x.value))
+        t = _full_tangent(x.tangent, np.shape(x.value))
         return Dual(np.add.reduce(x.value, axis=axis), np.add.reduce(t, axis=axis))
     return np.add.reduce(x, axis=axis)
 
@@ -211,7 +226,7 @@ def stack(xs, axis=-1):
     if not any(isinstance(x, Dual) for x in xs):
         return vals
     shape = np.shape(value(xs[0]))
-    return Dual(vals, np.stack([np.broadcast_to(tangent(x), shape) for x in xs], axis=axis))
+    return Dual(vals, np.stack([_full_tangent(tangent(x), shape) for x in xs], axis=axis))
 
 
 # ---- jacobians ---------------------------------------------------------

@@ -155,12 +155,15 @@ def check_gradients(trials: int = 100):
         def g(flat, op=op):
             return op(flat.reshape(*flat.shape[:-1], 24, 24))
 
+        # per probe a center in [10, 14)^2 and 32 pixel draws: one block holds
+        # the draws of uniform, uniform, random(32) calls, round after round
+        draws = op_rng.random(34 * trials).reshape(trials, 34)
         errors = []
-        for _ in range(trials):
-            hm = gaussian_target((op_rng.uniform(10, 14), op_rng.uniform(10, 14)), 24, 2.0).ravel()
+        for center, pixels in zip(10 + 4 * draws[:, :2], draws[:, 2:]):
+            hm = gaussian_target(center, 24, 2.0).ravel()
             # keep probed pixels clear of the rectifier kink (value >> fd step)
             candidates = np.flatnonzero(hm > 1e-3)
-            cols = candidates[(op_rng.random(32) * len(candidates)).astype(int)]
+            cols = candidates[(pixels * len(candidates)).astype(int)]
             errors.append(_jacobian_errors(g, hm, cols))
         results.append(_gradient_result(f"{name} expectation", errors))
 

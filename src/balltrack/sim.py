@@ -88,6 +88,10 @@ class SimConfig:
         if bad := [f"{name}={value!r}" for name, value in vars(self).items()
                    if isinstance(value, (bool, np.bool_))]:
             raise SimulationError(f"parameters must not be bools: {', '.join(bad)}")
+        # real-valued fields become floats: json, and so the manifest, takes no numpy float32
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            if isinstance(value := getattr(self, name), numbers.Real):
+                object.__setattr__(self, name, float(value))
         # NaN fails every comparison below, and +inf passes some of them
         if bad := [f"{name}={value}" for name, value in vars(self).items() if not math.isfinite(value)]:
             raise SimulationError(f"parameters must be finite: {', '.join(bad)}")

@@ -296,6 +296,16 @@ class TestHelpers:
     def test_relu_kink_semantics(self):
         assert ad.relu(ad.Dual(0.0, 1.0)).tangent == 0.0  # value 0 not > 0
         assert ad.relu(ad.Dual(1e-12, 1.0)).tangent == 1.0
+        # +0.0 has no sign bit, yet its tangent goes, beside positive values too
+        out = ad.relu(ad.Dual(np.array([0.0, -0.0, 2.0, -1.0]), np.array([1.0, 1.0, 1.0, 1.0])))
+        assert out.value.tobytes() == np.array([0.0, 0.0, 2.0, 0.0]).tobytes()
+        assert out.tangent.tobytes() == np.array([0.0, 0.0, 1.0, 0.0]).tobytes()
+
+    def test_relu_returns_a_positive_dual_itself(self):
+        d = ad.Dual(np.array([[1e-300, 2.5], [np.inf, 3.0]]), np.array([[1.0, -2.0], [0.0, 4.0]]))
+        assert ad.relu(d) is d
+        scalar = ad.Dual(1e-12, 1.0)
+        assert ad.relu(scalar) is scalar
 
     def test_relu_returns_a_non_negative_array_itself(self):
         maps = np.array([[0.0, 2.5], [np.inf, 1e-300]])
@@ -334,6 +344,27 @@ class TestHelpers:
         assert np.array_equal(out.value, [[1.0, 5.0, 2.0], [2.0, 6.0, 4.0]])
         assert np.array_equal(out.tangent, [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
         assert np.array_equal(ad.stack([1.0, np.float64(2.0)]), [1.0, 2.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           kind=st.sampled_from(["same", "unit-axes", "trailing", "scalar"]),
+           ones=st.lists(st.booleans(), min_size=3, max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_asum_and_stack_keep_the_broadcast_bits(self, shape, kind, ones, seed):
+        # the broadcast every tangent once went through, whatever its shape
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=shape)
+        t_shape = {"same": shape, "unit-axes": [1 if one else n for n, one in zip(shape, ones)],
+                   "trailing": shape[1:], "scalar": None}[kind]
+        t = float(rng.normal()) if t_shape is None else rng.normal(size=t_shape)
+        full = np.broadcast_to(t, v.shape)
+        for axis in (None, 0, -1):
+            got = ad.asum(ad.Dual(v, t), axis=axis)
+            assert np.asarray(got.value).tobytes() == np.add.reduce(v, axis=axis).tobytes()
+            assert np.asarray(got.tangent).tobytes() == np.add.reduce(full, axis=axis).tobytes()
+        xs = [ad.Dual(v, t), v, 0.5 * ad.Dual(v, t)]
+        want = np.stack([np.broadcast_to(ad.tangent(x), v.shape) for x in xs], axis=-1)
+        assert ad.stack(xs).tangent.tobytes() == want.tobytes()
+        assert ad.stack(xs, axis=0).tangent.tobytes() == np.moveaxis(want, -1, 0).copy().tobytes()
 
     def test_asum_over_map_axes(self, rng_np):
         x = rng_np.normal(size=(4, 6, 7))

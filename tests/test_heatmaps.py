@@ -17,6 +17,7 @@ from balltrack.heatmaps import (
     gaussian_target,
     hard_argmax,
 )
+from balltrack.heatmaps import _block
 from balltrack.rng import RandomStream
 
 
@@ -397,3 +398,37 @@ class TestBands:
             got, want = op(_row_bands(dual, rows)), op(dual)
             assert got.value.tobytes() == want.value.tobytes(), op.__name__
             assert got.tangent.tobytes() == want.tangent.tobytes(), op.__name__
+
+
+def _masked_block(window, corner, k, first):
+    """:func:`_block` as it always masks: clip every index into the window,
+    gather, then zero the pixels that fall off it."""
+    *lead, h, w = np.shape(ad.value(window))
+    rows, cols = corner[..., 1, None] - first[..., None] + np.arange(k), corner[..., 0, None] + np.arange(k)
+    batch = tuple(ix[..., None, None] for ix in np.indices(lead, sparse=True))
+    block = window[(*batch, np.clip(rows, 0, h - 1)[..., :, None], np.clip(cols, 0, w - 1)[..., None, :])]
+    inside = ((rows >= 0) & (rows < h))[..., :, None] & ((cols >= 0) & (cols < w))[..., None, :]
+    return ad.where(inside, block, 0.0)
+
+
+class TestBlock:
+    """A block wholly inside its window skips the mask, and keeps its bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from([4, 7]), h=st.integers(7, 12), w=st.integers(7, 12), n=st.integers(1, 4),
+           dtype=st.sampled_from([np.float64, np.float32]), inside=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_masked_block_bitwise(self, k, h, w, n, dtype, inside, seed):
+        rng = np.random.default_rng(seed)
+        maps = rng.normal(size=(n, h, w)).astype(dtype)
+        maps[rng.random(maps.shape) < 0.2] = -0.0
+        first = rng.integers(0, 3, size=n)
+        if inside:  # corners at which every block pixel is in the window
+            corner = np.stack([rng.integers(0, w - k + 1, size=n), first + rng.integers(0, h - k + 1, size=n)], -1)
+        else:
+            corner = np.stack([rng.integers(-k, w + 1, size=n), rng.integers(-k, h + 4, size=n)], -1)
+        got, want = _block(maps, corner, k, first), _masked_block(maps, corner, k, first)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        dual = ad.Dual(maps.astype(float), rng.normal(size=maps.shape))
+        got, want = _block(dual, corner, k, first), _masked_block(dual, corner, k, first)
+        assert got.value.tobytes() == want.value.tobytes() and got.tangent.tobytes() == want.tangent.tobytes()

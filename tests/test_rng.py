@@ -95,6 +95,18 @@ def test_zero_count_draws_are_empty():
     assert s.counter == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_one_block_holds_the_draws_of_interleaved_calls(seed, n):
+    # selfcheck's operator probes: n rounds of two centers in [10, 14) and 32 pixel draws
+    block = RandomStream.from_seed(seed, "probes").random(34 * n).reshape(n, 34)
+    s = RandomStream.from_seed(seed, "probes")
+    for row in block:
+        assert [s.uniform(10, 14), s.uniform(10, 14)] == (10 + 4 * row[:2]).tolist()
+        assert s.random(32).tobytes() == row[2:].tobytes()
+    assert s.counter == 34 * n
+
+
 # sha256 of the float64 bytes of draws from RandomStream.from_seed(2024,
 # "pins", method, str(n), str(sigma)): odd and even counts, a single draw
 # (n=None) and sigma other than 1.  The normal draws go through np.log, cos

@@ -32,6 +32,8 @@ from reference_tables import BOUNCE_HEAVY_TRUTH_DIGESTS
 
 # the SimConfig fields that hold sizes, counts and the seed
 _INT_FIELDS = ("image_size", "frames_per_video", "n_train", "n_val", "n_test", "seed")
+# and those that hold real values
+_FLOAT_FIELDS = ("scale", "dt", "gravity", "restitution", "radius_px", "v_max", "noise_sigma")
 
 
 def _stream(i=0):
@@ -123,8 +125,7 @@ class TestConfig:
             SimConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["scale", "dt", "gravity", "restitution", "radius_px",
-                                       "v_max", "noise_sigma"])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(SimulationError, match="finite"):
             SimConfig(**{field: value})
@@ -136,8 +137,7 @@ class TestConfig:
             SimConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [True, False, np.True_])
-    @pytest.mark.parametrize("field", ["scale", "dt", "gravity", "restitution", "radius_px",
-                                       "v_max", "noise_sigma"])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
     def test_bools_in_real_valued_fields_rejected(self, field, value):
         # True once passed as 1.0 wherever 1.0 is valid, and False as 0.0 for noise_sigma
         with pytest.raises(SimulationError, match=f"^parameters must not be bools: {field}={value!r}$"):
@@ -153,6 +153,17 @@ class TestConfig:
                         seed=np.int64(7))
         assert cfg == SimConfig(image_size=64, frames_per_video=5, n_test=2, seed=7)
         assert all(type(getattr(cfg, name)) is int for name in _INT_FIELDS)
+        write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
+        assert read_dataset(tmp_path, "test")[1] == cfg
+
+    def test_numpy_floats_accepted_as_floats(self, tmp_path):
+        # a float32 once stayed in the field, and write_dataset died at the manifest with a TypeError
+        cfg = SimConfig(image_size=32, restitution=np.float32(0.5), scale=np.float64(0.02), radius_px=np.float16(2),
+                        noise_sigma=np.float32(0.25), frames_per_video=5, n_test=2)
+        plain = SimConfig(image_size=32, restitution=0.5, scale=0.02, radius_px=2.0, noise_sigma=0.25,
+                          frames_per_video=5, n_test=2)
+        assert cfg == plain and json.dumps(asdict(cfg)) == json.dumps(asdict(plain))
+        assert all(type(getattr(cfg, name)) is float for name in _FLOAT_FIELDS)
         write_dataset(tmp_path, "test", generate_split(cfg, "test"), cfg)
         assert read_dataset(tmp_path, "test")[1] == cfg
 
